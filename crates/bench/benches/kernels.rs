@@ -15,7 +15,7 @@
 //! * `kernels/members` — k-core membership compress over the core array.
 //!
 //! Labels are `group/workload/{scalar,branchless}-{resident,mmap}`; smoke
-//! runs fold the medians into `BENCH_7.json` (see the criterion shim).
+//! runs fold the medians into `bench-medians.json` (see the criterion shim).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

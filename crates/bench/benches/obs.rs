@@ -1,6 +1,6 @@
 //! Telemetry microbenchmarks: the three hot paths the PR 10 obs layer
 //! adds, so regressions in the "always cheap" story are caught by the
-//! same harness that prices the scheduler.
+//! same harness as every other bench group.
 //!
 //! * `obs/hist/record` — one log-bucketed histogram absorbing a stream
 //!   of latencies (three relaxed atomics per sample; this is the cost
@@ -11,8 +11,8 @@
 //!   shaped like a busy server's (every op × stage series populated);
 //!   the `METRICS` verb's cost, paid per scrape, not per request.
 //!
-//! Labels fold into `BENCH_10.json` via the criterion shim alongside the
-//! scheduler group.
+//! Labels fold into `bench-medians.json` via the criterion shim alongside
+//! the other groups.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -14,7 +14,7 @@
 //!
 //! Labels are `writer/batch-apply/s{N}` and
 //! `writer/admission/{in-order,shuffled}-s{N}`; smoke runs fold the
-//! medians into `BENCH_8.json` (see the criterion shim).
+//! medians into `bench-medians.json` (see the criterion shim).
 
 use std::sync::Arc;
 

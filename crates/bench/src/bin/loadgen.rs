@@ -229,6 +229,9 @@ impl Client {
                     stream
                         .set_read_timeout(Some(Duration::from_secs(30)))
                         .map_err(|e| format!("set read timeout: {e}"))?;
+                    // Send each request frame at once; Nagle would hold
+                    // it for the server's previous ack.
+                    stream.set_nodelay(true).map_err(|e| format!("set nodelay: {e}"))?;
                     return Ok(Client { stream, rbuf: Vec::new(), codec, next_id: 0 });
                 }
                 Err(e) if Instant::now() < deadline => {
@@ -457,6 +460,7 @@ mod open_loop {
                 }
             };
             stream.set_nonblocking(true).map_err(|e| format!("set nonblocking: {e}"))?;
+            stream.set_nodelay(true).map_err(|e| format!("set nodelay: {e}"))?;
             conns.push(OConn {
                 stream,
                 rbuf: Vec::new(),
@@ -844,7 +848,6 @@ fn main() -> ExitCode {
             p99_us,
             per_op,
             writer,
-            sched,
         }) => {
             let opt = |v: Option<u64>| v.map_or("-".into(), |v: u64| v.to_string());
             let ops = per_op
@@ -884,21 +887,6 @@ fn main() -> ExitCode {
                     opt(w.publish_p50_us),
                     opt(w.publish_p99_us),
                     if shards.is_empty() { "-".into() } else { shards },
-                );
-            }
-            // The scheduler block only exists on lanes-mode servers.
-            if let Some(s) = sched {
-                println!(
-                    "loadgen: server sched: cheap={}:{}:{} expensive={}:{}:{} \
-                     err_pct_p50={} err_pct_p99={} (depth:served:stolen)",
-                    s.cheap.depth,
-                    s.cheap.served,
-                    s.cheap.stolen,
-                    s.expensive.depth,
-                    s.expensive.served,
-                    s.expensive.stolen,
-                    opt(s.err_pct_p50),
-                    opt(s.err_pct_p99),
                 );
             }
         }
@@ -1041,8 +1029,8 @@ fn trace_table(entries: &[avt_serve::TraceEntry]) -> String {
 /// The client-side per-verb latency table: one `verb:count:p50:p95:p99`
 /// column per class with traffic, in [`OpClass::ALL`] order. Measured at
 /// the same point as the overall percentiles, so the columns decompose
-/// them — under the lanes scheduler the interesting read is cheap-verb
-/// (CORE) tails against expensive-verb (BEST) tails.
+/// them — the interesting read is cheap-verb (CORE) tails against
+/// expensive-verb (BEST) tails.
 fn client_op_table(tagged: &[(OpClass, u64)]) -> String {
     let mut cols = Vec::new();
     for op in OpClass::ALL {

@@ -56,7 +56,6 @@ use std::sync::{mpsc, Arc, Mutex, Once};
 use avt_graph::{FrameSource, GraphError, GraphView};
 
 use crate::params::{AvtParams, AvtResult, SnapshotReport};
-use crate::steal::{rotation, StealQueues};
 
 /// A solver for one frozen snapshot of the evolving graph.
 ///
@@ -411,111 +410,6 @@ pub fn run_pipelined_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
     Ok(())
 }
 
-/// Work-stealing replay collecting into an [`AvtResult`]: like
-/// [`run_pipelined`] but snapshots land in per-worker deques
-/// ([`StealQueues`]) instead of one shared queue, and an idle worker robs
-/// its siblings rather than idling while one of them chews a huge frame.
-/// `0` = one worker per core.
-pub fn run_stealing<S: SnapshotSolver, F: FrameSource>(
-    solver: &S,
-    source: &F,
-    params: AvtParams,
-    threads: usize,
-) -> Result<AvtResult, GraphError> {
-    let mut result = AvtResult::default();
-    run_stealing_into(solver, source, params, threads, &mut result)?;
-    Ok(result)
-}
-
-/// The streaming form of [`run_stealing`]. Same producer / credit /
-/// reorder-window skeleton as [`run_pipelined_into`] — and therefore the
-/// same bit-identical-to-sequential guarantee through the sink — but the
-/// frame queue is the [`StealQueues`] fabric: the producer deals snapshots
-/// round-robin onto per-worker deques, each worker drains its own deque
-/// first and steals from siblings (rotation order) when it runs dry. With
-/// skewed frame costs the round-robin static assignment of the pipelined
-/// runner strands work behind a straggler's deque-mate; stealing rebalances
-/// it without giving up the `t`-ordered delivery.
-pub fn run_stealing_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
-    solver: &S,
-    source: &F,
-    params: AvtParams,
-    threads: usize,
-    sink: &mut K,
-) -> Result<(), GraphError> {
-    let threads = resolve_threads(threads);
-    let total = source.num_frames();
-    let queues: StealQueues<(usize, usize, Arc<F::Frame>)> = StealQueues::new(threads);
-    let queues = &queues;
-    // Same in-flight credit discipline as the pipelined runner: one token
-    // per snapshot between production and sink delivery, so a straggler
-    // parks at most O(threads) reports in the reorder window.
-    let (credit_tx, credit_rx) = mpsc::sync_channel::<()>(4 * threads);
-    let (report_tx, report_rx) = mpsc::channel::<Option<(usize, SnapshotReport)>>();
-    let mut delivered = 0usize;
-
-    /// Sends the death notice when a worker unwinds mid-snapshot.
-    struct DeathNotice(mpsc::Sender<Option<(usize, SnapshotReport)>>);
-    impl Drop for DeathNotice {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                let _ = self.0.send(None);
-            }
-        }
-    }
-
-    std::thread::scope(|scope| {
-        let report_rx = report_rx;
-        let credit_rx = credit_rx;
-        scope.spawn(move || {
-            for (seq, (t, frame)) in source.iter_frames().enumerate() {
-                // Credit first (the collector frees one per delivery); a
-                // send error means the collector aborted on a death notice
-                // — stop producing, the scope will re-raise the panic.
-                if credit_tx.send(()).is_err() {
-                    break;
-                }
-                if queues.push(seq % threads, (seq, t, frame)).is_err() {
-                    break;
-                }
-            }
-            // Close whether the walk finished or aborted: sleeping workers
-            // wake, drain what is queued, and exit.
-            queues.close();
-        });
-        for worker in 0..threads {
-            let report_tx = report_tx.clone();
-            let order = rotation(worker, threads);
-            scope.spawn(move || {
-                let _death = DeathNotice(report_tx.clone());
-                while let Some(stolen) = queues.pop(&order) {
-                    let (seq, t, frame) = stolen.item;
-                    let report = solver.solve_snapshot(t, frame.as_ref(), params);
-                    if report_tx.send(Some((seq, report))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(report_tx);
-        // Collector: identical reorder window to the pipelined runner.
-        let mut window: BTreeMap<usize, SnapshotReport> = BTreeMap::new();
-        let mut next_seq = 0usize;
-        for message in report_rx.iter() {
-            let Some((seq, report)) = message else { break };
-            window.insert(seq, report);
-            while let Some(report) = window.remove(&next_seq) {
-                sink.push(report);
-                let _ = credit_rx.recv();
-                delivered += 1;
-                next_seq += 1;
-            }
-        }
-    });
-    assert_eq!(delivered, total, "every snapshot must produce exactly one report");
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,81 +484,6 @@ mod tests {
             check!(Rcm::default());
             check!(brute);
         }
-    }
-
-    #[test]
-    fn stealing_matches_sequential_for_every_solver() {
-        let eg = churny();
-        let params = AvtParams::new(3, 2);
-        let brute = BruteForce { pool_cap: Some(6) };
-        for threads in [1, 2, 4] {
-            macro_rules! check {
-                ($solver:expr) => {
-                    let seq = run_sequential(&$solver, &eg, params).unwrap();
-                    let par = run_stealing(&$solver, &eg, params, threads).unwrap();
-                    assert_eq!(shape(&seq), shape(&par), "threads = {threads}");
-                };
-            }
-            check!(Greedy::default());
-            check!(Olak);
-            check!(Rcm::default());
-            check!(brute);
-        }
-    }
-
-    #[test]
-    fn stealing_rebalances_around_a_straggler() {
-        // Round-robin deals t = 1, 3, 5, … to worker 0; with t = 1 slow,
-        // the stealing runner must let worker 1 rob worker 0's deque and
-        // still deliver in order. (The same scenario the pipelined runner
-        // handles with its shared queue — here it proves drain-via-steal.)
-        struct SlowFirst;
-        impl SnapshotSolver for SlowFirst {
-            fn solve_snapshot<G: avt_graph::GraphView>(
-                &self,
-                t: usize,
-                frame: &G,
-                params: AvtParams,
-            ) -> SnapshotReport {
-                if t == 1 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
-                Olak.solve_snapshot(t, frame, params)
-            }
-        }
-        let mut eg = churny();
-        for _ in 0..12 {
-            eg.push_batch(EdgeBatch::new());
-        }
-        let total = eg.num_snapshots();
-        let mut seen = Vec::new();
-        let mut sink = |report: SnapshotReport| seen.push(report.t);
-        run_stealing_into(&SlowFirst, &eg, AvtParams::new(3, 1), 2, &mut sink).unwrap();
-        assert_eq!(seen, (1..=total).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stealing_worker_panic_propagates() {
-        struct Dies;
-        impl SnapshotSolver for Dies {
-            fn solve_snapshot<G: avt_graph::GraphView>(
-                &self,
-                t: usize,
-                frame: &G,
-                params: AvtParams,
-            ) -> SnapshotReport {
-                assert!(t != 2, "deliberate worker death at t = 2");
-                Olak.solve_snapshot(t, frame, params)
-            }
-        }
-        let mut long = churny();
-        for _ in 0..40 {
-            long.push_batch(EdgeBatch::new());
-        }
-        let result = std::panic::catch_unwind(|| {
-            let _ = run_stealing(&Dies, &long, AvtParams::new(3, 1), 2);
-        });
-        assert!(result.is_err(), "the worker panic must surface");
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod oracle;
 pub mod params;
 pub mod rcm;
 pub mod reduction;
-pub mod steal;
 
 pub use anchored::AnchoredCoreState;
 pub use brute::BruteForce;
@@ -65,4 +64,3 @@ pub use metrics::Metrics;
 pub use olak::Olak;
 pub use params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
 pub use rcm::Rcm;
-pub use steal::{StealQueues, Stolen};

@@ -13,8 +13,7 @@
 //!    queue/execute and back out the encode path. [`Span::mark`] charges
 //!    the time since the previous mark to a [`Stage`], so the stage sums
 //!    can never exceed the span total by construction, and the
-//!    queue-wait vs service-time split the scheduler's cost model wants
-//!    falls out for free.
+//!    queue-wait vs service-time split falls out for free.
 //! 3. **[`FlightRecorder`]** — a bounded overwrite-oldest ring of
 //!    completed span records: every request slower than
 //!    [`slow_threshold_us`] (`AVT_OBS_SLOW_US`), plus a reservoir sample

@@ -1,12 +1,14 @@
 //! The `AVT_OBS` runtime axis: off (default, zero wire drift) or on.
 //!
 //! Follows the same pattern as every other runtime axis in the workspace
-//! (`AVT_SCHED`, `AVT_WRITE_SHARDS`, `AVT_ENGINE_THREADS`): a process-wide
+//! (`AVT_KERNEL`, `AVT_WRITE_SHARDS`, `AVT_ENGINE_THREADS`): a process-wide
 //! setter for harnesses and CLI flags, the environment as fallback, and a
 //! warn-once on unrecognized values — silently ignoring a typo'd
-//! `AVT_OBS=onn` would make an "obs CI pass" test nothing.
+//! `AVT_OBS=onn` would make an "obs CI pass" test nothing. Like
+//! `AVT_KERNEL`, both knobs here are read from the environment once, on
+//! first use, and cached: [`obs_on`] sits on the per-request path.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
 /// Whether the telemetry layer records anything.
@@ -38,14 +40,30 @@ impl ObsMode {
     }
 }
 
-/// Sentinel for "no process-wide override installed".
-const MODE_UNSET: u8 = 0;
-const MODE_OFF: u8 = 1;
-const MODE_ON: u8 = 2;
+/// Read an axis slot, resolving it on first use: `unset` marks an empty
+/// slot, and `resolve` (the environment read) runs only to fill one. Only
+/// an empty slot is filled, so a setter racing the first read keeps its
+/// precedence over the environment.
+fn cached(slot: &AtomicU64, unset: u64, resolve: impl FnOnce() -> u64) -> u64 {
+    let current = slot.load(Ordering::Relaxed);
+    if current != unset {
+        return current;
+    }
+    let resolved = resolve();
+    match slot.compare_exchange(unset, resolved, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => resolved,
+        Err(installed) => installed,
+    }
+}
 
-/// Process-wide mode override (the `--obs` flag). `MODE_UNSET` defers to
-/// the environment.
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
+/// Sentinel for "neither installed nor resolved yet".
+const MODE_UNSET: u64 = 0;
+const MODE_OFF: u64 = 1;
+const MODE_ON: u64 = 2;
+
+/// Process-wide mode: the `--obs` flag's override, or the environment's
+/// value once resolved. `MODE_UNSET` until either happens.
+static MODE: AtomicU64 = AtomicU64::new(MODE_UNSET);
 
 /// Install a process-wide telemetry mode; takes precedence over the
 /// `AVT_OBS` environment variable.
@@ -62,20 +80,24 @@ pub fn set_obs_mode(mode: ObsMode) {
 /// An unrecognized environment value warns once per process and falls
 /// back to off.
 pub fn obs_mode() -> ObsMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_OFF => return ObsMode::Off,
-        MODE_ON => return ObsMode::On,
-        _ => {}
-    }
-    match std::env::var("AVT_OBS") {
-        Ok(value) => ObsMode::parse(&value).unwrap_or_else(|| {
-            static WARN_ONCE: Once = Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("warning: AVT_OBS={value:?} is not off or on; telemetry stays off");
-            });
-            ObsMode::Off
-        }),
-        Err(_) => ObsMode::Off,
+    let mode = cached(&MODE, MODE_UNSET, || match std::env::var("AVT_OBS") {
+        Ok(value) => match ObsMode::parse(&value) {
+            Some(ObsMode::On) => MODE_ON,
+            Some(ObsMode::Off) => MODE_OFF,
+            None => {
+                static WARN_ONCE: Once = Once::new();
+                WARN_ONCE.call_once(|| {
+                    eprintln!("warning: AVT_OBS={value:?} is not off or on; telemetry stays off");
+                });
+                MODE_OFF
+            }
+        },
+        Err(_) => MODE_OFF,
+    });
+    if mode == MODE_ON {
+        ObsMode::On
+    } else {
+        ObsMode::Off
     }
 }
 
@@ -88,10 +110,11 @@ pub fn obs_on() -> bool {
 /// Default slow-request threshold: 10 ms.
 const DEFAULT_SLOW_US: u64 = 10_000;
 
-/// Sentinel for "no threshold override installed".
+/// Sentinel for "neither installed nor resolved yet".
 const SLOW_UNSET: u64 = u64::MAX;
 
-/// Process-wide slow-threshold override, in µs.
+/// Process-wide slow threshold in µs: the `--slow-us` override, or the
+/// environment's value once resolved.
 static SLOW_US: AtomicU64 = AtomicU64::new(SLOW_UNSET);
 
 /// Install a process-wide slow-request threshold (µs); takes precedence
@@ -106,23 +129,22 @@ pub fn set_slow_threshold_us(us: u64) {
 /// else 10 000 (10 ms). An unparsable environment value warns once and
 /// falls back to the default.
 pub fn slow_threshold_us() -> u64 {
-    match SLOW_US.load(Ordering::Relaxed) {
-        SLOW_UNSET => {}
-        v => return v,
-    }
-    match std::env::var("AVT_OBS_SLOW_US") {
-        Ok(value) => value.trim().parse().unwrap_or_else(|_| {
-            static WARN_ONCE: Once = Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: AVT_OBS_SLOW_US={value:?} is not a µs count; \
-                     using {DEFAULT_SLOW_US}"
-                );
-            });
-            DEFAULT_SLOW_US
-        }),
+    cached(&SLOW_US, SLOW_UNSET, || match std::env::var("AVT_OBS_SLOW_US") {
+        Ok(value) => value.trim().parse::<u64>().map_or_else(
+            |_| {
+                static WARN_ONCE: Once = Once::new();
+                WARN_ONCE.call_once(|| {
+                    eprintln!(
+                        "warning: AVT_OBS_SLOW_US={value:?} is not a µs count; \
+                         using {DEFAULT_SLOW_US}"
+                    );
+                });
+                DEFAULT_SLOW_US
+            },
+            |us| us.min(SLOW_UNSET - 1),
+        ),
         Err(_) => DEFAULT_SLOW_US,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -136,6 +158,30 @@ mod tests {
         assert_eq!(ObsMode::parse("onn"), None);
         assert_eq!(ObsMode::On.as_str(), "on");
         assert_eq!(ObsMode::Off.as_str(), "off");
+    }
+
+    #[test]
+    fn slots_resolve_once_and_setters_win() {
+        let slot = AtomicU64::new(SLOW_UNSET);
+        let mut reads = 0;
+        assert_eq!(
+            cached(&slot, SLOW_UNSET, || {
+                reads += 1;
+                7
+            }),
+            7
+        );
+        assert_eq!(
+            cached(&slot, SLOW_UNSET, || {
+                reads += 1;
+                9
+            }),
+            7,
+            "a resolved slot is never re-read"
+        );
+        assert_eq!(reads, 1);
+        slot.store(3, Ordering::Relaxed);
+        assert_eq!(cached(&slot, SLOW_UNSET, || unreachable!("slot is set")), 3);
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub const STAGE_COUNT: usize = 6;
 pub enum Stage {
     /// Wire bytes → request: framing and parsing on the front-end.
     Decode,
-    /// Accepted by the executor, waiting for a worker (queue wait — the
-    /// part the scheduler's cost model must *not* learn from).
+    /// Accepted by the executor, waiting for a worker (queue wait: time
+    /// spent behind other work, not serving this request).
     Queue,
     /// Write path only: admission staging/folding inside the watermark
     /// buffer.

@@ -75,8 +75,8 @@
 
 use crate::codec::{Codec, WireRequest, WireVerb};
 use crate::protocol::{
-    BestAlgo, LaneStats, OpClass, OpLatency, Request, Response, SchedStats, ShardLatency,
-    TraceEntry, WriterStats, MAX_ANCHORS, MAX_INGEST_EVENTS, MAX_TRACE,
+    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, TraceEntry, WriterStats,
+    MAX_ANCHORS, MAX_INGEST_EVENTS, MAX_TRACE,
 };
 use avt_graph::VertexId;
 
@@ -329,7 +329,7 @@ fn response_payload(response: &Response) -> (u8, Vec<u8>) {
             }
             op_of(OpClass::Best) | OP_OK_BIT
         }
-        Response::Stats { epochs, served, errors, p50_us, p99_us, per_op, writer, sched } => {
+        Response::Stats { epochs, served, errors, p50_us, p99_us, per_op, writer } => {
             put_u64(&mut p, *epochs);
             put_u64(&mut p, *served);
             put_u64(&mut p, *errors);
@@ -362,24 +362,6 @@ fn response_payload(response: &Response) -> (u8, Vec<u8>) {
                     put_opt_us(&mut p, s.p50_us);
                     put_opt_us(&mut p, s.p99_us);
                 }
-            }
-            // Scheduler block: same absent-means-legacy discipline. When
-            // present it follows the writer block's position, so a
-            // lanes-without-admission reply writes an explicit `0` writer
-            // flag to keep the two optional blocks distinguishable.
-            if let Some(s) = sched {
-                if writer.is_none() {
-                    p.push(0);
-                }
-                p.push(1);
-                put_u64(&mut p, s.cheap.depth);
-                put_u64(&mut p, s.cheap.served);
-                put_u64(&mut p, s.cheap.stolen);
-                put_u64(&mut p, s.expensive.depth);
-                put_u64(&mut p, s.expensive.served);
-                put_u64(&mut p, s.expensive.stolen);
-                put_opt_us(&mut p, s.err_pct_p50);
-                put_opt_us(&mut p, s.err_pct_p99);
             }
             op_of(OpClass::Stats) | OP_OK_BIT
         }
@@ -563,59 +545,36 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, Strin
                     p99_us: c.opt_us()?,
                 });
             }
-            // Absent blocks (pre-writer peers) decode as `None`. An
-            // explicit `0` flag means "no writer, but read on" — the
-            // scheduler block may follow.
-            let (writer, sched) = if c.remaining() == 0 {
-                (None, None)
+            // Absent block (pre-writer peers) decodes as `None`.
+            let writer = if c.remaining() == 0 {
+                None
             } else {
-                let writer = match c.u8()? {
-                    0 => None,
-                    1 => {
-                        let mut w = WriterStats {
-                            batches_applied: c.u64()?,
-                            events_accepted: c.u64()?,
-                            events_folded: c.u64()?,
-                            events_rejected: c.u64()?,
-                            events_dropped: c.u64()?,
-                            watermark: c.u64()?,
-                            watermark_lag: c.u64()?,
-                            publish_p50_us: c.opt_us()?,
-                            publish_p99_us: c.opt_us()?,
-                            shards: Vec::new(),
-                        };
-                        for _ in 0..c.u8()? {
-                            w.shards.push(ShardLatency {
-                                shard: c.u32()?,
-                                count: c.u64()?,
-                                p50_us: c.opt_us()?,
-                                p99_us: c.opt_us()?,
-                            });
-                        }
-                        Some(w)
-                    }
-                    _ => return Err("bad writer-block flag in stats reply".into()),
+                if c.u8()? != 1 {
+                    return Err("bad writer-block flag in stats reply".into());
+                }
+                let mut w = WriterStats {
+                    batches_applied: c.u64()?,
+                    events_accepted: c.u64()?,
+                    events_folded: c.u64()?,
+                    events_rejected: c.u64()?,
+                    events_dropped: c.u64()?,
+                    watermark: c.u64()?,
+                    watermark_lag: c.u64()?,
+                    publish_p50_us: c.opt_us()?,
+                    publish_p99_us: c.opt_us()?,
+                    shards: Vec::new(),
                 };
-                let sched = if c.remaining() == 0 {
-                    None
-                } else {
-                    if c.u8()? != 1 {
-                        return Err("bad sched-block flag in stats reply".into());
-                    }
-                    Some(SchedStats {
-                        cheap: LaneStats { depth: c.u64()?, served: c.u64()?, stolen: c.u64()? },
-                        expensive: LaneStats {
-                            depth: c.u64()?,
-                            served: c.u64()?,
-                            stolen: c.u64()?,
-                        },
-                        err_pct_p50: c.opt_us()?,
-                        err_pct_p99: c.opt_us()?,
-                    })
-                };
-                (writer, sched)
+                for _ in 0..c.u8()? {
+                    w.shards.push(ShardLatency {
+                        shard: c.u32()?,
+                        count: c.u64()?,
+                        p50_us: c.opt_us()?,
+                        p99_us: c.opt_us()?,
+                    });
+                }
+                Some(w)
             };
-            Response::Stats { epochs, served, errors, p50_us, p99_us, per_op, writer, sched }
+            Response::Stats { epochs, served, errors, p50_us, p99_us, per_op, writer }
         }
         OpClass::Ingest => Response::Ingest {
             t: c.u64()?,
@@ -795,22 +754,6 @@ mod tests {
                     p99_us: None,
                 }],
                 writer: None,
-                sched: None,
-            },
-            Response::Stats {
-                epochs: 8,
-                served: 50,
-                errors: 0,
-                p50_us: Some(10),
-                p99_us: Some(90),
-                per_op: vec![],
-                writer: None,
-                sched: Some(SchedStats {
-                    cheap: LaneStats { depth: 3, served: 40, stolen: 2 },
-                    expensive: LaneStats { depth: 1, served: 10, stolen: 1 },
-                    err_pct_p50: Some(8),
-                    err_pct_p99: Some(150),
-                }),
             },
             Response::Stats {
                 epochs: 12,
@@ -833,12 +776,6 @@ mod tests {
                         ShardLatency { shard: 0, count: 11, p50_us: Some(30), p99_us: Some(55) },
                         ShardLatency { shard: 1, count: 11, p50_us: None, p99_us: None },
                     ],
-                }),
-                sched: Some(SchedStats {
-                    cheap: LaneStats { depth: 0, served: 3, stolen: 0 },
-                    expensive: LaneStats::default(),
-                    err_pct_p50: None,
-                    err_pct_p99: None,
                 }),
             },
             Response::Ingest { t: 5, accepted: 3, folded: 1, rejected: 0, watermark: 9 },
@@ -1003,8 +940,8 @@ mod tests {
 
     #[test]
     fn quiet_stats_payload_is_byte_identical_to_the_legacy_format() {
-        // With neither writer nor scheduler block the payload must end
-        // right after the per-op list, exactly as pre-sched peers sent it.
+        // Without a writer block the payload must end right after the
+        // per-op list, exactly as pre-writer peers sent it.
         let codec = BinaryCodec;
         let quiet = Response::Stats {
             epochs: 4,
@@ -1014,7 +951,6 @@ mod tests {
             p99_us: None,
             per_op: vec![],
             writer: None,
-            sched: None,
         };
         let mut wire = Vec::new();
         codec.encode_response(8, &Ok(quiet), &mut wire);
@@ -1026,23 +962,6 @@ mod tests {
         put_opt_us(&mut legacy, None);
         legacy.push(0); // empty per-op list, nothing after
         assert_eq!(&wire[HEADER_BYTES..], &legacy[..]);
-
-        // A sched block without a writer block rides behind an explicit
-        // absent-writer flag so old decoders never misread it.
-        let sched_only = Response::Stats {
-            epochs: 4,
-            served: 9,
-            errors: 0,
-            p50_us: None,
-            p99_us: None,
-            per_op: vec![],
-            writer: None,
-            sched: Some(SchedStats::default()),
-        };
-        let mut wire = Vec::new();
-        codec.encode_response(8, &Ok(sched_only), &mut wire);
-        assert_eq!(&wire[HEADER_BYTES..HEADER_BYTES + legacy.len()], &legacy[..]);
-        assert_eq!(wire[HEADER_BYTES + legacy.len()..][..2], [0, 1]);
     }
 
     #[test]

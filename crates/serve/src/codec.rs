@@ -33,8 +33,8 @@
 //! difference the front-end sees between the two formats.
 
 use crate::protocol::{
-    BestAlgo, LaneStats, OpClass, OpLatency, Request, Response, SchedStats, ShardLatency,
-    TraceEntry, WriterStats, MAX_ANCHORS, MAX_INGEST_EVENTS, MAX_TRACE,
+    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, TraceEntry, WriterStats,
+    MAX_ANCHORS, MAX_INGEST_EVENTS, MAX_TRACE,
 };
 use avt_graph::VertexId;
 
@@ -407,44 +407,6 @@ fn parse_writer(value: &str) -> Result<WriterStats, String> {
     })
 }
 
-/// Render the `sched=` field value: both lanes' counters colon-joined
-/// (cheap then expensive, depth:served:stolen each), then the cost
-/// model's error percentiles (`-` when absent).
-fn join_sched(s: &SchedStats) -> String {
-    format!(
-        "{}:{}:{}:{}:{}:{}:{}:{}",
-        s.cheap.depth,
-        s.cheap.served,
-        s.cheap.stolen,
-        s.expensive.depth,
-        s.expensive.served,
-        s.expensive.stolen,
-        opt_us(s.err_pct_p50),
-        opt_us(s.err_pct_p99)
-    )
-}
-
-fn parse_sched(value: &str) -> Result<SchedStats, String> {
-    let parts: Vec<&str> = value.split(':').collect();
-    let [cd, cs, cst, ed, es, est, p50, p99] = parts[..] else {
-        return Err(format!("malformed sched field {value:?}"));
-    };
-    Ok(SchedStats {
-        cheap: LaneStats {
-            depth: parse_num("sched cheap depth", cd)?,
-            served: parse_num("sched cheap served", cs)?,
-            stolen: parse_num("sched cheap stolen", cst)?,
-        },
-        expensive: LaneStats {
-            depth: parse_num("sched expensive depth", ed)?,
-            served: parse_num("sched expensive served", es)?,
-            stolen: parse_num("sched expensive stolen", est)?,
-        },
-        err_pct_p50: parse_opt_us("sched err p50", p50)?,
-        err_pct_p99: parse_opt_us("sched err p99", p99)?,
-    })
-}
-
 /// Render the `wshards=` field value: `shard:count:p50:p99` entries
 /// joined by commas, like `ops=`.
 fn join_shards(shards: &[ShardLatency]) -> String {
@@ -605,7 +567,7 @@ pub(crate) fn text_ok_line(response: &Response) -> String {
             join_list(anchors),
             join_list(followers)
         ),
-        Response::Stats { epochs, served, errors, p50_us, p99_us, per_op, writer, sched } => {
+        Response::Stats { epochs, served, errors, p50_us, p99_us, per_op, writer } => {
             let mut line = format!(
                 "OK stats epochs={epochs} served={served} errors={errors} p50us={} p99us={}",
                 opt_us(*p50_us),
@@ -625,11 +587,6 @@ pub(crate) fn text_ok_line(response: &Response) -> String {
                 if !w.shards.is_empty() {
                     line.push_str(&format!(" wshards={}", join_shards(&w.shards)));
                 }
-            }
-            // And for the scheduler block: only `--sched lanes` services
-            // emit it, so the FIFO default stays byte-identical.
-            if let Some(s) = sched {
-                line.push_str(&format!(" sched={}", join_sched(s)));
             }
             line
         }
@@ -735,11 +692,6 @@ pub(crate) fn parse_text_response_line(line: &str) -> Result<Response, String> {
                     }
                     Some(w)
                 }
-                None => None,
-            },
-            // Optional: absent under the FIFO executor.
-            sched: match fields.get("sched") {
-                Some(value) => Some(parse_sched(value)?),
                 None => None,
             },
         },
@@ -866,7 +818,6 @@ mod tests {
                     OpLatency { op: OpClass::Best, count: 40, p50_us: Some(800), p99_us: None },
                 ],
                 writer: None,
-                sched: None,
             },
             Response::Stats {
                 epochs: 1,
@@ -876,22 +827,6 @@ mod tests {
                 p99_us: None,
                 per_op: vec![],
                 writer: None,
-                sched: None,
-            },
-            Response::Stats {
-                epochs: 4,
-                served: 7,
-                errors: 0,
-                p50_us: Some(15),
-                p99_us: Some(60),
-                per_op: vec![],
-                writer: None,
-                sched: Some(SchedStats {
-                    cheap: LaneStats { depth: 2, served: 5, stolen: 1 },
-                    expensive: LaneStats { depth: 1, served: 2, stolen: 0 },
-                    err_pct_p50: Some(12),
-                    err_pct_p99: None,
-                }),
             },
             Response::Stats {
                 epochs: 12,
@@ -915,7 +850,6 @@ mod tests {
                         ShardLatency { shard: 1, count: 11, p50_us: None, p99_us: None },
                     ],
                 }),
-                sched: Some(SchedStats::default()),
             },
             Response::Stats {
                 epochs: 2,
@@ -925,7 +859,6 @@ mod tests {
                 p99_us: None,
                 per_op: vec![],
                 writer: Some(WriterStats::default()),
-                sched: None,
             },
             Response::Ingest { t: 5, accepted: 3, folded: 1, rejected: 0, watermark: 9 },
             Response::Metrics {
@@ -968,7 +901,6 @@ mod tests {
             p99_us: None,
             per_op: vec![],
             writer: None,
-            sched: None,
         };
         assert_eq!(text_ok_line(&quiet), "OK stats epochs=1 served=0 errors=0 p50us=- p99us=-");
         // And a pre-per-op peer's line (no ops field) still parses.

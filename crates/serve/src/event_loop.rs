@@ -387,8 +387,8 @@ mod imp {
             accept_errors: &mut u32,
         ) -> io::Result<()> {
             loop {
-                let stream = match listener.accept() {
-                    Ok((stream, _peer)) => {
+                let stream = match crate::tcp::accept(listener) {
+                    Ok(stream) => {
                         *accept_errors = 0;
                         stream
                     }

@@ -25,8 +25,7 @@ use avt_core::{AnchoredCoreState, AvtParams, Greedy, Olak, SnapshotSolver};
 use avt_obs::{Span, Stage};
 
 use crate::admission::{Admission, IngestEvent};
-use crate::protocol::{BestAlgo, OpClass, Request, Response};
-use crate::sched::{sched_mode, CostModel, LanePool, PushError, SchedMode};
+use crate::protocol::{BestAlgo, Request, Response};
 use crate::stats::ServiceStats;
 use crate::timeline::{EpochFrame, LiveTimeline};
 
@@ -137,10 +136,8 @@ pub fn execute(
             p99_us: stats.latency.percentile(99.0),
             per_op: stats.per_op_latencies(),
             // The writer block belongs to the admission buffer, not the
-            // epoch; [`Service`] fills it in when one is attached. The
-            // scheduler block likewise belongs to the lane pool.
+            // epoch; [`Service`] fills it in when one is attached.
             writer: None,
-            sched: None,
         }),
         // Writes go through the admission buffer, which only a
         // [`Service::start_with_admission`] service has — `execute` itself
@@ -197,17 +194,13 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Queued (accepted, unstarted) queries before callers block.
     pub queue_depth: usize,
-    /// Which executor runs behind the pool: the single FIFO queue or the
-    /// two-lane cost-aware work-stealing scheduler of [`crate::sched`].
-    pub sched: SchedMode,
 }
 
 impl Default for ServiceConfig {
     /// Two workers, a queue of 32 — enough to demonstrate overlap without
-    /// presuming hardware — and the scheduler the process selected
-    /// (`AVT_SCHED` / [`crate::sched::set_sched_mode`], FIFO by default).
+    /// presuming hardware.
     fn default() -> Self {
-        ServiceConfig { workers: 2, queue_depth: 32, sched: sched_mode() }
+        ServiceConfig { workers: 2, queue_depth: 32 }
     }
 }
 
@@ -260,34 +253,6 @@ struct Job {
     span: Option<Span>,
 }
 
-/// A job priced by the [`CostModel`] on its way into the lane pool: the
-/// submit-time estimate rides along so the worker can report the
-/// estimated-vs-actual error after running it.
-struct LaneJob {
-    job: Job,
-    op: OpClass,
-    units: u64,
-    est_us: u64,
-}
-
-/// Shared state of the two-lane backend.
-struct LaneState {
-    pool: LanePool<LaneJob>,
-    model: CostModel,
-}
-
-/// The queue behind [`Service`]: the classic bounded FIFO channel
-/// (default) or the two-lane work-stealing pool (`--sched lanes`).
-///
-/// The FIFO sender lives behind a mutexed `Option` so
-/// [`Service::begin_shutdown`] can retire it from `&self` — that is what
-/// makes [`SubmitError::Closed`] a deterministic, testable state instead
-/// of a race against `shutdown`'s drop.
-enum Backend {
-    Fifo(Mutex<Option<mpsc::SyncSender<Job>>>),
-    Lanes(Arc<LaneState>),
-}
-
 /// The in-process query service: a bounded worker pool over a
 /// [`LiveTimeline`].
 ///
@@ -317,7 +282,11 @@ pub struct Service {
     timeline: Arc<LiveTimeline>,
     admission: Option<Arc<Admission>>,
     stats: Arc<ServiceStats>,
-    backend: Backend,
+    /// The bounded job queue's sender. It lives behind a mutexed `Option`
+    /// so [`Service::begin_shutdown`] can retire it from `&self` — that is
+    /// what makes [`SubmitError::Closed`] a deterministic, testable state
+    /// instead of a race against `shutdown`'s drop.
+    intake: Mutex<Option<mpsc::SyncSender<Job>>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -354,135 +323,55 @@ impl Service {
         admission: Option<Arc<Admission>>,
         config: ServiceConfig,
     ) -> Service {
-        let workers_n = config.workers.max(1);
         let stats = Arc::new(ServiceStats::default());
-        match config.sched {
-            SchedMode::Fifo => {
-                let (jobs, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-                let rx = Arc::new(Mutex::new(rx));
-                let workers = (0..workers_n)
-                    .map(|i| {
-                        let rx = Arc::clone(&rx);
-                        let timeline = Arc::clone(&timeline);
-                        let admission = admission.clone();
-                        let stats = Arc::clone(&stats);
-                        std::thread::Builder::new()
-                            .name(format!("avt-serve-worker-{i}"))
-                            .spawn(move || loop {
-                                // Hold the lock only for the dequeue;
-                                // execution runs unlocked so workers
-                                // overlap.
-                                let job = rx.lock().expect("job queue lock poisoned").recv();
-                                let Ok(job) = job else { break };
-                                let op = job.request.op_class();
-                                // Everything since the last mark (decode)
-                                // was time spent queued, not served.
-                                if let Some(span) = &job.span {
-                                    span.mark(Stage::Queue);
-                                }
-                                let start = Instant::now();
-                                let reply = run_job(
-                                    &job.request,
-                                    &timeline,
-                                    admission.as_deref(),
-                                    &stats,
-                                    job.span.as_ref(),
-                                );
-                                let micros = start.elapsed().as_micros() as u64;
-                                if let Some(span) = &job.span {
-                                    span.mark(Stage::Execute);
-                                }
-                                stats.record(op, reply.is_ok(), micros);
-                                crate::obs::note_request(op, reply.is_ok(), micros);
-                                job.reply.deliver(reply);
-                            })
-                            .expect("spawning a worker thread")
+        let (jobs, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..config.workers.max(1))
+            .map(|i| {
+                let rx = Arc::clone(&rx);
+                let timeline = Arc::clone(&timeline);
+                let admission = admission.clone();
+                let stats = Arc::clone(&stats);
+                std::thread::Builder::new()
+                    .name(format!("avt-serve-worker-{i}"))
+                    .spawn(move || loop {
+                        // Hold the lock only for the dequeue; execution
+                        // runs unlocked so workers overlap.
+                        let job = rx.lock().expect("job queue lock poisoned").recv();
+                        let Ok(job) = job else { break };
+                        let op = job.request.op_class();
+                        // Everything since the last mark (decode) was time
+                        // spent queued, not served.
+                        if let Some(span) = &job.span {
+                            span.mark(Stage::Queue);
+                        }
+                        let start = Instant::now();
+                        let reply = run_job(
+                            &job.request,
+                            &timeline,
+                            admission.as_deref(),
+                            &stats,
+                            job.span.as_ref(),
+                        );
+                        let micros = start.elapsed().as_micros() as u64;
+                        if let Some(span) = &job.span {
+                            span.mark(Stage::Execute);
+                        }
+                        stats.record(op, reply.is_ok(), micros);
+                        crate::obs::note_request(op, reply.is_ok(), micros);
+                        job.reply.deliver(reply);
                     })
-                    .collect();
-                Service {
-                    timeline,
-                    admission,
-                    stats,
-                    backend: Backend::Fifo(Mutex::new(Some(jobs))),
-                    workers,
-                }
-            }
-            SchedMode::Lanes => {
-                let state = Arc::new(LaneState {
-                    pool: LanePool::new(workers_n, config.queue_depth.max(1)),
-                    model: CostModel::from_env(),
-                });
-                let workers = (0..workers_n)
-                    .map(|i| {
-                        let state = Arc::clone(&state);
-                        let timeline = Arc::clone(&timeline);
-                        let admission = admission.clone();
-                        let stats = Arc::clone(&stats);
-                        std::thread::Builder::new()
-                            .name(format!("avt-serve-worker-{i}"))
-                            .spawn(move || {
-                                while let Some(popped) = state.pool.pop(i) {
-                                    let LaneJob { job, op, units, est_us } = popped.item;
-                                    if let Some(span) = &job.span {
-                                        span.mark(Stage::Queue);
-                                    }
-                                    let start = Instant::now();
-                                    let mut reply = run_job(
-                                        &job.request,
-                                        &timeline,
-                                        admission.as_deref(),
-                                        &stats,
-                                        job.span.as_ref(),
-                                    );
-                                    // `micros` is pure service time — the
-                                    // queue wait was charged to the span
-                                    // above, so the cost model learns how
-                                    // long work *runs*, not how long it
-                                    // sat behind other work.
-                                    let micros = start.elapsed().as_micros() as u64;
-                                    if let Some(span) = &job.span {
-                                        span.mark(Stage::Execute);
-                                    }
-                                    // Every finished job refines the model;
-                                    // the next estimate is already better.
-                                    state.model.observe(op, units, est_us, micros);
-                                    state.pool.note_served(popped.lane);
-                                    if let Ok(Response::Stats { sched, .. }) = &mut reply {
-                                        *sched =
-                                            Some(crate::sched::snapshot(&state.pool, &state.model));
-                                    }
-                                    stats.record(op, reply.is_ok(), micros);
-                                    crate::obs::note_request(op, reply.is_ok(), micros);
-                                    job.reply.deliver(reply);
-                                }
-                            })
-                            .expect("spawning a worker thread")
-                    })
-                    .collect();
-                Service { timeline, admission, stats, backend: Backend::Lanes(state), workers }
-            }
-        }
+                    .expect("spawning a worker thread")
+            })
+            .collect();
+        Service { timeline, admission, stats, intake: Mutex::new(Some(jobs)), workers }
     }
 
-    /// Price `request` for the lane pool: the [`CostModel`]'s cheap
-    /// predictors, computed from state the submitter can read for free —
-    /// spectrum size × `b` for `BEST`, batch size × (1 + staged watermark
-    /// backlog) for `INGEST`, anchor count for `ANCHORED`, 1 otherwise.
-    fn price(&self, state: &LaneState, request: &Request) -> (OpClass, u64, u64) {
-        let op = request.op_class();
-        let units = match request {
-            Request::Best { b, .. } => {
-                self.timeline.current().shells.len().max(1) as u64 * (*b).max(1) as u64
-            }
-            Request::Ingest { insertions, deletions, .. } => {
-                let batch = (insertions.len() + deletions.len()).max(1) as u64;
-                let backlog = self.admission.as_deref().map_or(0, |a| a.staged_buckets() as u64);
-                batch * (1 + backlog)
-            }
-            Request::Anchored { anchors, .. } => anchors.len().max(1) as u64,
-            _ => 1,
-        };
-        (op, units, state.model.estimate_us(op, units))
+    /// The job queue's sender, cloned out of the intake lock so a caller
+    /// blocked on a full queue never holds the lock against other
+    /// submitters. `None` once [`Service::begin_shutdown`] retired it.
+    fn jobs(&self) -> Option<mpsc::SyncSender<Job>> {
+        self.intake.lock().expect("intake lock poisoned").clone()
     }
 
     /// Execute one query, blocking until a worker answers (or until the
@@ -497,29 +386,9 @@ impl Service {
     /// [`Service::query`], which passes `None`).
     pub fn query_traced(&self, request: Request, span: Option<Span>) -> Result<Response, String> {
         let (tx, rx) = mpsc::sync_channel(1);
-        match &self.backend {
-            Backend::Fifo(intake) => {
-                // Clone the sender out of the intake lock rather than
-                // sending under it: a full queue must block this caller,
-                // not every other submitter.
-                let Some(jobs) = intake.lock().expect("intake lock poisoned").clone() else {
-                    return Err("service is shutting down".to_string());
-                };
-                jobs.send(Job { request, reply: Reply::Channel(tx), span })
-                    .map_err(|_| "service is shutting down".to_string())?;
-            }
-            Backend::Lanes(state) => {
-                let (op, units, est_us) = self.price(state, &request);
-                let lane = state.model.lane(op, units);
-                let item = LaneJob {
-                    job: Job { request, reply: Reply::Channel(tx), span },
-                    op,
-                    units,
-                    est_us,
-                };
-                state.pool.push(lane, item).map_err(|_| "service is shutting down".to_string())?;
-            }
-        }
+        self.jobs()
+            .and_then(|jobs| jobs.send(Job { request, reply: Reply::Channel(tx), span }).ok())
+            .ok_or_else(|| "service is shutting down".to_string())?;
         rx.recv().map_err(|_| "worker died before answering".to_string())?
     }
 
@@ -527,8 +396,7 @@ impl Service {
     /// when the answer is ready. This is the nonblocking front-end's path
     /// — an event loop must never sleep on a full queue, so a saturated
     /// pool hands the job straight back as [`SubmitError::Full`] for the
-    /// caller to park and retry. Identical contract under both
-    /// schedulers; lanes just pick a deque instead of the one channel.
+    /// caller to park and retry.
     pub fn try_submit(&self, request: Request, done: QueryCallback) -> Result<(), SubmitError> {
         self.try_submit_traced(request, None, done)
     }
@@ -546,45 +414,19 @@ impl Service {
         span: Option<Span>,
         done: QueryCallback,
     ) -> Result<(), SubmitError> {
-        match &self.backend {
-            Backend::Fifo(intake) => {
-                let Some(jobs) = intake.lock().expect("intake lock poisoned").clone() else {
-                    return Err(SubmitError::Closed(request, done));
-                };
-                jobs.try_send(Job { request, reply: Reply::Callback(done), span }).map_err(|e| {
-                    match e {
-                        mpsc::TrySendError::Full(job) => match job.reply {
-                            Reply::Callback(done) => SubmitError::Full(job.request, done),
-                            Reply::Channel(_) => unreachable!("submitted with a callback"),
-                        },
-                        mpsc::TrySendError::Disconnected(job) => match job.reply {
-                            Reply::Callback(done) => SubmitError::Closed(job.request, done),
-                            Reply::Channel(_) => unreachable!("submitted with a callback"),
-                        },
-                    }
-                })
+        let Some(jobs) = self.jobs() else {
+            return Err(SubmitError::Closed(request, done));
+        };
+        jobs.try_send(Job { request, reply: Reply::Callback(done), span }).map_err(|e| {
+            let (handback, job): (fn(_, _) -> SubmitError, _) = match e {
+                mpsc::TrySendError::Full(job) => (SubmitError::Full, job),
+                mpsc::TrySendError::Disconnected(job) => (SubmitError::Closed, job),
+            };
+            match job.reply {
+                Reply::Callback(done) => handback(job.request, done),
+                Reply::Channel(_) => unreachable!("submitted with a callback"),
             }
-            Backend::Lanes(state) => {
-                let (op, units, est_us) = self.price(state, &request);
-                let lane = state.model.lane(op, units);
-                let item = LaneJob {
-                    job: Job { request, reply: Reply::Callback(done), span },
-                    op,
-                    units,
-                    est_us,
-                };
-                state.pool.try_push(lane, item).map_err(|e| {
-                    let (ctor, item): (fn(_, _) -> SubmitError, _) = match e {
-                        PushError::Full(item) => (SubmitError::Full, item),
-                        PushError::Closed(item) => (SubmitError::Closed, item),
-                    };
-                    match item.job.reply {
-                        Reply::Callback(done) => ctor(item.job.request, done),
-                        Reply::Channel(_) => unreachable!("submitted with a callback"),
-                    }
-                })
-            }
-        }
+        })
     }
 
     /// The timeline this service reads.
@@ -608,12 +450,9 @@ impl Service {
     /// [`Service::shutdown`] calls this first; front-ends can call it
     /// early to quiesce intake before the final join.
     pub fn begin_shutdown(&self) {
-        match &self.backend {
-            // Retiring the sender is the close signal: workers drain the
-            // channel, then their recv() errors out.
-            Backend::Fifo(intake) => drop(intake.lock().expect("intake lock poisoned").take()),
-            Backend::Lanes(state) => state.pool.close(),
-        }
+        // Retiring the sender is the close signal: workers drain the
+        // channel, then their recv() errors out.
+        drop(self.intake.lock().expect("intake lock poisoned").take());
     }
 
     /// Stop accepting queries, drain the queue, and join every worker.
@@ -870,83 +709,15 @@ mod tests {
         assert_eq!(stats.served(), 8);
     }
 
-    fn lanes_service(workers: usize) -> Service {
-        let config = ServiceConfig { workers, sched: SchedMode::Lanes, ..Default::default() };
-        Service::start(Arc::new(LiveTimeline::new(winged())), config)
-    }
-
     #[test]
-    fn lanes_service_answers_mixed_traffic_and_reports_sched_stats() {
-        let svc = Arc::new(lanes_service(4));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let svc = Arc::clone(&svc);
-                scope.spawn(move || {
-                    for _ in 0..10 {
-                        match svc.query(Request::Core(0)).unwrap() {
-                            Response::Core { core, .. } => assert_eq!(core, 3),
-                            other => panic!("unexpected reply {other:?}"),
-                        }
-                        match svc.query(Request::Best { k: 3, b: 2, algo: BestAlgo::Greedy }) {
-                            Ok(Response::Best { .. }) => {}
-                            other => panic!("unexpected reply {other:?}"),
-                        }
-                    }
-                });
-            }
-        });
-        let Response::Stats { served, errors, sched, .. } = svc.query(Request::Stats).unwrap()
-        else {
-            panic!("wrong reply kind")
-        };
-        assert_eq!((served, errors), (80, 0));
-        let sched = sched.expect("the lanes backend reports scheduler state");
-        // CORE is cheap by fiat and BEST (spectrum × b units) is priced
-        // over the threshold on any seeded model, so both lanes worked.
-        assert!(sched.cheap.served >= 40, "cheap lane served {}", sched.cheap.served);
-        assert!(sched.expensive.served >= 1, "expensive lane idle: {sched:?}");
-        let svc = Arc::into_inner(svc).expect("all clones dropped");
+    fn begin_shutdown_hands_back_closed() {
+        let svc = service();
+        svc.begin_shutdown();
+        assert!(svc.query(Request::Info).unwrap_err().contains("shutting down"));
+        match svc.try_submit(Request::Core(0), Box::new(|_| {})) {
+            Err(SubmitError::Closed(Request::Core(0), _)) => {}
+            other => panic!("try_submit after close: {:?}", other.map(|_| ())),
+        }
         assert_eq!(svc.shutdown().worker_panics, 0);
-    }
-
-    #[test]
-    fn lanes_answers_match_fifo_for_the_same_requests() {
-        let fifo = service();
-        let lanes = lanes_service(3);
-        let requests = [
-            Request::Info,
-            Request::Spectrum,
-            Request::Core(4),
-            Request::Anchored { k: 3, anchors: vec![6] },
-            Request::Followers { k: 3, anchor: 6 },
-            Request::Best { k: 3, b: 2, algo: BestAlgo::Olak },
-        ];
-        for request in requests {
-            assert_eq!(
-                fifo.query(request.clone()),
-                lanes.query(request.clone()),
-                "diverged on {request:?}"
-            );
-        }
-        assert_eq!(fifo.shutdown().worker_panics, 0);
-        assert_eq!(lanes.shutdown().worker_panics, 0);
-    }
-
-    #[test]
-    fn begin_shutdown_hands_back_closed_under_both_schedulers() {
-        for sched in [SchedMode::Fifo, SchedMode::Lanes] {
-            let config = ServiceConfig { sched, ..Default::default() };
-            let svc = Service::start(Arc::new(LiveTimeline::new(winged())), config);
-            svc.begin_shutdown();
-            assert!(
-                svc.query(Request::Info).unwrap_err().contains("shutting down"),
-                "{sched:?} query after close"
-            );
-            match svc.try_submit(Request::Core(0), Box::new(|_| {})) {
-                Err(SubmitError::Closed(Request::Core(0), _)) => {}
-                other => panic!("{sched:?} try_submit after close: {:?}", other.map(|_| ())),
-            }
-            assert_eq!(svc.shutdown().worker_panics, 0, "{sched:?}");
-        }
     }
 }

@@ -70,7 +70,6 @@ pub mod event_loop;
 pub mod executor;
 pub mod obs;
 pub mod protocol;
-pub mod sched;
 pub mod stats;
 pub mod tcp;
 pub mod timeline;
@@ -83,10 +82,8 @@ pub use conn::Conn;
 pub use event_loop::EventFront;
 pub use executor::{execute, QueryCallback, Service, ServiceConfig, ShutdownReport, SubmitError};
 pub use protocol::{
-    BestAlgo, LaneStats, OpClass, OpLatency, Request, Response, SchedStats, ShardLatency,
-    TraceEntry, WriterStats,
+    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, TraceEntry, WriterStats,
 };
-pub use sched::{sched_mode, set_sched_bench, set_sched_mode, CostModel, Lane, SchedMode};
 pub use stats::ServiceStats;
 pub use tcp::TcpFront;
 pub use timeline::{EpochFrame, EpochReport, LiveTimeline};

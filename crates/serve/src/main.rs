@@ -5,7 +5,6 @@
 //!           [--epochs 30] [--epoch-ms 100] [--seed 42] [--spill DIR]
 //!           [--front epoll|threads] [--max-connections N]
 //!           [--write-shards N] [--ingest-lag T]
-//!           [--sched fifo|lanes] [--sched-bench PATH]
 //!           [--obs off|on] [--slow-us N]
 //! ```
 //!
@@ -66,14 +65,6 @@ options:
                     a batch at ts publishes once the watermark passes
                     ts + T; older events are rejected as stale
                     (default 4)
-  --sched KIND      query executor: `fifo` (one shared queue, the
-                    default) or `lanes` (cheap/expensive work-stealing
-                    lanes priced by the cost model); overrides the
-                    AVT_SCHED env var
-  --sched-bench PATH  BENCH_*.json snapshot to seed the lane cost model
-                    from (default: $AVT_SCHED_BENCH, else BENCH_10.json /
-                    BENCH_9.json / BENCH_8.json beside the binary's
-                    working directory, else built-in rates)
   --obs MODE        telemetry layer: `off` (default; wire output stays
                     byte-identical to the pre-telemetry release) or `on`
                     (metrics registry + request spans + flight recorder,
@@ -102,8 +93,6 @@ struct Args {
     max_connections: Option<usize>,
     write_shards: Option<u32>,
     ingest_lag: u64,
-    sched: Option<avt_serve::SchedMode>,
-    sched_bench: Option<String>,
     obs: Option<avt_serve::ObsMode>,
     slow_us: Option<u64>,
 }
@@ -121,8 +110,6 @@ fn parse_args() -> Result<Args, String> {
         max_connections: None,
         write_shards: None,
         ingest_lag: 4,
-        sched: None,
-        sched_bench: None,
         obs: None,
         slow_us: None,
     };
@@ -159,13 +146,6 @@ fn parse_args() -> Result<Args, String> {
             "--ingest-lag" => {
                 args.ingest_lag = value.parse().map_err(|e| format!("--ingest-lag: {e}"))?
             }
-            "--sched" => {
-                args.sched = Some(
-                    avt_serve::SchedMode::parse(&value)
-                        .ok_or_else(|| format!("--sched must be fifo or lanes, got {value}"))?,
-                )
-            }
-            "--sched-bench" => args.sched_bench = Some(value),
             "--obs" => {
                 args.obs = Some(
                     avt_serve::ObsMode::parse(&value)
@@ -221,14 +201,6 @@ fn main() -> ExitCode {
         avt_kcore::write_shards(),
         args.ingest_lag
     );
-
-    if let Some(mode) = args.sched {
-        avt_serve::set_sched_mode(mode);
-    }
-    if let Some(path) = &args.sched_bench {
-        avt_serve::set_sched_bench(path);
-    }
-    eprintln!("# scheduler: {}", avt_serve::sched_mode().as_str());
 
     if let Some(mode) = args.obs {
         avt_serve::set_obs_mode(mode);

@@ -299,38 +299,6 @@ pub struct WriterStats {
     pub shards: Vec<ShardLatency>,
 }
 
-/// Counters of one scheduler lane (cheap or expensive), as reported by
-/// `STATS` when the two-lane scheduler is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LaneStats {
-    /// Jobs currently queued in this lane's deques.
-    pub depth: u64,
-    /// Jobs of this lane completed so far.
-    pub served: u64,
-    /// Jobs popped out of this lane's deques by a worker homed on a
-    /// different deque — the work-stealing traffic.
-    pub stolen: u64,
-}
-
-/// Scheduler state carried by [`Response::Stats`] when the service runs
-/// the two-lane work-stealing executor (`--sched lanes`). Absent under
-/// the default FIFO executor, which also keeps the legacy text `STATS`
-/// line and binary stats payload byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedStats {
-    /// The cheap lane (`INFO`/`SPECTRUM`/`CORE`/`STATS` and anything the
-    /// cost model estimates under its threshold).
-    pub cheap: LaneStats,
-    /// The expensive lane (`BEST`-class work and heavy `INGEST` batches).
-    pub expensive: LaneStats,
-    /// p50 of the cost model's relative estimation error, in percent
-    /// (absent before the first refined sample).
-    pub err_pct_p50: Option<u64>,
-    /// p99 of the cost model's relative estimation error, in percent
-    /// (absent before the first refined sample).
-    pub err_pct_p99: Option<u64>,
-}
-
 /// A successful response. The server answers rejected requests with a
 /// codec-level error message instead (`ERR <message>` in the text form,
 /// an error frame in the binary form) — that is why executor verdicts are
@@ -424,9 +392,6 @@ pub enum Response {
         /// Writer-path counters; `None` on services without write
         /// admission (keeps the legacy text line byte-identical).
         writer: Option<WriterStats>,
-        /// Scheduler lane counters; `None` under the FIFO executor
-        /// (keeps both wire forms byte-identical when lanes are off).
-        sched: Option<SchedStats>,
     },
     /// Reply to `INGEST`: the admission verdict for the submitted events.
     Ingest {

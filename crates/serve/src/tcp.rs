@@ -51,6 +51,18 @@ impl Default for TcpFront {
     }
 }
 
+/// Accept one connection on `listener`, ready to serve. Both fronts take
+/// their sockets from here. `TCP_NODELAY` goes on before the first byte:
+/// without it a reply small enough to coalesce waits (Nagle) for the
+/// client's next packet to acknowledge the previous one, which puts
+/// milliseconds on every settled connection's round trip. A socket that
+/// refuses the option counts as a failed accept.
+pub(crate) fn accept(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _peer) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 impl TcpFront {
     /// Serve `listener` until a client sends `SHUTDOWN` (or the listener
     /// fails). Blocks the calling thread; handler threads are scoped
@@ -71,8 +83,8 @@ impl TcpFront {
         std::thread::scope(|scope| -> std::io::Result<()> {
             let mut accept_errors = 0u32;
             loop {
-                let stream = match listener.accept() {
-                    Ok((stream, _peer)) => {
+                let stream = match accept(&listener) {
+                    Ok(stream) => {
                         accept_errors = 0;
                         stream
                     }
@@ -266,6 +278,14 @@ mod tests {
             self.reader.read_line(&mut reply).unwrap();
             reply.trim_end().to_string()
         }
+    }
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(!client.nodelay().unwrap(), "sockets start with Nagle on");
+        assert!(accept(&listener).unwrap().nodelay().unwrap());
     }
 
     #[test]

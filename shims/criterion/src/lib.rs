@@ -12,7 +12,7 @@
 //! Besides the plain-text report, every run records each benchmark's
 //! *median* wall-clock sample, and the generated `criterion_main!` writes
 //! them as a flat `{"group/name": nanoseconds}` JSON map on exit — to
-//! `$AVT_BENCH_JSON` when that is set, else to `BENCH_10.json` in the
+//! `$AVT_BENCH_JSON` when that is set, else to `bench-medians.json` in the
 //! working directory when smoke mode is on (so CI smoke runs always leave
 //! an artifact). Bench binaries run sequentially under `cargo bench`, and
 //! the writer merges into an existing file, so one artifact accumulates
@@ -191,7 +191,7 @@ fn median_of(samples: &[Duration]) -> Duration {
 /// JSON map, merging into the file if it already exists (bench binaries
 /// run one after another; each adds its groups to the same artifact).
 ///
-/// Destination: `$AVT_BENCH_JSON` when set; else `BENCH_10.json` in the
+/// Destination: `$AVT_BENCH_JSON` when set; else `bench-medians.json` in the
 /// working directory when `AVT_BENCH_SMOKE` is on; else nowhere (plain
 /// `cargo bench` stays report-only). Called by the `criterion_main!`-
 /// generated `main` after all groups finish.
@@ -199,7 +199,7 @@ pub fn write_bench_json() {
     let explicit = std::env::var_os("AVT_BENCH_JSON").filter(|v| !v.is_empty());
     let path = match (explicit, smoke_mode()) {
         (Some(p), _) => PathBuf::from(p),
-        (None, true) => PathBuf::from("BENCH_10.json"),
+        (None, true) => PathBuf::from("bench-medians.json"),
         (None, false) => return,
     };
     let results = RESULTS.lock().unwrap_or_else(|e| e.into_inner());

@@ -10,8 +10,7 @@
 
 use avt_serve::codec::{Codec, TextCodec, WireVerb};
 use avt_serve::protocol::{
-    BestAlgo, LaneStats, OpClass, OpLatency, Request, Response, SchedStats, ShardLatency,
-    WriterStats,
+    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, WriterStats,
 };
 use avt_serve::BinaryCodec;
 use proptest::collection::vec;
@@ -111,18 +110,6 @@ fn build_reply(
                             p99_us: opt(optional.1, x as u64 % 900),
                         })
                         .collect(),
-                })
-            },
-            // Scheduler block: keyed off `k` rather than `v`, so all four
-            // writer × sched present/absent combinations travel the wire.
-            sched: if k.is_multiple_of(2) {
-                None
-            } else {
-                Some(SchedStats {
-                    cheap: LaneStats { depth: a % 64, served: b % 100_000, stolen: c % 1_000 },
-                    expensive: LaneStats { depth: b % 64, served: c % 100_000, stolen: a % 1_000 },
-                    err_pct_p50: opt(optional.0, a % 400),
-                    err_pct_p99: opt(optional.1, b % 900),
                 })
             },
         },

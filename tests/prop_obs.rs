@@ -173,7 +173,7 @@ proptest! {
     }
 }
 
-/// The zero-drift guarantee behind the `AVT_OBS` axis: a fifo service
+/// The zero-drift guarantee behind the `AVT_OBS` axis: a service
 /// answers the whole legacy verb set — `STATS` first, while its rings
 /// are deterministically empty — with byte-identical frames whether
 /// telemetry is off or on, under both codecs. (The `METRICS`/`TRACE`
@@ -193,11 +193,7 @@ fn legacy_frames_are_byte_identical_with_obs_off_and_on() {
     let run = |mode: ObsMode| -> Vec<Vec<u8>> {
         set_obs_mode(mode);
         let timeline = Arc::new(LiveTimeline::new(graph.clone()));
-        // Pin fifo regardless of $AVT_SCHED: the lanes STATS block carries
-        // wall-clock-derived cost-model error percentiles, which differ
-        // between any two runs — scheduler noise, not obs drift.
-        let config = ServiceConfig { sched: avt_serve::SchedMode::Fifo, ..Default::default() };
-        let service = Service::start(Arc::clone(&timeline), config);
+        let service = Service::start(Arc::clone(&timeline), ServiceConfig::default());
         let frames = requests
             .iter()
             .map(|request| {

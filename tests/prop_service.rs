@@ -11,8 +11,12 @@
 //! protocol queries against the published epoch. Everything result-shaped
 //! — core numbers, shell histograms, anchored core sizes, follower sets,
 //! anchor picks, visited/probed counters — must be bit-identical.
+//!
+//! A saturated or closed service also hands a job back to its caller
+//! ([`SubmitError::Full`] / [`SubmitError::Closed`]) instead of dropping
+//! it.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use avt::algo::engine::run_sequential;
 use avt::algo::{AvtParams, Greedy, Olak, SnapshotSolver};
@@ -20,7 +24,7 @@ use avt::datasets::churn::{evolve, ChurnConfig};
 use avt::datasets::er::gnm;
 use avt::graph::{CsrGraph, EvolvingGraph, Graph, GraphView, VertexId};
 use avt::kcore::CoreDecomposition;
-use avt_serve::{BestAlgo, LiveTimeline, Request, Response, Service, ServiceConfig};
+use avt_serve::{BestAlgo, LiveTimeline, Request, Response, Service, ServiceConfig, SubmitError};
 use proptest::prelude::*;
 
 /// Evolve a base graph with a small churn model so the stream has real
@@ -235,4 +239,40 @@ fn churned_stream_served_equals_offline_with_four_write_shards() {
     let params = AvtParams::new(pick_k(&eg), 2);
     assert_service_offline_equivalence(&eg, params, 2);
     avt::kcore::set_write_shards(1);
+}
+
+/// A saturated one-worker, depth-one service must hand jobs back as
+/// [`SubmitError::Full`] — and accept them again once drained; a closed
+/// service hands them back as [`SubmitError::Closed`].
+#[test]
+fn full_and_closed_hand_the_job_back() {
+    // Big enough that one BEST solve outlives a burst of try_submit
+    // calls, so the queue demonstrably fills.
+    let timeline = Arc::new(LiveTimeline::new(gnm(600, 2400, 7)));
+    let service = Service::start(timeline, ServiceConfig { workers: 1, queue_depth: 1 });
+    let (tx, rx) = mpsc::channel();
+    let mut accepted = 0usize;
+    let mut fulls = 0usize;
+    for _ in 0..64 {
+        let tx = tx.clone();
+        let request = Request::Best { k: 3, b: 2, algo: BestAlgo::Greedy };
+        match service.try_submit(request, Box::new(move |reply| drop(tx.send(reply)))) {
+            Ok(()) => accepted += 1,
+            Err(SubmitError::Full(Request::Best { k: 3, b: 2, .. }, _)) => fulls += 1,
+            Err(other) => panic!("unexpected submit error {other:?}"),
+        }
+    }
+    assert!(fulls > 0, "64 instant submits never saw a full queue");
+    assert!(accepted > 0, "the queue accepted nothing");
+    // Every accepted job still completes (handback lost nothing).
+    for _ in 0..accepted {
+        rx.recv().expect("accepted job answered").expect("query succeeded");
+    }
+    service.begin_shutdown();
+    match service.try_submit(Request::Info, Box::new(|_| {})) {
+        Err(SubmitError::Closed(Request::Info, _)) => {}
+        other => panic!("closed service returned {:?}", other.map(|_| ())),
+    }
+    assert!(service.query(Request::Info).unwrap_err().contains("shutting down"));
+    assert_eq!(service.shutdown().worker_panics, 0);
 }
