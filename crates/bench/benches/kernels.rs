@@ -10,6 +10,10 @@
 //!   `deg > dv` scan + bucket moves).
 //! * `kernels/follower-scan` — candidate scan + 500 order-based follower
 //!   evaluations (region expansion, support counts, fixpoint peel).
+//! * `kernels/evaluate` — one Greedy round on the `track` instance (the
+//!   email-Enron stand-in at scale 0.2, k = 10): the follower count of
+//!   every Theorem-3 candidate, with the state and candidates built
+//!   outside the timed body, so only follower evaluation is timed.
 //! * `kernels/mcd` — max-core-degree sweep over every vertex
 //!   (`count_ge` with one-range-ahead prefetch).
 //! * `kernels/members` — k-core membership compress over the core array.
@@ -23,8 +27,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use avt_core::AnchoredCoreState;
 use avt_datasets::chunglu::chung_lu;
+use avt_datasets::Dataset;
 use avt_graph::io::write_csrbin_file;
-use avt_graph::{CsrGraph, GraphView, MmapCsr};
+use avt_graph::{CsrGraph, GraphView, MmapCsr, VertexId};
 use avt_kcore::kernels::{self, Kernel};
 use avt_kcore::{k_core_members, max_core_degrees, CoreDecomposition};
 
@@ -91,6 +96,34 @@ fn bench_follower_scan(c: &mut Criterion) {
     kernels::set_kernel(Kernel::Scalar);
 }
 
+fn bench_evaluate(c: &mut Criterion) {
+    // The initial snapshot of perfbench's `track` workload (before its
+    // vertex relabelling) at the k its calibration picks.
+    const K: u32 = 10;
+    let csr = CsrGraph::from_graph(Dataset::EmailEnron.generate(0.2, 1, 42).initial());
+    let mapped = mapped_copy(&csr);
+
+    fn round<G: GraphView>(state: &mut AnchoredCoreState<'_, G>, candidates: &[VertexId]) -> usize {
+        candidates.iter().map(|&x| state.follower_count_of(x)).sum()
+    }
+
+    let mut g = c.benchmark_group("kernels/evaluate");
+    g.sample_size(10);
+    for kernel in KERNELS {
+        kernels::set_kernel(kernel);
+        let mut resident = AnchoredCoreState::new(&csr, K);
+        let candidates = resident.candidates();
+        g.bench_function(format!("{kernel}-resident"), |b| {
+            b.iter(|| round(&mut resident, &candidates))
+        });
+        let mut on_map = AnchoredCoreState::new(&mapped, K);
+        let candidates = on_map.candidates();
+        g.bench_function(format!("{kernel}-mmap"), |b| b.iter(|| round(&mut on_map, &candidates)));
+    }
+    g.finish();
+    kernels::set_kernel(Kernel::Scalar);
+}
+
 fn bench_mcd(c: &mut Criterion) {
     let csr = bench_graph();
     let mapped = mapped_copy(&csr);
@@ -127,5 +160,12 @@ fn bench_members(c: &mut Criterion) {
     kernels::set_kernel(Kernel::Scalar);
 }
 
-criterion_group!(benches, bench_peel, bench_follower_scan, bench_mcd, bench_members);
+criterion_group!(
+    benches,
+    bench_peel,
+    bench_follower_scan,
+    bench_evaluate,
+    bench_mcd,
+    bench_members
+);
 criterion_main!(benches);

@@ -32,6 +32,34 @@
 //! exactly the followers — the closure bounds *where* followers can be, the
 //! peel decides *which* of them make it.
 //!
+//! ## The shell index
+//!
+//! Every region vertex is a shell vertex, yet most of a shell vertex's
+//! neighbours lie outside the shell. The state therefore keeps, per
+//! decomposition, an index of the (k-1)-shell: each shell vertex's *shell*
+//! neighbours, in the frame's neighbour order, and its *engaged count*, the
+//! number of its neighbours in `C_k(S)` (anchors included). A follower
+//! query reads `x`'s own neighbour list in full and everything else from
+//! the index:
+//!
+//! * closure expansion and the fixpoint keep only shell vertices
+//!   (`core = k-1`, region membership), so filtering the shell slice gives
+//!   the same vertices in the same order as filtering the full list;
+//! * support is `engaged(v)` plus the region peers and `x` counted over the
+//!   shell slice, plus one for each seed when `core(x) < k-1` (then `x` is
+//!   in no slice, and its shell neighbours are exactly the seeds).
+//!
+//! This is exact because the region holds only shell vertices, and a shell
+//! vertex's support from outside the shell — the engaged count — cannot
+//! change until the next decomposition. The region, its push order, the
+//! follower sets and every counter are those of the full-adjacency scan.
+//!
+//! The removal order is non-decreasing in core number and holds no
+//! anchors, so the shell is one contiguous run of it and a shell vertex's
+//! slot is its removal position minus the run's start. The first follower
+//! query after each decomposition builds the index in O(vol(shell) +
+//! log n); committing or uncommitting an anchor drops it.
+//!
 //! Committing an anchor re-runs the anchored decomposition (one O(n + m)
 //! bucket peel). Commits are rare (at most `l` per snapshot); follower
 //! queries are the hot path and stay local.
@@ -75,6 +103,9 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     decomp: CoreDecomposition,
     core_size: usize,
     metrics: Metrics,
+    // The (k-1)-shell index of `decomp`; `None` until the first follower
+    // query after each decomposition.
+    shell: Option<ShellIndex>,
     // Epoch-stamped scratch for follower queries (no per-query allocation).
     epoch: u32,
     in_region: Vec<u32>,
@@ -104,6 +135,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             decomp: CoreDecomposition::compute(graph), // replaced below
             core_size: 0,
             metrics: Metrics::default(),
+            shell: None,
             epoch: 0,
             in_region: vec![0; n],
             removed: vec![0; n],
@@ -122,6 +154,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
 
     /// Recompute the anchored decomposition. O(n + m).
     fn rebuild(&mut self) {
+        self.shell = None;
         self.decomp = CoreDecomposition::compute_with_anchor_flags(self.graph, &self.is_anchor);
         self.core_size = (kernels::ops().count_members_ge)(self.decomp.cores(), self.k);
         self.metrics.rebuilds += 1;
@@ -191,6 +224,14 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// Peek at accumulated counters without draining.
     pub fn metrics(&self) -> Metrics {
         self.metrics
+    }
+
+    /// Number of neighbours of the (k-1)-shell vertex `v` in `C_k(S)`,
+    /// anchors included (the shell index's engaged count).
+    pub(crate) fn engaged(&mut self, v: VertexId) -> u32 {
+        let (graph, decomp, k) = (self.graph, &self.decomp, self.k);
+        let index = self.shell.get_or_insert_with(|| ShellIndex::build(graph, decomp, k));
+        index.engaged[index.slot(decomp, v)]
     }
 
     fn next_epoch(&mut self) -> u32 {
@@ -267,29 +308,32 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
 
         let ops = kernels::ops();
         let mut targets = std::mem::take(&mut self.targets);
+        let (graph, decomp, k) = (self.graph, &self.decomp, self.k);
+        let index = &*self.shell.get_or_insert_with(|| ShellIndex::build(graph, decomp, k));
 
         // Seeds: neighbours v of x in the (k-1)-shell with x ⪯ v. Both are
         // shell vertices when the order matters, so `x ⪯ v` is a removal-
         // position comparison; with core(x) < k-1 it is automatic. The
         // kernels take that as a position floor: `min_pos = 0` disables the
-        // condition (also the unordered OLAK variant).
-        let seed_min_pos =
-            if ordered && self.decomp.core(x) == shell { self.decomp.pos(x) + 1 } else { 0 };
+        // condition (also the unordered OLAK variant). `x` may lie outside
+        // the shell, so this is the one full neighbour list a query reads.
+        let seed_min_pos = if ordered && decomp.core(x) == shell { decomp.pos(x) + 1 } else { 0 };
         {
             let ctx = kernels::RegionCtx {
-                cores: self.decomp.cores(),
-                pos: self.decomp.positions(),
+                cores: decomp.cores(),
+                pos: decomp.positions(),
                 stamp: &self.in_region,
                 epoch,
                 shell,
                 x,
             };
-            (ops.filter_region)(&ctx, self.graph.neighbors(x), seed_min_pos, &mut targets);
+            (ops.filter_region)(&ctx, graph.neighbors(x), seed_min_pos, &mut targets);
         }
         for &v in &targets {
             self.in_region[v as usize] = epoch;
             self.region.push(v);
         }
+        let seeds = self.region.len();
 
         // Forward closure: v → w with core(w) = k-1 and v ⪯ w (both shell
         // vertices, so again a position floor; dropped when unordered).
@@ -298,19 +342,19 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             let v = self.region[head];
             head += 1;
             if ops.prefetch_ahead && head < self.region.len() {
-                kernels::prefetch(self.graph.neighbors(self.region[head]));
+                kernels::prefetch(index.neighbors(decomp, self.region[head]));
             }
-            let min_pos = if ordered { self.decomp.pos(v) + 1 } else { 0 };
+            let min_pos = if ordered { decomp.pos(v) + 1 } else { 0 };
             {
                 let ctx = kernels::RegionCtx {
-                    cores: self.decomp.cores(),
-                    pos: self.decomp.positions(),
+                    cores: decomp.cores(),
+                    pos: decomp.positions(),
                     stamp: &self.in_region,
                     epoch,
                     shell,
                     x,
                 };
-                (ops.filter_region)(&ctx, self.graph.neighbors(v), min_pos, &mut targets);
+                (ops.filter_region)(&ctx, index.neighbors(decomp, v), min_pos, &mut targets);
             }
             for &w in &targets {
                 self.in_region[w as usize] = epoch;
@@ -319,22 +363,27 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         }
         self.metrics.vertices_visited += self.region.len() as u64;
 
-        // Exact anchored peel on the region: support counts core members,
-        // the anchor x, and unremoved region peers.
+        // Exact anchored peel on the region: support counts core members
+        // (the engaged count), the anchor x, and unremoved region peers.
+        // An `x` below the shell is in no shell slice; its shell neighbours
+        // are exactly the seeds.
+        let x_below_shell = decomp.core(x) < shell;
         for ri in 0..self.region.len() {
             let v = self.region[ri];
             if ops.prefetch_ahead && ri + 1 < self.region.len() {
-                kernels::prefetch(self.graph.neighbors(self.region[ri + 1]));
+                kernels::prefetch(index.neighbors(decomp, self.region[ri + 1]));
             }
-            let s = (ops.count_region_support)(
-                self.graph.neighbors(v),
-                self.decomp.cores(),
+            let s = index.slot(decomp, v);
+            let peers = (ops.count_region_support)(
+                index.slice(s),
+                decomp.cores(),
                 &self.in_region,
                 epoch,
                 x,
-                self.k,
+                k,
             );
-            self.support[v as usize] = s;
+            self.support[v as usize] =
+                index.engaged[s] + peers + u32::from(x_below_shell && ri < seeds);
         }
 
         self.queue.clear();
@@ -354,10 +403,10 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             qhead += 1;
             self.removed[v as usize] = epoch;
             if ops.prefetch_ahead && qhead < self.queue.len() {
-                kernels::prefetch(self.graph.neighbors(self.queue[qhead]));
+                kernels::prefetch(index.neighbors(decomp, self.queue[qhead]));
             }
             (ops.filter_alive)(
-                self.graph.neighbors(v),
+                index.neighbors(decomp, v),
                 &self.in_region,
                 &self.removed,
                 &self.queued,
@@ -491,9 +540,69 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     }
 }
 
+/// The (k-1)-shell of one anchored decomposition, laid out for follower
+/// queries (see the module docs). Slot `s` is the shell vertex at removal
+/// position `start + s`.
+#[derive(Clone)]
+struct ShellIndex {
+    /// Removal position of the first shell vertex.
+    start: u32,
+    /// Slot `s`'s shell neighbours are `nbrs[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<usize>,
+    nbrs: Vec<VertexId>,
+    /// Per slot: neighbours in `C_k(S)`, anchors included.
+    engaged: Vec<u32>,
+}
+
+impl ShellIndex {
+    /// Index the (k-1)-shell of `decomp`. O(vol(shell) + log n).
+    fn build<G: GraphView>(graph: &G, decomp: &CoreDecomposition, k: u32) -> Self {
+        let (cores, order) = (decomp.cores(), decomp.order());
+        let shell = k - 1;
+        let lo = order.partition_point(|&v| cores[v as usize] < shell);
+        let hi = order.partition_point(|&v| cores[v as usize] < k);
+        let mut offsets = Vec::with_capacity(hi - lo + 1);
+        let mut nbrs = Vec::new();
+        let mut engaged = Vec::with_capacity(hi - lo);
+        offsets.push(0);
+        for &v in &order[lo..hi] {
+            let mut e = 0u32;
+            for &w in graph.neighbors(v) {
+                let c = cores[w as usize];
+                if c == shell {
+                    nbrs.push(w);
+                }
+                e += u32::from(c >= k);
+            }
+            offsets.push(nbrs.len());
+            engaged.push(e);
+        }
+        ShellIndex { start: lo as u32, offsets, nbrs, engaged }
+    }
+
+    /// Slot of the shell vertex `v`.
+    #[inline]
+    fn slot(&self, decomp: &CoreDecomposition, v: VertexId) -> usize {
+        (decomp.pos(v) - self.start) as usize
+    }
+
+    /// Shell neighbours of slot `s`, in the frame's neighbour order.
+    #[inline]
+    fn slice(&self, s: usize) -> &[VertexId] {
+        &self.nbrs[self.offsets[s]..self.offsets[s + 1]]
+    }
+
+    /// Shell neighbours of the shell vertex `v`.
+    #[inline]
+    fn neighbors(&self, decomp: &CoreDecomposition, v: VertexId) -> &[VertexId] {
+        self.slice(self.slot(decomp, v))
+    }
+}
+
 impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
-    /// Cloning copies the decomposition and anchor flags (O(n)); scratch
-    /// space is reset. Used by the parallel candidate-evaluation path.
+    /// Cloning copies the decomposition, anchor flags and shell index
+    /// (O(n)); scratch space is reset. Used by the parallel
+    /// candidate-evaluation path.
     fn clone(&self) -> Self {
         let n = self.graph.num_vertices();
         AnchoredCoreState {
@@ -504,6 +613,7 @@ impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
             decomp: self.decomp.clone(),
             core_size: self.core_size,
             metrics: Metrics::default(),
+            shell: self.shell.clone(),
             epoch: 0,
             in_region: vec![0; n],
             removed: vec![0; n],

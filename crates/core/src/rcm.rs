@@ -65,8 +65,7 @@ fn ranked_candidates<G: GraphView>(
         if state.core(v) != shell {
             continue;
         }
-        let engaged = graph.neighbors(v).iter().filter(|&&w| state.core(w) >= k).count() as u32;
-        residual[v as usize] = k.saturating_sub(engaged).max(1);
+        residual[v as usize] = k.saturating_sub(state.engaged(v)).max(1);
     }
 
     let mut score = vec![0.0f64; n];

@@ -23,6 +23,51 @@ fn build(n: usize, pairs: &[(u32, u32)]) -> Graph {
     g
 }
 
+/// Size of the region a follower query on `x` explores, built over full
+/// adjacency: the (k-1)-shell vertices other than `x` reachable from `x`
+/// through shell vertices, each step forward in the K-order when
+/// `ordered`.
+fn naive_region_size(state: &AnchoredCoreState<'_>, x: VertexId, ordered: bool) -> u64 {
+    if state.in_core(x) {
+        return 0; // core members and anchors explore nothing
+    }
+    let g = state.graph();
+    let shell = state.k() - 1;
+    let mut seen = vec![false; g.num_vertices()];
+    let mut stack = vec![x];
+    let mut size = 0;
+    while let Some(v) = stack.pop() {
+        for &w in g.neighbors(v) {
+            if w != x
+                && !seen[w as usize]
+                && state.core(w) == shell
+                && (!ordered || state.precedes(v, w))
+            {
+                seen[w as usize] = true;
+                size += 1;
+                stack.push(w);
+            }
+        }
+    }
+    size
+}
+
+/// Every follower query on `state` matches the whole-graph oracle on top
+/// of `anchors`.
+fn check_followers(
+    state: &mut AnchoredCoreState<'_>,
+    anchors: &[VertexId],
+) -> Result<(), TestCaseError> {
+    let g = state.graph();
+    for x in g.vertices() {
+        let mut fast = state.followers_of(x);
+        fast.sort_unstable();
+        let naive = naive_followers(g, state.k(), anchors, x);
+        prop_assert_eq!(fast, naive, "anchor {} on top of {:?} at k = {}", x, anchors, state.k());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -34,23 +79,40 @@ proptest! {
         let g = build(n, &pairs);
         let mut state = AnchoredCoreState::new(&g, k);
         for x in g.vertices() {
+            // Each query visits exactly its region, built here naively.
+            let visited = state.metrics().vertices_visited;
             let mut fast = state.followers_of(x);
+            prop_assert_eq!(
+                state.metrics().vertices_visited - visited,
+                naive_region_size(&state, x, true),
+                "visited for anchor {} at k = {}", x, k
+            );
             fast.sort_unstable();
             let naive = naive_followers(&g, k, &[], x);
             prop_assert_eq!(&fast, &naive, "anchor {} at k = {}", x, k);
             // The OLAK-style unordered region gives the same answer.
+            let visited = state.metrics().vertices_visited;
             let mut unordered = state.followers_of_unordered(x);
+            prop_assert_eq!(
+                state.metrics().vertices_visited - visited,
+                naive_region_size(&state, x, false),
+                "unordered visited for anchor {} at k = {}", x, k
+            );
             unordered.sort_unstable();
             prop_assert_eq!(&unordered, &naive, "unordered anchor {} at k = {}", x, k);
         }
     }
 
-    /// Followers remain exact on top of committed anchors.
+    /// Followers remain exact on top of committed anchors, through a
+    /// second commit and an uncommit, and on a clone whose original then
+    /// commits again: every re-decomposition drops the shell index, and a
+    /// clone's copy of it is its own.
     #[test]
     fn followers_respect_commits(
         (n, pairs) in graph_strategy(25, 90),
         k in 2u32..4,
         pick in 0u32..25,
+        pick2 in 0u32..25,
     ) {
         let g = build(n, &pairs);
         let first = pick % n as u32;
@@ -59,15 +121,19 @@ proptest! {
             return Ok(()); // committing a core member is a no-op scenario
         }
         state.commit_anchor(first);
-        for x in g.vertices() {
-            if x == first {
-                continue;
-            }
-            let mut fast = state.followers_of(x);
-            fast.sort_unstable();
-            let naive = naive_followers(&g, k, &[first], x);
-            prop_assert_eq!(fast, naive, "anchor {} on top of {} at k = {}", x, first, k);
+        check_followers(&mut state, &[first])?;
+        let second = pick2 % n as u32;
+        if state.in_core(second) {
+            return Ok(());
         }
+        state.commit_anchor(second);
+        check_followers(&mut state, &[first, second])?;
+        state.uncommit_anchor(first);
+        check_followers(&mut state, &[second])?;
+        let mut clone = state.clone();
+        state.commit_anchor(first);
+        check_followers(&mut clone, &[second])?;
+        check_followers(&mut state, &[second, first])?;
     }
 
     /// Theorem 3 completeness: every vertex with at least one follower is
