@@ -14,6 +14,9 @@
 //!   email-Enron stand-in at scale 0.2, k = 10): the follower count of
 //!   every Theorem-3 candidate, with the state and candidates built
 //!   outside the timed body, so only follower evaluation is timed.
+//! * `kernels/state-new` — `AnchoredCoreState::new` on the same `track`
+//!   instance: the one anchored peel and the scratch arrays every
+//!   per-snapshot solver and every `FOLLOWERS`/`ANCHORED` request pays.
 //! * `kernels/mcd` — max-core-degree sweep over every vertex
 //!   (`count_ge` with one-range-ahead prefetch).
 //! * `kernels/members` — k-core membership compress over the core array.
@@ -96,11 +99,17 @@ fn bench_follower_scan(c: &mut Criterion) {
     kernels::set_kernel(Kernel::Scalar);
 }
 
+/// The `k` perfbench's calibration picks for its `track` workload.
+const TRACK_K: u32 = 10;
+
+/// The initial snapshot of perfbench's `track` workload (before its vertex
+/// relabelling).
+fn track_graph() -> CsrGraph {
+    CsrGraph::from_graph(Dataset::EmailEnron.generate(0.2, 1, 42).initial())
+}
+
 fn bench_evaluate(c: &mut Criterion) {
-    // The initial snapshot of perfbench's `track` workload (before its
-    // vertex relabelling) at the k its calibration picks.
-    const K: u32 = 10;
-    let csr = CsrGraph::from_graph(Dataset::EmailEnron.generate(0.2, 1, 42).initial());
+    let csr = track_graph();
     let mapped = mapped_copy(&csr);
 
     fn round<G: GraphView>(state: &mut AnchoredCoreState<'_, G>, candidates: &[VertexId]) -> usize {
@@ -111,14 +120,32 @@ fn bench_evaluate(c: &mut Criterion) {
     g.sample_size(10);
     for kernel in KERNELS {
         kernels::set_kernel(kernel);
-        let mut resident = AnchoredCoreState::new(&csr, K);
+        let mut resident = AnchoredCoreState::new(&csr, TRACK_K);
         let candidates = resident.candidates();
         g.bench_function(format!("{kernel}-resident"), |b| {
             b.iter(|| round(&mut resident, &candidates))
         });
-        let mut on_map = AnchoredCoreState::new(&mapped, K);
+        let mut on_map = AnchoredCoreState::new(&mapped, TRACK_K);
         let candidates = on_map.candidates();
         g.bench_function(format!("{kernel}-mmap"), |b| b.iter(|| round(&mut on_map, &candidates)));
+    }
+    g.finish();
+    kernels::set_kernel(Kernel::Scalar);
+}
+
+fn bench_state_new(c: &mut Criterion) {
+    let csr = track_graph();
+    let mapped = mapped_copy(&csr);
+    let mut g = c.benchmark_group("kernels/state-new");
+    g.sample_size(10);
+    for kernel in KERNELS {
+        kernels::set_kernel(kernel);
+        g.bench_function(format!("{kernel}-resident"), |b| {
+            b.iter(|| AnchoredCoreState::new(&csr, TRACK_K).anchored_core_size())
+        });
+        g.bench_function(format!("{kernel}-mmap"), |b| {
+            b.iter(|| AnchoredCoreState::new(&mapped, TRACK_K).anchored_core_size())
+        });
     }
     g.finish();
     kernels::set_kernel(Kernel::Scalar);
@@ -165,6 +192,7 @@ criterion_group!(
     bench_peel,
     bench_follower_scan,
     bench_evaluate,
+    bench_state_new,
     bench_mcd,
     bench_members
 );

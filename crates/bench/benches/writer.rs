@@ -5,7 +5,9 @@
 //!
 //! * `writer/batch-apply` — [`MaintainedCore::apply_batch_with_shards`]
 //!   over a scripted churn stream, shard counts 1/2/4 side by side (the
-//!   explicit-shards form, so no global axis flips are involved).
+//!   explicit-shards form, so no global axis flips are involved). Every
+//!   count runs the same batched repair; `s1` screens on the calling
+//!   thread and is the default path.
 //! * `writer/admission` — the same stream pushed through an
 //!   [`Admission`] buffer in arrival order and in a fixed shuffle within
 //!   the lag window, for each shard count (here the axis *is* the

@@ -62,11 +62,14 @@
 //!
 //! Committing an anchor re-runs the anchored decomposition (one O(n + m)
 //! bucket peel). Commits are rare (at most `l` per snapshot); follower
-//! queries are the hot path and stay local.
+//! queries are the hot path and stay local. A swap test that uncommits an
+//! anchor and then keeps it does not peel again: the decomposition
+//! depends only on the graph and the anchor flags, so the one set aside
+//! at the uncommit, shell index included, is reinstated as is.
 
 use avt_graph::{Graph, GraphView, VertexId};
 use avt_kcore::decompose::CoreDecomposition;
-use avt_kcore::kernels;
+use avt_kcore::{kernels, ANCHOR_CORE};
 
 use crate::metrics::Metrics;
 
@@ -127,14 +130,20 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     pub fn with_anchors(graph: &'g G, k: u32, anchors: &[VertexId]) -> Self {
         assert!(k >= 1, "k must be at least 1");
         let n = graph.num_vertices();
-        let mut st = AnchoredCoreState {
+        let mut is_anchor = vec![false; n];
+        for &a in anchors {
+            is_anchor[a as usize] = true;
+        }
+        let decomp = CoreDecomposition::compute_with_anchor_flags(graph, &is_anchor);
+        AnchoredCoreState {
             graph,
             k,
             anchors: anchors.to_vec(),
-            is_anchor: vec![false; n],
-            decomp: CoreDecomposition::compute(graph), // replaced below
-            core_size: 0,
-            metrics: Metrics::default(),
+            is_anchor,
+            core_size: (kernels::ops().count_members_ge)(decomp.cores(), k),
+            decomp,
+            // The peel above is this state's first rebuild.
+            metrics: Metrics { rebuilds: 1, vertices_visited: n as u64, ..Metrics::default() },
             shell: None,
             epoch: 0,
             in_region: vec![0; n],
@@ -144,21 +153,18 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
-        };
-        for &a in anchors {
-            st.is_anchor[a as usize] = true;
         }
-        st.rebuild();
-        st
     }
 
-    /// Recompute the anchored decomposition. O(n + m).
-    fn rebuild(&mut self) {
+    /// Recompute the anchored decomposition (O(n + m)) and return the one
+    /// it replaces.
+    fn rebuild(&mut self) -> CoreDecomposition {
         self.shell = None;
-        self.decomp = CoreDecomposition::compute_with_anchor_flags(self.graph, &self.is_anchor);
-        self.core_size = (kernels::ops().count_members_ge)(self.decomp.cores(), self.k);
+        let fresh = CoreDecomposition::compute_with_anchor_flags(self.graph, &self.is_anchor);
+        self.core_size = (kernels::ops().count_members_ge)(fresh.cores(), self.k);
         self.metrics.rebuilds += 1;
         self.metrics.vertices_visited += self.graph.num_vertices() as u64;
+        std::mem::replace(&mut self.decomp, fresh)
     }
 
     /// The snapshot this state views.
@@ -434,12 +440,45 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.rebuild();
     }
 
-    /// Remove a committed anchor (used by IncAVT's swap search). O(n + m).
+    /// Remove a committed anchor. O(n + m).
     pub fn uncommit_anchor(&mut self, x: VertexId) {
+        self.unflag(x);
+        self.rebuild();
+    }
+
+    /// [`Self::uncommit_anchor`] that hands back the decomposition it
+    /// replaced, so that [`Self::restore_anchor`] can reinstate `x`
+    /// without a peel (IncAVT's swap test).
+    pub(crate) fn uncommit_keeping(&mut self, x: VertexId) -> KeptAnchor {
+        self.unflag(x);
+        let (core_size, shell) = (self.core_size, self.shell.take());
+        let decomp = self.rebuild();
+        KeptAnchor { anchor: x, decomp, core_size, shell }
+    }
+
+    fn unflag(&mut self, x: VertexId) {
         assert!(self.is_anchor[x as usize], "vertex {x} is not anchored");
         self.is_anchor[x as usize] = false;
         self.anchors.retain(|&a| a != x);
-        self.rebuild();
+    }
+
+    /// Re-commit the anchor of `kept` by reinstating the decomposition
+    /// [`Self::uncommit_keeping`] replaced, with its shell index, instead
+    /// of peeling again. Not a rebuild. Exact because the anchored
+    /// decomposition depends only on the graph and the anchor flags, and
+    /// those are back to what they were: no anchor may change in between.
+    pub(crate) fn restore_anchor(&mut self, kept: KeptAnchor) {
+        let x = kept.anchor;
+        assert!(!self.is_anchor[x as usize], "vertex {x} is already anchored");
+        debug_assert!(
+            self.anchors.iter().chain([&x]).all(|&a| kept.decomp.core(a) == ANCHOR_CORE),
+            "the anchor set changed since vertex {x} was uncommitted"
+        );
+        self.is_anchor[x as usize] = true;
+        self.anchors.push(x);
+        self.decomp = kept.decomp;
+        self.core_size = kept.core_size;
+        self.shell = kept.shell;
     }
 
     /// The followers of the *committed* anchor set relative to the plain
@@ -538,6 +577,16 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.targets = targets;
         out
     }
+}
+
+/// The anchored state an [`AnchoredCoreState::uncommit_keeping`] replaced:
+/// everything [`AnchoredCoreState::restore_anchor`] needs to re-commit
+/// `anchor` without a peel.
+pub(crate) struct KeptAnchor {
+    anchor: VertexId,
+    decomp: CoreDecomposition,
+    core_size: usize,
+    shell: Option<ShellIndex>,
 }
 
 /// The (k-1)-shell of one anchored decomposition, laid out for follower
@@ -719,6 +768,66 @@ mod tests {
         st.uncommit_anchor(6);
         assert_eq!(st.anchored_core_size(), before);
         assert!(st.anchors().is_empty());
+    }
+
+    #[test]
+    fn restore_matches_recommit() {
+        // Keeping an anchor through a swap test by restoring the set-aside
+        // decomposition must be indistinguishable from recommitting it,
+        // one rebuild cheaper — with and without a built shell index.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(31);
+        let mut restored_any = false;
+        for trial in 0..40 {
+            let n = 25usize;
+            let mut g = Graph::new(n);
+            for _ in 0..90 {
+                let u = rng.gen_range(0..n) as VertexId;
+                let v = rng.gen_range(0..n) as VertexId;
+                if u != v && !g.has_edge(u, v) {
+                    g.insert_edge(u, v).unwrap();
+                }
+            }
+            let k = 2 + (trial % 3) as u32;
+            let mut recommit = AnchoredCoreState::new(&g, k);
+            for _ in 0..3 {
+                let x = rng.gen_range(0..n) as VertexId;
+                if !recommit.in_core(x) {
+                    recommit.commit_anchor(x);
+                }
+            }
+            if recommit.anchors().is_empty() {
+                continue;
+            }
+            // A follower query on a vertex outside the core builds the
+            // shell index.
+            if let Some(x) = g.vertices().find(|&x| trial % 2 == 0 && !recommit.in_core(x)) {
+                recommit.follower_count_of(x);
+            }
+            let u = recommit.anchors()[rng.gen_range(0..recommit.anchors().len())];
+            let mut restore = recommit.clone();
+            recommit.take_metrics();
+
+            recommit.uncommit_anchor(u);
+            recommit.commit_anchor(u);
+            let kept = restore.uncommit_keeping(u);
+            restore.restore_anchor(kept);
+            restored_any = true;
+
+            assert_eq!(restore.metrics().rebuilds + 1, recommit.metrics().rebuilds);
+            assert_eq!(restore.anchors(), recommit.anchors(), "trial {trial}");
+            assert_eq!(restore.anchored_core_size(), recommit.anchored_core_size());
+            for v in g.vertices() {
+                assert_eq!(restore.core(v), recommit.core(v), "trial {trial} core({v})");
+                assert_eq!(
+                    restore.follower_count_of(v),
+                    recommit.follower_count_of(v),
+                    "trial {trial} followers of {v}"
+                );
+            }
+            assert_eq!(restore.candidates(), recommit.candidates(), "trial {trial}");
+        }
+        assert!(restored_any);
     }
 
     #[test]

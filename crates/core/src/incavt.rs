@@ -4,21 +4,28 @@
 //!
 //! 1. **Bounded K-order maintenance** (§5.2): the K-order of `G_t` is
 //!    repaired from `G_{t-1}` via `avt_kcore::MaintainedCore` (EdgeInsert /
-//!    EdgeRemove) instead of being rebuilt, and the maintenance reports the
-//!    impacted vertex sets `VI` (insert-affected) and `VR`
-//!    (delete-affected).
+//!    EdgeRemove; the batch's insertions are repaired together) instead of
+//!    being rebuilt, and the maintenance reports the impacted vertex sets
+//!    `VI` (insert-affected) and `VR` (delete-affected).
 //! 2. **Local anchor search** (Algorithm 6, lines 9-16): the anchor set is
 //!    seeded with `S_{t-1}` and improved by *swaps only*, probing
 //!    candidates drawn from `VI ∪ VR ∪ nbr(VI ∪ VR) \ C_k` filtered by
 //!    Theorem 3 — typically a few dozen vertices instead of the thousands
 //!    a fresh Greedy pass would evaluate.
 //!
-//! Two engineering notes (deviations documented in DESIGN.md):
+//! Two deviations from the paper's Algorithm 6:
 //!
 //! * Evaluating a swap `S_t \ {u} ∪ {v}` uses one anchored decomposition
 //!   for `S_t \ {u}` plus a *local* follower query for each candidate `v`,
-//!   instead of a full evaluation per pair — identical results, `l + 1`
-//!   rebuilds per snapshot instead of `l · |candidates|`.
+//!   instead of a full evaluation per pair — identical results, far fewer
+//!   rebuilds (full anchored re-decompositions). A snapshot costs one
+//!   rebuild for the inherited anchors and, when the candidate pool is not
+//!   empty, one per inherited anchor to uncommit it for its swap test,
+//!   plus one per swap made: `1 + |S_{t-1}| + swaps`. A test that keeps
+//!   `u` reinstates the decomposition set aside at the uncommit instead of
+//!   recommitting `u` (which made it `1 + 2·|S_{t-1}|`). Releasing an
+//!   anchor that drifted into the plain k-core and each growth commit
+//!   below cost one rebuild more.
 //! * After the swap phase, if the anchor set is still below budget (e.g.
 //!   the initial snapshot had fewer than `l` productive anchors), a growth
 //!   phase adds the best impacted candidates. Without it the paper's
@@ -148,8 +155,9 @@ fn local_search_snapshot(
             }
             let current_size = state.anchored_core_size();
             // State without u, evaluated once; each candidate costs one
-            // local follower query on top of it.
-            state.uncommit_anchor(u);
+            // local follower query on top of it. The state with u is set
+            // aside in case no swap wins.
+            let kept = state.uncommit_keeping(u);
             let without_size = state.anchored_core_size();
 
             let mut best: Option<(VertexId, usize)> = None;
@@ -172,6 +180,7 @@ fn local_search_snapshot(
 
             match best {
                 Some((v, _)) => {
+                    drop(kept);
                     state.commit_anchor(v);
                     let pos = anchors.iter().position(|&a| a == u).expect("u is present");
                     anchors[pos] = v;
@@ -182,9 +191,7 @@ fn local_search_snapshot(
                     // spend the slot.
                     anchors.retain(|&a| a != u);
                 }
-                None => {
-                    state.commit_anchor(u); // keep u
-                }
+                None => state.restore_anchor(kept), // keep u, without a peel
             }
         }
     }

@@ -13,9 +13,9 @@
 //!    estimate of the cascade an anchor can start — and only the
 //!    top-scoring few are evaluated exactly.
 //!
-//! Simplifications vs. the published RCM (documented per DESIGN.md): we do
-//! not implement its corona-component collapse or its budgeted
-//! residual-path search; the score above plays the role of both. The
+//! Deviations from the published RCM: we do not implement its
+//! corona-component collapse or its budgeted residual-path search; the
+//! score above plays the role of both. The
 //! observable behaviour matches the AVT paper's usage: effectiveness close
 //! to Greedy at a fraction of OLAK's probe count, but no incremental reuse
 //! across snapshots.

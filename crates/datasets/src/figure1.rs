@@ -24,7 +24,8 @@
 //! `t = 2`, and `{u10, u15}` ties it — the churn demotes `u11` from
 //! follower to lost user and makes `u15` competitive, preserving the
 //! qualitative story (the best anchors change as the network evolves).
-//! DESIGN.md records the substitution.
+//! That substitution is this graph's one deviation from the paper: the
+//! tests pin the t = 2 community at 11, never the paper's optimum of 14.
 
 use avt_graph::{EdgeBatch, EvolvingGraph, Graph, VertexId};
 

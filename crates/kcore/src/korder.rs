@@ -3,8 +3,8 @@
 //! A [`KOrder`] stores, for every vertex, its core number (*level*) and its
 //! position inside the level's removal sequence (*label*), giving an O(1)
 //! total-order comparison `u ⪯ v`. Levels are stored as vertex arrays with
-//! tombstones; the maintenance algorithms in [`crate::maintain`] rewrite at
-//! most three levels per edge update and leave everything else untouched.
+//! tombstones; the maintenance algorithms in [`crate::maintain`] rewrite
+//! only the levels an update breaks and leave everything else untouched.
 
 use avt_graph::{GraphView, VertexId};
 

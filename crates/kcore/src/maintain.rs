@@ -2,26 +2,42 @@
 //!
 //! [`MaintainedCore`] bundles a graph with an always-valid [`KOrder`] and
 //! updates both *locally* when edges are inserted (`EdgeInsert`,
-//! Algorithm 4) or deleted (`EdgeRemove`, Algorithm 5). Batches are applied
-//! edge at a time, which reduces every step to the single-edge theorems:
-//!
-//! * inserting `(u, v)` can only raise core numbers, only for vertices with
-//!   core `K = min(core(u), core(v))`, and only by 1;
-//! * deleting `(u, v)` can only lower core numbers, only for vertices with
-//!   core `K`, and only by 1.
+//! Algorithm 4) or deleted (`EdgeRemove`, Algorithm 5). The K-order and
+//! its repair come from Zhang et al., "A Fast Order-Based Approach for
+//! Core Maintenance" (ICDE 2017). A batch's insertions are repaired
+//! together; a single inserted edge is a batch of one. Deletions are
+//! applied edge at a time, which reduces them to the single-edge theorem:
+//! deleting `(u, v)` can only lower core numbers, only for vertices with
+//! core `K = min(core(u), core(v))`, and only by 1.
 //!
 //! # Insertion
 //!
-//! Let `w` be the ⪯-smaller endpoint. If `deg+(w) ≤ K` after the insertion,
-//! the old removal order replays verbatim and nothing changes (the paper's
-//! Lemma 2, contrapositive) — this fast path covers most random churn.
-//! Otherwise level `K` is *re-peeled*: a queue peel removes level-`K`
-//! vertices whose support (neighbours of core > K plus unremoved level-`K`
-//! peers) is ≤ K. The peel survivors are exactly `L_K ∩ C_{K+1}(G')`, i.e.
-//! the vertices whose core rises; they are spliced into level `K+1` by
-//! re-peeling that level too (which must empty — a stalled peel would
-//! exhibit a (K+2)-core among core-(K+1) vertices). Levels other than `K`
-//! and `K+1` are untouched.
+//! Insertions can only raise core numbers. Once a batch's edges are in
+//! the graph, the only vertices whose remaining degree `deg+` grew are
+//! the ⪯-smaller endpoints `w` of the new edges (the larger endpoint gains
+//! a neighbour *before* it, which `deg+` does not count). The old removal
+//! order therefore replays verbatim — and every core stays put — unless
+//! some `w` now has `deg+(w) > core(w)` (the paper's Lemma 2,
+//! contrapositive). The *screen* checks exactly that; such a `w` is a
+//! *dirty endpoint* of its level. This fast path covers most random churn.
+//!
+//! Dirty levels are then repaired bottom-up. A level `K` is *re-peeled*:
+//! a queue peel removes level-`K` vertices whose support (neighbours of
+//! core > K plus unremoved level-`K` peers) is ≤ K. The peel survivors are
+//! exactly the level-`K` vertices whose core rises. They are *carried*
+//! into level `K+1`, which is re-peeled whole with them in front, and so
+//! on upward while survivors remain — which is how a batch can lift a
+//! vertex by more than one level. Levels below the lowest dirty level,
+//! and levels a repair never reaches, are untouched.
+//!
+//! A level that receives no carry is re-peeled only from its ⪯-earliest
+//! dirty endpoint. Every vertex before that endpoint still has
+//! `deg+ ≤ K`: its later neighbours are what they were, or it is a clean
+//! endpoint of a new edge. So the old prefix is a legal start of the
+//! level's peel and replays verbatim, and the suffix is re-peeled with the
+//! prefix treated as already removed. For a one-edge batch this is the
+//! classic single-edge repair: one suffix re-peel of level `K`, then one
+//! re-peel of level `K+1` when some core rose.
 //!
 //! # Deletion
 //!
@@ -29,17 +45,19 @@
 //! core `K`, any vertex whose support among core-≥K neighbours drops below
 //! `K` is demoted, propagating to same-core neighbours. Demoted vertices
 //! are detached from level `K` (tombstones keep the remainder valid — every
-//! remaining vertex only *loses* later neighbours) and level `K-1` is
-//! re-peeled with them included.
+//! remaining vertex only *loses* later neighbours) and appended to the end
+//! of level `K-1`.
 //!
-//! Both re-peels produce removal sequences that satisfy the validity
+//! Both repairs produce removal sequences that satisfy the validity
 //! invariant documented in [`crate`]; `verify::assert_korder_valid` is
-//! exercised after every operation in the test suite.
+//! exercised after every operation in the test suite, and the from-scratch
+//! [`crate::CoreDecomposition`] is the oracle the maintained cores are
+//! compared against.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-use avt_graph::{EdgeBatch, Graph, GraphError, VertexId};
+use avt_graph::{Edge, EdgeBatch, Graph, GraphError, VertexId};
 
 use crate::kernels;
 use crate::korder::KOrder;
@@ -87,12 +105,12 @@ impl ChangeSet {
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {
     /// Wall-clock micros each shard spent in its parallel screen pass
-    /// (empty when the per-edge reference path ran, i.e. shard count 1).
+    /// (empty with one shard, whose screen runs on the calling thread).
     pub shard_us: Vec<u64>,
     /// Levels re-peeled by the sequential bottom-up repair pass.
     pub levels_repaired: u32,
     /// Wall-clock micros the sequential bottom-up repair pass took
-    /// (0 when the per-edge reference path ran).
+    /// (0 for a batch without insertions).
     pub repair_us: u64,
 }
 
@@ -195,76 +213,13 @@ impl MaintainedCore {
         (self.graph, self.korder)
     }
 
-    /// Insert one edge and repair the K-order. Returns the promoted
-    /// vertices.
+    /// Insert one edge and repair the K-order: a one-edge batch (see the
+    /// module docs). Returns the promoted vertices.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<ChangeSet, GraphError> {
-        self.graph.insert_edge(u, v)?;
-        let (cu, cv) = (self.korder.core(u), self.korder.core(v));
-        let k = cu.min(cv);
-        // ⪯-smaller endpoint among those at level K.
-        let w = if cu != cv {
-            if cu < cv {
-                u
-            } else {
-                v
-            }
-        } else if self.korder.precedes(u, v) {
-            u
-        } else {
-            v
-        };
-
-        // Fast path (Lemma 2): the old order replays verbatim unless the
-        // smaller endpoint now has remaining degree above its level.
-        if self.korder.deg_plus(&self.graph, w) <= k {
-            return Ok(ChangeSet::default());
-        }
-
-        // Only the order *suffix* from `w` onward can change: every vertex
-        // before `w` sees exactly the supports it saw before (the new edge
-        // adds support only at `w`, and a prefix vertex's remaining degree
-        // counts later vertices regardless of their eventual fate). The
-        // suffix is re-peeled with the prefix treated as already removed —
-        // which is precisely what restricting the member set does.
-        let w_key = self.korder.order_key(w);
-        let prefix: Vec<VertexId> =
-            self.korder.iter_level(k).take_while(|&x| self.korder.order_key(x) < w_key).collect();
-        let members: Vec<VertexId> = self.korder.iter_level(k).skip(prefix.len()).collect();
-        let (order_k, survivors) = self.peel_level(k, &members);
-
-        if survivors.is_empty() {
-            // Cores unchanged; the re-peel merely repaired the suffix
-            // order. Reinstall the level as prefix ++ new suffix order.
-            let mut full = prefix;
-            full.extend_from_slice(&order_k);
-            for &x in &full {
-                self.korder.detach(x);
-            }
-            self.korder.install_level(k, &full);
-            return Ok(ChangeSet::default());
-        }
-
-        // Splice the promoted vertices into level K+1 with a second peel.
-        let mut combined = survivors.clone();
-        combined.extend(self.korder.iter_level(k + 1));
-        let (order_k1, leftover) = self.peel_level(k + 1, &combined);
-        assert!(
-            leftover.is_empty(),
-            "level {} re-peel stalled: a (K+2)-core among core-(K+1) vertices \
-             is impossible; this indicates corrupted state",
-            k + 1
-        );
-
-        let old_k1 = self.korder.level_members(k + 1);
-        let mut full_k = prefix;
-        full_k.extend_from_slice(&order_k);
-        for &x in full_k.iter().chain(survivors.iter()).chain(old_k1.iter()) {
-            self.korder.detach(x);
-        }
-        self.korder.install_level(k, &full_k);
-        self.korder.install_level(k + 1, &order_k1);
-
-        Ok(ChangeSet { promoted: survivors, demoted: Vec::new() })
+        let mut changes = ChangeSet::default();
+        self.insert_batch(&[Edge { u, v }], 1, &mut changes)?;
+        changes.dedup();
+        Ok(changes)
     }
 
     /// Delete one edge and repair the K-order. Returns the demoted
@@ -309,12 +264,10 @@ impl MaintainedCore {
     /// `G ⊕ E+ ⊖ E-`), accumulating the change set. This is the paper's
     /// `EdgeInsert` + `EdgeRemove` pair from Algorithm 6, lines 7-8.
     ///
-    /// The write path is governed by the [`shards`] axis: with
-    /// `AVT_WRITE_SHARDS=1` (the default) every edge goes through the
-    /// per-edge reference algorithms verbatim; with more shards the
-    /// insertion phase runs sharded (see [`Self::apply_batch_timed`]).
-    /// The resulting core numbers are bit-identical either way — cores
-    /// are a function of the graph alone.
+    /// The insertions are screened and repaired together (see the module
+    /// docs); the shard count of the screen comes from the process-wide
+    /// [`shards`] axis. Cores are a function of the graph alone, so the
+    /// result is bit-identical at every shard count.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<ChangeSet, GraphError> {
         self.apply_batch_timed(batch).map(|(changes, _)| changes)
     }
@@ -332,157 +285,128 @@ impl MaintainedCore {
     /// [`Self::apply_batch_timed`] with an explicit shard count,
     /// bypassing the process-wide axis — the equivalence tests compare
     /// shard counts side by side without racing on the global knob.
+    ///
+    /// Deletions run edge at a time after the insertions: the demotion
+    /// cascade is inherently sequential and deletions are the minority of
+    /// churn.
     pub fn apply_batch_with_shards(
         &mut self,
         batch: &EdgeBatch,
         shards: u32,
     ) -> Result<(ChangeSet, BatchStats), GraphError> {
-        if shards <= 1 {
-            let mut changes = ChangeSet::default();
-            for e in &batch.insertions {
-                changes.absorb(self.insert_edge(e.u, e.v)?);
-            }
-            for e in &batch.deletions {
-                changes.absorb(self.remove_edge(e.u, e.v)?);
-            }
-            changes.dedup();
-            Ok((changes, BatchStats::default()))
-        } else {
-            self.apply_batch_sharded(batch, shards)
-        }
-    }
-
-    /// Sharded batch apply: parallel adjacency insertion, parallel dirty
-    /// screen, then one sequential bottom-up re-peel of the broken levels.
-    ///
-    /// # Why this yields the same cores as the per-edge path
-    ///
-    /// After all insertions, the only vertices whose remaining degree
-    /// `deg+` changed are the ⪯-smaller endpoints `w` of the new edges
-    /// (the larger endpoint gains a neighbour that is *before* it in the
-    /// order, which `deg+` does not count). The pre-batch removal order is
-    /// therefore still a legal peel of the updated graph — which pins
-    /// every core number to its old value — **iff** `deg+(w) ≤ core(w)`
-    /// for every such `w` (the batch generalization of Lemma 2). Levels
-    /// that fail the check are *dirty*; everything below the smallest
-    /// dirty level replays verbatim, so the repair re-peels dirty levels
-    /// bottom-up, carrying each peel's survivors (the vertices whose core
-    /// rises) into the next level exactly like [`Self::insert_edge`]'s
-    /// splice step — except the carry keeps ascending while survivors
-    /// remain, which is how a batch promotes a vertex by more than one
-    /// level. Deletions then run per-edge: the demotion cascade is
-    /// inherently sequential and deletions are the minority of churn.
-    fn apply_batch_sharded(
-        &mut self,
-        batch: &EdgeBatch,
-        shards: u32,
-    ) -> Result<(ChangeSet, BatchStats), GraphError> {
-        let n = self.graph.num_vertices();
-        let bounds = shards::shard_bounds(n, shards);
         let mut changes = ChangeSet::default();
-        let mut stats = BatchStats::default();
-
-        if !batch.insertions.is_empty() {
-            // Phase 1: every adjacency push in parallel. Validation is
-            // sequential and up-front, so the parallel part is infallible
-            // and the graph it produces is bit-identical to the per-edge
-            // insertion loop.
-            self.graph.insert_edges_sharded(&batch.insertions, &bounds)?;
-
-            // Phase 2: parallel screen — each shard checks the smaller
-            // endpoints it owns against the updated graph and reports the
-            // levels whose replay broke.
-            let mut dirty: BTreeSet<u32> = BTreeSet::new();
-            let mut shard_us = vec![0u64; bounds.len()];
-            {
-                let graph = &self.graph;
-                let korder = &self.korder;
-                let edges = &batch.insertions;
-                let bounds = &bounds;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..bounds.len())
-                        .map(|si| {
-                            s.spawn(move || {
-                                let start = Instant::now();
-                                let mut local: Vec<u32> = Vec::new();
-                                for e in edges {
-                                    let (cu, cv) = (korder.core(e.u), korder.core(e.v));
-                                    let w = if cu != cv {
-                                        if cu < cv {
-                                            e.u
-                                        } else {
-                                            e.v
-                                        }
-                                    } else if korder.precedes(e.u, e.v) {
-                                        e.u
-                                    } else {
-                                        e.v
-                                    };
-                                    if shards::shard_of(w as usize, bounds) != si {
-                                        continue;
-                                    }
-                                    let k = cu.min(cv);
-                                    if korder.deg_plus(graph, w) > k {
-                                        local.push(k);
-                                    }
-                                }
-                                (start.elapsed().as_micros() as u64, local)
-                            })
-                        })
-                        .collect();
-                    for (si, h) in handles.into_iter().enumerate() {
-                        let (us, local) = h.join().expect("screen shard panicked");
-                        shard_us[si] = us;
-                        dirty.extend(local);
-                    }
-                });
-            }
-            stats.shard_us = shard_us;
-
-            // Phase 3: sequential bottom-up repair. `carry` holds detached
-            // survivors being spliced upward; a level is peeled when it is
-            // dirty or when a carry reaches it. Timed as one block: the
-            // repair is the serial tail of the sharded apply, so its cost
-            // against the parallel screen is what the telemetry wants.
-            let repair_start = std::time::Instant::now();
-            let mut carry: Vec<VertexId> = Vec::new();
-            let mut k = 0u32;
-            loop {
-                if carry.is_empty() {
-                    match dirty.iter().next().copied() {
-                        Some(next) => k = next,
-                        None => break,
-                    }
-                }
-                dirty.remove(&k);
-                let attached: Vec<VertexId> = self.korder.iter_level(k).collect();
-                // Carry first: survivors precede the old members in the
-                // member seed order, matching insert_edge's splice.
-                let mut members = std::mem::take(&mut carry);
-                members.extend_from_slice(&attached);
-                let (order, survivors) = self.peel_level(k, &members);
-                debug_assert_eq!(
-                    order.len() + survivors.len(),
-                    members.len(),
-                    "peel at level {k} lost vertices"
-                );
-                for &x in &attached {
-                    self.korder.detach(x);
-                }
-                self.korder.install_level(k, &order);
-                changes.promoted.extend_from_slice(&survivors);
-                stats.levels_repaired += 1;
-                carry = survivors;
-                k += 1;
-            }
-            stats.repair_us = repair_start.elapsed().as_micros() as u64;
-        }
-
+        let stats = if batch.insertions.is_empty() {
+            BatchStats::default()
+        } else {
+            self.insert_batch(&batch.insertions, shards, &mut changes)?
+        };
         for e in &batch.deletions {
             changes.absorb(self.remove_edge(e.u, e.v)?);
         }
         changes.dedup();
         Ok((changes, stats))
+    }
+
+    /// Insert `edges` and repair the K-order, adding the promoted vertices
+    /// to `changes`: adjacency pushes, the dirty screen, then one
+    /// sequential bottom-up repair (module docs). With more than one shard
+    /// the pushes and the screen run on scoped threads, one per vertex
+    /// range; with one they run on the calling thread and report no shard
+    /// timings.
+    fn insert_batch(
+        &mut self,
+        edges: &[Edge],
+        shards: u32,
+        changes: &mut ChangeSet,
+    ) -> Result<BatchStats, GraphError> {
+        let bounds = shards::shard_bounds(self.graph.num_vertices(), shards);
+        let mut stats = BatchStats::default();
+
+        // Validation is sequential and up-front, so a rejected batch
+        // leaves the graph untouched, and the graph it produces is
+        // bit-identical to an edge-at-a-time insertion loop at any shard
+        // count.
+        self.graph.insert_edges_sharded(edges, &bounds)?;
+
+        let mut dirty = if bounds.len() <= 1 {
+            screen(&self.graph, &self.korder, edges, |_| true)
+        } else {
+            // Each shard screens the smaller endpoints it owns against the
+            // updated graph.
+            let (graph, korder, bounds) = (&self.graph, &self.korder, &bounds);
+            let mut dirty = BTreeMap::new();
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..bounds.len())
+                    .map(|si| {
+                        s.spawn(move || {
+                            let start = Instant::now();
+                            let local = screen(graph, korder, edges, |w| {
+                                shards::shard_of(w as usize, bounds) == si
+                            });
+                            (start.elapsed().as_micros() as u64, local)
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    let (us, local) = h.join().expect("screen shard panicked");
+                    stats.shard_us.push(us);
+                    for w in local.into_values() {
+                        keep_earliest(korder, &mut dirty, w);
+                    }
+                }
+            });
+            dirty
+        };
+
+        // Bottom-up repair. `carry` holds detached survivors being spliced
+        // upward; a level is peeled when it is dirty or when a carry
+        // reaches it. Timed as one block: against the parallel screen, the
+        // serial tail is what the telemetry wants.
+        let repair_start = Instant::now();
+        let mut carry: Vec<VertexId> = Vec::new();
+        let mut k = 0u32;
+        loop {
+            // Without a carry, the prefix before the level's ⪯-earliest
+            // dirty endpoint replays verbatim; with one, the whole level is
+            // re-peeled.
+            let from = if carry.is_empty() {
+                match dirty.pop_first() {
+                    Some((lvl, w)) => {
+                        k = lvl;
+                        Some(self.korder.order_key(w))
+                    }
+                    None => break,
+                }
+            } else {
+                dirty.remove(&k);
+                None
+            };
+            let mut level: Vec<VertexId> = self.korder.iter_level(k).collect();
+            let skip =
+                from.map_or(0, |key| level.partition_point(|&x| self.korder.order_key(x) < key));
+            // Carry first: survivors precede the old members in the member
+            // seed order.
+            let mut members = std::mem::take(&mut carry);
+            members.extend_from_slice(&level[skip..]);
+            let (order, survivors) = self.peel_level(k, &members);
+            debug_assert_eq!(
+                order.len() + survivors.len(),
+                members.len(),
+                "peel at level {k} lost vertices"
+            );
+            for &x in &level {
+                self.korder.detach(x);
+            }
+            level.truncate(skip);
+            level.extend_from_slice(&order);
+            self.korder.install_level(k, &level);
+            changes.promoted.extend_from_slice(&survivors);
+            stats.levels_repaired += 1;
+            carry = survivors;
+            k += 1;
+        }
+        stats.repair_us = repair_start.elapsed().as_micros() as u64;
+        Ok(stats)
     }
 
     /// Queue-peel the given members at `lvl`: repeatedly remove any member
@@ -501,8 +425,8 @@ impl MaintainedCore {
         // when they live strictly above this level. The kernel reads the
         // raw level array, where detachment's `u32::MAX` sentinel would
         // compare as "above" — safe, because the only vertices ever
-        // detached during a re-peel are the sharded path's carry
-        // survivors, and those are members, counted by the member branch.
+        // detached during a re-peel are the carry survivors, and those are
+        // members, counted by the member branch.
         let level = self.korder.levels_raw();
         for (i, &m) in members.iter().enumerate() {
             if ops.prefetch_ahead && i + 1 < members.len() {
@@ -634,6 +558,39 @@ impl MaintainedCore {
     }
 }
 
+/// The screen: for the new edges whose ⪯-smaller endpoint `w` passes
+/// `owns`, the dirty endpoints — those with `deg+(w) > core(w)` in the
+/// updated graph — keyed by level, keeping each level's ⪯-earliest one.
+/// `korder` is the pre-batch order.
+fn screen(
+    graph: &Graph,
+    korder: &KOrder,
+    edges: &[Edge],
+    owns: impl Fn(VertexId) -> bool,
+) -> BTreeMap<u32, VertexId> {
+    let mut dirty = BTreeMap::new();
+    for e in edges {
+        let w = if korder.precedes(e.u, e.v) { e.u } else { e.v };
+        if owns(w) && korder.deg_plus(graph, w) > korder.core(w) {
+            keep_earliest(korder, &mut dirty, w);
+        }
+    }
+    dirty
+}
+
+/// Record the dirty endpoint `w` at its level unless an ⪯-earlier one is
+/// already there.
+fn keep_earliest(korder: &KOrder, dirty: &mut BTreeMap<u32, VertexId>, w: VertexId) {
+    dirty
+        .entry(korder.core(w))
+        .and_modify(|e| {
+            if korder.precedes(w, *e) {
+                *e = w;
+            }
+        })
+        .or_insert(w);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,22 +688,29 @@ mod tests {
 
     #[test]
     fn batch_application_matches_scratch() {
-        let g =
+        let mut g =
             Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]).unwrap();
         let mut mc = MaintainedCore::new(g.clone());
-        let batch = EdgeBatch::from_pairs([(0, 3), (1, 4)], [(2, 3)]);
-        let ch = mc.apply_batch(&batch).unwrap();
-        let mut fresh = g;
-        fresh.apply_batch(&batch).unwrap();
-        let d = CoreDecomposition::compute(&fresh);
-        for v in fresh.vertices() {
-            assert_eq!(mc.core(v), d.core(v), "vertex {v}");
+        // Cores hold still, then rise (the K4 on 0..4), then fall again.
+        let batches = [
+            EdgeBatch::from_pairs([(0, 3), (1, 4)], [(2, 3)]),
+            EdgeBatch::from_pairs([(0, 4), (1, 3), (2, 3)], []),
+            EdgeBatch::from_pairs([], [(0, 1), (3, 5)]),
+        ];
+        for batch in &batches {
+            let before = CoreDecomposition::compute(&g);
+            let ch = mc.apply_batch(batch).unwrap();
+            g.apply_batch(batch).unwrap();
+            let after = CoreDecomposition::compute(&g);
+            for v in g.vertices() {
+                assert_eq!(mc.core(v), after.core(v), "vertex {v}");
+            }
+            assert_synced(&mc);
+            // The change set names exactly the vertices whose core moved.
+            let moved: Vec<VertexId> =
+                g.vertices().filter(|&v| before.core(v) != after.core(v)).collect();
+            assert_eq!(ch.changed_vertices(), moved);
         }
-        assert_synced(&mc);
-        // Change set must cover every vertex whose core actually changed.
-        let before = CoreDecomposition::compute(mc.graph());
-        let _ = before;
-        assert!(!ch.is_empty() || ch.is_empty()); // shape check only
     }
 
     #[test]
@@ -835,16 +799,17 @@ mod tests {
     #[test]
     fn sharded_batch_matches_per_edge_and_oracle() {
         // Random churn applied batch-wise: every shard count must produce
-        // the same graph (bit for bit), the same cores as the per-edge
-        // reference AND the from-scratch peel, the same change sets, and a
-        // valid K-order of its own.
+        // the same graph (bit for bit) as edge-at-a-time `insert_edge` /
+        // `remove_edge`, the same change sets, the cores of the
+        // from-scratch peel, and a valid K-order of its own.
         use rand::{Rng, SeedableRng};
         for seed in [7u64, 99, 2024] {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             let n = 48usize;
             let mut per_edge = MaintainedCore::new(Graph::new(n));
-            let mut sharded: Vec<MaintainedCore> = vec![MaintainedCore::new(Graph::new(n)); 3];
-            let counts = [2u32, 4, 7];
+            let counts = [1u32, 2, 4, 7];
+            let mut sharded: Vec<MaintainedCore> =
+                vec![MaintainedCore::new(Graph::new(n)); counts.len()];
             let mut present: Vec<(VertexId, VertexId)> = Vec::new();
             for _ in 0..25 {
                 let mut ins = Vec::new();
@@ -870,25 +835,63 @@ mod tests {
                     }
                 }
                 let batch = EdgeBatch::from_pairs(ins, del);
-                let reference = per_edge.apply_batch(&batch).unwrap();
+                let mut reference = ChangeSet::default();
+                for e in &batch.insertions {
+                    reference.absorb(per_edge.insert_edge(e.u, e.v).unwrap());
+                }
+                for e in &batch.deletions {
+                    reference.absorb(per_edge.remove_edge(e.u, e.v).unwrap());
+                }
+                reference.dedup();
+                assert_synced(&per_edge);
+                let oracle = CoreDecomposition::compute(per_edge.graph());
+                for v in 0..n as VertexId {
+                    assert_eq!(per_edge.core(v), oracle.core(v), "edge-at-a-time core({v})");
+                }
                 for (mc, &shards) in sharded.iter_mut().zip(&counts) {
                     let (ch, stats) = mc.apply_batch_with_shards(&batch, shards).unwrap();
                     assert_eq!(ch, reference, "changes diverged at {shards} shards");
-                    if !batch.insertions.is_empty() {
-                        assert_eq!(stats.shard_us.len(), shards as usize);
-                    }
+                    // One shard screens on the calling thread, untimed.
+                    let timed = if shards == 1 || batch.insertions.is_empty() { 0 } else { shards };
+                    assert_eq!(stats.shard_us.len(), timed as usize);
                     assert!(mc.graph().is_isomorphic_identity(per_edge.graph()));
                     for v in 0..n as VertexId {
-                        assert_eq!(mc.core(v), per_edge.core(v), "core({v}) at {shards} shards");
+                        assert_eq!(mc.core(v), oracle.core(v), "core({v}) at {shards} shards");
                     }
                     assert_synced(mc);
                 }
-                let oracle = CoreDecomposition::compute(per_edge.graph());
-                for v in 0..n as VertexId {
-                    assert_eq!(per_edge.core(v), oracle.core(v));
-                }
             }
         }
+    }
+
+    #[test]
+    fn repair_starts_at_the_earliest_dirty_endpoint() {
+        // Three disjoint 5-cycles: one level, core 2. A chord from a
+        // cycle's ⪯-first vertex (already two later neighbours) makes that
+        // vertex dirty but raises no core. With chords in the second and
+        // third cycles, the repair re-peels level 2 from the ⪯-earlier of
+        // the two, and every suffix vertex is visited twice: once to count
+        // its support, once when the peel removes it.
+        let edges: Vec<(VertexId, VertexId)> =
+            (0..15).map(|v| (v, v / 5 * 5 + (v + 1) % 5)).collect();
+        let mut mc = MaintainedCore::new(Graph::from_edges(15, edges).unwrap());
+        let level = mc.korder().level_members(2);
+        assert_eq!(level.len(), 15);
+        let mut chords = Vec::new();
+        for cycle in [1u32, 2] {
+            let w = *level.iter().find(|&&v| v / 5 == cycle).expect("cycle on level 2");
+            assert_eq!(mc.korder().deg_plus(mc.graph(), w), 2);
+            chords.push((w, cycle * 5 + (w + 2) % 5));
+        }
+        let from = level.iter().position(|&v| v == chords[0].0 || v == chords[1].0).unwrap();
+        assert!(from > 0, "the prefix must be non-empty for the skip to show");
+
+        let visited = mc.visited_vertices();
+        let ch = mc.apply_batch_with_shards(&EdgeBatch::from_pairs(chords, []), 1).unwrap().0;
+        assert!(ch.is_empty());
+        assert_eq!(mc.visited_vertices() - visited, 2 * (level.len() - from) as u64);
+        assert!(mc.graph().vertices().all(|v| mc.core(v) == 2));
+        assert_synced(&mc);
     }
 
     #[test]
@@ -896,18 +899,20 @@ mod tests {
         // One batch that lifts a vertex by more than one level: vertex 5
         // starts isolated (core 0) and the batch wires it into a K5's
         // worth of edges, so the carry must ascend through several peels.
-        let g = Graph::from_edges(
-            6,
-            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
-        )
-        .unwrap();
-        let mut mc = MaintainedCore::new(g);
-        assert_eq!(mc.core(5), 0);
-        let batch = EdgeBatch::from_pairs([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)], []);
-        let (ch, _) = mc.apply_batch_with_shards(&batch, 3).unwrap();
-        assert!(mc.graph().vertices().all(|v| mc.core(v) == 5));
-        assert_eq!(ch.promoted.len(), 6);
-        assert_synced(&mc);
+        for shards in [1, 3] {
+            let g = Graph::from_edges(
+                6,
+                [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+            )
+            .unwrap();
+            let mut mc = MaintainedCore::new(g);
+            assert_eq!(mc.core(5), 0);
+            let batch = EdgeBatch::from_pairs([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)], []);
+            let (ch, _) = mc.apply_batch_with_shards(&batch, shards).unwrap();
+            assert!(mc.graph().vertices().all(|v| mc.core(v) == 5));
+            assert_eq!(ch.promoted.len(), 6);
+            assert_synced(&mc);
+        }
     }
 
     #[test]

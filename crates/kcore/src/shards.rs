@@ -7,14 +7,15 @@
 //! overridable in-process with [`set_write_shards`] (the equivalence
 //! proptests flip it between runs).
 //!
-//! `1` is the falsifiable reference: the per-edge `insert_edge` /
-//! `remove_edge` loop, verbatim. `N > 1` partitions vertices into N
-//! contiguous ranges, inserts each shard's adjacency updates in parallel
-//! (`std::thread::scope`, no new dependencies), screens the dirty K-order
-//! levels per shard, and repairs them with one bottom-up re-peel. The
+//! Every shard count runs the same batched insertion (see
+//! [`crate::maintain`]): adjacency pushes, the dirty screen, then one
+//! bottom-up repair of the broken K-order levels. With `1`, the default,
+//! the pushes and the screen run on the calling thread. `N > 1` partitions
+//! vertices into N contiguous ranges and runs each shard's pushes and
+//! screen in parallel (`std::thread::scope`, no new dependencies). The
 //! published core numbers are bit-identical across shard counts — cores
-//! are a function of the graph alone — which is exactly what
-//! `tests/prop_writer.rs` pins.
+//! are a function of the graph alone — and `tests/prop_writer.rs` pins
+//! every count against the from-scratch decomposition.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Once;

@@ -246,8 +246,9 @@ impl Admission {
             let publish_us = start.elapsed().as_micros() as u64;
             self.publish.record(publish_us);
             crate::obs::record_publish_us(publish_us);
-            // The repair phase only exists on the sharded write path; a
-            // serial batch would just log a stream of zeros.
+            // Writer timings are recorded only when the screen fanned
+            // out across shards, so a default one-shard writer adds no
+            // series to METRICS and no `wshards` to STATS.
             if !report.batch_stats.shard_us.is_empty() {
                 crate::obs::record_repair_us(report.batch_stats.repair_us);
             }

@@ -72,7 +72,7 @@ pub struct EpochReport {
     /// Vertices whose core number changed, from the maintenance layer.
     pub changes: ChangeSet,
     /// Maintenance-side timing for the apply (per-shard screen micros
-    /// when the sharded writer ran; empty on the per-edge path).
+    /// when the screen ran on more than one shard; empty with one).
     pub batch_stats: BatchStats,
 }
 

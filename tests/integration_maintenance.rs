@@ -42,7 +42,7 @@ fn flat_dataset_maintenance_stays_exact() {
 #[test]
 fn temporal_dataset_maintenance_survives_heavy_batches() {
     // Temporal streams produce large E+/E- batches (window turnover) —
-    // the hardest case for per-edge maintenance.
+    // the hardest case for maintenance.
     run_dataset(Dataset::CollegeMsg, 0.05, 8, 5);
 }
 

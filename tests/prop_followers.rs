@@ -52,6 +52,17 @@ fn naive_region_size(state: &AnchoredCoreState<'_>, x: VertexId, ordered: bool) 
     size
 }
 
+/// What a caller observes of `state` besides its anchor list: the core of
+/// every vertex, `|C_k(S)|`, the candidates, and the follower count of
+/// every vertex.
+fn observe(state: &mut AnchoredCoreState<'_>) -> (Vec<u32>, usize, Vec<VertexId>, Vec<usize>) {
+    let g = state.graph();
+    let cores = g.vertices().map(|v| state.core(v)).collect();
+    let candidates = state.candidates();
+    let counts = g.vertices().map(|v| state.follower_count_of(v)).collect();
+    (cores, state.anchored_core_size(), candidates, counts)
+}
+
 /// Every follower query on `state` matches the whole-graph oracle on top
 /// of `anchors`.
 fn check_followers(
@@ -106,7 +117,11 @@ proptest! {
     /// Followers remain exact on top of committed anchors, through a
     /// second commit and an uncommit, and on a clone whose original then
     /// commits again: every re-decomposition drops the shell index, and a
-    /// clone's copy of it is its own.
+    /// clone's copy of it is its own. Recommitting the uncommitted anchor
+    /// recomputes exactly the state its uncommit discarded, which is what
+    /// lets IncAVT's swap test restore that state instead (the restore
+    /// itself is crate-private and pinned against recommitting by
+    /// `anchored::tests::restore_matches_recommit`).
     #[test]
     fn followers_respect_commits(
         (n, pairs) in graph_strategy(25, 90),
@@ -128,12 +143,15 @@ proptest! {
         }
         state.commit_anchor(second);
         check_followers(&mut state, &[first, second])?;
+        let with_both = observe(&mut state);
         state.uncommit_anchor(first);
         check_followers(&mut state, &[second])?;
         let mut clone = state.clone();
         state.commit_anchor(first);
         check_followers(&mut clone, &[second])?;
         check_followers(&mut state, &[second, first])?;
+        prop_assert_eq!(state.anchors(), &[second, first][..]);
+        prop_assert_eq!(observe(&mut state), with_both);
     }
 
     /// Theorem 3 completeness: every vertex with at least one follower is

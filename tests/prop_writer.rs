@@ -6,13 +6,13 @@
 //!   edge sets, identical core numbers, identical spectra — bit for bit
 //!   the history the in-order delivery publishes, which in turn matches
 //!   the offline [`EvolvingGraph::frames`] replay.
-//! * **Shard equivalence.** Peeling a batch across 1, 2, or 4 range
+//! * **Shard equivalence.** Applying a batch across 1, 2, or 4 range
 //!   shards ([`MaintainedCore::apply_batch_with_shards`], the explicit
 //!   form of the `AVT_WRITE_SHARDS` axis) yields core numbers identical
-//!   to the per-edge sequential path and to a from-scratch
-//!   [`CoreDecomposition`] at every epoch. (The CI lane additionally
-//!   reruns this whole workspace suite under `AVT_WRITE_SHARDS=4`, which
-//!   pushes the sharded path through every service-level battery too.)
+//!   to a from-scratch [`CoreDecomposition`], the oracle, at every epoch.
+//!   (The CI lane additionally reruns this whole workspace suite under
+//!   `AVT_WRITE_SHARDS=4`, which pushes the sharded path through every
+//!   service-level battery too.)
 //! * **Staleness.** Events older than the lag window are counted and
 //!   rejected — published history is append-only, never rewound.
 
@@ -128,8 +128,8 @@ proptest! {
     }
 
     /// Sharded batch peeling is bit-identical: 1, 2, and 4 range shards
-    /// maintain the same core numbers as the sequential per-edge path and
-    /// as a from-scratch decomposition, at every epoch of the stream.
+    /// maintain the core numbers of a from-scratch decomposition at every
+    /// epoch of the stream.
     #[test]
     fn sharded_batch_apply_matches_unsharded_and_offline(
         n in 12usize..28,
