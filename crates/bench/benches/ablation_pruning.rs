@@ -19,10 +19,7 @@ fn bench_ablation(c: &mut Criterion) {
             "no-order-followers",
             GreedyConfig { order_based_followers: false, ..GreedyConfig::default() },
         ),
-        (
-            "unoptimized",
-            GreedyConfig { prune_candidates: false, order_based_followers: false, threads: 1 },
-        ),
+        ("unoptimized", GreedyConfig { prune_candidates: false, order_based_followers: false }),
     ];
 
     let mut group = c.benchmark_group("ablation/greedy-optimizations");

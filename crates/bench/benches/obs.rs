@@ -4,7 +4,7 @@
 //!
 //! * `obs/hist/record` — one log-bucketed histogram absorbing a stream
 //!   of latencies (three relaxed atomics per sample; this is the cost
-//!   every traced request pays per stage).
+//!   every front-end request pays per stage).
 //! * `obs/span/open-close` — a full request lifecycle: begin, the four
 //!   serve-path marks, finish into a [`SpanRecord`].
 //! * `obs/metrics/render` — Prometheus text exposition of a registry

@@ -650,8 +650,8 @@ impl ShellIndex {
 
 impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
     /// Cloning copies the decomposition, anchor flags and shell index
-    /// (O(n)); scratch space is reset. Used by the parallel
-    /// candidate-evaluation path.
+    /// (O(n)); scratch space and metrics are reset, so a clone answers
+    /// follower queries independently of the original.
     fn clone(&self) -> Self {
         let n = self.graph.num_vertices();
         AnchoredCoreState {

@@ -17,10 +17,10 @@ use std::time::Instant;
 use avt_graph::{EvolvingGraph, GraphError, GraphView, VertexId};
 
 use crate::anchored::AnchoredCoreState;
-use crate::engine::{resolve_threads, Engine, SnapshotSolver};
+use crate::engine::{Engine, SnapshotSolver};
 use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
 
-/// Tuning switches for [`Greedy`] (ablations + the parallel extension).
+/// Tuning switches for [`Greedy`] (the §4 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GreedyConfig {
     /// Apply Theorem-3 candidate pruning (§4.1).
@@ -28,17 +28,11 @@ pub struct GreedyConfig {
     /// Use the order-based (forward-closure) follower computation (§4.2);
     /// when false, the undirected whole-shell search is used.
     pub order_based_followers: bool,
-    /// Evaluate candidates on this many worker threads: `0` = one per
-    /// available core ([`std::thread::available_parallelism`]), `1` (the
-    /// default) = explicitly sequential. An extension beyond the paper;
-    /// results are identical because evaluation is read-only and the
-    /// tie-break is deterministic.
-    pub threads: usize,
 }
 
 impl Default for GreedyConfig {
     fn default() -> Self {
-        GreedyConfig { prune_candidates: true, order_based_followers: true, threads: 1 }
+        GreedyConfig { prune_candidates: true, order_based_followers: true }
     }
 }
 
@@ -58,18 +52,12 @@ impl Greedy {
 
     /// Fully unoptimized variant (ablation baseline).
     pub fn unoptimized() -> Self {
-        Greedy {
-            config: GreedyConfig {
-                prune_candidates: false,
-                order_based_followers: false,
-                threads: 1,
-            },
-        }
+        Greedy { config: GreedyConfig { prune_candidates: false, order_based_followers: false } }
     }
 }
 
 /// Evaluate `candidates` on `state` and return the best `(vertex, gain)`
-/// with gain > 0, ties broken toward the smallest vertex id. Sequential.
+/// with gain > 0, ties broken toward the smallest vertex id.
 pub(crate) fn select_best<G: GraphView>(
     state: &mut AnchoredCoreState<'_, G>,
     candidates: &[VertexId],
@@ -93,35 +81,6 @@ pub(crate) fn select_best<G: GraphView>(
     best
 }
 
-/// Parallel candidate evaluation: each worker clones the state (read-only
-/// queries) and scans a stripe. Deterministic result (same argmax +
-/// tie-break as [`select_best`]).
-fn select_best_parallel<G: GraphView>(
-    state: &AnchoredCoreState<'_, G>,
-    candidates: &[VertexId],
-    order_based: bool,
-    threads: usize,
-) -> Option<(VertexId, usize)> {
-    let chunk = candidates.len().div_ceil(threads).max(1);
-    let mut results: Vec<Option<(VertexId, usize)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|stripe| {
-                let mut local = state.clone();
-                scope.spawn(move || select_best(&mut local, stripe, order_based))
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("candidate evaluation worker panicked"));
-        }
-    });
-    results.into_iter().flatten().fold(None, |acc, (v, g)| match acc {
-        Some((bv, bg)) if bg > g || (bg == g && bv < v) => Some((bv, bg)),
-        _ => Some((v, g)),
-    })
-}
-
 /// Run the greedy anchor-selection rounds on an existing state (shared with
 /// `IncAvt` for its first snapshot). Returns the committed anchors, in
 /// commit order; stops early when no candidate has any followers.
@@ -135,13 +94,9 @@ pub(crate) fn greedy_rounds<G: GraphView>(
         let candidates =
             if config.prune_candidates { state.candidates() } else { all_probe_targets(state) };
         bump_probed(state, candidates.len() as u64);
-        let threads = resolve_threads(config.threads);
-        let best = if threads > 1 && candidates.len() >= 2 * threads {
-            select_best_parallel(state, &candidates, config.order_based_followers, threads)
-        } else {
-            select_best(state, &candidates, config.order_based_followers)
+        let Some((v, _gain)) = select_best(state, &candidates, config.order_based_followers) else {
+            break;
         };
-        let Some((v, _gain)) = best else { break };
         state.commit_anchor(v);
         anchors.push(v);
     }
@@ -276,35 +231,6 @@ mod tests {
         assert_eq!(fast.anchor_sets, slow.anchor_sets);
         // The optimized variant probes no more candidates.
         assert!(fast.total_metrics().candidates_probed <= slow.total_metrics().candidates_probed);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = winged();
-        let eg = EvolvingGraph::new(g);
-        let params = AvtParams::new(3, 2);
-        let seq = Greedy::default().track(&eg, params).unwrap();
-        let par = Greedy::with_config(GreedyConfig { threads: 4, ..Default::default() })
-            .track(&eg, params)
-            .unwrap();
-        assert_eq!(seq.anchor_sets, par.anchor_sets);
-        assert_eq!(seq.follower_counts, par.follower_counts);
-    }
-
-    #[test]
-    fn zero_threads_means_auto_parallel() {
-        // `threads: 0` resolves to the available parallelism (≥ 1), never
-        // to "sequential" — and the answers stay identical either way.
-        let g = winged();
-        let eg = EvolvingGraph::new(g);
-        let params = AvtParams::new(3, 2);
-        let seq = Greedy::default().track(&eg, params).unwrap();
-        let auto = Greedy::with_config(GreedyConfig { threads: 0, ..Default::default() })
-            .track(&eg, params)
-            .unwrap();
-        assert_eq!(seq.anchor_sets, auto.anchor_sets);
-        assert_eq!(seq.follower_counts, auto.follower_counts);
-        assert!(crate::engine::resolve_threads(0) >= 1);
     }
 
     #[test]

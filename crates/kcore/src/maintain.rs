@@ -273,7 +273,7 @@ impl MaintainedCore {
     }
 
     /// [`Self::apply_batch`] plus per-shard timing, for the serve layer's
-    /// writer stats rings. The shard count comes from the process-wide
+    /// writer latency histograms. The shard count comes from the process-wide
     /// [`shards::write_shards`] axis.
     pub fn apply_batch_timed(
         &mut self,

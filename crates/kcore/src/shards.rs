@@ -55,7 +55,7 @@ fn from_env() -> u32 {
     match std::env::var("AVT_WRITE_SHARDS") {
         // Trim before parsing — `AVT_WRITE_SHARDS="4 "` from a shell
         // script is an intent, not a typo — matching the
-        // `AVT_ENGINE_THREADS` and `AVT_OBS` axes.
+        // `AVT_ENGINE_THREADS` axis.
         Ok(v) => match v.trim().parse::<u32>() {
             Ok(n) if (1..=MAX_WRITE_SHARDS).contains(&n) => n,
             _ => {

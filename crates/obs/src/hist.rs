@@ -7,7 +7,7 @@
 //! percentile read overshoots the true sample by at most 25 % (and never
 //! past the observed maximum, which is tracked exactly). 252 buckets
 //! cover the whole `u64` range — there is no saturation and, unlike the
-//! fixed-slot sampling rings this replaces, no window: every sample lands
+//! fixed-slot sampling rings this replaced, no window: every sample lands
 //! in a bucket and stays there, which is what makes two snapshots
 //! *mergeable* (bucket-wise addition is exact).
 

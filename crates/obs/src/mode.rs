@@ -1,44 +1,15 @@
-//! The `AVT_OBS` runtime axis: off (default, zero wire drift) or on.
+//! The flight recorder's slow-request threshold: a deployment setting
+//! (`AVT_OBS_SLOW_US`, or the `--slow-us` override), not a code path.
 //!
-//! Follows the same pattern as every other runtime axis in the workspace
-//! (`AVT_KERNEL`, `AVT_WRITE_SHARDS`, `AVT_ENGINE_THREADS`): a process-wide
-//! setter for harnesses and CLI flags, the environment as fallback, and a
-//! warn-once on unrecognized values — silently ignoring a typo'd
-//! `AVT_OBS=onn` would make an "obs CI pass" test nothing. Like
-//! `AVT_KERNEL`, both knobs here are read from the environment once, on
-//! first use, and cached: [`obs_on`] sits on the per-request path.
+//! Follows the same pattern as the workspace's runtime axes
+//! (`AVT_KERNEL`, `AVT_WRITE_SHARDS`, `AVT_ENGINE_THREADS`): a
+//! process-wide setter for harnesses and CLI flags, the environment as
+//! fallback, and a warn-once on unparsable values. The environment is
+//! read once, on first use, and cached: [`slow_threshold_us`] sits on the
+//! per-request path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
-
-/// Whether the telemetry layer records anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObsMode {
-    /// Record nothing; the serving stack's wire output stays
-    /// byte-identical to the pre-telemetry release.
-    Off,
-    /// Record spans, registry metrics, and flight-recorder entries.
-    On,
-}
-
-impl ObsMode {
-    /// Lowercase knob value (`off` / `on`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ObsMode::Off => "off",
-            ObsMode::On => "on",
-        }
-    }
-
-    /// Parse a knob value (the `--obs` flag / `AVT_OBS` variable).
-    pub fn parse(value: &str) -> Option<ObsMode> {
-        match value.trim() {
-            "off" => Some(ObsMode::Off),
-            "on" => Some(ObsMode::On),
-            _ => None,
-        }
-    }
-}
 
 /// Read an axis slot, resolving it on first use: `unset` marks an empty
 /// slot, and `resolve` (the environment read) runs only to fill one. Only
@@ -54,57 +25,6 @@ fn cached(slot: &AtomicU64, unset: u64, resolve: impl FnOnce() -> u64) -> u64 {
         Ok(_) => resolved,
         Err(installed) => installed,
     }
-}
-
-/// Sentinel for "neither installed nor resolved yet".
-const MODE_UNSET: u64 = 0;
-const MODE_OFF: u64 = 1;
-const MODE_ON: u64 = 2;
-
-/// Process-wide mode: the `--obs` flag's override, or the environment's
-/// value once resolved. `MODE_UNSET` until either happens.
-static MODE: AtomicU64 = AtomicU64::new(MODE_UNSET);
-
-/// Install a process-wide telemetry mode; takes precedence over the
-/// `AVT_OBS` environment variable.
-pub fn set_obs_mode(mode: ObsMode) {
-    let v = match mode {
-        ObsMode::Off => MODE_OFF,
-        ObsMode::On => MODE_ON,
-    };
-    MODE.store(v, Ordering::Relaxed);
-}
-
-/// The telemetry mode: the [`set_obs_mode`] override if installed, else
-/// `AVT_OBS` from the environment (`off` / `on`), else [`ObsMode::Off`].
-/// An unrecognized environment value warns once per process and falls
-/// back to off.
-pub fn obs_mode() -> ObsMode {
-    let mode = cached(&MODE, MODE_UNSET, || match std::env::var("AVT_OBS") {
-        Ok(value) => match ObsMode::parse(&value) {
-            Some(ObsMode::On) => MODE_ON,
-            Some(ObsMode::Off) => MODE_OFF,
-            None => {
-                static WARN_ONCE: Once = Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!("warning: AVT_OBS={value:?} is not off or on; telemetry stays off");
-                });
-                MODE_OFF
-            }
-        },
-        Err(_) => MODE_OFF,
-    });
-    if mode == MODE_ON {
-        ObsMode::On
-    } else {
-        ObsMode::Off
-    }
-}
-
-/// `true` when the telemetry layer should record ([`ObsMode::On`]).
-#[inline]
-pub fn obs_on() -> bool {
-    obs_mode() == ObsMode::On
 }
 
 /// Default slow-request threshold: 10 ms.
@@ -150,15 +70,6 @@ pub fn slow_threshold_us() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parses_and_round_trips() {
-        assert_eq!(ObsMode::parse("off"), Some(ObsMode::Off));
-        assert_eq!(ObsMode::parse(" on "), Some(ObsMode::On));
-        assert_eq!(ObsMode::parse("onn"), None);
-        assert_eq!(ObsMode::On.as_str(), "on");
-        assert_eq!(ObsMode::Off.as_str(), "off");
-    }
 
     #[test]
     fn slots_resolve_once_and_setters_win() {

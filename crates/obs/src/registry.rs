@@ -55,7 +55,7 @@ impl Gauge {
 }
 
 /// One registered metric, by kind.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum Metric {
     /// A monotone counter.
     Counter(Arc<Counter>),
@@ -68,7 +68,7 @@ pub enum Metric {
 /// The registry: a name → metric table. Registration is idempotent —
 /// asking for an existing name returns the existing handle, so hot paths
 /// can resolve handles once at startup and share them.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
 }
@@ -79,7 +79,8 @@ impl Registry {
         Registry::default()
     }
 
-    /// The process-wide registry the serving stack records into.
+    /// The process-wide registry, for metrics no narrower owner reports
+    /// (the serving stack's span stages).
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::new)

@@ -31,15 +31,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use avt_graph::{EdgeBatch, GraphError, VertexId};
-use avt_obs::{Span, Stage};
+use avt_obs::{Histogram, Registry, Span, Stage};
 
 use crate::protocol::{ShardLatency, WriterStats};
-use crate::stats::LatencyRing;
 use crate::timeline::LiveTimeline;
-
-/// Slots per writer-side latency ring (publish latency and per-shard
-/// screen times) — same sizing as the per-opcode query rings.
-const WRITER_RING_SLOTS: usize = 256;
 
 /// One edge event inside an `INGEST` request: an insertion or deletion
 /// of `(u, v)`.
@@ -68,13 +63,6 @@ pub struct IngestReceipt {
     pub watermark: u64,
 }
 
-/// A per-shard screen-latency ring plus its sample count.
-#[derive(Debug)]
-struct ShardRing {
-    count: u64,
-    ring: LatencyRing,
-}
-
 /// Mutable admission state, serialized by one mutex: staging and
 /// publication must observe a consistent (watermark, window) pair, and
 /// publication is serialized by the timeline's writer lock anyway.
@@ -85,12 +73,11 @@ struct Inner {
     /// Staged events keyed by timestamp; the key order is the publish
     /// order.
     staged: BTreeMap<u64, Vec<IngestEvent>>,
-    /// Batches published as epochs through this admission.
-    applied: u64,
     /// Events dropped by the publish-time sanitizer.
     dropped: u64,
-    /// Per-shard screen-time rings (grown on first sharded batch).
-    shards: Vec<ShardRing>,
+    /// `avt_writer_shard_us{shard=…}`: per-shard screen times, registered
+    /// on the first batch that fans out that far.
+    shards: Vec<Arc<Histogram>>,
 }
 
 /// The watermark buffer in front of a [`LiveTimeline`].
@@ -127,7 +114,11 @@ pub struct Admission {
     accepted: AtomicU64,
     folded: AtomicU64,
     rejected: AtomicU64,
-    publish: LatencyRing,
+    /// The writer's latency store, behind both `STATS` and `METRICS`.
+    registry: Registry,
+    /// `avt_writer_publish_us`: one sample per published batch, so its
+    /// count is the number of batches applied.
+    publish: Arc<Histogram>,
 }
 
 impl Admission {
@@ -135,20 +126,21 @@ impl Admission {
     /// window (0 = publish every timestamp as soon as a later one
     /// arrives; stragglers are then always stale).
     pub fn new(timeline: Arc<LiveTimeline>, lag: u64) -> Admission {
+        let registry = Registry::new();
         Admission {
             timeline,
             lag,
             inner: Mutex::new(Inner {
                 watermark: 0,
                 staged: BTreeMap::new(),
-                applied: 0,
                 dropped: 0,
                 shards: Vec::new(),
             }),
             accepted: AtomicU64::new(0),
             folded: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            publish: LatencyRing::with_slots(WRITER_RING_SLOTS),
+            publish: registry.histogram("avt_writer_publish_us"),
+            registry,
         }
     }
 
@@ -243,28 +235,22 @@ impl Admission {
             let (batch, dropped) = self.sanitize(events);
             let start = Instant::now();
             let report = self.timeline.apply_batch(batch)?;
-            let publish_us = start.elapsed().as_micros() as u64;
-            self.publish.record(publish_us);
-            crate::obs::record_publish_us(publish_us);
-            // Writer timings are recorded only when the screen fanned
-            // out across shards, so a default one-shard writer adds no
-            // series to METRICS and no `wshards` to STATS.
-            if !report.batch_stats.shard_us.is_empty() {
-                crate::obs::record_repair_us(report.batch_stats.repair_us);
-            }
+            self.publish.record(start.elapsed().as_micros() as u64);
             inner.staged.remove(&ts);
-            inner.applied += 1;
             inner.dropped += dropped;
-            for (i, &us) in report.batch_stats.shard_us.iter().enumerate() {
+            // Shard and repair timings are recorded only when the screen
+            // fanned out, so a default one-shard writer adds no series to
+            // METRICS and no `wshards` to STATS.
+            let timings = &report.batch_stats;
+            if !timings.shard_us.is_empty() {
+                self.registry.histogram("avt_writer_repair_us").record(timings.repair_us);
+            }
+            for (i, &us) in timings.shard_us.iter().enumerate() {
                 if inner.shards.len() <= i {
-                    inner.shards.push(ShardRing {
-                        count: 0,
-                        ring: LatencyRing::with_slots(WRITER_RING_SLOTS),
-                    });
+                    let name = format!("avt_writer_shard_us{{shard=\"{i}\"}}");
+                    inner.shards.push(self.registry.histogram(&name));
                 }
-                inner.shards[i].count += 1;
-                inner.shards[i].ring.record(us);
-                crate::obs::record_shard_us(i, us);
+                inner.shards[i].record(us);
             }
             published += 1;
         }
@@ -318,28 +304,38 @@ impl Admission {
     pub fn snapshot(&self) -> WriterStats {
         let inner = self.inner.lock().expect("admission lock poisoned");
         let oldest = inner.staged.first_key_value().map(|(&ts, _)| ts);
+        let publish = self.publish.snapshot();
         WriterStats {
-            batches_applied: inner.applied,
+            batches_applied: publish.count(),
             events_accepted: self.accepted.load(Ordering::Relaxed),
             events_folded: self.folded.load(Ordering::Relaxed),
             events_rejected: self.rejected.load(Ordering::Relaxed),
             events_dropped: inner.dropped,
             watermark: inner.watermark,
             watermark_lag: oldest.map_or(0, |ts| inner.watermark.saturating_sub(ts)),
-            publish_p50_us: self.publish.percentile(50.0),
-            publish_p99_us: self.publish.percentile(99.0),
+            publish_p50_us: publish.percentile(50.0),
+            publish_p99_us: publish.percentile(99.0),
             shards: inner
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, s)| ShardLatency {
-                    shard: i as u32,
-                    count: s.count,
-                    p50_us: s.ring.percentile(50.0),
-                    p99_us: s.ring.percentile(99.0),
+                .map(|(i, h)| {
+                    let s = h.snapshot();
+                    ShardLatency {
+                        shard: i as u32,
+                        count: s.count(),
+                        p50_us: s.percentile(50.0),
+                        p99_us: s.percentile(99.0),
+                    }
                 })
                 .collect(),
         }
+    }
+
+    /// The writer's latency registry (publish, repair and per-shard
+    /// screen times), as `METRICS` renders it.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
     }
 }
 

@@ -85,7 +85,7 @@ pub struct Conn {
     next_seq: u64,
     /// Wire id to echo per live sequence number.
     wire_ids: HashMap<u64, u64>,
-    /// Lifecycle spans per live sequence number (telemetry on only).
+    /// Lifecycle spans per live sequence number.
     /// The conn's clone charges decode/encode; the front hands another
     /// clone to the pool so workers can charge queue/execute time.
     spans: HashMap<u64, (OpClass, Span)>,
@@ -198,10 +198,9 @@ impl Conn {
                     let seq = self.alloc_seq(wire.id);
                     self.in_flight += 1;
                     let op = request.op_class();
-                    if let Some(span) = crate::obs::span_for(op, decode_start) {
-                        span.mark(Stage::Decode);
-                        self.spans.insert(seq, (op, span));
-                    }
+                    let span = crate::obs::span_for(op, decode_start);
+                    span.mark(Stage::Decode);
+                    self.spans.insert(seq, (op, span));
                     out.queries.push((seq, request));
                 }
             }
@@ -239,8 +238,8 @@ impl Conn {
     }
 
     /// A clone of the lifecycle span for a still-in-flight query, for the
-    /// front to attach to its pool submission ([`None`] while telemetry
-    /// is off). The conn keeps its own clone to charge encode time when
+    /// front to attach to its pool submission ([`None`] for an unknown
+    /// `seq`). The conn keeps its own clone to charge encode time when
     /// the completion comes back.
     pub fn span(&self, seq: u64) -> Option<Span> {
         self.spans.get(&seq).map(|(_, span)| span.clone())

@@ -128,32 +128,37 @@ pub fn execute(
                 probed: report.metrics.candidates_probed,
             })
         }
-        Request::Stats => Ok(Response::Stats {
-            epochs,
-            served: stats.served(),
-            errors: stats.errors(),
-            p50_us: stats.latency.percentile(50.0),
-            p99_us: stats.latency.percentile(99.0),
-            per_op: stats.per_op_latencies(),
-            // The writer block belongs to the admission buffer, not the
-            // epoch; [`Service`] fills it in when one is attached.
-            writer: None,
-        }),
+        Request::Stats => {
+            let latency = stats.latency();
+            Ok(Response::Stats {
+                epochs,
+                served: stats.served(),
+                errors: stats.errors(),
+                p50_us: latency.percentile(50.0),
+                p99_us: latency.percentile(99.0),
+                per_op: stats.per_op_latencies(),
+                // The writer block belongs to the admission buffer, not
+                // the epoch; [`Service`] fills it in when one is attached.
+                writer: None,
+            })
+        }
         // Writes go through the admission buffer, which only a
         // [`Service::start_with_admission`] service has — `execute` itself
         // is pure with respect to the timeline and must stay so.
         Request::Ingest { .. } => Err("ingest not enabled on this service".into()),
-        // The telemetry verbs read process-wide observability state (the
-        // registry and the flight recorder), not the epoch — they answer
-        // in every mode; with `AVT_OBS=off` the registry is simply empty.
-        Request::Metrics => Ok(Response::Metrics { text: crate::obs::render() }),
+        // The telemetry verbs read the service's books and the
+        // process-wide span stages and flight recorder, not the epoch.
+        // Like STATS, METRICS gains the writer's series in [`Service`]
+        // when an admission buffer is attached.
+        Request::Metrics => Ok(Response::Metrics { text: crate::obs::render(&[stats.registry()]) }),
         Request::Trace { n } => Ok(Response::Trace { entries: crate::obs::trace(*n as usize) }),
     }
 }
 
 /// One worker-side dispatch: `INGEST` goes to the admission buffer (when
 /// the service has one), everything else to [`execute`] against the
-/// current epoch — with `STATS` replies enriched by the writer counters.
+/// current epoch — with `STATS` and `METRICS` replies enriched by the
+/// writer's.
 fn run_job(
     request: &Request,
     timeline: &Arc<LiveTimeline>,
@@ -178,6 +183,13 @@ fn run_job(
                 watermark: r.watermark,
             })
             .map_err(|e| e.to_string());
+    }
+    // The writer's series sit between the service's and the
+    // process-wide ones.
+    if let (Request::Metrics, Some(adm)) = (request, admission) {
+        return Ok(Response::Metrics {
+            text: crate::obs::render(&[stats.registry(), adm.registry()]),
+        });
     }
     let epoch = timeline.current();
     let mut reply = execute(request, &epoch, timeline.epochs_published(), stats);
@@ -246,10 +258,10 @@ impl Reply {
 struct Job {
     request: Request,
     reply: Reply,
-    /// The request's lifecycle span, when telemetry is on and the front
-    /// end opened one at decode ([`Service::try_submit_traced`]). The
-    /// worker charges queue wait and execute time to it; the front end
-    /// closes it after encoding the reply.
+    /// The request's lifecycle span, when a front end opened one at
+    /// decode ([`Service::try_submit_traced`]). The worker charges queue
+    /// wait and execute time to it; the front end closes it after
+    /// encoding the reply.
     span: Option<Span>,
 }
 
@@ -358,7 +370,6 @@ impl Service {
                             span.mark(Stage::Execute);
                         }
                         stats.record(op, reply.is_ok(), micros);
-                        crate::obs::note_request(op, reply.is_ok(), micros);
                         job.reply.deliver(reply);
                     })
                     .expect("spawning a worker thread")

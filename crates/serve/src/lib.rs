@@ -17,8 +17,8 @@
 //!   [`Request`]s ([`protocol`] lists them: spectrum, core, anchored core,
 //!   followers, Greedy-vs-OLAK best-`b` anchors, stats) against the
 //!   current epoch, recording per-query visited/probed counters and
-//!   global *and per-opcode* latency into lock-free
-//!   [`stats::ServiceStats`].
+//!   per-opcode latency histograms into [`stats::ServiceStats`] — one
+//!   store per service, which `STATS` and `METRICS` both read.
 //! * [`codec`] — the wire layer, redesigned in PR 6 as a swappable axis
 //!   (like `GraphView`/`FrameSource` before it): typed domain enums in
 //!   [`protocol`], a [`codec::Codec`] trait over bytes, and two
@@ -75,7 +75,7 @@ pub mod tcp;
 pub mod timeline;
 
 pub use admission::{Admission, IngestEvent, IngestReceipt};
-pub use avt_obs::{obs_mode, obs_on, set_obs_mode, set_slow_threshold_us, ObsMode};
+pub use avt_obs::set_slow_threshold_us;
 pub use binary::BinaryCodec;
 pub use codec::{Codec, TextCodec, WireRequest, WireVerb};
 pub use conn::Conn;

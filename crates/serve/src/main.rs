@@ -4,8 +4,7 @@
 //! avt-serve [--addr 127.0.0.1:7171] [--workers 2] [--scale 0.02]
 //!           [--epochs 30] [--epoch-ms 100] [--seed 42] [--spill DIR]
 //!           [--front epoll|threads] [--max-connections N]
-//!           [--write-shards N] [--ingest-lag T]
-//!           [--obs off|on] [--slow-us N]
+//!           [--write-shards N] [--ingest-lag T] [--slow-us N]
 //! ```
 //!
 //! Starts a [`avt_serve::LiveTimeline`] on a churned dataset stream (the
@@ -65,11 +64,6 @@ options:
                     a batch at ts publishes once the watermark passes
                     ts + T; older events are rejected as stale
                     (default 4)
-  --obs MODE        telemetry layer: `off` (default; wire output stays
-                    byte-identical to the pre-telemetry release) or `on`
-                    (metrics registry + request spans + flight recorder,
-                    served via the METRICS and TRACE verbs); overrides
-                    the AVT_OBS env var
   --slow-us N       flight-recorder slow threshold in µs — requests at or
                     over it are always retained (default: $AVT_OBS_SLOW_US,
                     else 10000)
@@ -93,7 +87,6 @@ struct Args {
     max_connections: Option<usize>,
     write_shards: Option<u32>,
     ingest_lag: u64,
-    obs: Option<avt_serve::ObsMode>,
     slow_us: Option<u64>,
 }
 
@@ -110,7 +103,6 @@ fn parse_args() -> Result<Args, String> {
         max_connections: None,
         write_shards: None,
         ingest_lag: 4,
-        obs: None,
         slow_us: None,
     };
     let mut it = std::env::args().skip(1);
@@ -145,12 +137,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--ingest-lag" => {
                 args.ingest_lag = value.parse().map_err(|e| format!("--ingest-lag: {e}"))?
-            }
-            "--obs" => {
-                args.obs = Some(
-                    avt_serve::ObsMode::parse(&value)
-                        .ok_or_else(|| format!("--obs must be off or on, got {value}"))?,
-                )
             }
             "--slow-us" => {
                 args.slow_us = Some(value.parse().map_err(|e| format!("--slow-us: {e}"))?)
@@ -202,13 +188,9 @@ fn main() -> ExitCode {
         args.ingest_lag
     );
 
-    if let Some(mode) = args.obs {
-        avt_serve::set_obs_mode(mode);
-    }
     if let Some(us) = args.slow_us {
         avt_serve::set_slow_threshold_us(us);
     }
-    eprintln!("# telemetry: {}", avt_serve::obs_mode().as_str());
 
     let timeline = Arc::new(LiveTimeline::new(stream.initial().clone()));
     let admission = Arc::new(Admission::new(Arc::clone(&timeline), args.ingest_lag));
@@ -305,13 +287,14 @@ fn main() -> ExitCode {
     let stats = Arc::clone(service.stats());
     let report = service.shutdown();
     let writer_stats = admission.snapshot();
+    let latency = stats.latency();
     println!(
         "avt-serve done: epochs={} served={} errors={} p50us={} p99us={} maintenance_visited={}",
         timeline.epochs_published(),
         stats.served(),
         stats.errors(),
-        stats.latency.percentile(50.0).map_or("-".into(), |v| v.to_string()),
-        stats.latency.percentile(99.0).map_or("-".into(), |v| v.to_string()),
+        latency.percentile(50.0).map_or("-".into(), |v| v.to_string()),
+        latency.percentile(99.0).map_or("-".into(), |v| v.to_string()),
         timeline.maintenance_visited(),
     );
     println!(

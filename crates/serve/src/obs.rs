@@ -1,92 +1,61 @@
-//! The serving stack's telemetry glue: cached [`avt_obs`] handles and
-//! the `METRICS`/`TRACE` answer builders.
+//! The serving stack's telemetry glue: the metric naming scheme, the
+//! process-wide span-stage handles, and the `METRICS`/`TRACE` answer
+//! builders.
 //!
 //! The [`avt_obs`] crate owns the mechanisms (registry, spans, flight
 //! recorder); this module owns the *naming scheme* and the hot-path
-//! handle cache. Everything here is a no-op while `AVT_OBS=off` — the
-//! only cost on the off path is one relaxed atomic load per check — and
-//! nothing here touches the legacy `STATS` rings, whose wire bytes stay
-//! frozen either way.
+//! handle cache. Every sample is recorded once, into the registry of
+//! whoever reports it: the service's
+//! [`ServiceStats`](crate::ServiceStats), its
+//! [`Admission`](crate::Admission) buffer, or — for span stages, which
+//! belong to no one service — the process-wide [`Registry::global`].
+//! `STATS` reads the first two; `METRICS` renders all three.
 //!
 //! # Metric names
 //!
-//! | metric | kind | labels | fed by |
-//! |--------|------|--------|--------|
-//! | `avt_requests_total` | counter | — | every completed request |
-//! | `avt_errors_total` | counter | — | every error reply |
-//! | `avt_request_us` | histogram | `op` | executor service time |
-//! | `avt_stage_us` | histogram | `op`, `stage` | span finish (conn path) |
-//! | `avt_writer_publish_us` | histogram | — | admission publish |
-//! | `avt_writer_shard_us` | histogram | `shard` | per-shard screen phase |
-//! | `avt_writer_repair_us` | histogram | — | bottom-up repair phase |
+//! | metric | kind | labels | registry | fed by |
+//! |--------|------|--------|----------|--------|
+//! | `avt_requests_total` | counter | — | service | every answered request |
+//! | `avt_errors_total` | counter | — | service | every error reply |
+//! | `avt_request_us` | histogram | `op` | service | executor service time |
+//! | `avt_writer_publish_us` | histogram | — | admission | each published batch |
+//! | `avt_writer_shard_us` | histogram | `shard` | admission | per-shard screen phase |
+//! | `avt_writer_repair_us` | histogram | — | admission | bottom-up repair phase |
+//! | `avt_stage_us` | histogram | `op`, `stage` | process | span finish (front-end requests) |
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use avt_obs::{
-    obs_on, slow_threshold_us, Counter, FlightRecorder, Histogram, Registry, Span, SpanRecord,
-    Stage, STAGE_COUNT,
+    slow_threshold_us, FlightRecorder, Histogram, Registry, Span, SpanRecord, Stage, STAGE_COUNT,
 };
 
 use crate::protocol::{OpClass, TraceEntry};
 
-/// Cached per-class handles so the per-request path never takes the
-/// registry's registration lock.
-struct OpTable {
-    request_us: std::sync::Arc<Histogram>,
-    stage_us: [std::sync::Arc<Histogram>; STAGE_COUNT],
-}
-
-struct Tables {
-    requests_total: std::sync::Arc<Counter>,
-    errors_total: std::sync::Arc<Counter>,
-    ops: Vec<OpTable>,
-}
-
-fn tables() -> &'static Tables {
-    static TABLES: OnceLock<Tables> = OnceLock::new();
+/// Cached `avt_stage_us` handles per op class, so the per-request path
+/// never takes the registry's registration lock.
+fn stage_tables() -> &'static [[Arc<Histogram>; STAGE_COUNT]] {
+    static TABLES: OnceLock<Vec<[Arc<Histogram>; STAGE_COUNT]>> = OnceLock::new();
     TABLES.get_or_init(|| {
         let reg = Registry::global();
-        Tables {
-            requests_total: reg.counter("avt_requests_total"),
-            errors_total: reg.counter("avt_errors_total"),
-            ops: OpClass::ALL
-                .iter()
-                .map(|op| OpTable {
-                    request_us: reg
-                        .histogram(&format!("avt_request_us{{op=\"{}\"}}", op.wire_name())),
-                    stage_us: std::array::from_fn(|s| {
-                        reg.histogram(&format!(
-                            "avt_stage_us{{op=\"{}\",stage=\"{}\"}}",
-                            op.wire_name(),
-                            Stage::ALL[s].as_str()
-                        ))
-                    }),
+        OpClass::ALL
+            .iter()
+            .map(|op| {
+                std::array::from_fn(|s| {
+                    reg.histogram(&format!(
+                        "avt_stage_us{{op=\"{}\",stage=\"{}\"}}",
+                        op.wire_name(),
+                        Stage::ALL[s].as_str()
+                    ))
                 })
-                .collect(),
-        }
+            })
+            .collect()
     })
 }
 
 /// A lifecycle span for one `op`-class request, backdated to `start`
-/// (the moment its frame's bytes were first examined), or `None` while
-/// telemetry is off (the span *is* the on/off gate for the whole
-/// tracing path: no span, no marks, no recorder write).
-pub(crate) fn span_for(op: OpClass, start: std::time::Instant) -> Option<Span> {
-    obs_on().then(|| Span::begin_at(op.wire_name(), start))
-}
-
-/// Count one completed request into the registry (both executors call
-/// this right where they feed the legacy rings).
-pub(crate) fn note_request(op: OpClass, ok: bool, service_us: u64) {
-    if !obs_on() {
-        return;
-    }
-    let t = tables();
-    t.requests_total.inc();
-    if !ok {
-        t.errors_total.inc();
-    }
-    t.ops[op.index()].request_us.record(service_us);
+/// (the moment its frame's bytes were first examined).
+pub(crate) fn span_for(op: OpClass, start: std::time::Instant) -> Span {
+    Span::begin_at(op.wire_name(), start)
 }
 
 /// Close a request's span: per-stage histograms, then the flight
@@ -94,47 +63,23 @@ pub(crate) fn note_request(op: OpClass, ok: bool, service_us: u64) {
 /// [`avt_obs::slow_threshold_us`], reservoir otherwise).
 pub(crate) fn finish_span(op: OpClass, span: Span) {
     let record = span.finish();
-    let t = tables();
+    let stages = &stage_tables()[op.index()];
     for stage in Stage::ALL {
         let ns = record.stage(stage);
         if ns > 0 {
-            t.ops[op.index()].stage_us[stage.index()].record(ns / 1_000);
+            stages[stage.index()].record(ns / 1_000);
         }
     }
     let slow = record.total_us() >= slow_threshold_us();
     FlightRecorder::global().record(record, slow);
 }
 
-/// Record one admission publish (µs). Batch-rate, not request-rate, so
-/// the uncached registry lookup is fine.
-pub(crate) fn record_publish_us(us: u64) {
-    if obs_on() {
-        Registry::global().histogram("avt_writer_publish_us").record(us);
-    }
-}
-
-/// Record one shard's screen-phase time (µs) for a sharded publish.
-pub(crate) fn record_shard_us(shard: usize, us: u64) {
-    if obs_on() {
-        Registry::global()
-            .histogram(&format!("avt_writer_shard_us{{shard=\"{shard}\"}}"))
-            .record(us);
-    }
-}
-
-/// Record one batch's sequential bottom-up repair time (µs).
-pub(crate) fn record_repair_us(us: u64) {
-    if obs_on() {
-        Registry::global().histogram("avt_writer_repair_us").record(us);
-    }
-}
-
-/// The `METRICS` answer: the whole registry in Prometheus text form.
-/// Answered in every mode — an `off` service just exposes an empty (or
-/// stale) registry, and the verb itself is new so no legacy frame is
-/// constrained by it.
-pub(crate) fn render() -> String {
-    Registry::global().render()
+/// The `METRICS` answer: each of `scoped` (the service's registry, then
+/// its admission's when one is attached) and then the process-wide one,
+/// in Prometheus text form. Their metric names are disjoint, so the
+/// concatenation is one valid exposition.
+pub(crate) fn render(scoped: &[&Registry]) -> String {
+    scoped.iter().copied().chain([Registry::global()]).map(Registry::render).collect()
 }
 
 /// The `TRACE n` answer: the flight recorder's top `n` records, mapped
@@ -177,7 +122,6 @@ mod tests {
 
     #[test]
     fn handle_table_covers_every_op_class() {
-        let t = tables();
-        assert_eq!(t.ops.len(), OpClass::COUNT);
+        assert_eq!(stage_tables().len(), OpClass::COUNT);
     }
 }

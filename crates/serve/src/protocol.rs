@@ -406,14 +406,15 @@ pub enum Response {
         /// The watermark after this request.
         watermark: u64,
     },
-    /// Reply to `METRICS`: the whole telemetry registry, Prometheus-style
-    /// text exposition (empty when telemetry is off).
+    /// Reply to `METRICS`: the service's registry, its admission
+    /// buffer's when one is attached, then the process-wide one, as
+    /// Prometheus-style text exposition.
     Metrics {
         /// The rendered exposition (`# TYPE` lines plus samples).
         text: String,
     },
     /// Reply to `TRACE`: flight-recorder entries, slowest first (empty
-    /// when telemetry is off or nothing has completed yet).
+    /// until a front-end request has completed).
     Trace {
         /// The entries, slowest first.
         entries: Vec<TraceEntry>,

@@ -1,149 +1,91 @@
-//! Service counters: lock-free recording, on-demand percentiles.
+//! Service counters and latency histograms: one store behind both
+//! `STATS` and `METRICS`.
 //!
-//! The hot path (every query) touches only atomics — counter bumps and
-//! ring-slot stores. Percentiles are computed lazily when a `STATS`
-//! request asks, by copying the ring out and sorting the copy, so the cost
-//! lands on the observer rather than on the serving path.
+//! Each [`ServiceStats`] owns an [`avt_obs::Registry`] holding the
+//! request and error counters and one log-bucketed histogram per opcode
+//! class ([`OpClass`]): a `BEST` call costs orders of magnitude more than
+//! a `CORE` lookup, and a single mixed store would hide that skew. Every
+//! completed request is recorded exactly once, with relaxed atomics.
+//! `STATS` reads percentiles off histogram snapshots (the global ones off
+//! their exact merge) and `METRICS` renders the same registry, so the two
+//! verbs cannot disagree.
 //!
-//! Besides the global latency ring, [`ServiceStats`] keeps one smaller
-//! ring **per opcode class** ([`OpClass`]): a `BEST` call costs orders of
-//! magnitude more than a `CORE` lookup, and a single mixed ring hides that
-//! skew exactly where a cost-aware scheduler would need to see it.
+//! Percentiles cover the service's lifetime and read as their bucket's
+//! upper bound: never below the exact nearest-rank sample, at most 25 %
+//! above it, and never above the observed maximum.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use avt_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 
 use crate::protocol::{OpClass, OpLatency};
 
-/// Number of recent latency samples retained for the global percentile
-/// estimates. A power of two keeps the modulo cheap; 1024 samples bound
-/// the estimate error without the ring ever growing with traffic.
-const RING_SLOTS: usize = 1024;
-
-/// Slots per per-opcode ring — smaller than the global ring because there
-/// are [`OpClass::COUNT`] of them and each sees only its own class.
-const OP_RING_SLOTS: usize = 256;
-
-/// A fixed-size ring of recent latency samples, written lock-free.
-///
-/// Slots hold `micros + 1` so that `0` can mean "never written" — a real
-/// sub-microsecond sample still records as `1`.
+/// The books of one running service. Reads are point-in-time, not a
+/// consistent snapshot — by design, reading stats must never stall the
+/// serving path.
 #[derive(Debug)]
-pub struct LatencyRing {
-    slots: Box<[AtomicU64]>,
-    cursor: AtomicUsize,
+pub struct ServiceStats {
+    registry: Registry,
+    /// `avt_requests_total`: every answered request, success or error.
+    requests: Arc<Counter>,
+    /// `avt_errors_total`: every error reply.
+    errors: Arc<Counter>,
+    /// `avt_request_us{op=…}`: executor service time, per opcode class.
+    per_op: [Arc<Histogram>; OpClass::COUNT],
 }
 
-impl Default for LatencyRing {
+impl Default for ServiceStats {
     fn default() -> Self {
-        LatencyRing::with_slots(RING_SLOTS)
-    }
-}
-
-impl LatencyRing {
-    /// A ring retaining the `slots` most recent samples (`slots` ≥ 1).
-    pub fn with_slots(slots: usize) -> LatencyRing {
-        LatencyRing {
-            slots: (0..slots.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            cursor: AtomicUsize::new(0),
+        let registry = Registry::new();
+        ServiceStats {
+            requests: registry.counter("avt_requests_total"),
+            errors: registry.counter("avt_errors_total"),
+            per_op: std::array::from_fn(|i| {
+                let op = OpClass::ALL[i].wire_name();
+                registry.histogram(&format!("avt_request_us{{op=\"{op}\"}}"))
+            }),
+            registry,
         }
     }
-
-    /// Record one sample (saturating at `u64::MAX - 1` µs, i.e. never).
-    pub fn record(&self, micros: u64) {
-        let at = self.cursor.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        self.slots[at].store(micros.saturating_add(1), Ordering::Relaxed);
-    }
-
-    /// The retained samples, in no particular order.
-    pub fn samples(&self) -> Vec<u64> {
-        self.slots
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .filter(|&s| s > 0)
-            .map(|s| s - 1)
-            .collect()
-    }
-
-    /// The `p`-th percentile (0..=100) of the retained samples, in µs.
-    /// `None` before the first sample.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        percentile_of(&mut self.samples(), p)
-    }
-}
-
-/// Nearest-rank percentile of `samples` (sorted in place). `None` on empty.
-///
-/// The rank is computed from the *observed* sample count and clamped to
-/// `1..=len`, never the ring capacity — a ring that has seen only 3
-/// samples reports its p99 as the max of those 3, not as whatever a
-/// capacity-relative rank would land on. (The caller already filtered
-/// never-written slots, so unwritten capacity cannot bias the estimate
-/// toward zero either.)
-pub fn percentile_of(samples: &mut [u64], p: f64) -> Option<u64> {
-    if samples.is_empty() {
-        return None;
-    }
-    samples.sort_unstable();
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    Some(samples[rank.clamp(1, samples.len()) - 1])
-}
-
-/// Per-[`OpClass`] slice of the books: how many, how slow.
-#[derive(Debug)]
-struct OpCounters {
-    count: AtomicU64,
-    latency: LatencyRing,
-}
-
-impl Default for OpCounters {
-    fn default() -> Self {
-        OpCounters { count: AtomicU64::new(0), latency: LatencyRing::with_slots(OP_RING_SLOTS) }
-    }
-}
-
-/// Counters for one running service. All fields are monotone atomics; a
-/// `STATS` response is a point-in-time read, not a consistent snapshot —
-/// by design, reading stats must never stall the serving path.
-#[derive(Debug, Default)]
-pub struct ServiceStats {
-    /// Queries answered successfully.
-    pub served: AtomicU64,
-    /// Queries rejected (parse errors, bad arguments).
-    pub errors: AtomicU64,
-    /// Latencies of recent queries (success or error), executor-side.
-    pub latency: LatencyRing,
-    per_op: [OpCounters; OpClass::COUNT],
 }
 
 impl ServiceStats {
     /// Record one finished query of class `op`.
     pub fn record(&self, op: OpClass, ok: bool, micros: u64) {
-        if ok {
-            self.served.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+        self.requests.inc();
+        if !ok {
+            self.errors.inc();
         }
-        self.latency.record(micros);
-        let slot = &self.per_op[op.index()];
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.latency.record(micros);
+        self.per_op[op.index()].record(micros);
     }
 
     /// Count a rejection that never reached the executor (a protocol parse
-    /// failure). Bumps the error counter only — no fabricated latency
-    /// sample, so garbage traffic cannot skew the p50/p99 the rings back.
+    /// failure): an error reply, but no latency sample, so garbage traffic
+    /// cannot skew the percentiles.
     pub fn note_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.requests.inc();
+        self.errors.inc();
     }
 
-    /// Queries served so far.
+    /// Queries served successfully so far. The two counter reads may
+    /// straddle a concurrent completion, which can skew this by the
+    /// requests in flight — never below zero.
     pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        self.requests.get().saturating_sub(self.errors.get())
     }
 
-    /// Queries rejected so far.
+    /// Queries rejected so far (bad arguments and protocol parse errors).
     pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
+        self.errors.get()
+    }
+
+    /// Executor latencies of every query so far, all classes merged.
+    pub fn latency(&self) -> HistogramSnapshot {
+        let mut all = HistogramSnapshot::empty();
+        for h in &self.per_op {
+            all.merge(&h.snapshot());
+        }
+        all
     }
 
     /// One [`OpLatency`] per opcode class that has seen traffic, in
@@ -153,83 +95,27 @@ impl ServiceStats {
         OpClass::ALL
             .iter()
             .filter_map(|&op| {
-                let slot = &self.per_op[op.index()];
-                let count = slot.count.load(Ordering::Relaxed);
+                let s = self.per_op[op.index()].snapshot();
+                let count = s.count();
                 (count > 0).then(|| OpLatency {
                     op,
                     count,
-                    p50_us: slot.latency.percentile(50.0),
-                    p99_us: slot.latency.percentile(99.0),
+                    p50_us: s.percentile(50.0),
+                    p99_us: s.percentile(99.0),
                 })
             })
             .collect()
+    }
+
+    /// The registry behind these books, as `METRICS` renders it.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_records_and_reports() {
-        let ring = LatencyRing::default();
-        assert_eq!(ring.percentile(50.0), None);
-        ring.record(0);
-        assert_eq!(ring.samples(), vec![0], "0 µs is a real sample, not an empty slot");
-        for v in 1..=100u64 {
-            ring.record(v);
-        }
-        assert_eq!(ring.percentile(50.0), Some(50));
-        assert_eq!(ring.percentile(99.0), Some(99));
-        assert_eq!(ring.percentile(100.0), Some(100));
-    }
-
-    #[test]
-    fn ring_wraps_keeping_recent_samples() {
-        let ring = LatencyRing::default();
-        for v in 0..(RING_SLOTS as u64 * 2) {
-            ring.record(v);
-        }
-        let samples = ring.samples();
-        assert_eq!(samples.len(), RING_SLOTS);
-        assert!(samples.iter().all(|&s| s >= RING_SLOTS as u64), "only the recent half remains");
-    }
-
-    #[test]
-    fn sized_rings_respect_their_capacity() {
-        let ring = LatencyRing::with_slots(4);
-        for v in 0..100 {
-            ring.record(v);
-        }
-        assert_eq!(ring.samples().len(), 4);
-        // A zero request is clamped to one slot rather than panicking.
-        let tiny = LatencyRing::with_slots(0);
-        tiny.record(9);
-        assert_eq!(tiny.samples(), vec![9]);
-    }
-
-    #[test]
-    fn p99_of_three_samples_is_their_max() {
-        // Low-count behaviour: the rank comes from the observed count (3),
-        // never from ring capacity, so tail percentiles degrade to the max
-        // rather than being dragged toward an interior sample.
-        let ring = LatencyRing::default();
-        for v in [30, 10, 20] {
-            ring.record(v);
-        }
-        assert_eq!(ring.percentile(99.0), Some(30));
-        assert_eq!(percentile_of(&mut [30, 10, 20], 99.0), Some(30));
-    }
-
-    #[test]
-    fn percentile_of_edge_cases() {
-        assert_eq!(percentile_of(&mut [], 50.0), None);
-        assert_eq!(percentile_of(&mut [7], 1.0), Some(7));
-        assert_eq!(percentile_of(&mut [7], 99.0), Some(7));
-        let mut two = [10, 20];
-        assert_eq!(percentile_of(&mut two, 50.0), Some(10));
-        assert_eq!(percentile_of(&mut two, 51.0), Some(20));
-    }
 
     #[test]
     fn stats_counters_split_ok_and_errors() {
@@ -239,12 +125,17 @@ mod tests {
         stats.record(OpClass::Best, false, 25);
         assert_eq!(stats.served(), 2);
         assert_eq!(stats.errors(), 1);
-        assert_eq!(stats.latency.samples().len(), 3);
+        assert_eq!(stats.latency().count(), 3);
+        // A front-end rejection is an error with no latency sample.
+        stats.note_error();
+        assert_eq!((stats.served(), stats.errors()), (2, 2));
+        assert_eq!(stats.latency().count(), 3);
     }
 
     #[test]
-    fn per_op_rings_expose_the_cost_skew() {
+    fn per_op_histograms_expose_the_cost_skew() {
         let stats = ServiceStats::default();
+        assert_eq!(stats.latency().percentile(50.0), None);
         for _ in 0..10 {
             stats.record(OpClass::Core, true, 3);
         }
@@ -257,22 +148,56 @@ mod tests {
         assert_eq!(per_op[1].op, OpClass::Best);
         assert_eq!(per_op[1].count, 1);
         assert_eq!(per_op[1].p99_us, Some(9_000));
-        // The global ring mixes both; the per-op ring keeps them apart.
-        assert!(stats.latency.percentile(99.0).unwrap() >= 9_000);
+        // The merged view mixes both; the per-op histograms keep them
+        // apart.
+        assert_eq!(stats.latency().percentile(50.0), Some(3));
+        assert_eq!(stats.latency().percentile(99.0), Some(9_000));
     }
 
     #[test]
-    fn per_op_count_outlives_the_ring_window() {
+    fn percentiles_are_bucket_bounds_within_a_quarter() {
         let stats = ServiceStats::default();
-        for v in 0..(OP_RING_SLOTS as u64 * 2) {
+        stats.record(OpClass::Spectrum, true, 0);
+        assert_eq!(stats.latency().percentile(50.0), Some(0), "0 µs is a real sample");
+        for v in 1..=100u64 {
+            stats.record(OpClass::Spectrum, true, v);
+        }
+        let s = stats.latency();
+        // Exact nearest-rank over 0..=100 gives p50 = 50 and p99 = 99.
+        for (p, exact) in [(50.0, 50u64), (99.0, 99)] {
+            let got = s.percentile(p).expect("nonempty");
+            assert!(got >= exact && got <= exact + exact / 4, "p{p}: {got} vs exact {exact}");
+        }
+        assert_eq!(s.percentile(100.0), Some(100), "never above the observed max");
+    }
+
+    #[test]
+    fn per_op_counts_are_lifetime_totals() {
+        let stats = ServiceStats::default();
+        for v in 0..4_096u64 {
             stats.record(OpClass::Spectrum, true, v);
         }
         let per_op = stats.per_op_latencies();
-        assert_eq!(per_op[0].count, OP_RING_SLOTS as u64 * 2, "count is monotone, not windowed");
+        assert_eq!(per_op[0].count, 4_096, "count is monotone, not windowed");
+        // A window of recent samples would put p1 above 3 800.
+        assert!(stats.latency().percentile(1.0).unwrap() < 64, "the oldest samples still count");
     }
 
     #[test]
-    fn concurrent_recording_is_lossless_on_counters() {
+    fn p99_of_three_samples_is_their_max() {
+        // Low-count behaviour: the rank comes from the observed count (3),
+        // and a bucket bound is clamped to the observed max, so a tail
+        // percentile degrades to the max rather than overshooting it.
+        let stats = ServiceStats::default();
+        for v in [30, 10, 20] {
+            stats.record(OpClass::Core, true, v);
+        }
+        assert_eq!(stats.per_op_latencies()[0].p99_us, Some(30));
+        assert_eq!(stats.latency().percentile(99.0), Some(30));
+    }
+
+    #[test]
+    fn concurrent_recording_is_lossless() {
         let stats = std::sync::Arc::new(ServiceStats::default());
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -287,5 +212,6 @@ mod tests {
         assert_eq!(stats.served() + stats.errors(), 2000);
         assert_eq!(stats.errors(), 200);
         assert_eq!(stats.per_op_latencies()[0].count, 2000);
+        assert_eq!(stats.latency().sum, 4 * (0..500u64).sum::<u64>());
     }
 }

@@ -165,20 +165,6 @@ fn incavt_stays_close_to_greedy_effectiveness() {
 }
 
 #[test]
-fn parallel_greedy_is_deterministic() {
-    use avt::algo::GreedyConfig;
-    let evolving = random_evolving(7, 40, 130, 3);
-    let params = AvtParams::new(3, 4);
-    let seq = Greedy::default().track(&evolving, params).unwrap();
-    for threads in [2, 4, 8] {
-        let par = Greedy::with_config(GreedyConfig { threads, ..Default::default() })
-            .track(&evolving, params)
-            .unwrap();
-        assert_eq!(seq.anchor_sets, par.anchor_sets, "threads = {threads}");
-    }
-}
-
-#[test]
 fn empty_and_degenerate_graphs() {
     // No edges at all: nothing to anchor, nothing crashes.
     let evolving = EvolvingGraph::new(Graph::new(10));

@@ -1,4 +1,4 @@
-//! Property tests for the telemetry layer (PR 10). The invariants:
+//! Property tests for the telemetry layer. The invariants:
 //!
 //! * **Mergeability.** Merging two histogram snapshots is *exactly* the
 //!   histogram of the concatenated samples (bucket-wise addition loses
@@ -10,18 +10,23 @@
 //!   survive both codecs — including metrics text full of newlines,
 //!   percent signs, and tabs, which the text codec must escape through
 //!   its own line-delimited framing.
-//! * **Zero drift while off.** With `AVT_OBS=off` every legacy reply —
-//!   `STATS` included — is byte-identical to the `on` run's on both
-//!   codecs: telemetry reads the request path, it never rewrites it.
+//! * **Zero drift from tracing.** Every legacy reply — `STATS`
+//!   included — encodes byte-identically on both codecs whether its
+//!   request carried a lifecycle span or not: telemetry reads the request
+//!   path, it never rewrites it.
+//! * **One store per service.** `STATS` and `METRICS` read the same
+//!   counters and histograms, so their counts agree exactly, and one
+//!   service's traffic never shows in another's books.
 
 use std::sync::Arc;
 
 use avt::datasets::er::gnm;
-use avt_obs::{Histogram, ObsMode, Span, Stage, STAGE_COUNT};
+use avt_obs::{Histogram, Span, Stage, STAGE_COUNT};
 use avt_serve::codec::{Codec, TextCodec};
 use avt_serve::protocol::MAX_TRACE;
 use avt_serve::{
-    set_obs_mode, BinaryCodec, LiveTimeline, Request, Response, Service, ServiceConfig, TraceEntry,
+    Admission, BinaryCodec, LiveTimeline, OpClass, Request, Response, Service, ServiceConfig,
+    TraceEntry,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -173,13 +178,24 @@ proptest! {
     }
 }
 
-/// The zero-drift guarantee behind the `AVT_OBS` axis: a service
-/// answers the whole legacy verb set — `STATS` first, while its rings
-/// are deterministically empty — with byte-identical frames whether
-/// telemetry is off or on, under both codecs. (The `METRICS`/`TRACE`
-/// verbs are new in this release, so no legacy frame constrains them.)
+/// The value of the METRICS series `name` (exact match, labels
+/// included), if present.
+fn series(text: &str, name: &str) -> Option<u64> {
+    text.lines().find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+fn service_on(graph: &avt::graph::Graph) -> Service {
+    Service::start(Arc::new(LiveTimeline::new(graph.clone())), ServiceConfig::default())
+}
+
+/// The zero-drift guarantee: on fresh services, the whole legacy verb
+/// set — `STATS` first, while the books are deterministically empty —
+/// encodes to byte-identical frames under both codecs whether each
+/// request carried a lifecycle span (as every front-end request does) or
+/// not (in-process [`Service::query`]). `METRICS`/`TRACE` read the
+/// telemetry itself, so no legacy frame constrains them.
 #[test]
-fn legacy_frames_are_byte_identical_with_obs_off_and_on() {
+fn legacy_frames_are_byte_identical_with_and_without_a_span() {
     let graph = gnm(40, 120, 9);
     let requests = [
         Request::Stats,
@@ -190,14 +206,13 @@ fn legacy_frames_are_byte_identical_with_obs_off_and_on() {
         Request::Followers { k: 3, anchor: 5 },
         Request::Best { k: 3, b: 2, algo: avt_serve::BestAlgo::Greedy },
     ];
-    let run = |mode: ObsMode| -> Vec<Vec<u8>> {
-        set_obs_mode(mode);
-        let timeline = Arc::new(LiveTimeline::new(graph.clone()));
-        let service = Service::start(Arc::clone(&timeline), ServiceConfig::default());
+    let run = |traced: bool| -> Vec<Vec<u8>> {
+        let service = service_on(&graph);
         let frames = requests
             .iter()
             .map(|request| {
-                let reply = service.query(request.clone());
+                let span = traced.then(|| Span::begin(request.op_class().wire_name()));
+                let reply = service.query_traced(request.clone(), span);
                 let mut bytes = Vec::new();
                 for codec in CODECS {
                     codec.encode_response(7, &reply, &mut bytes);
@@ -208,10 +223,104 @@ fn legacy_frames_are_byte_identical_with_obs_off_and_on() {
         assert_eq!(service.shutdown().worker_panics, 0);
         frames
     };
-    let off = run(ObsMode::Off);
-    let on = run(ObsMode::On);
-    set_obs_mode(ObsMode::Off);
-    for (i, (off_frame, on_frame)) in off.iter().zip(&on).enumerate() {
-        assert_eq!(off_frame, on_frame, "frame drifted under obs=on for {:?}", requests[i]);
+    let plain = run(false);
+    let traced = run(true);
+    for (i, (plain_frame, traced_frame)) in plain.iter().zip(&traced).enumerate() {
+        assert_eq!(plain_frame, traced_frame, "frame drifted under a span for {:?}", requests[i]);
     }
+}
+
+/// Each service keeps its own books: traffic on one leaves the other's
+/// `STATS` counters and percentiles, and its `METRICS` request count,
+/// untouched.
+#[test]
+fn stats_are_scoped_per_service() {
+    let graph = gnm(40, 120, 9);
+    let (busy, quiet) = (service_on(&graph), service_on(&graph));
+    quiet.query(Request::Core(1)).unwrap();
+    quiet.query(Request::Core(99)).unwrap_err();
+    let books = |svc: &Service| {
+        let stats = svc.stats();
+        (stats.served(), stats.errors(), stats.per_op_latencies())
+    };
+    let before = books(&quiet);
+    for _ in 0..20 {
+        busy.query(Request::Spectrum).unwrap();
+        busy.query(Request::Followers { k: 3, anchor: 5 }).unwrap();
+        busy.query(Request::Core(999)).unwrap_err();
+    }
+    assert_eq!(books(&quiet), before, "the busy service's traffic leaked");
+    assert_eq!((before.0, before.1, before.2.len()), (1, 1, 1));
+    assert_eq!((busy.stats().served(), busy.stats().errors()), (40, 20));
+    let Response::Metrics { text } = quiet.query(Request::Metrics).unwrap() else {
+        panic!("wrong reply kind")
+    };
+    assert_eq!(series(&text, "avt_requests_total"), Some(2));
+    assert_eq!(series(&text, "avt_errors_total"), Some(1));
+    assert_eq!(busy.shutdown().worker_panics, 0);
+    assert_eq!(quiet.shutdown().worker_panics, 0);
+}
+
+/// `STATS` and `METRICS` are two views of one store: after a scripted
+/// run of reads, two errors and publishing `INGEST`s, the same service's
+/// `METRICS` carries the request and writer series at the default
+/// config, with counts and per-op percentiles equal to what `STATS`
+/// reported.
+#[test]
+fn stats_and_metrics_read_the_same_store() {
+    let timeline = Arc::new(LiveTimeline::new(gnm(40, 120, 9)));
+    let admission = Arc::new(Admission::new(Arc::clone(&timeline), 1));
+    let service = Service::start_with_admission(timeline, admission, ServiceConfig::default());
+    for request in [
+        Request::Info,
+        Request::Spectrum,
+        Request::Core(1),
+        Request::Core(2),
+        Request::Followers { k: 3, anchor: 5 },
+        Request::Anchored { k: 3, anchors: vec![1, 2] },
+        Request::Best { k: 3, b: 2, algo: avt_serve::BestAlgo::Olak },
+    ] {
+        service.query(request).unwrap();
+    }
+    service.query(Request::Core(999)).unwrap_err();
+    // What a front end does with a frame it cannot parse.
+    service.stats().note_error();
+    // Lag 1: each of ts = 3, 4, 5 publishes the bucket two ticks behind.
+    for ts in 1..=5u64 {
+        let insertions = vec![(0, 20 + ts as u32)];
+        service.query(Request::Ingest { ts, insertions, deletions: vec![] }).unwrap();
+    }
+
+    let Response::Stats { served, errors, per_op, writer, .. } =
+        service.query(Request::Stats).unwrap()
+    else {
+        panic!("wrong reply kind")
+    };
+    let Response::Metrics { text } = service.query(Request::Metrics).unwrap() else {
+        panic!("wrong reply kind")
+    };
+    assert_eq!((served, errors), (12, 2));
+    // METRICS was answered after STATS completed, so it also counts the
+    // STATS request itself.
+    assert_eq!(series(&text, "avt_requests_total"), Some(served + errors + 1));
+    assert_eq!(series(&text, "avt_errors_total"), Some(errors));
+    for op in OpClass::ALL {
+        let name = op.wire_name();
+        let seen = per_op.iter().find(|o| o.op == op);
+        let count = seen.map_or(0, |o| o.count) + u64::from(op == OpClass::Stats);
+        assert_eq!(
+            series(&text, &format!("avt_request_us_count{{op=\"{name}\"}}")),
+            Some(count),
+            "{name}"
+        );
+        if let (Some(o), false) = (seen, op == OpClass::Stats) {
+            let quantile =
+                |q| series(&text, &format!("avt_request_us{{op=\"{name}\",quantile=\"{q}\"}}"));
+            assert_eq!((quantile("0.5"), quantile("0.99")), (o.p50_us, o.p99_us), "{name}");
+        }
+    }
+    let writer = writer.expect("admission-backed service reports a writer block");
+    assert_eq!(writer.batches_applied, 3);
+    assert_eq!(series(&text, "avt_writer_publish_us_count"), Some(writer.batches_applied));
+    assert_eq!(service.shutdown().worker_panics, 0);
 }
