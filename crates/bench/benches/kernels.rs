@@ -15,8 +15,12 @@
 //!   every Theorem-3 candidate, with the state and candidates built
 //!   outside the timed body, so only follower evaluation is timed.
 //! * `kernels/state-new` — `AnchoredCoreState::new` on the same `track`
-//!   instance: the one anchored peel and the scratch arrays every
-//!   per-snapshot solver and every `FOLLOWERS`/`ANCHORED` request pays.
+//!   instance: the two threshold cascades, the shell peel and the scratch
+//!   arrays every per-snapshot solver and every `FOLLOWERS`/`ANCHORED`
+//!   request pays.
+//! * `kernels/state-commit` — on the same state, commit the 10 anchors
+//!   Greedy picks on the `track` instance, then uncommit them in order:
+//!   twenty local repairs, which leave the state as it was built.
 //! * `kernels/mcd` — max-core-degree sweep over every vertex
 //!   (`count_ge` with one-range-ahead prefetch).
 //! * `kernels/members` — k-core membership compress over the core array.
@@ -28,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use avt_core::AnchoredCoreState;
+use avt_core::{AnchoredCoreState, AvtParams, Greedy, SnapshotSolver};
 use avt_datasets::chunglu::chung_lu;
 use avt_datasets::Dataset;
 use avt_graph::io::write_csrbin_file;
@@ -151,6 +155,37 @@ fn bench_state_new(c: &mut Criterion) {
     kernels::set_kernel(Kernel::Scalar);
 }
 
+fn bench_state_commit(c: &mut Criterion) {
+    let csr = track_graph();
+    let mapped = mapped_copy(&csr);
+    let anchors = Greedy::default().solve_snapshot(1, &csr, AvtParams::new(TRACK_K, 10)).anchors;
+
+    fn commit_uncommit<G: GraphView>(state: &mut AnchoredCoreState<'_, G>, anchors: &[VertexId]) {
+        for &a in anchors {
+            state.commit_anchor(a);
+        }
+        for &a in anchors {
+            state.uncommit_anchor(a);
+        }
+    }
+
+    let mut g = c.benchmark_group("kernels/state-commit");
+    g.sample_size(10);
+    for kernel in KERNELS {
+        kernels::set_kernel(kernel);
+        let mut resident = AnchoredCoreState::new(&csr, TRACK_K);
+        g.bench_function(format!("{kernel}-resident"), |b| {
+            b.iter(|| commit_uncommit(&mut resident, &anchors))
+        });
+        let mut on_map = AnchoredCoreState::new(&mapped, TRACK_K);
+        g.bench_function(format!("{kernel}-mmap"), |b| {
+            b.iter(|| commit_uncommit(&mut on_map, &anchors))
+        });
+    }
+    g.finish();
+    kernels::set_kernel(Kernel::Scalar);
+}
+
 fn bench_mcd(c: &mut Criterion) {
     let csr = bench_graph();
     let mapped = mapped_copy(&csr);
@@ -193,6 +228,7 @@ criterion_group!(
     bench_follower_scan,
     bench_evaluate,
     bench_state_new,
+    bench_state_commit,
     bench_mcd,
     bench_members
 );

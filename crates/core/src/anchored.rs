@@ -1,10 +1,17 @@
 //! The anchored core state: the shared engine behind every AVT algorithm.
 //!
 //! An [`AnchoredCoreState`] is a view of one snapshot `G_t` under a set of
-//! committed anchors `S`. It stores the *anchored* core decomposition
-//! (anchors are unpeelable, core `∞`) and answers, exactly:
+//! committed anchors `S` (anchors are unpeelable). It keeps exactly what
+//! every solver reads:
 //!
-//! * membership of the anchored k-core `C_k(S)` and its size;
+//! * the anchored k-core `C_k(S)`, anchors included (Definition 4), and its
+//!   size;
+//! * the anchored (k-1)-core `C_{k-1}(S)`; the vertices between the two
+//!   form the (k-1)-*shell*;
+//! * one canonical removal order of the shell (see below).
+//!
+//! From these it answers, exactly:
+//!
 //! * **follower queries** `F_k(S ∪ {x}, G_t) \ F_k(S, G_t)` for a
 //!   hypothetical extra anchor `x`, via the order-based local computation of
 //!   §4.2 (forward closure + fixpoint — see below);
@@ -24,56 +31,82 @@
 //!    shell vertex `v ⪯ w` that itself got promoted (if `w ⪯ v`, then `v`'s
 //!    survival was already counted in `w`'s remaining degree).
 //!
-//! So the candidate region is the *forward closure*: seeds are neighbours
-//! `v` of `x` with `core(v) = k-1 ∧ x ⪯ v`, expanded along edges `v → w`
-//! with `core(w) = k-1 ∧ v ⪯ w`. On that region we run the exact anchored
+//! So the candidate region is the *forward closure*: seeds are shell
+//! neighbours `v` of `x` with `x ⪯ v`, expanded along edges `v → w` with
+//! `w` in the shell and `v ⪯ w`. On that region we run the exact anchored
 //! peel (support = neighbours in `C_k(S)`, the anchor `x`, and unremoved
 //! region peers; remove while support < k). The fixpoint survivors are
 //! exactly the followers — the closure bounds *where* followers can be, the
 //! peel decides *which* of them make it.
 //!
+//! ## The shell order
+//!
+//! The shell order is the removal sequence of a FIFO peel of `C_{k-1}(S)`
+//! at threshold `k` whose queue is seeded with the shell in vertex-id
+//! order. Members of `C_k(S)` never fall below `k`, so only shell vertices
+//! are removed, each with at most `k − 1` neighbours in `C_k(S)` or later
+//! in the order: it is a valid peel order of the shell, and both facts
+//! above hold for it. It depends only on the graph, `k` and `S`.
+//! [`AnchoredCoreState::precedes`] is this order as a K-order, with the
+//! vertices below the shell first and `C_k(S)` after it.
+//!
 //! ## The shell index
 //!
 //! Every region vertex is a shell vertex, yet most of a shell vertex's
-//! neighbours lie outside the shell. The state therefore keeps, per
-//! decomposition, an index of the (k-1)-shell: each shell vertex's *shell*
-//! neighbours, in the frame's neighbour order, and its *engaged count*, the
-//! number of its neighbours in `C_k(S)` (anchors included). A follower
-//! query reads `x`'s own neighbour list in full and everything else from
-//! the index:
+//! neighbours lie outside the shell. The state therefore keeps an index of
+//! the shell: each shell vertex's *shell* neighbours, in the frame's
+//! neighbour order, and its *engaged count*, the number of its neighbours
+//! in `C_k(S)` (anchors included). A follower query reads `x`'s own
+//! neighbour list in full and everything else from the index:
 //!
-//! * closure expansion and the fixpoint keep only shell vertices
-//!   (`core = k-1`, region membership), so filtering the shell slice gives
-//!   the same vertices in the same order as filtering the full list;
+//! * closure expansion and the fixpoint keep only shell vertices (region
+//!   membership), so filtering the shell slice gives the same vertices in
+//!   the same order as filtering the full list;
 //! * support is `engaged(v)` plus the region peers and `x` counted over the
-//!   shell slice, plus one for each seed when `core(x) < k-1` (then `x` is
-//!   in no slice, and its shell neighbours are exactly the seeds).
+//!   shell slice, plus one for each seed when `x` lies below the shell
+//!   (then `x` is in no slice, and its shell neighbours are exactly the
+//!   seeds).
 //!
 //! This is exact because the region holds only shell vertices, and a shell
 //! vertex's support from outside the shell — the engaged count — cannot
-//! change until the next decomposition. The region, its push order, the
-//! follower sets and every counter are those of the full-adjacency scan.
+//! change until the next commit or uncommit. The index is laid out in the
+//! shell order, so a shell vertex's slot is its position in it. The shell
+//! peel that lays down the order builds the index, in O(vol(shell)).
 //!
-//! The removal order is non-decreasing in core number and holds no
-//! anchors, so the shell is one contiguous run of it and a shell vertex's
-//! slot is its removal position minus the run's start. The first follower
-//! query after each decomposition builds the index in O(vol(shell) +
-//! log n); committing or uncommitting an anchor drops it.
+//! # Construction, commits and uncommits
 //!
-//! Committing an anchor re-runs the anchored decomposition (one O(n + m)
-//! bucket peel). Commits are rare (at most `l` per snapshot); follower
-//! queries are the hot path and stay local. A swap test that uncommits an
-//! anchor and then keeps it does not peel again: the decomposition
-//! depends only on the graph and the anchor flags, so the one set aside
-//! at the uncommit, shell index included, is reinstated as is.
+//! Construction is two threshold cascades over the graph — at `k − 1`,
+//! then at `k` over `C_{k-1}(S)` — and the shell peel. It is the one
+//! whole-graph pass a state makes ([`Metrics::rebuilds`]). Commits and
+//! uncommits repair the state locally:
+//!
+//! * **commit `x`**: `x` and its followers join `C_k(S)`. If `x` lay below
+//!   the shell, `C_{k-1}(S)` gains the survivors of a threshold-(k−1) peel
+//!   over the below-shell vertices reachable from `x`. The shell is
+//!   re-peeled.
+//! * **uncommit `u`**: removal cascades from `u`, at threshold `k` and then
+//!   `k − 1`, drop what `u` alone held up. The shell is re-peeled.
+//!
+//! Both end in the same shell peel, so after any sequence of commits and
+//! uncommits the state equals the one [`AnchoredCoreState::with_anchors`]
+//! builds for the same anchors, shell order and index included.
 
 use avt_graph::{Graph, GraphView, VertexId};
-use avt_kcore::decompose::CoreDecomposition;
 use avt_kcore::{kernels, ANCHOR_CORE};
 
 use crate::metrics::Metrics;
 
-/// Anchored core decomposition of one snapshot with local follower queries.
+/// Per-vertex class codes, ordered like the anchored core numbers they
+/// stand for: below the shell, in it, in `C_k(S)`, anchored. The scan
+/// kernels read them as core numbers, with the shell level at `SHELL` and
+/// the core threshold at `CORE`.
+const BELOW: u32 = 0;
+const SHELL: u32 = 1;
+const CORE: u32 = 2;
+const ANCHOR: u32 = 3;
+
+/// Anchored k-core, (k-1)-core and shell order of one snapshot, with local
+/// follower queries and local commits.
 ///
 /// Generic over the snapshot's [`GraphView`] substrate: per-snapshot
 /// solvers instantiate it over frozen [`avt_graph::CsrGraph`] frames, the
@@ -95,6 +128,7 @@ use crate::metrics::Metrics;
 /// let g = Graph::from_edges(6, [(0,1),(1,2),(2,3),(3,0),(4,0),(4,1),(5,0)]).unwrap();
 /// let mut st = AnchoredCoreState::new(&g, 2);
 /// assert_eq!(st.anchored_core_size(), 5); // everyone but the pendant
+/// assert!(st.in_shell(5));
 /// // Anchoring the pendant adds only itself (no followers).
 /// assert_eq!(st.follower_count_of(5), 0);
 /// ```
@@ -102,14 +136,18 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     graph: &'g G,
     k: u32,
     anchors: Vec<VertexId>,
-    is_anchor: Vec<bool>,
-    decomp: CoreDecomposition,
+    // Per vertex: BELOW, SHELL, CORE or ANCHOR.
+    class: Vec<u32>,
+    // Per vertex: position in the shell order for shell vertices,
+    // `u32::MAX` for all others.
+    pos: Vec<u32>,
     core_size: usize,
+    shell: ShellIndex,
+    // Scratch for the shell peel: the shell indexed in vertex-id order.
+    spare: ShellIndex,
     metrics: Metrics,
-    // The (k-1)-shell index of `decomp`; `None` until the first follower
-    // query after each decomposition.
-    shell: Option<ShellIndex>,
-    // Epoch-stamped scratch for follower queries (no per-query allocation).
+    // Epoch-stamped scratch for follower queries and repairs (no per-call
+    // allocation).
     epoch: u32,
     in_region: Vec<u32>,
     removed: Vec<u32>,
@@ -126,45 +164,161 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         Self::with_anchors(graph, k, &[])
     }
 
-    /// State with `anchors` committed (single decomposition pass).
+    /// State with `anchors` committed: two threshold cascades over the
+    /// graph and the shell peel.
     pub fn with_anchors(graph: &'g G, k: u32, anchors: &[VertexId]) -> Self {
         assert!(k >= 1, "k must be at least 1");
         let n = graph.num_vertices();
-        let mut is_anchor = vec![false; n];
+        let mut class = vec![CORE; n];
         for &a in anchors {
-            is_anchor[a as usize] = true;
+            class[a as usize] = ANCHOR;
         }
-        let decomp = CoreDecomposition::compute_with_anchor_flags(graph, &is_anchor);
-        AnchoredCoreState {
+        let mut state = AnchoredCoreState {
             graph,
             k,
             anchors: anchors.to_vec(),
-            is_anchor,
-            core_size: (kernels::ops().count_members_ge)(decomp.cores(), k),
-            decomp,
-            // The peel above is this state's first rebuild.
+            class,
+            pos: vec![u32::MAX; n],
+            core_size: 0,
+            shell: ShellIndex::default(),
+            spare: ShellIndex::default(),
+            // The cascades below are this state's one whole-graph pass.
             metrics: Metrics { rebuilds: 1, vertices_visited: n as u64, ..Metrics::default() },
-            shell: None,
             epoch: 0,
             in_region: vec![0; n],
             removed: vec![0; n],
             queued: vec![0; n],
-            support: vec![0; n],
+            support: (0..n).map(|v| graph.degree(v as VertexId) as u32).collect(),
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
+        };
+        // The vertices peeled at k − 1 fall below the shell; those then
+        // peeled at k form it.
+        let mut below = Vec::new();
+        state.cascade(k - 1, BELOW, &mut below);
+        let mut shell = Vec::new();
+        state.cascade(k, SHELL, &mut shell);
+        state.core_size = n - below.len() - shell.len();
+        shell.sort_unstable();
+        state.peel_shell(shell);
+        state
+    }
+
+    /// One threshold cascade of the construction. Every `CORE` vertex with
+    /// `support` below `t` moves to class `to`, and so, in turn, does every
+    /// `CORE` vertex the moves leave below `t`. `support` must hold each
+    /// `CORE` vertex's count of neighbours at `CORE` or above, and still
+    /// does for those that stay. Appends the moved vertices to `moved`.
+    fn cascade(&mut self, t: u32, to: u32, moved: &mut Vec<VertexId>) {
+        let graph = self.graph;
+        for v in 0..graph.num_vertices() {
+            if self.class[v] == CORE && self.support[v] < t {
+                self.class[v] = to;
+                moved.push(v as VertexId);
+            }
+        }
+        let mut head = 0;
+        while head < moved.len() {
+            let v = moved[head];
+            head += 1;
+            for &w in graph.neighbors(v) {
+                let wi = w as usize;
+                if self.class[wi] == CORE {
+                    self.support[wi] -= 1;
+                    if self.support[wi] < t {
+                        self.class[wi] = to;
+                        moved.push(w);
+                    }
+                }
+            }
         }
     }
 
-    /// Recompute the anchored decomposition (O(n + m)) and return the one
-    /// it replaces.
-    fn rebuild(&mut self) -> CoreDecomposition {
-        self.shell = None;
-        let fresh = CoreDecomposition::compute_with_anchor_flags(self.graph, &self.is_anchor);
-        self.core_size = (kernels::ops().count_members_ge)(fresh.cores(), self.k);
-        self.metrics.rebuilds += 1;
-        self.metrics.vertices_visited += self.graph.num_vertices() as u64;
-        std::mem::replace(&mut self.decomp, fresh)
+    /// Lay down the shell order of the shell `ids` (in vertex-id order) and
+    /// index the shell in it: the FIFO peel at threshold `k`, each shell
+    /// vertex supported by its engaged count and its shell neighbours
+    /// still in the peel. Construction and every repair end here, which is
+    /// what makes the order a function of the graph, `k` and the anchors
+    /// alone.
+    fn peel_shell(&mut self, ids: Vec<VertexId>) {
+        let (graph, k) = (self.graph, self.k);
+        let epoch = self.next_epoch();
+        // One scan of each shell vertex indexes it into `spare` at its rank
+        // in `ids`, which `pos` holds until the order replaces it.
+        let (class, spare) = (&self.class, &mut self.spare);
+        spare.offsets.clear();
+        spare.nbrs.clear();
+        spare.engaged.clear();
+        spare.offsets.push(0);
+        self.queue.clear();
+        for (s, &v) in ids.iter().enumerate() {
+            self.pos[v as usize] = s as u32;
+            let mut engaged = 0u32;
+            for &w in graph.neighbors(v) {
+                let c = class[w as usize];
+                if c == SHELL {
+                    spare.nbrs.push(w);
+                }
+                engaged += u32::from(c >= CORE);
+            }
+            let degree = engaged + (spare.nbrs.len() - spare.offsets[s]) as u32;
+            spare.offsets.push(spare.nbrs.len());
+            spare.engaged.push(engaged);
+            self.support[v as usize] = degree;
+            if degree < k {
+                self.queued[v as usize] = epoch;
+                self.queue.push(v);
+            }
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head];
+            head += 1;
+            for &w in spare.neighbors(&self.pos, v) {
+                let wi = w as usize;
+                if self.queued[wi] != epoch {
+                    self.support[wi] -= 1;
+                    if self.support[wi] < k {
+                        self.queued[wi] = epoch;
+                        self.queue.push(w);
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(self.queue.len(), ids.len(), "the shell peels out completely");
+
+        let ix = &mut self.shell;
+        ix.offsets.clear();
+        ix.nbrs.clear();
+        ix.engaged.clear();
+        ix.offsets.push(0);
+        for (p, &v) in self.queue.iter().enumerate() {
+            let s = self.pos[v as usize] as usize;
+            ix.nbrs.extend_from_slice(spare.slice(s));
+            ix.offsets.push(ix.nbrs.len());
+            ix.engaged.push(spare.engaged[s]);
+            self.pos[v as usize] = p as u32;
+        }
+        ix.ids = ids;
+        std::mem::swap(&mut ix.order, &mut self.queue);
+    }
+
+    /// Re-peel the shell after a repair moved vertices between classes:
+    /// the vertices of the old shell `old` still in it plus those of
+    /// `entered` now in it.
+    fn reshell(&mut self, old: &[VertexId], entered: &[VertexId]) {
+        let class = &self.class;
+        for &v in old {
+            if class[v as usize] != SHELL {
+                self.pos[v as usize] = u32::MAX;
+            }
+        }
+        let mut ids: Vec<VertexId> =
+            old.iter().chain(entered).copied().filter(|&v| class[v as usize] == SHELL).collect();
+        ids.sort_unstable();
+        self.metrics.vertices_visited += ids.len() as u64;
+        self.peel_shell(ids);
     }
 
     /// The snapshot this state views.
@@ -182,15 +336,16 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         &self.anchors
     }
 
-    /// Anchored core number of `v` ([`avt_kcore::ANCHOR_CORE`] for anchors).
-    pub fn core(&self, v: VertexId) -> u32 {
-        self.decomp.core(v)
-    }
-
     /// True when `v` is in the anchored k-core `C_k(S)` (anchors included,
     /// per Definition 4).
     pub fn in_core(&self, v: VertexId) -> bool {
-        self.decomp.core(v) >= self.k
+        self.class[v as usize] >= CORE
+    }
+
+    /// True when `v` is in the (k-1)-shell: in `C_{k-1}(S)` but not in
+    /// `C_k(S)`.
+    pub fn in_shell(&self, v: VertexId) -> bool {
+        self.class[v as usize] == SHELL
     }
 
     /// `|C_k(S)|` — anchors count as members (Definition 4).
@@ -198,16 +353,28 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.core_size
     }
 
-    /// The K-order relation under the anchored decomposition.
+    /// The shell's K-order: `u ⪯ v` when `u` lies in a lower class (below
+    /// the shell, the shell, `C_k(S)`, anchors), or both lie in the shell
+    /// and `u` comes first in the shell order. Vertices sharing any other
+    /// class are unordered.
     pub fn precedes(&self, u: VertexId, v: VertexId) -> bool {
-        self.decomp.precedes(u, v)
+        let (u, v) = (u as usize, v as usize);
+        (self.class[u], self.pos[u]) < (self.class[v], self.pos[v])
     }
 
-    /// A copy of the current (anchored) core numbers. Algorithms call this
-    /// *before* committing anchors to capture the base `C_k` for follower
-    /// reporting.
+    /// The anchored core numbers as far as this state knows them: `k` in
+    /// `C_k(S)` ([`ANCHOR_CORE`] for anchors), `k − 1` in the shell and 0
+    /// below it. Algorithms call this *before* committing anchors to
+    /// capture the base `C_k` for [`Self::committed_followers`].
     pub fn base_cores_snapshot(&self) -> Vec<u32> {
-        self.decomp.cores().to_vec()
+        let k = self.k;
+        let clamp = |c: u32| match c {
+            BELOW => 0,
+            SHELL => k - 1,
+            CORE => k,
+            _ => ANCHOR_CORE,
+        };
+        self.class.iter().map(|&c| clamp(c)).collect()
     }
 
     /// Record `n` candidate probes (counted by the algorithm driving this
@@ -232,12 +399,15 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.metrics
     }
 
-    /// Number of neighbours of the (k-1)-shell vertex `v` in `C_k(S)`,
-    /// anchors included (the shell index's engaged count).
-    pub(crate) fn engaged(&mut self, v: VertexId) -> u32 {
-        let (graph, decomp, k) = (self.graph, &self.decomp, self.k);
-        let index = self.shell.get_or_insert_with(|| ShellIndex::build(graph, decomp, k));
-        index.engaged[index.slot(decomp, v)]
+    /// The shell's vertices, in vertex-id order.
+    pub(crate) fn shell_vertices(&self) -> &[VertexId] {
+        &self.shell.ids
+    }
+
+    /// Number of neighbours of the shell vertex `v` in `C_k(S)`, anchors
+    /// included (the shell index's engaged count).
+    pub(crate) fn engaged(&self, v: VertexId) -> u32 {
+        self.shell.engaged[self.pos[v as usize] as usize]
     }
 
     fn next_epoch(&mut self) -> u32 {
@@ -263,17 +433,15 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
 
     /// Number of followers of `x` (allocation-free fast path for ranking).
     pub fn follower_count_of(&mut self, x: VertexId) -> usize {
-        self.compute_followers(x);
-        let epoch = self.epoch;
-        self.region.iter().filter(|&&v| self.removed[v as usize] != epoch).count()
+        self.evaluate(x, true);
+        self.followers().count()
     }
 
     /// As [`Self::followers_of`] but reusing the caller's buffer.
     pub fn followers_of_into(&mut self, x: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
-        self.compute_followers(x);
-        let epoch = self.epoch;
-        out.extend(self.region.iter().copied().filter(|&v| self.removed[v as usize] != epoch));
+        self.evaluate(x, true);
+        out.extend(self.followers());
     }
 
     /// Followers of `x` computed the OLAK way: the candidate region is the
@@ -283,54 +451,59 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// vertices are visited, which is precisely the inefficiency the
     /// paper's Figures 4/6/8 attribute to OLAK.
     pub fn followers_of_unordered(&mut self, x: VertexId) -> Vec<VertexId> {
-        self.compute_followers_with(x, false);
-        let epoch = self.epoch;
-        self.region.iter().copied().filter(|&v| self.removed[v as usize] != epoch).collect()
+        self.evaluate(x, false);
+        self.followers().collect()
     }
 
     /// Follower count via the unordered (OLAK) region.
     pub fn follower_count_of_unordered(&mut self, x: VertexId) -> usize {
-        self.compute_followers_with(x, false);
+        self.evaluate(x, false);
+        self.followers().count()
+    }
+
+    /// One follower evaluation, as the solvers count them.
+    fn evaluate(&mut self, x: VertexId, ordered: bool) {
+        self.metrics.follower_evaluations += 1;
+        self.compute_followers(x, ordered);
+    }
+
+    /// The followers the last [`Self::compute_followers`] found: region
+    /// members the fixpoint did not remove.
+    fn followers(&self) -> impl Iterator<Item = VertexId> + '_ {
         let epoch = self.epoch;
-        self.region.iter().filter(|&&v| self.removed[v as usize] != epoch).count()
+        self.region.iter().copied().filter(move |&v| self.removed[v as usize] != epoch)
     }
 
     /// Core of the follower machinery: builds the forward-closure region
-    /// for anchor `x` and peels it; survivors (region members not stamped
-    /// `removed`) are the followers.
-    fn compute_followers(&mut self, x: VertexId) {
-        self.compute_followers_with(x, true);
-    }
-
-    fn compute_followers_with(&mut self, x: VertexId, ordered: bool) {
+    /// for anchor `x` (the undirected one when not `ordered`) and peels it;
+    /// survivors (region members not stamped `removed`) are the followers.
+    fn compute_followers(&mut self, x: VertexId, ordered: bool) {
         let epoch = self.next_epoch();
         self.region.clear();
-        self.metrics.follower_evaluations += 1;
 
-        let shell = self.k - 1;
-        if self.is_anchor[x as usize] || self.decomp.core(x) >= self.k {
+        let x_class = self.class[x as usize];
+        if x_class >= CORE {
             return; // anchoring a core member or an anchor gains nothing
         }
 
         let ops = kernels::ops();
         let mut targets = std::mem::take(&mut self.targets);
-        let (graph, decomp, k) = (self.graph, &self.decomp, self.k);
-        let index = &*self.shell.get_or_insert_with(|| ShellIndex::build(graph, decomp, k));
+        let (graph, k, index) = (self.graph, self.k, &self.shell);
 
-        // Seeds: neighbours v of x in the (k-1)-shell with x ⪯ v. Both are
-        // shell vertices when the order matters, so `x ⪯ v` is a removal-
-        // position comparison; with core(x) < k-1 it is automatic. The
-        // kernels take that as a position floor: `min_pos = 0` disables the
+        // Seeds: shell neighbours v of x with x ⪯ v. Both are shell
+        // vertices when the order matters, so `x ⪯ v` is a shell-position
+        // comparison; with x below the shell it is automatic. The kernels
+        // take that as a position floor: `min_pos = 0` disables the
         // condition (also the unordered OLAK variant). `x` may lie outside
         // the shell, so this is the one full neighbour list a query reads.
-        let seed_min_pos = if ordered && decomp.core(x) == shell { decomp.pos(x) + 1 } else { 0 };
+        let seed_min_pos = if ordered && x_class == SHELL { self.pos[x as usize] + 1 } else { 0 };
         {
             let ctx = kernels::RegionCtx {
-                cores: decomp.cores(),
-                pos: decomp.positions(),
+                cores: &self.class,
+                pos: &self.pos,
                 stamp: &self.in_region,
                 epoch,
-                shell,
+                shell: SHELL,
                 x,
             };
             (ops.filter_region)(&ctx, graph.neighbors(x), seed_min_pos, &mut targets);
@@ -341,26 +514,26 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         }
         let seeds = self.region.len();
 
-        // Forward closure: v → w with core(w) = k-1 and v ⪯ w (both shell
+        // Forward closure: v → w with w in the shell and v ⪯ w (both shell
         // vertices, so again a position floor; dropped when unordered).
         let mut head = 0usize;
         while head < self.region.len() {
             let v = self.region[head];
             head += 1;
             if ops.prefetch_ahead && head < self.region.len() {
-                kernels::prefetch(index.neighbors(decomp, self.region[head]));
+                kernels::prefetch(index.neighbors(&self.pos, self.region[head]));
             }
-            let min_pos = if ordered { decomp.pos(v) + 1 } else { 0 };
+            let min_pos = if ordered { self.pos[v as usize] + 1 } else { 0 };
             {
                 let ctx = kernels::RegionCtx {
-                    cores: decomp.cores(),
-                    pos: decomp.positions(),
+                    cores: &self.class,
+                    pos: &self.pos,
                     stamp: &self.in_region,
                     epoch,
-                    shell,
+                    shell: SHELL,
                     x,
                 };
-                (ops.filter_region)(&ctx, index.neighbors(decomp, v), min_pos, &mut targets);
+                (ops.filter_region)(&ctx, index.neighbors(&self.pos, v), min_pos, &mut targets);
             }
             for &w in &targets {
                 self.in_region[w as usize] = epoch;
@@ -373,20 +546,20 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         // (the engaged count), the anchor x, and unremoved region peers.
         // An `x` below the shell is in no shell slice; its shell neighbours
         // are exactly the seeds.
-        let x_below_shell = decomp.core(x) < shell;
+        let x_below_shell = x_class == BELOW;
         for ri in 0..self.region.len() {
             let v = self.region[ri];
             if ops.prefetch_ahead && ri + 1 < self.region.len() {
-                kernels::prefetch(index.neighbors(decomp, self.region[ri + 1]));
+                kernels::prefetch(index.neighbors(&self.pos, self.region[ri + 1]));
             }
-            let s = index.slot(decomp, v);
+            let s = self.pos[v as usize] as usize;
             let peers = (ops.count_region_support)(
                 index.slice(s),
-                decomp.cores(),
+                &self.class,
                 &self.in_region,
                 epoch,
                 x,
-                k,
+                CORE,
             );
             self.support[v as usize] =
                 index.engaged[s] + peers + u32::from(x_below_shell && ri < seeds);
@@ -395,7 +568,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.queue.clear();
         for ri in 0..self.region.len() {
             let v = self.region[ri];
-            if self.support[v as usize] < self.k {
+            if self.support[v as usize] < k {
                 self.queued[v as usize] = epoch;
                 self.queue.push(v);
             }
@@ -409,10 +582,10 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             qhead += 1;
             self.removed[v as usize] = epoch;
             if ops.prefetch_ahead && qhead < self.queue.len() {
-                kernels::prefetch(index.neighbors(decomp, self.queue[qhead]));
+                kernels::prefetch(index.neighbors(&self.pos, self.queue[qhead]));
             }
             (ops.filter_alive)(
-                index.neighbors(decomp, v),
+                index.neighbors(&self.pos, v),
                 &self.in_region,
                 &self.removed,
                 &self.queued,
@@ -422,7 +595,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             for &w in &targets {
                 let wi = w as usize;
                 self.support[wi] -= 1;
-                if self.support[wi] < self.k {
+                if self.support[wi] < k {
                     self.queued[wi] = epoch;
                     self.queue.push(w);
                 }
@@ -431,101 +604,266 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.targets = targets;
     }
 
-    /// Commit `x` as an anchor: followers join the core, core numbers are
-    /// recomputed exactly. O(n + m).
+    /// Commit `x` as an anchor. `x` and its followers join `C_k(S)`; if
+    /// `x` lay below the shell, the below-shell vertices it lifts join
+    /// `C_{k-1}(S)`; then the shell is re-peeled. Local: the cost follows
+    /// the follower region, the lifted region and the shell.
     pub fn commit_anchor(&mut self, x: VertexId) {
-        assert!(!self.is_anchor[x as usize], "vertex {x} is already anchored");
-        self.is_anchor[x as usize] = true;
+        let was = self.class[x as usize];
+        assert!(was != ANCHOR, "vertex {x} is already anchored");
         self.anchors.push(x);
-        self.rebuild();
+        if was == CORE {
+            // Already a member: C_k, C_{k-1} and the shell stay as they are.
+            self.class[x as usize] = ANCHOR;
+            return;
+        }
+        self.compute_followers(x, true);
+        let epoch = self.epoch;
+        let mut joined = 1;
+        for &v in &self.region {
+            if self.removed[v as usize] != epoch {
+                self.class[v as usize] = CORE;
+                joined += 1;
+            }
+        }
+        self.class[x as usize] = ANCHOR;
+        self.core_size += joined;
+        let mut lifted = std::mem::take(&mut self.targets);
+        lifted.clear();
+        if was == BELOW {
+            self.lift(x, &mut lifted);
+        }
+        let old = std::mem::take(&mut self.shell.ids);
+        self.reshell(&old, &lifted);
+        self.targets = lifted;
     }
 
-    /// Remove a committed anchor. O(n + m).
-    pub fn uncommit_anchor(&mut self, x: VertexId) {
-        self.unflag(x);
-        self.rebuild();
+    /// The growth of `C_{k-1}(S)` when the committed anchor `x` lay below
+    /// the shell. Every vertex `x` lifts has degree ≥ k − 1 and at least
+    /// k − 1 neighbours in the new `C_{k-1}`, and reaches `x` through other
+    /// lifted vertices (a part out of `x`'s reach would have been in
+    /// `C_{k-1}(S)` already). So a search from `x` scans each reached
+    /// below-shell vertex once, counting its possible supporters — those
+    /// at the shell or above, and those below it with degree ≥ k − 1 that
+    /// are not ruled out — and reaches on only through vertices with at
+    /// least k − 1 of them. A vertex short of k − 1 is ruled out, and so,
+    /// in cascade, is every scanned vertex left short by that. Lifted
+    /// vertices are never ruled out, so the scanned vertices that remain
+    /// are exactly the lifted. Appends them to `lifted`, now in the shell.
+    fn lift(&mut self, x: VertexId, lifted: &mut Vec<VertexId>) {
+        let (graph, t) = (self.graph, self.k - 1);
+        // Stamps: `in_region` reached, `queued` scanned, `removed` ruled
+        // out; `support` counts a scanned vertex's possible supporters.
+        let epoch = self.next_epoch();
+        self.region.clear();
+        self.region.push(x);
+        self.in_region[x as usize] = epoch;
+        let mut head = 0;
+        while head < self.region.len() {
+            let v = self.region[head];
+            head += 1;
+            let reached = self.region.len();
+            let mut support = 0u32;
+            for &w in graph.neighbors(v) {
+                let wi = w as usize;
+                if self.class[wi] >= SHELL {
+                    support += 1;
+                } else if self.removed[wi] != epoch && graph.degree(w) as u32 >= t {
+                    support += 1;
+                    if self.in_region[wi] != epoch {
+                        self.in_region[wi] = epoch;
+                        self.region.push(w);
+                    }
+                }
+            }
+            if v == x {
+                continue;
+            }
+            self.support[v as usize] = support;
+            self.queued[v as usize] = epoch;
+            if support >= t {
+                continue;
+            }
+            // v can never lift: take back what it reached, and rule it
+            // out, decrementing the scanned vertices that counted it.
+            for &w in &self.region[reached..] {
+                self.in_region[w as usize] = 0;
+            }
+            self.region.truncate(reached);
+            self.removed[v as usize] = epoch;
+            self.queue.clear();
+            self.queue.push(v);
+            while let Some(z) = self.queue.pop() {
+                for &w in graph.neighbors(z) {
+                    let wi = w as usize;
+                    if self.queued[wi] == epoch && self.removed[wi] != epoch {
+                        self.support[wi] -= 1;
+                        if self.support[wi] < t {
+                            self.removed[wi] = epoch;
+                            self.queue.push(w);
+                        }
+                    }
+                }
+            }
+        }
+        self.metrics.vertices_visited += (self.region.len() - 1) as u64;
+        for &v in &self.region[1..] {
+            if self.removed[v as usize] != epoch {
+                self.class[v as usize] = SHELL;
+                lifted.push(v);
+            }
+        }
     }
 
-    /// [`Self::uncommit_anchor`] that hands back the decomposition it
-    /// replaced, so that [`Self::restore_anchor`] can reinstate `x`
-    /// without a peel (IncAVT's swap test).
-    pub(crate) fn uncommit_keeping(&mut self, x: VertexId) -> KeptAnchor {
-        self.unflag(x);
-        let (core_size, shell) = (self.core_size, self.shell.take());
-        let decomp = self.rebuild();
-        KeptAnchor { anchor: x, decomp, core_size, shell }
+    /// Remove a committed anchor. Removal cascades from `u`, at threshold
+    /// `k` and then `k − 1`, drop what `u` alone held up; then the shell is
+    /// re-peeled. Local like a commit; an anchor whose neighbours keep it
+    /// in `C_k(S)` just becomes a member.
+    pub fn uncommit_anchor(&mut self, u: VertexId) {
+        self.uncommit_keeping(u);
     }
 
-    fn unflag(&mut self, x: VertexId) {
-        assert!(self.is_anchor[x as usize], "vertex {x} is not anchored");
-        self.is_anchor[x as usize] = false;
-        self.anchors.retain(|&a| a != x);
+    /// [`Self::uncommit_anchor`] that hands back what it changed, so that
+    /// [`Self::restore_anchor`] can re-commit `u` by undoing it (IncAVT's
+    /// swap test).
+    pub(crate) fn uncommit_keeping(&mut self, u: VertexId) -> KeptAnchor {
+        assert!(self.class[u as usize] == ANCHOR, "vertex {u} is not anchored");
+        self.anchors.retain(|&a| a != u);
+        self.class[u as usize] = CORE;
+        let mut kept = KeptAnchor {
+            anchor: u,
+            core_size: self.core_size,
+            dropped: Vec::new(),
+            split: 0,
+            shell: None,
+        };
+        self.demote(u, CORE, self.k, &mut kept.dropped);
+        if !kept.dropped.is_empty() {
+            self.core_size -= kept.dropped.len();
+            kept.split = kept.dropped.len();
+            // u's followers all stay in C_{k-1} (they are the followers of
+            // anchoring u back), so only u can start a cascade below it.
+            self.demote(u, SHELL, self.k - 1, &mut kept.dropped);
+            let old = std::mem::take(&mut self.shell);
+            self.reshell(&old.ids, &kept.dropped);
+            kept.shell = Some(old);
+        }
+        kept
     }
 
-    /// Re-commit the anchor of `kept` by reinstating the decomposition
-    /// [`Self::uncommit_keeping`] replaced, with its shell index, instead
-    /// of peeling again. Not a rebuild. Exact because the anchored
-    /// decomposition depends only on the graph and the anchor flags, and
-    /// those are back to what they were: no anchor may change in between.
+    /// Re-commit the anchor of `kept` by undoing its uncommit: the classes
+    /// it changed go back, and the shell it replaced is reinstated with
+    /// its order and index. Exact when no anchor changed in between.
     pub(crate) fn restore_anchor(&mut self, kept: KeptAnchor) {
-        let x = kept.anchor;
-        assert!(!self.is_anchor[x as usize], "vertex {x} is already anchored");
-        debug_assert!(
-            self.anchors.iter().chain([&x]).all(|&a| kept.decomp.core(a) == ANCHOR_CORE),
-            "the anchor set changed since vertex {x} was uncommitted"
-        );
-        self.is_anchor[x as usize] = true;
-        self.anchors.push(x);
-        self.decomp = kept.decomp;
+        let u = kept.anchor;
+        assert!(self.class[u as usize] != ANCHOR, "vertex {u} is already anchored");
+        let (to_core, to_shell) = kept.dropped.split_at(kept.split);
+        for &v in to_shell {
+            self.class[v as usize] = SHELL;
+        }
+        for &v in to_core {
+            self.class[v as usize] = CORE;
+        }
+        self.class[u as usize] = ANCHOR;
+        self.anchors.push(u);
         self.core_size = kept.core_size;
-        self.shell = kept.shell;
+        if let Some(shell) = kept.shell {
+            for &v in &self.shell.order {
+                self.pos[v as usize] = u32::MAX;
+            }
+            for (p, &v) in shell.order.iter().enumerate() {
+                self.pos[v as usize] = p as u32;
+            }
+            self.shell = shell;
+        }
+    }
+
+    /// One removal cascade of an uncommit. `start`, of class `class`,
+    /// drops to `class − 1` when fewer than `t` of its neighbours are at
+    /// `class` or above, and so does every vertex of class `class` the
+    /// drops leave short of `t`. A vertex's count is taken when the cascade
+    /// first reaches it, so the cost follows the dropped vertices'
+    /// neighbourhoods. Appends the dropped vertices to `dropped`.
+    fn demote(&mut self, start: VertexId, class: u32, t: u32, dropped: &mut Vec<VertexId>) {
+        let graph = self.graph;
+        let epoch = self.next_epoch();
+        let count = |classes: &[u32], v: VertexId| {
+            graph.neighbors(v).iter().filter(|&&w| classes[w as usize] >= class).count() as u32
+        };
+        let mut scans = 1;
+        if count(&self.class, start) >= t {
+            self.metrics.vertices_visited += scans;
+            return;
+        }
+        self.queue.clear();
+        self.queue.push(start);
+        self.queued[start as usize] = epoch;
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head];
+            head += 1;
+            // Dropped when popped, so a count taken later leaves v out
+            // exactly when v's own decrement has already been applied.
+            self.class[v as usize] = class - 1;
+            dropped.push(v);
+            for &w in graph.neighbors(v) {
+                let wi = w as usize;
+                if self.class[wi] != class || self.queued[wi] == epoch {
+                    continue;
+                }
+                if self.in_region[wi] != epoch {
+                    self.in_region[wi] = epoch;
+                    self.support[wi] = count(&self.class, w);
+                    scans += 1;
+                } else {
+                    self.support[wi] -= 1;
+                }
+                if self.support[wi] < t {
+                    self.queued[wi] = epoch;
+                    self.queue.push(w);
+                }
+            }
+        }
+        self.metrics.vertices_visited += scans;
     }
 
     /// The followers of the *committed* anchor set relative to the plain
     /// (unanchored) k-core: `F_k(S, G_t)` of Definition 3. O(n).
     ///
-    /// `base_cores` must be the unanchored core numbers of the same graph.
+    /// `base_cores` must be the unanchored core numbers of the same graph
+    /// (or [`Self::base_cores_snapshot`] of an anchorless state).
     pub fn committed_followers(&self, base_cores: &[u32]) -> Vec<VertexId> {
         (0..self.graph.num_vertices() as VertexId)
-            .filter(|&v| {
-                !self.is_anchor[v as usize]
-                    && self.decomp.core(v) >= self.k
-                    && base_cores[v as usize] < self.k
-            })
+            .filter(|&v| self.class[v as usize] == CORE && base_cores[v as usize] < self.k)
             .collect()
     }
 
     /// Theorem 3 candidate set: vertices `x` outside `C_k(S)`, not yet
     /// anchored, with at least one neighbour `v` in the (k-1)-shell such
     /// that `x ⪯ v`. Only these can have any followers. The scan walks the
-    /// shell's neighbourhoods (O(vol(shell))).
+    /// shell's neighbourhoods (O(|shell| + vol(shell))).
     pub fn candidates(&mut self) -> Vec<VertexId> {
         let epoch = self.next_epoch();
-        let shell = self.k - 1;
         let ops = kernels::ops();
         let mut targets = std::mem::take(&mut self.targets);
         let mut out = Vec::new();
-        for v in 0..self.graph.num_vertices() as VertexId {
-            if self.decomp.core(v) != shell {
-                continue;
-            }
-            self.metrics.vertices_visited += 1;
-            // Keep x with `x ⪯ v`: core below the shell, or equal core and
-            // earlier removal. Anchors and core members fail both arms
-            // (their core is >= k > shell), so no separate tests needed.
+        for &v in &self.shell.ids {
+            // Keep x with `x ⪯ v`: below the shell, or in it and removed
+            // earlier. Anchors and core members fail both arms (their
+            // class is above the shell), so no separate tests needed.
             {
                 let ctx = kernels::RegionCtx {
-                    cores: self.decomp.cores(),
-                    pos: self.decomp.positions(),
+                    cores: &self.class,
+                    pos: &self.pos,
                     stamp: &self.in_region,
                     epoch,
-                    shell,
+                    shell: SHELL,
                     x: VertexId::MAX,
                 };
                 (ops.filter_preceding)(
                     &ctx,
                     self.graph.neighbors(v),
-                    self.decomp.pos(v),
+                    self.pos[v as usize],
                     &mut targets,
                 );
             }
@@ -537,6 +875,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             // shell neighbour — that case is covered by the scan above when
             // the roles are swapped, so nothing more to do here.
         }
+        self.metrics.vertices_visited += self.shell.ids.len() as u64;
         self.targets = targets;
         out
     }
@@ -546,27 +885,22 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// K-order pruning. A strict superset of [`Self::candidates`].
     pub fn candidates_unordered(&mut self) -> Vec<VertexId> {
         let epoch = self.next_epoch();
-        let shell = self.k - 1;
         let ops = kernels::ops();
         let mut targets = std::mem::take(&mut self.targets);
         let mut out = Vec::new();
-        for v in 0..self.graph.num_vertices() as VertexId {
-            if self.decomp.core(v) != shell {
-                continue;
-            }
-            self.metrics.vertices_visited += 1;
-            if self.in_region[v as usize] != epoch && !self.is_anchor[v as usize] {
+        for &v in &self.shell.ids {
+            if self.in_region[v as usize] != epoch {
                 self.in_region[v as usize] = epoch;
                 out.push(v);
             }
-            // Keep unstamped x with core(x) < k; anchors fail that test
-            // outright (their core is ANCHOR_CORE).
+            // Keep unstamped x below the core; anchors fail that test
+            // outright (their class is above it).
             (ops.filter_below_unmarked)(
                 self.graph.neighbors(v),
-                self.decomp.cores(),
+                &self.class,
                 &self.in_region,
                 epoch,
-                self.k,
+                CORE,
                 &mut targets,
             );
             for &x in &targets {
@@ -574,28 +908,33 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
                 out.push(x);
             }
         }
+        self.metrics.vertices_visited += self.shell.ids.len() as u64;
         self.targets = targets;
         out
     }
 }
 
-/// The anchored state an [`AnchoredCoreState::uncommit_keeping`] replaced:
-/// everything [`AnchoredCoreState::restore_anchor`] needs to re-commit
-/// `anchor` without a peel.
+/// What [`AnchoredCoreState::uncommit_keeping`] changed: everything
+/// [`AnchoredCoreState::restore_anchor`] needs to re-commit `anchor`.
 pub(crate) struct KeptAnchor {
     anchor: VertexId,
-    decomp: CoreDecomposition,
     core_size: usize,
+    /// The vertices the cascades dropped: out of `C_k` before `split`,
+    /// below the shell from `split` on (`anchor` may be in both).
+    dropped: Vec<VertexId>,
+    split: usize,
+    /// The shell the uncommit replaced, if it replaced it.
     shell: Option<ShellIndex>,
 }
 
-/// The (k-1)-shell of one anchored decomposition, laid out for follower
-/// queries (see the module docs). Slot `s` is the shell vertex at removal
-/// position `start + s`.
-#[derive(Clone)]
+/// The (k-1)-shell, laid out for follower queries (see the module docs).
+/// Slot `s` is the shell vertex at position `s` of the shell order.
+#[derive(Clone, Default)]
 struct ShellIndex {
-    /// Removal position of the first shell vertex.
-    start: u32,
+    /// The shell's vertices in vertex-id order.
+    ids: Vec<VertexId>,
+    /// The shell's vertices in the shell order.
+    order: Vec<VertexId>,
     /// Slot `s`'s shell neighbours are `nbrs[offsets[s]..offsets[s + 1]]`.
     offsets: Vec<usize>,
     nbrs: Vec<VertexId>,
@@ -604,65 +943,36 @@ struct ShellIndex {
 }
 
 impl ShellIndex {
-    /// Index the (k-1)-shell of `decomp`. O(vol(shell) + log n).
-    fn build<G: GraphView>(graph: &G, decomp: &CoreDecomposition, k: u32) -> Self {
-        let (cores, order) = (decomp.cores(), decomp.order());
-        let shell = k - 1;
-        let lo = order.partition_point(|&v| cores[v as usize] < shell);
-        let hi = order.partition_point(|&v| cores[v as usize] < k);
-        let mut offsets = Vec::with_capacity(hi - lo + 1);
-        let mut nbrs = Vec::new();
-        let mut engaged = Vec::with_capacity(hi - lo);
-        offsets.push(0);
-        for &v in &order[lo..hi] {
-            let mut e = 0u32;
-            for &w in graph.neighbors(v) {
-                let c = cores[w as usize];
-                if c == shell {
-                    nbrs.push(w);
-                }
-                e += u32::from(c >= k);
-            }
-            offsets.push(nbrs.len());
-            engaged.push(e);
-        }
-        ShellIndex { start: lo as u32, offsets, nbrs, engaged }
-    }
-
-    /// Slot of the shell vertex `v`.
-    #[inline]
-    fn slot(&self, decomp: &CoreDecomposition, v: VertexId) -> usize {
-        (decomp.pos(v) - self.start) as usize
-    }
-
     /// Shell neighbours of slot `s`, in the frame's neighbour order.
     #[inline]
     fn slice(&self, s: usize) -> &[VertexId] {
         &self.nbrs[self.offsets[s]..self.offsets[s + 1]]
     }
 
-    /// Shell neighbours of the shell vertex `v`.
+    /// Shell neighbours of the shell vertex `v`, whose slot is its shell
+    /// position `pos[v]`.
     #[inline]
-    fn neighbors(&self, decomp: &CoreDecomposition, v: VertexId) -> &[VertexId] {
-        self.slice(self.slot(decomp, v))
+    fn neighbors(&self, pos: &[u32], v: VertexId) -> &[VertexId] {
+        self.slice(pos[v as usize] as usize)
     }
 }
 
 impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
-    /// Cloning copies the decomposition, anchor flags and shell index
-    /// (O(n)); scratch space and metrics are reset, so a clone answers
-    /// follower queries independently of the original.
+    /// Cloning copies the classes, shell order and shell index (O(n));
+    /// scratch space and metrics are reset, so a clone answers follower
+    /// queries independently of the original.
     fn clone(&self) -> Self {
         let n = self.graph.num_vertices();
         AnchoredCoreState {
             graph: self.graph,
             k: self.k,
             anchors: self.anchors.clone(),
-            is_anchor: self.is_anchor.clone(),
-            decomp: self.decomp.clone(),
+            class: self.class.clone(),
+            pos: self.pos.clone(),
             core_size: self.core_size,
-            metrics: Metrics::default(),
             shell: self.shell.clone(),
+            spare: ShellIndex::default(),
+            metrics: Metrics::default(),
             epoch: 0,
             in_region: vec![0; n],
             removed: vec![0; n],
@@ -679,6 +989,7 @@ impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
 mod tests {
     use super::*;
     use crate::oracle::naive_followers;
+    use avt_kcore::CoreDecomposition;
 
     /// A k=3 scenario: K4 on {0,1,2,3} is the 3-core; shell vertices 4 and
     /// 5 are one supporter short (4 leans on 0 and 5; 5 leans on 2, 3 and
@@ -719,6 +1030,21 @@ mod tests {
         assert!(st.in_core(4));
         assert!(st.in_core(5));
         assert_eq!(st.anchored_core_size(), 7);
+    }
+
+    #[test]
+    fn classes_and_shell_order() {
+        let g = shell_graph();
+        let st = AnchoredCoreState::new(&g, 3);
+        // 6 (degree 1) falls below the 2-core; 4 and 5 form the shell.
+        assert!(!st.in_shell(6) && !st.in_core(6));
+        assert!(st.in_shell(4) && st.in_shell(5));
+        assert!((0..4).all(|v| st.in_core(v) && !st.in_shell(v)));
+        // 4 has two neighbours in C_2 (0 and 5), 5 has three: the peel at
+        // threshold 3 takes 4 first.
+        assert!(st.precedes(4, 5) && !st.precedes(5, 4));
+        assert!(st.precedes(6, 4) && st.precedes(5, 0));
+        assert_eq!(st.base_cores_snapshot(), vec![3, 3, 3, 3, 2, 2, 0]);
     }
 
     #[test]
@@ -768,13 +1094,55 @@ mod tests {
         st.uncommit_anchor(6);
         assert_eq!(st.anchored_core_size(), before);
         assert!(st.anchors().is_empty());
+        assert!(!st.in_shell(6) && st.in_shell(4) && st.precedes(4, 5));
+    }
+
+    #[test]
+    fn commits_lift_below_shell_vertices_and_uncommits_drop_them() {
+        // k = 3: the chain 0 - 7 - 8 hangs off the core, below the shell.
+        // Anchoring the end 8 gives 7 its two supporters in C_2 (0 and 8):
+        // 7 lifts into the shell, 8 joins the core as an anchor.
+        let mut edges: Vec<(VertexId, VertexId)> =
+            shell_graph().edges().map(|e| (e.u, e.v)).collect();
+        edges.extend([(7, 0), (7, 8)]);
+        let g = Graph::from_edges(9, edges).unwrap();
+        let mut st = AnchoredCoreState::new(&g, 3);
+        assert!(!st.in_shell(7) && !st.in_shell(8));
+        let visits = st.metrics().vertices_visited;
+        st.commit_anchor(8);
+        assert!(st.in_shell(7) && st.in_core(8));
+        assert_eq!(st.anchored_core_size(), 5);
+        // The repair is charged its local scans, below a re-peel's n.
+        assert!(st.metrics().vertices_visited - visits < g.num_vertices() as u64);
+        assert_eq!(st.metrics().rebuilds, 1);
+        let fresh = AnchoredCoreState::with_anchors(&g, 3, &[8]);
+        for u in g.vertices() {
+            for v in g.vertices() {
+                assert_eq!(st.precedes(u, v), fresh.precedes(u, v), "{u} ⪯ {v}");
+            }
+        }
+        st.uncommit_anchor(8);
+        assert!(!st.in_shell(7) && !st.in_shell(8) && st.in_shell(4));
+        assert_eq!(st.anchored_core_size(), 4);
+    }
+
+    #[test]
+    fn uncommitting_a_self_supporting_anchor_keeps_it_in_the_core() {
+        let g = shell_graph();
+        let mut st = AnchoredCoreState::new(&g, 3);
+        st.commit_anchor(0); // a core member: only its flag changes
+        assert_eq!(st.anchored_core_size(), 4);
+        assert_eq!(st.follower_count_of(0), 0);
+        st.uncommit_anchor(0);
+        assert!(st.in_core(0) && st.anchors().is_empty());
+        assert_eq!(st.anchored_core_size(), 4);
     }
 
     #[test]
     fn restore_matches_recommit() {
-        // Keeping an anchor through a swap test by restoring the set-aside
-        // decomposition must be indistinguishable from recommitting it,
-        // one rebuild cheaper — with and without a built shell index.
+        // Keeping an anchor through a swap test by undoing its uncommit
+        // must be indistinguishable from recommitting it — with and
+        // without the uncommit moving the shell.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(31);
         let mut restored_any = false;
@@ -799,14 +1167,8 @@ mod tests {
             if recommit.anchors().is_empty() {
                 continue;
             }
-            // A follower query on a vertex outside the core builds the
-            // shell index.
-            if let Some(x) = g.vertices().find(|&x| trial % 2 == 0 && !recommit.in_core(x)) {
-                recommit.follower_count_of(x);
-            }
             let u = recommit.anchors()[rng.gen_range(0..recommit.anchors().len())];
             let mut restore = recommit.clone();
-            recommit.take_metrics();
 
             recommit.uncommit_anchor(u);
             recommit.commit_anchor(u);
@@ -814,11 +1176,18 @@ mod tests {
             restore.restore_anchor(kept);
             restored_any = true;
 
-            assert_eq!(restore.metrics().rebuilds + 1, recommit.metrics().rebuilds);
             assert_eq!(restore.anchors(), recommit.anchors(), "trial {trial}");
             assert_eq!(restore.anchored_core_size(), recommit.anchored_core_size());
             for v in g.vertices() {
-                assert_eq!(restore.core(v), recommit.core(v), "trial {trial} core({v})");
+                assert_eq!(restore.in_core(v), recommit.in_core(v), "trial {trial} in_core({v})");
+                assert_eq!(
+                    restore.in_shell(v),
+                    recommit.in_shell(v),
+                    "trial {trial} in_shell({v})"
+                );
+                for w in g.vertices() {
+                    assert_eq!(restore.precedes(v, w), recommit.precedes(v, w), "trial {trial}");
+                }
                 assert_eq!(
                     restore.follower_count_of(v),
                     recommit.follower_count_of(v),
@@ -878,6 +1247,11 @@ mod tests {
         assert!(m.follower_evaluations >= 1);
         assert!(m.rebuilds >= 1);
         assert_eq!(st.metrics(), Metrics::default());
+        // A commit evaluates followers internally but is not counted as an
+        // evaluation, and it does not rebuild.
+        st.commit_anchor(6);
+        assert_eq!(st.metrics().follower_evaluations, 0);
+        assert_eq!(st.metrics().rebuilds, 0);
     }
 
     #[test]

@@ -15,17 +15,15 @@
 //!
 //! Two deviations from the paper's Algorithm 6:
 //!
-//! * Evaluating a swap `S_t \ {u} ∪ {v}` uses one anchored decomposition
-//!   for `S_t \ {u}` plus a *local* follower query for each candidate `v`,
-//!   instead of a full evaluation per pair — identical results, far fewer
-//!   rebuilds (full anchored re-decompositions). A snapshot costs one
-//!   rebuild for the inherited anchors and, when the candidate pool is not
-//!   empty, one per inherited anchor to uncommit it for its swap test,
-//!   plus one per swap made: `1 + |S_{t-1}| + swaps`. A test that keeps
-//!   `u` reinstates the decomposition set aside at the uncommit instead of
-//!   recommitting `u` (which made it `1 + 2·|S_{t-1}|`). Releasing an
-//!   anchor that drifted into the plain k-core and each growth commit
-//!   below cost one rebuild more.
+//! * Evaluating a swap `S_t \ {u} ∪ {v}` uses one anchored state for
+//!   `S_t \ {u}` plus a *local* follower query for each candidate `v`,
+//!   instead of a full evaluation per pair — identical results. A
+//!   snapshot costs one construction of the anchored state for the
+//!   inherited anchors (its one whole-graph pass) plus local repairs: an
+//!   uncommit per swap test, a commit per swap made, an uncommit per
+//!   anchor that drifted into the plain k-core, and a commit per growth
+//!   step below. A test that keeps `u` undoes its uncommit instead of
+//!   committing `u` again.
 //! * After the swap phase, if the anchor set is still below budget (e.g.
 //!   the initial snapshot had fewer than `l` productive anchors), a growth
 //!   phase adds the best impacted candidates. Without it the paper's
@@ -137,7 +135,8 @@ fn local_search_snapshot(
     let mut anchors: Vec<VertexId> = previous.to_vec();
     let mut extra_metrics = Metrics { vertices_visited: maintenance_visits, ..Default::default() };
 
-    // Current state with the inherited anchors committed (one rebuild).
+    // Current state with the inherited anchors committed (the snapshot's
+    // one whole-graph pass).
     let mut state = AnchoredCoreState::with_anchors(graph, params.k, &anchors);
 
     // Candidate pool: impacted vertices, their neighbours, and nothing
@@ -155,8 +154,8 @@ fn local_search_snapshot(
             }
             let current_size = state.anchored_core_size();
             // State without u, evaluated once; each candidate costs one
-            // local follower query on top of it. The state with u is set
-            // aside in case no swap wins.
+            // local follower query on top of it. What the uncommit changed
+            // is kept in case no swap wins.
             let kept = state.uncommit_keeping(u);
             let without_size = state.anchored_core_size();
 
@@ -191,13 +190,13 @@ fn local_search_snapshot(
                     // spend the slot.
                     anchors.retain(|&a| a != u);
                 }
-                None => state.restore_anchor(kept), // keep u, without a peel
+                None => state.restore_anchor(kept), // keep u, undoing the uncommit
             }
         }
     }
     // Even with an empty pool, anchors that drifted into the *plain*
     // k-core waste budget; release them (cheap check against the
-    // maintained base cores, one rebuild per actual drift).
+    // maintained base cores, one local uncommit per actual drift).
     let drifted: Vec<VertexId> =
         anchors.iter().copied().filter(|&u| base_cores[u as usize] >= params.k).collect();
     for u in drifted {
@@ -254,13 +253,9 @@ fn impacted_candidates(state: &mut AnchoredCoreState<'_>, impacted: &[VertexId])
     pool.dedup();
     state.bump_visited(pool.len() as u64);
 
-    let k = state.k();
-    let shell = k - 1;
     pool.retain(|&x| {
-        if state.in_core(x) || state.anchors().contains(&x) {
-            return false;
-        }
-        graph.neighbors(x).iter().any(|&w| state.core(w) == shell && state.precedes(x, w))
+        !state.in_core(x)
+            && graph.neighbors(x).iter().any(|&w| state.in_shell(w) && state.precedes(x, w))
     });
     pool
 }

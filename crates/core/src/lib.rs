@@ -20,9 +20,10 @@
 //!
 //! Two shared layers sit underneath the solvers:
 //!
-//! * [`AnchoredCoreState`] — an anchored core decomposition overlay
-//!   supporting exact local follower queries (forward-closure + fixpoint —
-//!   the order-based acceleration of §4.2) and anchor commits. It is
+//! * [`AnchoredCoreState`] — the anchored k-core, the anchored (k-1)-core
+//!   and a canonical order of the shell between them, supporting exact
+//!   local follower queries (forward-closure + fixpoint — the order-based
+//!   acceleration of §4.2) and local anchor commits and uncommits. It is
 //!   generic over the snapshot's [`avt_graph::GraphView`] substrate.
 //! * [`Engine`] — the temporal execution engine. Every per-snapshot solver
 //!   implements [`SnapshotSolver`] (solve one frozen frame, no state

@@ -2,7 +2,7 @@
 //!
 //! Figures 3/5/7 plot wall time; Figures 4/6/8 plot the number of *visited
 //! candidate anchored vertices*. We track both, plus enough breakdown to
-//! explain them (follower evaluations, full decomposition rebuilds).
+//! explain them (follower evaluations, whole-graph anchored peels).
 
 use std::ops::AddAssign;
 use std::time::Duration;
@@ -14,10 +14,13 @@ pub struct Metrics {
     pub candidates_probed: u64,
     /// Individual follower-set computations.
     pub follower_evaluations: u64,
-    /// Vertices touched by follower computations and maintenance peels —
-    /// the paper's "visited vertices" metric.
+    /// Vertices touched by follower computations, maintenance peels and
+    /// the local repairs of anchor commits — the paper's "visited
+    /// vertices" metric. A whole-graph peel counts every vertex.
     pub vertices_visited: u64,
-    /// Full anchored-decomposition rebuilds (each O(n + m)).
+    /// Whole-graph anchored peels (each O(n + m)): one per
+    /// `AnchoredCoreState` construction. Commits and uncommits repair the
+    /// state locally and add none.
     pub rebuilds: u64,
 }
 

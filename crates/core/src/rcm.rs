@@ -56,27 +56,14 @@ fn ranked_candidates<G: GraphView>(
     k: u32,
 ) -> Vec<(VertexId, f64)> {
     let graph = state.graph();
-    let shell = k - 1;
-    let n = graph.num_vertices();
-    // residual(v) for shell vertices: how many more engaged supporters v
-    // needs. Engaged = anchored-core members (core_A >= k).
-    let mut residual = vec![0u32; n];
-    for v in 0..n as VertexId {
-        if state.core(v) != shell {
-            continue;
-        }
-        residual[v as usize] = k.saturating_sub(state.engaged(v)).max(1);
-    }
-
-    let mut score = vec![0.0f64; n];
+    let mut score = vec![0.0f64; graph.num_vertices()];
     let mut touched: Vec<VertexId> = Vec::new();
-    for v in 0..n as VertexId {
-        if state.core(v) != shell {
-            continue;
-        }
-        let r = residual[v as usize] as f64;
+    for &v in state.shell_vertices() {
+        // residual(v): how many more engaged supporters the shell vertex v
+        // needs. Engaged = anchored-core members.
+        let r = k.saturating_sub(state.engaged(v)).max(1) as f64;
         for &x in graph.neighbors(v) {
-            if state.core(x) >= k || state.anchors().contains(&x) {
+            if state.in_core(x) {
                 continue;
             }
             if score[x as usize] == 0.0 {
@@ -86,12 +73,10 @@ fn ranked_candidates<G: GraphView>(
         }
         // Shell vertices can anchor themselves; give them their own score
         // so chains with no outside neighbour remain reachable.
-        if !state.anchors().contains(&v) {
-            if score[v as usize] == 0.0 {
-                touched.push(v);
-            }
-            score[v as usize] += 0.5 / r;
+        if score[v as usize] == 0.0 {
+            touched.push(v);
         }
+        score[v as usize] += 0.5 / r;
     }
     state.bump_visited(touched.len() as u64);
 

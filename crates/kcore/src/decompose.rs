@@ -55,15 +55,6 @@ impl CoreDecomposition {
         for &a in anchors {
             is_anchor[a as usize] = true;
         }
-        Self::compute_with_anchor_flags(graph, &is_anchor)
-    }
-
-    /// As [`Self::compute_anchored`] but taking a pre-built flag array
-    /// (`flags.len() == n`). This is the hot entry point for the anchored
-    /// overlay in `avt-core`, which re-decomposes after every anchor commit.
-    pub fn compute_with_anchor_flags<G: GraphView>(graph: &G, is_anchor: &[bool]) -> Self {
-        let n = graph.num_vertices();
-        assert_eq!(is_anchor.len(), n, "anchor flag array must cover all vertices");
 
         let mut core = vec![0u32; n];
         let mut deg = vec![0u32; n];

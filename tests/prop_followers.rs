@@ -4,6 +4,7 @@
 use avt::algo::AnchoredCoreState;
 use avt::graph::{Graph, VertexId};
 use avt_core::oracle::{naive_anchored_core_size, naive_followers};
+use avt_kcore::{CoreDecomposition, ANCHOR_CORE};
 use proptest::prelude::*;
 
 fn graph_strategy(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -32,7 +33,6 @@ fn naive_region_size(state: &AnchoredCoreState<'_>, x: VertexId, ordered: bool) 
         return 0; // core members and anchors explore nothing
     }
     let g = state.graph();
-    let shell = state.k() - 1;
     let mut seen = vec![false; g.num_vertices()];
     let mut stack = vec![x];
     let mut size = 0;
@@ -40,7 +40,7 @@ fn naive_region_size(state: &AnchoredCoreState<'_>, x: VertexId, ordered: bool) 
         for &w in g.neighbors(v) {
             if w != x
                 && !seen[w as usize]
-                && state.core(w) == shell
+                && state.in_shell(w)
                 && (!ordered || state.precedes(v, w))
             {
                 seen[w as usize] = true;
@@ -52,12 +52,12 @@ fn naive_region_size(state: &AnchoredCoreState<'_>, x: VertexId, ordered: bool) 
     size
 }
 
-/// What a caller observes of `state` besides its anchor list: the core of
-/// every vertex, `|C_k(S)|`, the candidates, and the follower count of
-/// every vertex.
-fn observe(state: &mut AnchoredCoreState<'_>) -> (Vec<u32>, usize, Vec<VertexId>, Vec<usize>) {
+/// What a caller observes of `state` besides its anchor list: the shell
+/// membership of every vertex, `|C_k(S)|`, the candidates, and the
+/// follower count of every vertex.
+fn observe(state: &mut AnchoredCoreState<'_>) -> (Vec<bool>, usize, Vec<VertexId>, Vec<usize>) {
     let g = state.graph();
-    let cores = g.vertices().map(|v| state.core(v)).collect();
+    let cores = g.vertices().map(|v| state.in_shell(v)).collect();
     let candidates = state.candidates();
     let counts = g.vertices().map(|v| state.follower_count_of(v)).collect();
     (cores, state.anchored_core_size(), candidates, counts)
@@ -77,6 +77,94 @@ fn check_followers(
         prop_assert_eq!(fast, naive, "anchor {} on top of {:?} at k = {}", x, anchors, state.k());
     }
     Ok(())
+}
+
+/// A vertex's class in `state`: 0 below the (k-1)-shell, 1 in it, 2 in
+/// `C_k(S)`, 3 anchored.
+fn class_of(state: &AnchoredCoreState<'_>, v: VertexId) -> u8 {
+    if state.anchors().contains(&v) {
+        3
+    } else if state.in_core(v) {
+        2
+    } else if state.in_shell(v) {
+        1
+    } else {
+        0
+    }
+}
+
+/// The same classes read off a whole-graph anchored decomposition.
+fn clamped_class(decomposition: &CoreDecomposition, k: u32, v: VertexId) -> u8 {
+    match decomposition.core(v) {
+        ANCHOR_CORE => 3,
+        c if c >= k => 2,
+        c if c == k - 1 => 1,
+        _ => 0,
+    }
+}
+
+/// `state`, however its anchors got committed and uncommitted, equals the
+/// state `with_anchors` builds for them on everything a solver reads, and
+/// its classes match the whole-graph anchored decomposition.
+fn check_against_fresh_build(
+    state: &mut AnchoredCoreState<'_>,
+    base_cores: &[u32],
+) -> Result<(), TestCaseError> {
+    let (g, k) = (state.graph(), state.k());
+    let anchors = state.anchors().to_vec();
+    let mut fresh = AnchoredCoreState::with_anchors(g, k, &anchors);
+    let decomposition = CoreDecomposition::compute_anchored(g, &anchors);
+    for v in g.vertices() {
+        prop_assert_eq!(
+            class_of(state, v),
+            class_of(&fresh, v),
+            "class of {} with anchors {:?} at k = {}",
+            v,
+            &anchors,
+            k
+        );
+        prop_assert_eq!(
+            class_of(state, v),
+            clamped_class(&decomposition, k, v),
+            "decomposition class of {} with anchors {:?} at k = {}",
+            v,
+            &anchors,
+            k
+        );
+    }
+    let shell: Vec<VertexId> = g.vertices().filter(|&v| fresh.in_shell(v)).collect();
+    for &u in &shell {
+        for &v in &shell {
+            prop_assert_eq!(
+                state.precedes(u, v),
+                fresh.precedes(u, v),
+                "{} ⪯ {} with anchors {:?} at k = {}",
+                u,
+                v,
+                &anchors,
+                k
+            );
+        }
+    }
+    prop_assert_eq!(state.candidates(), fresh.candidates(), "candidates, anchors {:?}", &anchors);
+    for x in g.vertices() {
+        prop_assert_eq!(
+            state.follower_count_of(x),
+            fresh.follower_count_of(x),
+            "followers of {} with anchors {:?} at k = {}",
+            x,
+            &anchors,
+            k
+        );
+    }
+    prop_assert_eq!(state.anchored_core_size(), fresh.anchored_core_size());
+    prop_assert_eq!(state.committed_followers(base_cores), fresh.committed_followers(base_cores));
+    Ok(())
+}
+
+/// The non-anchored vertices of `state` in class `class` (see [`class_of`]).
+fn of_class(state: &AnchoredCoreState<'_>, class: u8) -> Vec<VertexId> {
+    state.graph().vertices().filter(|&v| class_of(state, v) == class).collect()
 }
 
 proptest! {
@@ -116,12 +204,10 @@ proptest! {
 
     /// Followers remain exact on top of committed anchors, through a
     /// second commit and an uncommit, and on a clone whose original then
-    /// commits again: every re-decomposition drops the shell index, and a
-    /// clone's copy of it is its own. Recommitting the uncommitted anchor
+    /// commits again: every repair re-indexes the shell, and a clone's
+    /// copy of the index is its own. Recommitting the uncommitted anchor
     /// recomputes exactly the state its uncommit discarded, which is what
-    /// lets IncAVT's swap test restore that state instead (the restore
-    /// itself is crate-private and pinned against recommitting by
-    /// `anchored::tests::restore_matches_recommit`).
+    /// IncAVT's swap test relies on when it keeps an anchor.
     #[test]
     fn followers_respect_commits(
         (n, pairs) in graph_strategy(25, 90),
@@ -214,6 +300,60 @@ proptest! {
         let mut state = AnchoredCoreState::new(&g, k);
         for x in g.vertices() {
             prop_assert_eq!(state.followers_of(x).len(), state.follower_count_of(x));
+        }
+    }
+
+    /// Commits and uncommits repair the state locally, and the repaired
+    /// state is the one a fresh build gives for the same anchors: after
+    /// every step of a random sequence — on graphs with isolated vertices,
+    /// at k from 1 to 5, above the degeneracy and at `u32::MAX` — and after
+    /// committing a core member, uncommitting it again (it stays in
+    /// `C_k`), and committing a below-shell vertex that lifts a neighbour
+    /// into the shell.
+    #[test]
+    fn local_repair_matches_fresh_build(
+        (n, pairs) in graph_strategy(25, 90),
+        isolated in 0usize..4,
+        k_pick in 0u32..7,
+        steps in proptest::collection::vec((0u8..4, 0usize..64), 1..12),
+    ) {
+        let g = build(n + isolated, &pairs);
+        let base = CoreDecomposition::compute(&g);
+        let k = match k_pick {
+            0..=4 => k_pick + 1,
+            5 => base.max_core() + 2,
+            _ => u32::MAX,
+        };
+        let mut state = AnchoredCoreState::new(&g, k);
+        check_against_fresh_build(&mut state, base.cores())?;
+        // Each step commits a vertex below the shell, in it or in the
+        // core, or uncommits an anchor, picked among those that exist.
+        for (class, pick) in steps {
+            let pool = of_class(&state, class);
+            let Some(&v) = pool.get(pick % pool.len().max(1)) else { continue };
+            if class == 3 {
+                state.uncommit_anchor(v);
+            } else {
+                state.commit_anchor(v);
+            }
+            check_against_fresh_build(&mut state, base.cores())?;
+        }
+        if let Some(&member) = of_class(&state, 2).first() {
+            state.commit_anchor(member);
+            check_against_fresh_build(&mut state, base.cores())?;
+            state.uncommit_anchor(member);
+            prop_assert!(state.in_core(member), "a member's uncommit keeps it in C_k");
+            check_against_fresh_build(&mut state, base.cores())?;
+        }
+        let below = of_class(&state, 0);
+        let lifting = below.into_iter().find(|&x| {
+            let mut trial = state.clone();
+            trial.commit_anchor(x);
+            g.vertices().any(|w| w != x && class_of(&state, w) == 0 && trial.in_shell(w))
+        });
+        if let Some(x) = lifting {
+            state.commit_anchor(x);
+            check_against_fresh_build(&mut state, base.cores())?;
         }
     }
 }
