@@ -1,22 +1,17 @@
-//! Writer-path microbenchmarks: batch-apply throughput under the
-//! `AVT_WRITE_SHARDS` axis, and end-to-end admission (watermark buffer →
-//! sanitize → sharded peel → publish) under in-order vs shuffled
-//! delivery — the numbers behind the PR 8 "sharded writer" claims.
+//! Writer-path microbenchmarks: batch-apply throughput, and end-to-end
+//! admission (watermark buffer → sanitize → batched repair → publish)
+//! under in-order vs shuffled delivery.
 //!
-//! * `writer/batch-apply` — [`MaintainedCore::apply_batch_with_shards`]
-//!   over a scripted churn stream, shard counts 1/2/4 side by side (the
-//!   explicit-shards form, so no global axis flips are involved). Every
-//!   count runs the same batched repair; `s1` screens on the calling
-//!   thread and is the default path.
+//! * `writer/batch-apply` — [`MaintainedCore::apply_batch`] over a
+//!   scripted churn stream: each batch's insertions are screened and
+//!   repaired together, then its deletions cascade edge at a time.
 //! * `writer/admission` — the same stream pushed through an
 //!   [`Admission`] buffer in arrival order and in a fixed shuffle within
-//!   the lag window, for each shard count (here the axis *is* the
-//!   process-wide knob, switched around the labelled runs exactly like
-//!   the kernels bench switches kernel tables).
+//!   the lag window.
 //!
-//! Labels are `writer/batch-apply/s{N}` and
-//! `writer/admission/{in-order,shuffled}-s{N}`; smoke runs fold the
-//! medians into `bench-medians.json` (see the criterion shim).
+//! Labels are `writer/batch-apply` and
+//! `writer/admission/{in-order,shuffled}`; smoke runs fold the medians
+//! into `bench-medians.json` (see the criterion shim).
 
 use std::sync::Arc;
 
@@ -30,11 +25,8 @@ use avt_serve::{Admission, IngestEvent, LiveTimeline};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-const SHARDS: [u32; 3] = [1, 2, 4];
-
 /// The benchmark stream: the substrate benches' 20k/100k Chung-Lu graph
-/// under heavy churn, so each batch is large enough for the shard fan-out
-/// to have real work per shard.
+/// under heavy churn, 400–800 insertions and 100–200 deletions per batch.
 fn bench_stream() -> EvolvingGraph {
     let base = chung_lu(20_000, 100_000, 2.4, 42);
     let config = ChurnConfig {
@@ -62,19 +54,17 @@ fn bench_batch_apply(c: &mut Criterion) {
     let batches = eg.batches().to_vec();
     let baseline = MaintainedCore::new(initial);
 
-    let mut g = c.benchmark_group("writer/batch-apply");
+    let mut g = c.benchmark_group("writer");
     g.sample_size(10);
-    for shards in SHARDS {
-        g.bench_function(format!("s{shards}"), |b| {
-            b.iter(|| {
-                let mut mc = baseline.clone();
-                for batch in &batches {
-                    mc.apply_batch_with_shards(batch, shards).expect("scripted batches apply");
-                }
-                mc.visited_vertices()
-            })
-        });
-    }
+    g.bench_function("batch-apply", |b| {
+        b.iter(|| {
+            let mut mc = baseline.clone();
+            for batch in &batches {
+                mc.apply_batch(batch).expect("scripted batches apply");
+            }
+            mc.visited_vertices()
+        })
+    });
     g.finish();
 }
 
@@ -105,13 +95,9 @@ fn bench_admission(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("writer/admission");
     g.sample_size(10);
-    for shards in SHARDS {
-        avt_kcore::set_write_shards(shards);
-        g.bench_function(format!("in-order-s{shards}"), |b| b.iter(|| run(&in_order)));
-        g.bench_function(format!("shuffled-s{shards}"), |b| b.iter(|| run(&shuffled)));
-    }
+    g.bench_function("in-order", |b| b.iter(|| run(&in_order)));
+    g.bench_function("shuffled", |b| b.iter(|| run(&shuffled)));
     g.finish();
-    avt_kcore::set_write_shards(1);
 }
 
 criterion_group!(benches, bench_batch_apply, bench_admission);

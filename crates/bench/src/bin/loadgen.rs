@@ -867,15 +867,9 @@ fn main() -> ExitCode {
             // publish percentiles are the epoch-publish latency the
             // write-heavy lanes are after.
             if let Some(w) = writer {
-                let shards = w
-                    .shards
-                    .iter()
-                    .map(|s| format!("{}:{}:{}:{}", s.shard, s.count, opt(s.p50_us), opt(s.p99_us)))
-                    .collect::<Vec<_>>()
-                    .join(",");
                 println!(
                     "loadgen: server writer: batches={} accepted={} folded={} rejected={} \
-                     dropped={} watermark={} lag={} publish_p50us={} publish_p99us={} shards={}",
+                     dropped={} watermark={} lag={} publish_p50us={} publish_p99us={}",
                     w.batches_applied,
                     w.events_accepted,
                     w.events_folded,
@@ -885,7 +879,6 @@ fn main() -> ExitCode {
                     w.watermark_lag,
                     opt(w.publish_p50_us),
                     opt(w.publish_p99_us),
-                    if shards.is_empty() { "-".into() } else { shards },
                 );
             }
         }

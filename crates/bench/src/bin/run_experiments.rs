@@ -99,15 +99,10 @@ fn parse_args() -> Result<Args, String> {
                 avt_kcore::kernels::set_kernel(kernel);
             }
             "--frame-source" => {
-                ctx.frame_source = match value()?.as_str() {
-                    "resident" => avt_bench::FrameMode::Resident,
-                    "mmap" => avt_bench::FrameMode::Mmap,
-                    other => {
-                        return Err(format!(
-                            "--frame-source: expected \"resident\" or \"mmap\", got {other:?}"
-                        ))
-                    }
-                };
+                let v = value()?;
+                ctx.frame_source = avt_bench::FrameMode::parse(&v).ok_or(format!(
+                    "--frame-source: expected \"resident\" or \"mmap\", got {v:?}"
+                ))?;
             }
             "--out" => out = PathBuf::from(value()?),
             other => return Err(format!("unknown option {other}\n{USAGE}")),

@@ -54,15 +54,24 @@ pub enum FrameMode {
 }
 
 impl FrameMode {
+    /// Parse a frame-source name as accepted by `AVT_FRAME_SOURCE` /
+    /// `--frame-source`, ignoring surrounding whitespace like the numeric
+    /// axes do.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.trim() {
+            "resident" => Some(FrameMode::Resident),
+            "mmap" => Some(FrameMode::Mmap),
+            _ => None,
+        }
+    }
+
     /// The process default: `AVT_FRAME_SOURCE=mmap` selects the mapped
     /// source, anything else (or unset) is resident. An unrecognized value
     /// warns once rather than silently running a different configuration
     /// than the caller asked for.
     pub fn from_env() -> Self {
         match std::env::var("AVT_FRAME_SOURCE") {
-            Ok(value) if value == "mmap" => FrameMode::Mmap,
-            Ok(value) if value == "resident" => FrameMode::Resident,
-            Ok(value) => {
+            Ok(value) => FrameMode::parse(&value).unwrap_or_else(|| {
                 static WARN_ONCE: std::sync::Once = std::sync::Once::new();
                 WARN_ONCE.call_once(|| {
                     eprintln!(
@@ -71,7 +80,7 @@ impl FrameMode {
                     );
                 });
                 FrameMode::Resident
-            }
+            }),
             Err(_) => FrameMode::Resident,
         }
     }
@@ -317,6 +326,19 @@ mod tests {
         let c = Context::default();
         assert_eq!(c.snapshots, 30);
         assert_eq!(c.l, 10);
+    }
+
+    #[test]
+    fn frame_mode_parse_and_display_round_trip() {
+        assert_eq!(FrameMode::parse("resident"), Some(FrameMode::Resident));
+        assert_eq!(FrameMode::parse("mmap"), Some(FrameMode::Mmap));
+        assert_eq!(FrameMode::parse("csr"), None);
+        assert_eq!(FrameMode::parse("mmap "), Some(FrameMode::Mmap));
+        assert_eq!(FrameMode::parse(" resident\n"), Some(FrameMode::Resident));
+        assert_eq!(FrameMode::parse(" "), None);
+        for mode in [FrameMode::Resident, FrameMode::Mmap] {
+            assert_eq!(FrameMode::parse(&mode.to_string()), Some(mode));
+        }
     }
 
     #[test]

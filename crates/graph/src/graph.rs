@@ -149,30 +149,12 @@ impl Graph {
         Ok(())
     }
 
-    /// Insert every edge of `edges` at once, with the adjacency pushes
-    /// partitioned by vertex range and performed in parallel.
-    ///
-    /// `bounds` are ascending exclusive per-shard upper bounds over the
-    /// vertex ids (last bound = `num_vertices()`); shard `i` owns
-    /// `bounds[i-1]..bounds[i]`. Validation is sequential and completes
-    /// before any mutation, so the parallel phase is infallible: on error
-    /// the graph is unchanged.
-    ///
-    /// Each shard walks the batch in order and appends to exactly the
-    /// neighbour lists it owns, so every `adj[u]` receives the same
-    /// elements in the same order as the per-edge [`Self::insert_edge`]
-    /// loop would produce — the resulting graph is bit-identical to the
-    /// sequential path, not merely isomorphic.
-    pub fn insert_edges_sharded(
-        &mut self,
-        edges: &[Edge],
-        bounds: &[usize],
-    ) -> Result<(), GraphError> {
-        assert_eq!(
-            bounds.last().copied().unwrap_or(0),
-            self.adj.len(),
-            "shard bounds must cover the vertex set"
-        );
+    /// Insert every edge of `edges` at once. Every edge is validated
+    /// before any is pushed, so on error the graph is unchanged. On
+    /// success every `adj[u]` holds the same elements in the same order as
+    /// the per-edge [`Self::insert_edge`] loop would produce: the graph is
+    /// bit-identical to that loop's, not merely isomorphic.
+    pub fn insert_edges(&mut self, edges: &[Edge]) -> Result<(), GraphError> {
         for e in edges {
             self.check_vertex(e.u)?;
             self.check_vertex(e.v)?;
@@ -201,37 +183,9 @@ impl Graph {
             }
         }
 
-        if bounds.len() <= 1 {
-            for e in edges {
-                self.adj[e.u as usize].push(e.v);
-                self.adj[e.v as usize].push(e.u);
-            }
-        } else {
-            std::thread::scope(|s| {
-                let mut rest: &mut [Vec<VertexId>] = &mut self.adj;
-                let mut lo = 0usize;
-                for &hi in bounds {
-                    let (mine, tail) = rest.split_at_mut(hi - lo);
-                    rest = tail;
-                    let base = lo;
-                    lo = hi;
-                    if mine.is_empty() {
-                        continue;
-                    }
-                    s.spawn(move || {
-                        let span = mine.len();
-                        for e in edges {
-                            let (u, v) = (e.u as usize, e.v as usize);
-                            if u >= base && u - base < span {
-                                mine[u - base].push(e.v);
-                            }
-                            if v >= base && v - base < span {
-                                mine[v - base].push(e.u);
-                            }
-                        }
-                    });
-                }
-            });
+        for e in edges {
+            self.adj[e.u as usize].push(e.v);
+            self.adj[e.v as usize].push(e.u);
         }
         self.m += edges.len();
         Ok(())
@@ -394,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_insert_is_bit_identical_to_sequential() {
+    fn insert_edges_is_bit_identical_to_per_edge_loop() {
         let edges: Vec<Edge> = [(0, 9), (3, 4), (9, 1), (2, 7), (5, 6), (0, 5), (8, 2), (7, 9)]
             .into_iter()
             .map(|(u, v)| Edge::new(u, v))
@@ -403,30 +357,28 @@ mod tests {
         for e in &edges {
             seq.insert_edge(e.u, e.v).unwrap();
         }
-        for bounds in [vec![10], vec![5, 10], vec![3, 6, 8, 10], vec![0, 10]] {
-            let mut sharded = Graph::new(10);
-            sharded.insert_edges_sharded(&edges, &bounds).unwrap();
-            assert_eq!(sharded.num_edges(), seq.num_edges());
-            for v in 0..10 {
-                // Element-for-element, not just as sets: the sharded path
-                // must preserve the sequential push order per list.
-                assert_eq!(sharded.neighbors(v), seq.neighbors(v), "vertex {v} bounds {bounds:?}");
-            }
+        let mut batched = Graph::new(10);
+        batched.insert_edges(&edges).unwrap();
+        assert_eq!(batched.num_edges(), seq.num_edges());
+        for v in 0..10 {
+            // Element-for-element, not just as sets: the batch insert must
+            // preserve the per-edge push order of every list.
+            assert_eq!(batched.neighbors(v), seq.neighbors(v), "vertex {v}");
         }
     }
 
     #[test]
-    fn sharded_insert_rejects_bad_batches_atomically() {
+    fn insert_edges_rejects_bad_batches_atomically() {
         let mut g = path(4);
         let before = g.clone();
         // Duplicate against the existing graph.
-        let err = g.insert_edges_sharded(&[Edge::new(0, 2), Edge::new(1, 2)], &[2, 4]).unwrap_err();
+        let err = g.insert_edges(&[Edge::new(0, 2), Edge::new(1, 2)]).unwrap_err();
         assert!(matches!(err, GraphError::EdgeConflict { inserting: true, .. }));
         // Intra-batch duplicate.
-        let err = g.insert_edges_sharded(&[Edge::new(0, 2), Edge::new(2, 0)], &[2, 4]).unwrap_err();
+        let err = g.insert_edges(&[Edge::new(0, 2), Edge::new(2, 0)]).unwrap_err();
         assert!(matches!(err, GraphError::EdgeConflict { inserting: true, .. }));
         // Out of range.
-        let err = g.insert_edges_sharded(&[Edge { u: 0, v: 7 }], &[2, 4]).unwrap_err();
+        let err = g.insert_edges(&[Edge { u: 0, v: 7 }]).unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfBounds { .. }));
         assert!(g.is_isomorphic_identity(&before));
         assert_eq!(g.num_edges(), before.num_edges());

@@ -67,9 +67,10 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Parse a kernel name as accepted by `AVT_KERNEL` / `--kernel`.
+    /// Parse a kernel name as accepted by `AVT_KERNEL` / `--kernel`,
+    /// ignoring surrounding whitespace like the numeric axes do.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
+        match s.trim() {
             "scalar" => Some(Kernel::Scalar),
             "branchless" => Some(Kernel::Branchless),
             _ => None,
@@ -508,6 +509,9 @@ mod tests {
         assert_eq!(Kernel::parse("scalar"), Some(Kernel::Scalar));
         assert_eq!(Kernel::parse("branchless"), Some(Kernel::Branchless));
         assert_eq!(Kernel::parse("simd"), None);
+        assert_eq!(Kernel::parse("branchless "), Some(Kernel::Branchless));
+        assert_eq!(Kernel::parse(" scalar\n"), Some(Kernel::Scalar));
+        assert_eq!(Kernel::parse(" "), None);
         assert_eq!(Kernel::parse(&Kernel::Scalar.to_string()), Some(Kernel::Scalar));
         assert_eq!(Kernel::parse(&Kernel::Branchless.to_string()), Some(Kernel::Branchless));
     }

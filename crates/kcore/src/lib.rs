@@ -13,6 +13,9 @@
 //!   a graph bundled with an always-valid K-order that is updated *locally*
 //!   under edge insertions (`EdgeInsert`, Algorithm 4) and deletions
 //!   (`EdgeRemove`, Algorithm 5), instead of being rebuilt per snapshot.
+//!   [`MaintainedCore::apply_batch`] is its one batch entry point: a
+//!   batch's insertions are screened and repaired together, on the
+//!   calling thread.
 //! * [`verify`] — from-scratch invariant checkers used heavily by the test
 //!   suite: core-number correctness against an independent peel oracle and
 //!   K-order validity via replaying the stored order as a peel.
@@ -51,7 +54,6 @@ pub mod kernels;
 pub mod korder;
 pub mod maintain;
 pub mod mcd;
-pub mod shards;
 pub mod shell;
 pub mod spectrum;
 pub mod verify;
@@ -59,8 +61,7 @@ pub mod verify;
 pub use decompose::{CoreDecomposition, ANCHOR_CORE};
 pub use kernels::Kernel;
 pub use korder::KOrder;
-pub use maintain::{BatchStats, ChangeSet, MaintainedCore};
+pub use maintain::{ChangeSet, MaintainedCore};
 pub use mcd::{max_core_degree, max_core_degrees};
-pub use shards::{set_write_shards, write_shards};
 pub use shell::{k_core_members, k_core_size, shell_members};
 pub use spectrum::CoreSpectrum;

@@ -55,13 +55,11 @@
 //! compared against.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use avt_graph::{Edge, EdgeBatch, Graph, GraphError, VertexId};
 
 use crate::kernels;
 use crate::korder::KOrder;
-use crate::shards;
 
 /// Vertices whose core number changed while applying updates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -98,20 +96,6 @@ impl ChangeSet {
         self.demoted.sort_unstable();
         self.demoted.dedup();
     }
-}
-
-/// Writer-side observability for one batch apply, surfaced through the
-/// serve layer's `STATS` verb.
-#[derive(Debug, Clone, Default)]
-pub struct BatchStats {
-    /// Wall-clock micros each shard spent in its parallel screen pass
-    /// (empty with one shard, whose screen runs on the calling thread).
-    pub shard_us: Vec<u64>,
-    /// Levels re-peeled by the sequential bottom-up repair pass.
-    pub levels_repaired: u32,
-    /// Wall-clock micros the sequential bottom-up repair pass took
-    /// (0 for a batch without insertions).
-    pub repair_us: u64,
 }
 
 /// Epoch-stamped scratch space so maintenance never allocates per edge.
@@ -217,7 +201,7 @@ impl MaintainedCore {
     /// module docs). Returns the promoted vertices.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<ChangeSet, GraphError> {
         let mut changes = ChangeSet::default();
-        self.insert_batch(&[Edge { u, v }], 1, &mut changes)?;
+        self.insert_batch(&[Edge { u, v }], &mut changes)?;
         changes.dedup();
         Ok(changes)
     }
@@ -265,104 +249,32 @@ impl MaintainedCore {
     /// `EdgeInsert` + `EdgeRemove` pair from Algorithm 6, lines 7-8.
     ///
     /// The insertions are screened and repaired together (see the module
-    /// docs); the shard count of the screen comes from the process-wide
-    /// [`shards`] axis. Cores are a function of the graph alone, so the
-    /// result is bit-identical at every shard count.
-    pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<ChangeSet, GraphError> {
-        self.apply_batch_timed(batch).map(|(changes, _)| changes)
-    }
-
-    /// [`Self::apply_batch`] plus per-shard timing, for the serve layer's
-    /// writer latency histograms. The shard count comes from the process-wide
-    /// [`shards::write_shards`] axis.
-    pub fn apply_batch_timed(
-        &mut self,
-        batch: &EdgeBatch,
-    ) -> Result<(ChangeSet, BatchStats), GraphError> {
-        self.apply_batch_with_shards(batch, shards::write_shards())
-    }
-
-    /// [`Self::apply_batch_timed`] with an explicit shard count,
-    /// bypassing the process-wide axis — the equivalence tests compare
-    /// shard counts side by side without racing on the global knob.
-    ///
-    /// Deletions run edge at a time after the insertions: the demotion
+    /// docs). Deletions run edge at a time after them: the demotion
     /// cascade is inherently sequential and deletions are the minority of
     /// churn.
-    pub fn apply_batch_with_shards(
-        &mut self,
-        batch: &EdgeBatch,
-        shards: u32,
-    ) -> Result<(ChangeSet, BatchStats), GraphError> {
+    pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<ChangeSet, GraphError> {
         let mut changes = ChangeSet::default();
-        let stats = if batch.insertions.is_empty() {
-            BatchStats::default()
-        } else {
-            self.insert_batch(&batch.insertions, shards, &mut changes)?
-        };
+        self.insert_batch(&batch.insertions, &mut changes)?;
         for e in &batch.deletions {
             changes.absorb(self.remove_edge(e.u, e.v)?);
         }
         changes.dedup();
-        Ok((changes, stats))
+        Ok(changes)
     }
 
     /// Insert `edges` and repair the K-order, adding the promoted vertices
     /// to `changes`: adjacency pushes, the dirty screen, then one
-    /// sequential bottom-up repair (module docs). With more than one shard
-    /// the pushes and the screen run on scoped threads, one per vertex
-    /// range; with one they run on the calling thread and report no shard
-    /// timings.
-    fn insert_batch(
-        &mut self,
-        edges: &[Edge],
-        shards: u32,
-        changes: &mut ChangeSet,
-    ) -> Result<BatchStats, GraphError> {
-        let bounds = shards::shard_bounds(self.graph.num_vertices(), shards);
-        let mut stats = BatchStats::default();
-
-        // Validation is sequential and up-front, so a rejected batch
-        // leaves the graph untouched, and the graph it produces is
-        // bit-identical to an edge-at-a-time insertion loop at any shard
-        // count.
-        self.graph.insert_edges_sharded(edges, &bounds)?;
-
-        let mut dirty = if bounds.len() <= 1 {
-            screen(&self.graph, &self.korder, edges, |_| true)
-        } else {
-            // Each shard screens the smaller endpoints it owns against the
-            // updated graph.
-            let (graph, korder, bounds) = (&self.graph, &self.korder, &bounds);
-            let mut dirty = BTreeMap::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..bounds.len())
-                    .map(|si| {
-                        s.spawn(move || {
-                            let start = Instant::now();
-                            let local = screen(graph, korder, edges, |w| {
-                                shards::shard_of(w as usize, bounds) == si
-                            });
-                            (start.elapsed().as_micros() as u64, local)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let (us, local) = h.join().expect("screen shard panicked");
-                    stats.shard_us.push(us);
-                    for w in local.into_values() {
-                        keep_earliest(korder, &mut dirty, w);
-                    }
-                }
-            });
-            dirty
-        };
+    /// bottom-up repair (module docs).
+    fn insert_batch(&mut self, edges: &[Edge], changes: &mut ChangeSet) -> Result<(), GraphError> {
+        // Validation is up-front, so a rejected batch leaves the graph
+        // untouched, and the graph it produces is bit-identical to an
+        // edge-at-a-time insertion loop.
+        self.graph.insert_edges(edges)?;
+        let mut dirty = screen(&self.graph, &self.korder, edges);
 
         // Bottom-up repair. `carry` holds detached survivors being spliced
         // upward; a level is peeled when it is dirty or when a carry
-        // reaches it. Timed as one block: against the parallel screen, the
-        // serial tail is what the telemetry wants.
-        let repair_start = Instant::now();
+        // reaches it.
         let mut carry: Vec<VertexId> = Vec::new();
         let mut k = 0u32;
         loop {
@@ -401,12 +313,10 @@ impl MaintainedCore {
             level.extend_from_slice(&order);
             self.korder.install_level(k, &level);
             changes.promoted.extend_from_slice(&survivors);
-            stats.levels_repaired += 1;
             carry = survivors;
             k += 1;
         }
-        stats.repair_us = repair_start.elapsed().as_micros() as u64;
-        Ok(stats)
+        Ok(())
     }
 
     /// Queue-peel the given members at `lvl`: repeatedly remove any member
@@ -558,37 +468,26 @@ impl MaintainedCore {
     }
 }
 
-/// The screen: for the new edges whose ⪯-smaller endpoint `w` passes
-/// `owns`, the dirty endpoints — those with `deg+(w) > core(w)` in the
-/// updated graph — keyed by level, keeping each level's ⪯-earliest one.
-/// `korder` is the pre-batch order.
-fn screen(
-    graph: &Graph,
-    korder: &KOrder,
-    edges: &[Edge],
-    owns: impl Fn(VertexId) -> bool,
-) -> BTreeMap<u32, VertexId> {
-    let mut dirty = BTreeMap::new();
+/// The screen: over the ⪯-smaller endpoints `w` of the new edges, the
+/// dirty ones — those with `deg+(w) > core(w)` in the updated graph —
+/// keyed by level, keeping each level's ⪯-earliest one. `korder` is the
+/// pre-batch order.
+fn screen(graph: &Graph, korder: &KOrder, edges: &[Edge]) -> BTreeMap<u32, VertexId> {
+    let mut dirty: BTreeMap<u32, VertexId> = BTreeMap::new();
     for e in edges {
         let w = if korder.precedes(e.u, e.v) { e.u } else { e.v };
-        if owns(w) && korder.deg_plus(graph, w) > korder.core(w) {
-            keep_earliest(korder, &mut dirty, w);
+        if korder.deg_plus(graph, w) > korder.core(w) {
+            dirty
+                .entry(korder.core(w))
+                .and_modify(|earliest| {
+                    if korder.precedes(w, *earliest) {
+                        *earliest = w;
+                    }
+                })
+                .or_insert(w);
         }
     }
     dirty
-}
-
-/// Record the dirty endpoint `w` at its level unless an ⪯-earlier one is
-/// already there.
-fn keep_earliest(korder: &KOrder, dirty: &mut BTreeMap<u32, VertexId>, w: VertexId) {
-    dirty
-        .entry(korder.core(w))
-        .and_modify(|e| {
-            if korder.precedes(w, *e) {
-                *e = w;
-            }
-        })
-        .or_insert(w);
 }
 
 #[cfg(test)]
@@ -797,19 +696,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batch_matches_per_edge_and_oracle() {
-        // Random churn applied batch-wise: every shard count must produce
-        // the same graph (bit for bit) as edge-at-a-time `insert_edge` /
-        // `remove_edge`, the same change sets, the cores of the
-        // from-scratch peel, and a valid K-order of its own.
+    fn batch_matches_per_edge_and_oracle() {
+        // Random churn applied batch-wise must produce the same graph (bit
+        // for bit) as edge-at-a-time `insert_edge` / `remove_edge`, the
+        // same change sets, the cores of the from-scratch peel, and a
+        // valid K-order of its own.
         use rand::{Rng, SeedableRng};
         for seed in [7u64, 99, 2024] {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             let n = 48usize;
             let mut per_edge = MaintainedCore::new(Graph::new(n));
-            let counts = [1u32, 2, 4, 7];
-            let mut sharded: Vec<MaintainedCore> =
-                vec![MaintainedCore::new(Graph::new(n)); counts.len()];
+            let mut batched = MaintainedCore::new(Graph::new(n));
             let mut present: Vec<(VertexId, VertexId)> = Vec::new();
             for _ in 0..25 {
                 let mut ins = Vec::new();
@@ -848,18 +745,13 @@ mod tests {
                 for v in 0..n as VertexId {
                     assert_eq!(per_edge.core(v), oracle.core(v), "edge-at-a-time core({v})");
                 }
-                for (mc, &shards) in sharded.iter_mut().zip(&counts) {
-                    let (ch, stats) = mc.apply_batch_with_shards(&batch, shards).unwrap();
-                    assert_eq!(ch, reference, "changes diverged at {shards} shards");
-                    // One shard screens on the calling thread, untimed.
-                    let timed = if shards == 1 || batch.insertions.is_empty() { 0 } else { shards };
-                    assert_eq!(stats.shard_us.len(), timed as usize);
-                    assert!(mc.graph().is_isomorphic_identity(per_edge.graph()));
-                    for v in 0..n as VertexId {
-                        assert_eq!(mc.core(v), oracle.core(v), "core({v}) at {shards} shards");
-                    }
-                    assert_synced(mc);
+                let ch = batched.apply_batch(&batch).unwrap();
+                assert_eq!(ch, reference, "batched changes diverged");
+                assert!(batched.graph().is_isomorphic_identity(per_edge.graph()));
+                for v in 0..n as VertexId {
+                    assert_eq!(batched.core(v), oracle.core(v), "batched core({v})");
                 }
+                assert_synced(&batched);
             }
         }
     }
@@ -887,7 +779,7 @@ mod tests {
         assert!(from > 0, "the prefix must be non-empty for the skip to show");
 
         let visited = mc.visited_vertices();
-        let ch = mc.apply_batch_with_shards(&EdgeBatch::from_pairs(chords, []), 1).unwrap().0;
+        let ch = mc.apply_batch(&EdgeBatch::from_pairs(chords, [])).unwrap();
         assert!(ch.is_empty());
         assert_eq!(mc.visited_vertices() - visited, 2 * (level.len() - from) as u64);
         assert!(mc.graph().vertices().all(|v| mc.core(v) == 2));
@@ -895,34 +787,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batch_promotes_across_multiple_levels() {
+    fn batch_promotes_across_multiple_levels() {
         // One batch that lifts a vertex by more than one level: vertex 5
         // starts isolated (core 0) and the batch wires it into a K5's
         // worth of edges, so the carry must ascend through several peels.
-        for shards in [1, 3] {
-            let g = Graph::from_edges(
-                6,
-                [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
-            )
-            .unwrap();
-            let mut mc = MaintainedCore::new(g);
-            assert_eq!(mc.core(5), 0);
-            let batch = EdgeBatch::from_pairs([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)], []);
-            let (ch, _) = mc.apply_batch_with_shards(&batch, shards).unwrap();
-            assert!(mc.graph().vertices().all(|v| mc.core(v) == 5));
-            assert_eq!(ch.promoted.len(), 6);
-            assert_synced(&mc);
-        }
+        let g = Graph::from_edges(
+            6,
+            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        )
+        .unwrap();
+        let mut mc = MaintainedCore::new(g);
+        assert_eq!(mc.core(5), 0);
+        let batch = EdgeBatch::from_pairs([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)], []);
+        let ch = mc.apply_batch(&batch).unwrap();
+        assert!(mc.graph().vertices().all(|v| mc.core(v) == 5));
+        assert_eq!(ch.promoted.len(), 6);
+        assert_synced(&mc);
     }
 
     #[test]
-    fn sharded_batch_rejects_bad_edges() {
+    fn batch_rejects_bad_edges() {
         let g = Graph::from_edges(3, [(0, 1)]).unwrap();
         let mut mc = MaintainedCore::new(g);
         let dup = EdgeBatch::from_pairs([(0, 1)], []);
-        assert!(mc.apply_batch_with_shards(&dup, 2).is_err());
+        assert!(mc.apply_batch(&dup).is_err());
         let missing = EdgeBatch::from_pairs([], [(1, 2)]);
-        assert!(mc.apply_batch_with_shards(&missing, 2).is_err());
+        assert!(mc.apply_batch(&missing).is_err());
         assert_synced(&mc);
     }
 

@@ -27,7 +27,7 @@ pub enum Stage {
     /// Write path only: admission staging/folding inside the watermark
     /// buffer.
     Admit,
-    /// Write path only: batch publish (sharded screen + repair) into the
+    /// Write path only: batch publish (screen + repair) into the
     /// timeline.
     Publish,
     /// Executor service time (for writes: whatever `run_job` spent

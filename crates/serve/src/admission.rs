@@ -33,7 +33,7 @@ use std::time::Instant;
 use avt_graph::{EdgeBatch, GraphError, VertexId};
 use avt_obs::{Histogram, Registry, Span, Stage};
 
-use crate::protocol::{ShardLatency, WriterStats};
+use crate::protocol::WriterStats;
 use crate::timeline::LiveTimeline;
 
 /// One edge event inside an `INGEST` request: an insertion or deletion
@@ -75,9 +75,6 @@ struct Inner {
     staged: BTreeMap<u64, Vec<IngestEvent>>,
     /// Events dropped by the publish-time sanitizer.
     dropped: u64,
-    /// `avt_writer_shard_us{shard=…}`: per-shard screen times, registered
-    /// on the first batch that fans out that far.
-    shards: Vec<Arc<Histogram>>,
 }
 
 /// The watermark buffer in front of a [`LiveTimeline`].
@@ -130,12 +127,7 @@ impl Admission {
         Admission {
             timeline,
             lag,
-            inner: Mutex::new(Inner {
-                watermark: 0,
-                staged: BTreeMap::new(),
-                dropped: 0,
-                shards: Vec::new(),
-            }),
+            inner: Mutex::new(Inner { watermark: 0, staged: BTreeMap::new(), dropped: 0 }),
             accepted: AtomicU64::new(0),
             folded: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -234,24 +226,10 @@ impl Admission {
             let events = inner.staged.get(&ts).expect("first key exists");
             let (batch, dropped) = self.sanitize(events);
             let start = Instant::now();
-            let report = self.timeline.apply_batch(batch)?;
+            self.timeline.apply_batch(batch)?;
             self.publish.record(start.elapsed().as_micros() as u64);
             inner.staged.remove(&ts);
             inner.dropped += dropped;
-            // Shard and repair timings are recorded only when the screen
-            // fanned out, so a default one-shard writer adds no series to
-            // METRICS and no `wshards` to STATS.
-            let timings = &report.batch_stats;
-            if !timings.shard_us.is_empty() {
-                self.registry.histogram("avt_writer_repair_us").record(timings.repair_us);
-            }
-            for (i, &us) in timings.shard_us.iter().enumerate() {
-                if inner.shards.len() <= i {
-                    let name = format!("avt_writer_shard_us{{shard=\"{i}\"}}");
-                    inner.shards.push(self.registry.histogram(&name));
-                }
-                inner.shards[i].record(us);
-            }
             published += 1;
         }
         Ok(published)
@@ -315,25 +293,11 @@ impl Admission {
             watermark_lag: oldest.map_or(0, |ts| inner.watermark.saturating_sub(ts)),
             publish_p50_us: publish.percentile(50.0),
             publish_p99_us: publish.percentile(99.0),
-            shards: inner
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    let s = h.snapshot();
-                    ShardLatency {
-                        shard: i as u32,
-                        count: s.count(),
-                        p50_us: s.percentile(50.0),
-                        p99_us: s.percentile(99.0),
-                    }
-                })
-                .collect(),
         }
     }
 
-    /// The writer's latency registry (publish, repair and per-shard
-    /// screen times), as `METRICS` renders it.
+    /// The writer's latency registry (the publish histogram), as
+    /// `METRICS` renders it.
     pub(crate) fn registry(&self) -> &Registry {
         &self.registry
     }

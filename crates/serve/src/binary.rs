@@ -52,7 +52,7 @@
 //! | `0x84` | anchored reply | u64 `t`, u32 `k`, u64 `size`, u32 `len`, `len` × u32 followers |
 //! | `0x85` | followers reply | u64 `t`, u32 `k`, u32 `anchor`, u32 `len`, `len` × u32 followers |
 //! | `0x86` | best reply | u64 `t`, u32 `k`, u8 algo, u64 `visited`, u64 `probed`, u32 `alen`, u32 `flen`, anchors, followers |
-//! | `0x87` | stats reply | u64 `epochs`, u64 `served`, u64 `errors`, u64 `p50`, u64 `p99`, u8 `ops`, `ops` × (u8 op, u64 count, u64 p50, u64 p99), [writer block] |
+//! | `0x87` | stats reply | u64 `epochs`, u64 `served`, u64 `errors`, u64 `p50`, u64 `p99`, u8 `ops`, `ops` × (u8 op, u64 count, u64 p50, u64 p99), [writer block, ending at publish u64 `p99`] |
 //! | `0x88` | ingest reply | u64 `t`, u64 `accepted`, u64 `folded`, u64 `rejected`, u64 `watermark` |
 //! | `0x89` | metrics reply | u32 `len`, `len` bytes of UTF-8 exposition text |
 //! | `0x8A` | trace reply | u32 `count`, `count` × (u16 `oplen`, op bytes, u64 `total_us`, u8 `nstages`, `nstages` × (u16 `slen`, stage bytes, u64 `us`)) |
@@ -62,9 +62,11 @@
 //! The stats **writer block** is optional: it is simply absent (zero
 //! further bytes) on read-only services, and otherwise a `1` byte
 //! followed by u64 `batches`, u64 `accepted`, u64 `folded`, u64
-//! `rejected`, u64 `dropped`, u64 `watermark`, u64 `lag`, u64 `p50`,
-//! u64 `p99`, u8 `nshards`, `nshards` × (u32 shard, u64 count, u64 p50,
-//! u64 p99). Frames from pre-writer peers therefore still decode.
+//! `rejected`, u64 `dropped`, u64 `watermark`, u64 `lag`, u64 `p50` and
+//! u64 `p99` (the epoch-publish percentiles), which end the payload.
+//! Frames from pre-writer peers therefore still decode. A layout change
+//! that both ends pick up together keeps version `1`: every peer encodes
+//! and decodes through this crate's [`BinaryCodec`].
 //!
 //! Optional microsecond percentiles travel as u64 with `u64::MAX`
 //! meaning "absent". A malformed *payload* (bad opcode, wrong length,
@@ -75,8 +77,8 @@
 
 use crate::codec::{Codec, WireRequest, WireVerb};
 use crate::protocol::{
-    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, TraceEntry, WriterStats,
-    MAX_ANCHORS, MAX_INGEST_EVENTS, MAX_TRACE,
+    BestAlgo, OpClass, OpLatency, Request, Response, TraceEntry, WriterStats, MAX_ANCHORS,
+    MAX_INGEST_EVENTS, MAX_TRACE,
 };
 use avt_graph::VertexId;
 
@@ -355,13 +357,6 @@ fn response_payload(response: &Response) -> (u8, Vec<u8>) {
                 put_u64(&mut p, w.watermark_lag);
                 put_opt_us(&mut p, w.publish_p50_us);
                 put_opt_us(&mut p, w.publish_p99_us);
-                p.push(w.shards.len() as u8);
-                for s in &w.shards {
-                    put_u32(&mut p, s.shard);
-                    put_u64(&mut p, s.count);
-                    put_opt_us(&mut p, s.p50_us);
-                    put_opt_us(&mut p, s.p99_us);
-                }
             }
             op_of(OpClass::Stats) | OP_OK_BIT
         }
@@ -552,7 +547,7 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, Strin
                 if c.u8()? != 1 {
                     return Err("bad writer-block flag in stats reply".into());
                 }
-                let mut w = WriterStats {
+                Some(WriterStats {
                     batches_applied: c.u64()?,
                     events_accepted: c.u64()?,
                     events_folded: c.u64()?,
@@ -562,17 +557,7 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, Strin
                     watermark_lag: c.u64()?,
                     publish_p50_us: c.opt_us()?,
                     publish_p99_us: c.opt_us()?,
-                    shards: Vec::new(),
-                };
-                for _ in 0..c.u8()? {
-                    w.shards.push(ShardLatency {
-                        shard: c.u32()?,
-                        count: c.u64()?,
-                        p50_us: c.opt_us()?,
-                        p99_us: c.opt_us()?,
-                    });
-                }
-                Some(w)
+                })
             };
             Response::Stats { epochs, served, errors, p50_us, p99_us, per_op, writer }
         }
@@ -772,10 +757,6 @@ mod tests {
                     watermark_lag: 2,
                     publish_p50_us: Some(120),
                     publish_p99_us: None,
-                    shards: vec![
-                        ShardLatency { shard: 0, count: 11, p50_us: Some(30), p99_us: Some(55) },
-                        ShardLatency { shard: 1, count: 11, p50_us: None, p99_us: None },
-                    ],
                 }),
             },
             Response::Ingest { t: 5, accepted: 3, folded: 1, rejected: 0, watermark: 9 },

@@ -33,8 +33,8 @@
 //! difference the front-end sees between the two formats.
 
 use crate::protocol::{
-    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, TraceEntry, WriterStats,
-    MAX_ANCHORS, MAX_INGEST_EVENTS, MAX_TRACE,
+    BestAlgo, OpClass, OpLatency, Request, Response, TraceEntry, WriterStats, MAX_ANCHORS,
+    MAX_INGEST_EVENTS, MAX_TRACE,
 };
 use avt_graph::VertexId;
 
@@ -403,36 +403,7 @@ fn parse_writer(value: &str) -> Result<WriterStats, String> {
         watermark_lag: parse_num("writer lag", lag)?,
         publish_p50_us: parse_opt_us("writer p50", p50)?,
         publish_p99_us: parse_opt_us("writer p99", p99)?,
-        shards: Vec::new(),
     })
-}
-
-/// Render the `wshards=` field value: `shard:count:p50:p99` entries
-/// joined by commas, like `ops=`.
-fn join_shards(shards: &[ShardLatency]) -> String {
-    shards
-        .iter()
-        .map(|s| format!("{}:{}:{}:{}", s.shard, s.count, opt_us(s.p50_us), opt_us(s.p99_us)))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_shards(value: &str) -> Result<Vec<ShardLatency>, String> {
-    value
-        .split(',')
-        .map(|entry| {
-            let parts: Vec<&str> = entry.split(':').collect();
-            let [shard, count, p50, p99] = parts[..] else {
-                return Err(format!("malformed wshards entry {entry:?}"));
-            };
-            Ok(ShardLatency {
-                shard: parse_num("wshards shard", shard)?,
-                count: parse_num("wshards count", count)?,
-                p50_us: parse_opt_us("wshards p50", p50)?,
-                p99_us: parse_opt_us("wshards p99", p99)?,
-            })
-        })
-        .collect()
 }
 
 /// Escape a free-form string for a `key=value` text field: `%`, spaces,
@@ -584,9 +555,6 @@ pub(crate) fn text_ok_line(response: &Response) -> String {
             // line byte for byte.
             if let Some(w) = writer {
                 line.push_str(&format!(" writer={}", join_writer(w)));
-                if !w.shards.is_empty() {
-                    line.push_str(&format!(" wshards={}", join_shards(&w.shards)));
-                }
             }
             line
         }
@@ -684,16 +652,7 @@ pub(crate) fn parse_text_response_line(line: &str) -> Result<Response, String> {
                 None => Vec::new(),
             },
             // Optional: absent on read-only deployments.
-            writer: match fields.get("writer") {
-                Some(value) => {
-                    let mut w = parse_writer(value)?;
-                    if let Some(shards) = fields.get("wshards") {
-                        w.shards = parse_shards(shards)?;
-                    }
-                    Some(w)
-                }
-                None => None,
-            },
+            writer: fields.get("writer").map(|value| parse_writer(value)).transpose()?,
         },
         "ingest" => Response::Ingest {
             t: parse_num("t", &get("t")?)?,
@@ -845,10 +804,6 @@ mod tests {
                     watermark_lag: 2,
                     publish_p50_us: Some(120),
                     publish_p99_us: None,
-                    shards: vec![
-                        ShardLatency { shard: 0, count: 11, p50_us: Some(30), p99_us: Some(55) },
-                        ShardLatency { shard: 1, count: 11, p50_us: None, p99_us: None },
-                    ],
                 }),
             },
             Response::Stats {

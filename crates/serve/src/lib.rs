@@ -81,9 +81,7 @@ pub use codec::{Codec, TextCodec, WireRequest, WireVerb};
 pub use conn::Conn;
 pub use event_loop::EventFront;
 pub use executor::{execute, QueryCallback, Service, ServiceConfig, ShutdownReport, SubmitError};
-pub use protocol::{
-    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, TraceEntry, WriterStats,
-};
+pub use protocol::{BestAlgo, OpClass, OpLatency, Request, Response, TraceEntry, WriterStats};
 pub use stats::ServiceStats;
 pub use tcp::TcpFront;
 pub use timeline::{EpochFrame, EpochReport, LiveTimeline};

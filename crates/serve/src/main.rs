@@ -4,7 +4,7 @@
 //! avt-serve [--addr 127.0.0.1:7171] [--workers 2] [--scale 0.02]
 //!           [--epochs 30] [--epoch-ms 100] [--seed 42] [--spill DIR]
 //!           [--front epoll|threads] [--max-connections N]
-//!           [--write-shards N] [--ingest-lag T] [--slow-us N]
+//!           [--ingest-lag T] [--slow-us N]
 //! ```
 //!
 //! Starts a [`avt_serve::LiveTimeline`] on a churned dataset stream (the
@@ -20,8 +20,9 @@
 //! All writes — the scripted churn script and client `INGEST` requests
 //! alike — funnel through one [`avt_serve::Admission`] watermark buffer,
 //! so out-of-order arrivals within the `--ingest-lag` window fold into
-//! the right epoch and `--write-shards` governs how many range shards
-//! each published batch is peeled across.
+//! the right epoch. Each published batch is repaired once, under the
+//! timeline's writer lock, by the batched K-order maintenance of
+//! [`avt_kcore::MaintainedCore::apply_batch`].
 //!
 //! Exit status: 0 on a clean drain, 1 if any query worker panicked, 2 on
 //! usage errors.
@@ -57,9 +58,6 @@ options:
                     `threads` (one handler thread per connection)
   --max-connections N  concurrent connection cap (default 8192 for the
                     epoll front, 64 for the threaded one)
-  --write-shards N  range shards for batch peeling (default: the
-                    AVT_WRITE_SHARDS env var, else 1 = the sequential
-                    single-writer path; results are bit-identical)
   --ingest-lag T    out-of-order admission window in timestamp units:
                     a batch at ts publishes once the watermark passes
                     ts + T; older events are rejected as stale
@@ -85,7 +83,6 @@ struct Args {
     spill: Option<std::path::PathBuf>,
     threaded_front: bool,
     max_connections: Option<usize>,
-    write_shards: Option<u32>,
     ingest_lag: u64,
     slow_us: Option<u64>,
 }
@@ -101,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
         spill: None,
         threaded_front: false,
         max_connections: None,
-        write_shards: None,
         ingest_lag: 4,
         slow_us: None,
     };
@@ -132,9 +128,6 @@ fn parse_args() -> Result<Args, String> {
                 args.max_connections =
                     Some(value.parse().map_err(|e| format!("--max-connections: {e}"))?)
             }
-            "--write-shards" => {
-                args.write_shards = Some(value.parse().map_err(|e| format!("--write-shards: {e}"))?)
-            }
             "--ingest-lag" => {
                 args.ingest_lag = value.parse().map_err(|e| format!("--ingest-lag: {e}"))?
             }
@@ -149,9 +142,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.epochs < 1 {
         return Err("--epochs must be at least 1".into());
-    }
-    if args.write_shards == Some(0) {
-        return Err("--write-shards must be at least 1".into());
     }
     Ok(Args { workers: args.workers.max(1), ..args })
 }
@@ -177,15 +167,6 @@ fn main() -> ExitCode {
         batches.len(),
         args.scale,
         args.seed
-    );
-
-    if let Some(n) = args.write_shards {
-        avt_kcore::set_write_shards(n);
-    }
-    eprintln!(
-        "# writer: {} shard(s), admission lag {}",
-        avt_kcore::write_shards(),
-        args.ingest_lag
     );
 
     if let Some(us) = args.slow_us {

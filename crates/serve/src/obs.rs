@@ -19,8 +19,6 @@
 //! | `avt_errors_total` | counter | — | service | every error reply |
 //! | `avt_request_us` | histogram | `op` | service | executor service time |
 //! | `avt_writer_publish_us` | histogram | — | admission | each published batch |
-//! | `avt_writer_shard_us` | histogram | `shard` | admission | per-shard screen phase |
-//! | `avt_writer_repair_us` | histogram | — | admission | bottom-up repair phase |
 //! | `avt_stage_us` | histogram | `op`, `stage` | process | span finish (front-end requests) |
 
 use std::sync::{Arc, OnceLock};

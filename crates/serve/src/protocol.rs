@@ -252,20 +252,6 @@ pub struct OpLatency {
     pub p99_us: Option<u64>,
 }
 
-/// Latency summary of one writer shard's parallel screen pass, as
-/// reported by `STATS` when the sharded writer is active.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLatency {
-    /// Shard index (vertex-range position).
-    pub shard: u32,
-    /// Batches this shard has screened.
-    pub count: u64,
-    /// p50 screen time in µs (absent before the first sample).
-    pub p50_us: Option<u64>,
-    /// p99 screen time in µs (absent before the first sample).
-    pub p99_us: Option<u64>,
-}
-
 /// Writer-path counters carried by [`Response::Stats`] when the service
 /// runs with write admission (the `INGEST` path). Absent on read-only
 /// deployments, which also keeps the legacy text `STATS` line
@@ -294,9 +280,6 @@ pub struct WriterStats {
     pub publish_p50_us: Option<u64>,
     /// p99 epoch-publish latency in µs (absent before the first epoch).
     pub publish_p99_us: Option<u64>,
-    /// Per-shard screen-time percentiles (empty while the writer runs
-    /// unsharded or before the first sharded batch).
-    pub shards: Vec<ShardLatency>,
 }
 
 /// A successful response. The server answers rejected requests with a

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use avt_graph::{
     CsrGraph, EdgeBatch, EvolvingGraph, FrameSource, Graph, GraphError, MmapFrames, VertexId,
 };
-use avt_kcore::{BatchStats, ChangeSet, MaintainedCore};
+use avt_kcore::{ChangeSet, MaintainedCore};
 
 /// One published epoch: the frozen frame plus the core numbers the writer
 /// maintained for it. Immutable once published; readers share it by `Arc`.
@@ -71,9 +71,6 @@ pub struct EpochReport {
     pub epoch: Arc<EpochFrame>,
     /// Vertices whose core number changed, from the maintenance layer.
     pub changes: ChangeSet,
-    /// Maintenance-side timing for the apply (per-shard screen micros
-    /// when the screen ran on more than one shard; empty with one).
-    pub batch_stats: BatchStats,
 }
 
 /// Writer-side state, guarded by one mutex: there is exactly one logical
@@ -160,9 +157,9 @@ impl LiveTimeline {
         // Derive-and-validate first; only a clean batch reaches the
         // incremental maintenance below.
         let next = Arc::new(w.frame.apply_batch(&batch)?);
-        let (changes, batch_stats) = w
+        let changes = w
             .maintained
-            .apply_batch_timed(&batch)
+            .apply_batch(&batch)
             .expect("batch already validated against the published frame");
         w.history.push_batch(batch);
         w.frame = Arc::clone(&next);
@@ -173,7 +170,7 @@ impl LiveTimeline {
         ));
         *self.published.write().expect("publish lock poisoned") = Arc::clone(&epoch);
         self.epochs.fetch_add(1, Ordering::Relaxed);
-        Ok(EpochReport { epoch, changes, batch_stats })
+        Ok(EpochReport { epoch, changes })
     }
 
     /// True while at least one [`FrameSource::iter_frames`] iterator is

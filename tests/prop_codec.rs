@@ -9,9 +9,7 @@
 //! here holds for both wire formats end to end.
 
 use avt_serve::codec::{Codec, TextCodec, WireVerb};
-use avt_serve::protocol::{
-    BestAlgo, OpClass, OpLatency, Request, Response, ShardLatency, WriterStats,
-};
+use avt_serve::protocol::{BestAlgo, OpClass, OpLatency, Request, Response, WriterStats};
 use avt_serve::BinaryCodec;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -85,7 +83,7 @@ fn build_reply(
                 })
                 .collect(),
             // Half the drawn stats replies carry a writer block, built
-            // from the same raw values, with up to four shard rows.
+            // from the same raw values.
             writer: if v.is_multiple_of(2) {
                 None
             } else {
@@ -99,17 +97,6 @@ fn build_reply(
                     watermark_lag: a % 16,
                     publish_p50_us: opt(optional.0, c % 1_000),
                     publish_p99_us: opt(optional.1, c % 2_000),
-                    shards: list
-                        .iter()
-                        .take(4)
-                        .enumerate()
-                        .map(|(i, &x)| ShardLatency {
-                            shard: i as u32,
-                            count: x as u64,
-                            p50_us: opt(optional.0, x as u64 % 500),
-                            p99_us: opt(optional.1, x as u64 % 900),
-                        })
-                        .collect(),
                 })
             },
         },

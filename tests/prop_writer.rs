@@ -1,18 +1,11 @@
-//! Property tests for the sharded writer and the out-of-order admission
-//! buffer — the tentpole invariants of the write path:
+//! Property tests for the batch writer and the out-of-order admission
+//! buffer — the invariants of the write path:
 //!
 //! * **Order independence.** Any permutation of batch arrival inside the
 //!   admission lag window publishes the *same* epoch history: identical
 //!   edge sets, identical core numbers, identical spectra — bit for bit
 //!   the history the in-order delivery publishes, which in turn matches
 //!   the offline [`EvolvingGraph::frames`] replay.
-//! * **Shard equivalence.** Applying a batch across 1, 2, or 4 range
-//!   shards ([`MaintainedCore::apply_batch_with_shards`], the explicit
-//!   form of the `AVT_WRITE_SHARDS` axis) yields core numbers identical
-//!   to a from-scratch [`CoreDecomposition`], the oracle, at every epoch.
-//!   (The CI lane additionally reruns this whole workspace suite under
-//!   `AVT_WRITE_SHARDS=4`, which pushes the sharded path through every
-//!   service-level battery too.)
 //! * **Staleness.** Events older than the lag window are counted and
 //!   rejected — published history is append-only, never rewound.
 
@@ -127,38 +120,30 @@ proptest! {
         prop_assert_eq!(&base_cores, &last.2, "maintained cores diverged from from-scratch");
     }
 
-    /// Sharded batch peeling is bit-identical: 1, 2, and 4 range shards
-    /// maintain the core numbers of a from-scratch decomposition at every
+    /// Batched maintenance is exact: [`MaintainedCore::apply_batch`]
+    /// keeps the core numbers of a from-scratch decomposition at every
     /// epoch of the stream.
     #[test]
-    fn sharded_batch_apply_matches_unsharded_and_offline(
+    fn batch_apply_matches_offline(
         n in 12usize..28,
         m_factor in 1usize..4,
         seed in 0u64..200,
         snapshots in 2usize..6,
     ) {
         let eg = churned(gnm(n, m_factor * n, seed), snapshots, seed ^ 0x5eed);
-        let mut maintained: Vec<(u32, MaintainedCore)> = [1u32, 2, 4]
-            .into_iter()
-            .map(|s| (s, MaintainedCore::new(eg.initial().clone())))
-            .collect();
+        let mut mc = MaintainedCore::new(eg.initial().clone());
         for (t, frame) in eg.frames() {
             if t > 1 {
                 let batch = eg.batch(t - 1).expect("batch t-1 exists for epoch t");
-                for (shards, mc) in &mut maintained {
-                    mc.apply_batch_with_shards(batch, *shards)
-                        .unwrap_or_else(|e| panic!("apply with {shards} shard(s) at t={t}: {e}"));
-                }
+                mc.apply_batch(batch).unwrap_or_else(|e| panic!("apply at t={t}: {e}"));
             }
             let scratch = CoreDecomposition::compute(&frame);
-            for (shards, mc) in &maintained {
-                for v in frame.vertices() {
-                    prop_assert_eq!(
-                        mc.core(v),
-                        scratch.cores()[v as usize],
-                        "core({}) under {} shard(s) diverged at t={}", v, shards, t
-                    );
-                }
+            for v in frame.vertices() {
+                prop_assert_eq!(
+                    mc.core(v),
+                    scratch.cores()[v as usize],
+                    "core({}) diverged at t={}", v, t
+                );
             }
         }
     }
