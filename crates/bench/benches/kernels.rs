@@ -1,10 +1,7 @@
-//! Scalar-vs-branchless microbenchmarks of the `avt_kcore::kernels` axis,
+//! Microbenchmarks of the hot scan loops — the bucket peel, the follower
+//! scans, the anchored-state repairs, mcd counting and k-core membership —
 //! on both CSR substrates (resident [`CsrGraph`] and page-cache
-//! [`MmapCsr`]) — the numbers behind the PR 7 "kernels axis" claims.
-//!
-//! Each group runs the *same* workload under both kernel tables, switched
-//! with [`kernels::set_kernel`] (the shim executes benchmarks inline, so
-//! the switch takes effect for exactly the labelled runs):
+//! [`MmapCsr`]):
 //!
 //! * `kernels/peel` — full core decomposition (the bucket peel's
 //!   `deg > dv` scan + bucket moves).
@@ -21,12 +18,12 @@
 //! * `kernels/state-commit` — on the same state, commit the 10 anchors
 //!   Greedy picks on the `track` instance, then uncommit them in order:
 //!   twenty local repairs, which leave the state as it was built.
-//! * `kernels/mcd` — max-core-degree sweep over every vertex
-//!   (`count_ge` with one-range-ahead prefetch).
-//! * `kernels/members` — k-core membership compress over the core array.
+//! * `kernels/mcd` — max-core-degree sweep over every vertex.
+//! * `kernels/members` — k-core membership filter over the core array.
 //!
-//! Labels are `group/workload/{scalar,branchless}-{resident,mmap}`; smoke
-//! runs fold the medians into `bench-medians.json` (see the criterion shim).
+//! Labels are `kernels/<group>/{resident,mmap}`, and `kernels/members/k3`
+//! for the one substrate-free group; smoke runs fold the medians into
+//! `bench-medians.json` (see the criterion shim).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -37,27 +34,27 @@ use avt_datasets::chunglu::chung_lu;
 use avt_datasets::Dataset;
 use avt_graph::io::write_csrbin_file;
 use avt_graph::{CsrGraph, GraphView, MmapCsr, VertexId};
-use avt_kcore::kernels::{self, Kernel};
 use avt_kcore::{k_core_members, max_core_degrees, CoreDecomposition};
 
-const KERNELS: [Kernel; 2] = [Kernel::Scalar, Kernel::Branchless];
-
 /// The benchmark graph: the same 20k/100k Chung-Lu instance the substrate
-/// benches use, so kernel numbers compose with the vec-vs-csr ones.
+/// benches use, so these numbers compose with the vec-vs-csr ones.
 fn bench_graph() -> CsrGraph {
     CsrGraph::from_graph(&chung_lu(20_000, 100_000, 2.4, 42))
 }
 
 /// Spill `csr` to a temp `.csrbin` and map it back — the page-cache
-/// substrate. The file stays behind in the temp dir for the process
-/// lifetime (the map must outlive the benches that scan it).
+/// substrate. The file is deleted as soon as it is open: the mapping (or,
+/// off 64-bit Unix, the owned read) keeps the bytes for as long as the
+/// returned view lives.
 fn mapped_copy(csr: &CsrGraph) -> MmapCsr {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let path =
         std::env::temp_dir().join(format!("avt_bench_kernels_{}_{seq}.csrbin", std::process::id()));
     write_csrbin_file(csr, &path).expect("temp dir is writable");
-    MmapCsr::open(&path).expect("just-written csrbin maps")
+    let mapped = MmapCsr::open(&path).expect("just-written csrbin maps");
+    std::fs::remove_file(&path).expect("just-written csrbin is removable");
+    mapped
 }
 
 fn bench_peel(c: &mut Criterion) {
@@ -65,17 +62,9 @@ fn bench_peel(c: &mut Criterion) {
     let mapped = mapped_copy(&csr);
     let mut g = c.benchmark_group("kernels/peel");
     g.sample_size(10);
-    for kernel in KERNELS {
-        kernels::set_kernel(kernel);
-        g.bench_function(format!("{kernel}-resident"), |b| {
-            b.iter(|| CoreDecomposition::compute(&csr))
-        });
-        g.bench_function(format!("{kernel}-mmap"), |b| {
-            b.iter(|| CoreDecomposition::compute(&mapped))
-        });
-    }
+    g.bench_function("resident", |b| b.iter(|| CoreDecomposition::compute(&csr)));
+    g.bench_function("mmap", |b| b.iter(|| CoreDecomposition::compute(&mapped)));
     g.finish();
-    kernels::set_kernel(Kernel::Scalar);
 }
 
 fn bench_follower_scan(c: &mut Criterion) {
@@ -94,13 +83,9 @@ fn bench_follower_scan(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("kernels/follower-scan");
     g.sample_size(10);
-    for kernel in KERNELS {
-        kernels::set_kernel(kernel);
-        g.bench_function(format!("{kernel}-resident"), |b| b.iter(|| run(&csr)));
-        g.bench_function(format!("{kernel}-mmap"), |b| b.iter(|| run(&mapped)));
-    }
+    g.bench_function("resident", |b| b.iter(|| run(&csr)));
+    g.bench_function("mmap", |b| b.iter(|| run(&mapped)));
     g.finish();
-    kernels::set_kernel(Kernel::Scalar);
 }
 
 /// The `k` perfbench's calibration picks for its `track` workload.
@@ -122,19 +107,13 @@ fn bench_evaluate(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("kernels/evaluate");
     g.sample_size(10);
-    for kernel in KERNELS {
-        kernels::set_kernel(kernel);
-        let mut resident = AnchoredCoreState::new(&csr, TRACK_K);
-        let candidates = resident.candidates();
-        g.bench_function(format!("{kernel}-resident"), |b| {
-            b.iter(|| round(&mut resident, &candidates))
-        });
-        let mut on_map = AnchoredCoreState::new(&mapped, TRACK_K);
-        let candidates = on_map.candidates();
-        g.bench_function(format!("{kernel}-mmap"), |b| b.iter(|| round(&mut on_map, &candidates)));
-    }
+    let mut resident = AnchoredCoreState::new(&csr, TRACK_K);
+    let candidates = resident.candidates();
+    g.bench_function("resident", |b| b.iter(|| round(&mut resident, &candidates)));
+    let mut on_map = AnchoredCoreState::new(&mapped, TRACK_K);
+    let candidates = on_map.candidates();
+    g.bench_function("mmap", |b| b.iter(|| round(&mut on_map, &candidates)));
     g.finish();
-    kernels::set_kernel(Kernel::Scalar);
 }
 
 fn bench_state_new(c: &mut Criterion) {
@@ -142,17 +121,13 @@ fn bench_state_new(c: &mut Criterion) {
     let mapped = mapped_copy(&csr);
     let mut g = c.benchmark_group("kernels/state-new");
     g.sample_size(10);
-    for kernel in KERNELS {
-        kernels::set_kernel(kernel);
-        g.bench_function(format!("{kernel}-resident"), |b| {
-            b.iter(|| AnchoredCoreState::new(&csr, TRACK_K).anchored_core_size())
-        });
-        g.bench_function(format!("{kernel}-mmap"), |b| {
-            b.iter(|| AnchoredCoreState::new(&mapped, TRACK_K).anchored_core_size())
-        });
-    }
+    g.bench_function("resident", |b| {
+        b.iter(|| AnchoredCoreState::new(&csr, TRACK_K).anchored_core_size())
+    });
+    g.bench_function("mmap", |b| {
+        b.iter(|| AnchoredCoreState::new(&mapped, TRACK_K).anchored_core_size())
+    });
     g.finish();
-    kernels::set_kernel(Kernel::Scalar);
 }
 
 fn bench_state_commit(c: &mut Criterion) {
@@ -171,19 +146,11 @@ fn bench_state_commit(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("kernels/state-commit");
     g.sample_size(10);
-    for kernel in KERNELS {
-        kernels::set_kernel(kernel);
-        let mut resident = AnchoredCoreState::new(&csr, TRACK_K);
-        g.bench_function(format!("{kernel}-resident"), |b| {
-            b.iter(|| commit_uncommit(&mut resident, &anchors))
-        });
-        let mut on_map = AnchoredCoreState::new(&mapped, TRACK_K);
-        g.bench_function(format!("{kernel}-mmap"), |b| {
-            b.iter(|| commit_uncommit(&mut on_map, &anchors))
-        });
-    }
+    let mut resident = AnchoredCoreState::new(&csr, TRACK_K);
+    g.bench_function("resident", |b| b.iter(|| commit_uncommit(&mut resident, &anchors)));
+    let mut on_map = AnchoredCoreState::new(&mapped, TRACK_K);
+    g.bench_function("mmap", |b| b.iter(|| commit_uncommit(&mut on_map, &anchors)));
     g.finish();
-    kernels::set_kernel(Kernel::Scalar);
 }
 
 fn bench_mcd(c: &mut Criterion) {
@@ -193,17 +160,9 @@ fn bench_mcd(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("kernels/mcd");
     g.sample_size(10);
-    for kernel in KERNELS {
-        kernels::set_kernel(kernel);
-        g.bench_function(format!("{kernel}-resident"), |b| {
-            b.iter(|| max_core_degrees(&csr, &cores))
-        });
-        g.bench_function(format!("{kernel}-mmap"), |b| {
-            b.iter(|| max_core_degrees(&mapped, &cores))
-        });
-    }
+    g.bench_function("resident", |b| b.iter(|| max_core_degrees(&csr, &cores)));
+    g.bench_function("mmap", |b| b.iter(|| max_core_degrees(&mapped, &cores)));
     g.finish();
-    kernels::set_kernel(Kernel::Scalar);
 }
 
 fn bench_members(c: &mut Criterion) {
@@ -211,15 +170,11 @@ fn bench_members(c: &mut Criterion) {
     let cores = CoreDecomposition::compute(&csr).cores().to_vec();
 
     // Membership filtering scans the core array, not the graph, so there is
-    // no substrate axis here — just scalar vs branchless compress.
+    // no substrate split here.
     let mut g = c.benchmark_group("kernels/members");
     g.sample_size(10);
-    for kernel in KERNELS {
-        kernels::set_kernel(kernel);
-        g.bench_function(format!("{kernel}-k3"), |b| b.iter(|| k_core_members(&cores, 3)));
-    }
+    g.bench_function("k3", |b| b.iter(|| k_core_members(&cores, 3)));
     g.finish();
-    kernels::set_kernel(Kernel::Scalar);
 }
 
 criterion_group!(

@@ -5,7 +5,9 @@
 //! cargo run -p avt-bench --release --bin run_experiments -- fig3 --scale 0.05
 //! ```
 //!
-//! Results print to stdout and are written as CSV under `results/`.
+//! Results print to stdout and are written as CSV under `results/`. The
+//! exit status is nonzero when an argument is bad, the experiment unknown,
+//! or any CSV could not be written.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -49,12 +51,8 @@ options:
                  to AVT_NO_CACHE=1): mmap runs spill fresh frames to tmp
                  instead of reusing — the knob for ruling out stale caches
                  when results look wrong
-  --kernel {scalar,branchless}
-                 scan-kernel family for the hot peel loops (default:
-                 AVT_KERNEL, else scalar). branchless uses masked/compress
-                 kernels with software prefetch; results are bit-identical
-                 at either setting, only wall time moves
-  --out DIR      CSV output directory      (default results/)
+  --out DIR      CSV output directory      (default results/); the run
+                 exits nonzero if any CSV cannot be written there
 
 Real data: place SNAP downloads under $AVT_DATA_DIR (default data/) and
 the matching experiments run on them instead of the synthetic stand-ins.
@@ -92,12 +90,6 @@ fn parse_args() -> Result<Args, String> {
                 let threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
                 avt_core::engine::set_default_threads(threads);
             }
-            "--kernel" => {
-                let v = value()?;
-                let kernel = avt_kcore::Kernel::parse(&v)
-                    .ok_or(format!("--kernel: expected \"scalar\" or \"branchless\", got {v:?}"))?;
-                avt_kcore::kernels::set_kernel(kernel);
-            }
             "--frame-source" => {
                 let v = value()?;
                 ctx.frame_source = avt_bench::FrameMode::parse(&v).ok_or(format!(
@@ -114,10 +106,16 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { experiment, ctx, out })
 }
 
-fn emit(table: &Table, out: &Path, slug: &str) {
+/// Print `table` and write it to `out/<slug>.csv`; false if the write
+/// failed.
+fn emit(table: &Table, out: &Path, slug: &str) -> bool {
     println!("{}", table.to_text());
-    if let Err(e) = table.write_csv(out, slug) {
-        eprintln!("warning: could not write {slug}.csv: {e}");
+    match table.write_csv(out, slug) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("error: could not write {slug}.csv: {e}");
+            false
+        }
     }
 }
 
@@ -133,61 +131,65 @@ fn main() -> ExitCode {
     let all = datasets();
     eprintln!(
         "# running '{}' at scale {} (T = {}, l = {}, seed = {}, engine threads = {}, \
-         frames = {}, kernel = {})",
+         frames = {})",
         args.experiment,
         ctx.scale,
         ctx.snapshots,
         ctx.l,
         ctx.seed,
         avt_core::engine::default_threads(),
-        ctx.frame_source,
-        avt_kcore::kernels::active()
+        ctx.frame_source
     );
 
-    let run_one = |name: &str| -> bool {
-        match name {
-            "table2" => emit(&experiments::table2(ctx, &all), &args.out, "table2"),
+    // Whether every CSV of the experiment was written; None when the name
+    // is unknown. Both tables of a pair are emitted even if one write fails.
+    let run_one = |name: &str| -> Option<bool> {
+        let out = &args.out;
+        Some(match name {
+            "table2" => emit(&experiments::table2(ctx, &all), out, "table2"),
             "fig3" | "fig4" => {
                 let (t3, t4) = experiments::fig3_4(ctx, &all);
-                emit(&t3, &args.out, "fig3");
-                emit(&t4, &args.out, "fig4");
+                emit(&t3, out, "fig3") & emit(&t4, out, "fig4")
             }
             "fig5" | "fig6" => {
                 let (t5, t6) = experiments::fig5_6(ctx, &all);
-                emit(&t5, &args.out, "fig5");
-                emit(&t6, &args.out, "fig6");
+                emit(&t5, out, "fig5") & emit(&t6, out, "fig6")
             }
             "fig7" | "fig8" => {
                 let (t7, t8) = experiments::fig7_8(ctx, &all);
-                emit(&t7, &args.out, "fig7");
-                emit(&t8, &args.out, "fig8");
+                emit(&t7, out, "fig7") & emit(&t8, out, "fig8")
             }
-            "fig9" => emit(&experiments::fig9(ctx, &all), &args.out, "fig9"),
-            "fig10" => emit(&experiments::fig10(ctx, &all), &args.out, "fig10"),
-            "fig11" => emit(&experiments::fig11(ctx, &all), &args.out, "fig11"),
-            "fig12" => emit(&experiments::fig12(ctx), &args.out, "fig12"),
-            "table4" => emit(&experiments::table4(ctx), &args.out, "table4"),
-            _ => return false,
-        }
-        true
+            "fig9" => emit(&experiments::fig9(ctx, &all), out, "fig9"),
+            "fig10" => emit(&experiments::fig10(ctx, &all), out, "fig10"),
+            "fig11" => emit(&experiments::fig11(ctx, &all), out, "fig11"),
+            "fig12" => emit(&experiments::fig12(ctx), out, "fig12"),
+            "table4" => emit(&experiments::table4(ctx), out, "table4"),
+            _ => return None,
+        })
     };
 
-    let ok = match args.experiment.as_str() {
+    let written = match args.experiment.as_str() {
         "all" => {
+            let mut written = true;
             for name in
                 ["table2", "fig3", "fig5", "fig7", "fig9", "fig10", "fig11", "fig12", "table4"]
             {
-                run_one(name);
+                written &= run_one(name) == Some(true);
             }
-            true
+            Some(written)
         }
         other => run_one(other),
     };
 
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("unknown experiment '{}'\n{USAGE}", args.experiment);
-        ExitCode::FAILURE
+    match written {
+        Some(true) => ExitCode::SUCCESS,
+        Some(false) => {
+            eprintln!("error: not every CSV was written under {}", args.out.display());
+            ExitCode::FAILURE
+        }
+        None => {
+            eprintln!("unknown experiment '{}'\n{USAGE}", args.experiment);
+            ExitCode::FAILURE
+        }
     }
 }

@@ -26,7 +26,9 @@
 //! Absolute numbers differ from the paper (different hardware, synthetic
 //! stand-in data, Rust instead of C++); the *shapes* — which algorithm
 //! wins, by roughly what factor, and how series move with each parameter —
-//! are the reproduction target. `EXPERIMENTS.md` records both.
+//! are the reproduction target. The README's *Benchmarks and experiments*
+//! section shows how to regenerate every table, and `tests/golden/quick/`
+//! pins the time-free ones at smoke scale.
 
 #![warn(missing_docs)]
 

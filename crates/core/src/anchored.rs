@@ -92,14 +92,15 @@
 //! builds for the same anchors, shell order and index included.
 
 use avt_graph::{Graph, GraphView, VertexId};
-use avt_kcore::{kernels, ANCHOR_CORE};
+use avt_kcore::shell::filter_alive;
+use avt_kcore::ANCHOR_CORE;
 
 use crate::metrics::Metrics;
 
 /// Per-vertex class codes, ordered like the anchored core numbers they
-/// stand for: below the shell, in it, in `C_k(S)`, anchored. The scan
-/// kernels read them as core numbers, with the shell level at `SHELL` and
-/// the core threshold at `CORE`.
+/// stand for: below the shell, in it, in `C_k(S)`, anchored. The scans
+/// compare them like core numbers, with the shell level at `SHELL` and the
+/// core threshold at `CORE`.
 const BELOW: u32 = 0;
 const SHELL: u32 = 1;
 const CORE: u32 = 2;
@@ -486,28 +487,27 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             return; // anchoring a core member or an anchor gains nothing
         }
 
-        let ops = kernels::ops();
         let mut targets = std::mem::take(&mut self.targets);
         let (graph, k, index) = (self.graph, self.k, &self.shell);
+        let (class, pos) = (&self.class, &self.pos);
+        // Region expansion: the shell vertices `w ≠ x` of `neigh` not yet
+        // in the region (`stamp`), at shell position `min_pos` or later.
+        let expand = |neigh: &[VertexId], stamp: &[u32], min_pos: u32, out: &mut Vec<VertexId>| {
+            out.clear();
+            out.extend(neigh.iter().copied().filter(|&w| {
+                let wi = w as usize;
+                class[wi] == SHELL && stamp[wi] != epoch && w != x && pos[wi] >= min_pos
+            }));
+        };
 
         // Seeds: shell neighbours v of x with x ⪯ v. Both are shell
         // vertices when the order matters, so `x ⪯ v` is a shell-position
-        // comparison; with x below the shell it is automatic. The kernels
-        // take that as a position floor: `min_pos = 0` disables the
+        // comparison; with x below the shell it is automatic. `expand`
+        // takes that as a position floor: `min_pos = 0` disables the
         // condition (also the unordered OLAK variant). `x` may lie outside
         // the shell, so this is the one full neighbour list a query reads.
-        let seed_min_pos = if ordered && x_class == SHELL { self.pos[x as usize] + 1 } else { 0 };
-        {
-            let ctx = kernels::RegionCtx {
-                cores: &self.class,
-                pos: &self.pos,
-                stamp: &self.in_region,
-                epoch,
-                shell: SHELL,
-                x,
-            };
-            (ops.filter_region)(&ctx, graph.neighbors(x), seed_min_pos, &mut targets);
-        }
+        let seed_min_pos = if ordered && x_class == SHELL { pos[x as usize] + 1 } else { 0 };
+        expand(graph.neighbors(x), &self.in_region, seed_min_pos, &mut targets);
         for &v in &targets {
             self.in_region[v as usize] = epoch;
             self.region.push(v);
@@ -520,21 +520,8 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         while head < self.region.len() {
             let v = self.region[head];
             head += 1;
-            if ops.prefetch_ahead && head < self.region.len() {
-                kernels::prefetch(index.neighbors(&self.pos, self.region[head]));
-            }
-            let min_pos = if ordered { self.pos[v as usize] + 1 } else { 0 };
-            {
-                let ctx = kernels::RegionCtx {
-                    cores: &self.class,
-                    pos: &self.pos,
-                    stamp: &self.in_region,
-                    epoch,
-                    shell: SHELL,
-                    x,
-                };
-                (ops.filter_region)(&ctx, index.neighbors(&self.pos, v), min_pos, &mut targets);
-            }
+            let min_pos = if ordered { pos[v as usize] + 1 } else { 0 };
+            expand(index.neighbors(pos, v), &self.in_region, min_pos, &mut targets);
             for &w in &targets {
                 self.in_region[w as usize] = epoch;
                 self.region.push(w);
@@ -549,18 +536,14 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         let x_below_shell = x_class == BELOW;
         for ri in 0..self.region.len() {
             let v = self.region[ri];
-            if ops.prefetch_ahead && ri + 1 < self.region.len() {
-                kernels::prefetch(index.neighbors(&self.pos, self.region[ri + 1]));
-            }
-            let s = self.pos[v as usize] as usize;
-            let peers = (ops.count_region_support)(
-                index.slice(s),
-                &self.class,
-                &self.in_region,
-                epoch,
-                x,
-                CORE,
-            );
+            let s = pos[v as usize] as usize;
+            let peers = index
+                .slice(s)
+                .iter()
+                .filter(|&&w| {
+                    w == x || class[w as usize] >= CORE || self.in_region[w as usize] == epoch
+                })
+                .count() as u32;
             self.support[v as usize] =
                 index.engaged[s] + peers + u32::from(x_below_shell && ri < seeds);
         }
@@ -581,11 +564,8 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             let v = self.queue[qhead];
             qhead += 1;
             self.removed[v as usize] = epoch;
-            if ops.prefetch_ahead && qhead < self.queue.len() {
-                kernels::prefetch(index.neighbors(&self.pos, self.queue[qhead]));
-            }
-            (ops.filter_alive)(
-                index.neighbors(&self.pos, v),
+            filter_alive(
+                index.neighbors(pos, v),
                 &self.in_region,
                 &self.removed,
                 &self.queued,
@@ -844,29 +824,20 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// shell's neighbourhoods (O(|shell| + vol(shell))).
     pub fn candidates(&mut self) -> Vec<VertexId> {
         let epoch = self.next_epoch();
-        let ops = kernels::ops();
         let mut targets = std::mem::take(&mut self.targets);
         let mut out = Vec::new();
+        let (class, pos) = (&self.class, &self.pos);
         for &v in &self.shell.ids {
-            // Keep x with `x ⪯ v`: below the shell, or in it and removed
-            // earlier. Anchors and core members fail both arms (their
-            // class is above the shell), so no separate tests needed.
-            {
-                let ctx = kernels::RegionCtx {
-                    cores: &self.class,
-                    pos: &self.pos,
-                    stamp: &self.in_region,
-                    epoch,
-                    shell: SHELL,
-                    x: VertexId::MAX,
-                };
-                (ops.filter_preceding)(
-                    &ctx,
-                    self.graph.neighbors(v),
-                    self.pos[v as usize],
-                    &mut targets,
-                );
-            }
+            // Keep unstamped x with `x ⪯ v`: below the shell, or in it and
+            // removed earlier. Anchors and core members fail both arms
+            // (their class is above the shell), so no separate tests needed.
+            let pos_v = pos[v as usize];
+            targets.clear();
+            targets.extend(self.graph.neighbors(v).iter().copied().filter(|&w| {
+                let wi = w as usize;
+                self.in_region[wi] != epoch
+                    && (class[wi] < SHELL || (class[wi] == SHELL && pos[wi] < pos_v))
+            }));
             for &x in &targets {
                 self.in_region[x as usize] = epoch;
                 out.push(x);
@@ -885,7 +856,6 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// K-order pruning. A strict superset of [`Self::candidates`].
     pub fn candidates_unordered(&mut self) -> Vec<VertexId> {
         let epoch = self.next_epoch();
-        let ops = kernels::ops();
         let mut targets = std::mem::take(&mut self.targets);
         let mut out = Vec::new();
         for &v in &self.shell.ids {
@@ -895,13 +865,11 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             }
             // Keep unstamped x below the core; anchors fail that test
             // outright (their class is above it).
-            (ops.filter_below_unmarked)(
-                self.graph.neighbors(v),
-                &self.class,
-                &self.in_region,
-                epoch,
-                CORE,
-                &mut targets,
+            targets.clear();
+            targets.extend(
+                self.graph.neighbors(v).iter().copied().filter(|&w| {
+                    self.in_region[w as usize] != epoch && self.class[w as usize] < CORE
+                }),
             );
             for &x in &targets {
                 self.in_region[x as usize] = epoch;

@@ -193,8 +193,9 @@ impl Dataset {
     /// no known file is present. Static edge lists get the paper's churn
     /// model applied on top (deterministic in `seed`); temporal streams
     /// (`u v timestamp` lines, POSIX seconds as SNAP ships them) are split
-    /// into `snapshots` windows with the [`Self::expiry_window_days`]
-    /// expiry rule.
+    /// into `snapshots` windows, each edge expiring after the dataset's
+    /// window (365 days for mathoverflow, a third of the observation span
+    /// for the others).
     pub fn load_from_dir(
         self,
         dir: &Path,

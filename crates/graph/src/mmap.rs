@@ -26,6 +26,8 @@
 //! little-endian, see [`crate::io`]). The file must not be truncated or
 //! rewritten while mapped — the usual `mmap` contract; the frame caches
 //! written by `avt-datasets` are write-once.
+//!
+//! [`CsrGraph`]: crate::CsrGraph
 
 use std::fs::File;
 use std::path::Path;

@@ -6,8 +6,6 @@
 
 use avt_graph::{GraphView, VertexId};
 
-use crate::kernels::{self, Kernel};
-
 /// Sentinel core number for anchored vertices: an anchored vertex is exempt
 /// from the degree constraint, which the paper models as `core(u) = ∞`.
 pub const ANCHOR_CORE: u32 = u32::MAX;
@@ -99,73 +97,29 @@ impl CoreDecomposition {
         // peel below needs when moving a vertex one bucket down.
 
         let mut order = Vec::with_capacity(peelable);
-        match kernels::active() {
-            // The reference peel, one branch per neighbour — kept verbatim
-            // so the branchless path below is always falsifiable against it.
-            Kernel::Scalar => {
-                for i in 0..peelable {
-                    let v = vert[i];
-                    let dv = deg[v as usize];
-                    core[v as usize] = dv;
-                    order.push(v);
-                    for &u in graph.neighbors(v) {
-                        let ui = u as usize;
-                        if is_anchor[ui] || deg[ui] <= dv {
-                            continue;
-                        }
-                        // Move u to the front of its bucket, then shrink its
-                        // degree.
-                        let du = deg[ui] as usize;
-                        let pu = pos[ui];
-                        let pw = bin[du];
-                        let w = vert[pw as usize];
-                        if u != w {
-                            vert[pu as usize] = w;
-                            vert[pw as usize] = u;
-                            pos[ui] = pw;
-                            pos[w as usize] = pu;
-                        }
-                        bin[du] += 1;
-                        deg[ui] -= 1;
-                    }
+        for i in 0..peelable {
+            let v = vert[i];
+            let dv = deg[v as usize];
+            core[v as usize] = dv;
+            order.push(v);
+            for &u in graph.neighbors(v) {
+                let ui = u as usize;
+                if is_anchor[ui] || deg[ui] <= dv {
+                    continue;
                 }
-            }
-            // Branchless peel step: the `is_anchor || deg <= dv` skip is a
-            // masked compress (anchors carry `deg == 0 <= dv`, so the flag
-            // test is subsumed by the degree test), and the bucket move is
-            // applied unconditionally — when `u` already fronts its bucket,
-            // `pu == pw` and all four writes are no-ops. Neighbour lists
-            // hold distinct vertices, so pre-filtering the whole range
-            // before mutating `deg` decides exactly the same set the
-            // in-loop test would.
-            Kernel::Branchless => {
-                let ops = kernels::ops();
-                let mut targets: Vec<VertexId> = Vec::new();
-                for i in 0..peelable {
-                    let v = vert[i];
-                    if i + 1 < peelable {
-                        // One neighbour-range ahead; `vert` churns under the
-                        // bucket moves, but a stale hint is only a hint.
-                        kernels::prefetch(graph.neighbors(vert[i + 1]));
-                    }
-                    let dv = deg[v as usize];
-                    core[v as usize] = dv;
-                    order.push(v);
-                    (ops.filter_deg_gt)(graph.neighbors(v), &deg, dv, &mut targets);
-                    for &u in &targets {
-                        let ui = u as usize;
-                        let du = deg[ui] as usize;
-                        let pu = pos[ui];
-                        let pw = bin[du];
-                        let w = vert[pw as usize];
-                        vert[pu as usize] = w;
-                        vert[pw as usize] = u;
-                        pos[ui] = pw;
-                        pos[w as usize] = pu;
-                        bin[du] += 1;
-                        deg[ui] -= 1;
-                    }
+                // Move u to the front of its bucket, then shrink its degree.
+                let du = deg[ui] as usize;
+                let pu = pos[ui];
+                let pw = bin[du];
+                let w = vert[pw as usize];
+                if u != w {
+                    vert[pu as usize] = w;
+                    vert[pw as usize] = u;
+                    pos[ui] = pw;
+                    pos[w as usize] = pu;
                 }
+                bin[du] += 1;
+                deg[ui] -= 1;
             }
         }
 
@@ -221,19 +175,22 @@ impl CoreDecomposition {
         }
     }
 
-    /// Removal positions for every vertex, indexed by vertex (`u32::MAX`
-    /// for anchors). The slice form of [`Self::pos`], consumed by the scan
-    /// kernels.
-    #[inline]
-    pub fn positions(&self) -> &[u32] {
-        &self.pos
-    }
-
     /// The remaining degree `deg+(v)`: the number of neighbours `w` with
     /// `v ⪯ w`. Computed on demand in O(deg(v)).
     pub fn deg_plus<G: GraphView>(&self, graph: &G, v: VertexId) -> u32 {
         let (cv, pv) = (self.core[v as usize], self.pos[v as usize]);
-        (kernels::ops().count_pair_after)(graph.neighbors(v), &self.core, &self.pos, cv, pv)
+        graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| {
+                let (cw, pw) = (self.core[w as usize], self.pos[w as usize]);
+                if cv != cw {
+                    cv < cw
+                } else {
+                    pv < pw
+                }
+            })
+            .count() as u32
     }
 
     /// Largest finite core number in the decomposition (0 for an edgeless

@@ -9,7 +9,6 @@
 use avt_graph::{GraphView, VertexId};
 
 use crate::decompose::CoreDecomposition;
-use crate::kernels;
 
 /// Level sentinel for vertices that are mid-surgery (removed from one level
 /// and not yet installed in another). No query may observe this state.
@@ -145,7 +144,7 @@ impl KOrder {
 
     /// Raw level array (no detached-vertex checks — [`DETACHED`] is
     /// `u32::MAX`, which compares after every live level, matching
-    /// release-mode `order_key` semantics). For the scan kernels.
+    /// release-mode `order_key` semantics). For the maintenance scans.
     #[inline]
     pub(crate) fn levels_raw(&self) -> &[u32] {
         &self.level
@@ -154,8 +153,12 @@ impl KOrder {
     /// Remaining degree `deg+(v)` = number of neighbours ordered after `v`.
     /// O(deg(v)).
     pub fn deg_plus<G: GraphView>(&self, graph: &G, v: VertexId) -> u32 {
-        let (lvl, lab) = self.order_key(v);
-        (kernels::ops().count_korder_after)(graph.neighbors(v), &self.level, &self.label, lvl, lab)
+        let key = self.order_key(v);
+        graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| (self.level[w as usize], self.label[w as usize]) > key)
+            .count() as u32
     }
 
     /// Iterate the live vertices of `lvl` in K-order.

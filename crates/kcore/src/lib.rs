@@ -19,10 +19,12 @@
 //! * [`verify`] — from-scratch invariant checkers used heavily by the test
 //!   suite: core-number correctness against an independent peel oracle and
 //!   K-order validity via replaying the stored order as a peel.
-//! * [`kernels`] — the runtime scan-kernel axis (`AVT_KERNEL=scalar|`
-//!   `branchless`): every hot neighbour-range loop above dispatches through
-//!   one of two function tables, the original scalar loops or branchless
-//!   masked/compress variants with software prefetch.
+//!
+//! Each hot loop above is one plain scan over a contiguous `&[VertexId]`
+//! neighbour range, written where it is used. Every substrate hands out the
+//! same slices, so the same loops run on the mutable adjacency lists, on
+//! resident [`avt_graph::CsrGraph`] frames and on mapped
+//! [`avt_graph::MmapCsr`] frames.
 //!
 //! The read-only layers ([`CoreDecomposition`], [`KOrder`] construction,
 //! [`mcd`], [`CoreSpectrum`], the verifiers) are generic over
@@ -50,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod decompose;
-pub mod kernels;
 pub mod korder;
 pub mod maintain;
 pub mod mcd;
@@ -59,7 +60,6 @@ pub mod spectrum;
 pub mod verify;
 
 pub use decompose::{CoreDecomposition, ANCHOR_CORE};
-pub use kernels::Kernel;
 pub use korder::KOrder;
 pub use maintain::{ChangeSet, MaintainedCore};
 pub use mcd::{max_core_degree, max_core_degrees};

@@ -58,8 +58,8 @@ use std::collections::BTreeMap;
 
 use avt_graph::{Edge, EdgeBatch, Graph, GraphError, VertexId};
 
-use crate::kernels;
 use crate::korder::KOrder;
+use crate::shell::filter_alive;
 
 /// Vertices whose core number changed while applying updates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -324,7 +324,6 @@ impl MaintainedCore {
     /// peers) is ≤ `lvl`. Returns the removal order and the survivors (in
     /// member order).
     fn peel_level(&mut self, lvl: u32, members: &[VertexId]) -> (Vec<VertexId>, Vec<VertexId>) {
-        let ops = kernels::ops();
         let epoch = self.scratch.next_epoch();
         let sc = &mut self.scratch;
         for &m in members {
@@ -332,18 +331,19 @@ impl MaintainedCore {
         }
         // Initial supports: member peers count while unremoved (checked
         // first so detached members never reach `core()`), outsiders count
-        // when they live strictly above this level. The kernel reads the
+        // when they live strictly above this level. The count reads the
         // raw level array, where detachment's `u32::MAX` sentinel would
         // compare as "above" — safe, because the only vertices ever
         // detached during a re-peel are the carry survivors, and those are
         // members, counted by the member branch.
         let level = self.korder.levels_raw();
-        for (i, &m) in members.iter().enumerate() {
-            if ops.prefetch_ahead && i + 1 < members.len() {
-                kernels::prefetch(self.graph.neighbors(members[i + 1]));
-            }
-            sc.support[m as usize] =
-                (ops.count_marked_or_above)(self.graph.neighbors(m), level, &sc.member, epoch, lvl);
+        for &m in members {
+            sc.support[m as usize] = self
+                .graph
+                .neighbors(m)
+                .iter()
+                .filter(|&&w| sc.member[w as usize] == epoch || level[w as usize] > lvl)
+                .count() as u32;
         }
         self.visited += members.len() as u64;
 
@@ -367,10 +367,7 @@ impl MaintainedCore {
             head += 1;
             sc.removed[x as usize] = epoch;
             order.push(x);
-            if ops.prefetch_ahead && head < sc.queue.len() {
-                kernels::prefetch(self.graph.neighbors(sc.queue[head]));
-            }
-            (ops.filter_alive)(
+            filter_alive(
                 self.graph.neighbors(x),
                 &sc.member,
                 &sc.removed,
@@ -454,14 +451,14 @@ impl MaintainedCore {
             return;
         }
         // Raw level array: no vertex is detached during the cascade, so
-        // the kernel sees exactly what `core()` would return.
-        let s = (kernels::ops().count_ge_unmarked)(
-            self.graph.neighbors(v),
-            self.korder.levels_raw(),
-            &self.scratch.queued,
-            epoch,
-            k,
-        );
+        // the count sees exactly what `core()` would return.
+        let (level, queued) = (self.korder.levels_raw(), &self.scratch.queued);
+        let s = self
+            .graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| level[w as usize] >= k && queued[w as usize] != epoch)
+            .count() as u32;
         self.scratch.support[v as usize] = s;
         self.scratch.member[v as usize] = epoch;
         self.visited += 1;

@@ -2,28 +2,17 @@
 
 use avt_graph::{GraphView, VertexId};
 
-use crate::kernels;
-
 /// `mcd(u)`: the number of `u`'s neighbours whose core number is at least
 /// `core(u)`. Always `mcd(u) >= core(u)` in a consistent state; a deletion
 /// that pushes `mcd(u)` below `core(u)` forces a core decrement (Lemma 4).
 pub fn max_core_degree<G: GraphView>(graph: &G, cores: &[u32], u: VertexId) -> u32 {
     let cu = cores[u as usize];
-    (kernels::ops().count_ge)(graph.neighbors(u), cores, cu)
+    graph.neighbors(u).iter().filter(|&&w| cores[w as usize] >= cu).count() as u32
 }
 
 /// `mcd` for every vertex in one pass. O(n + m).
 pub fn max_core_degrees<G: GraphView>(graph: &G, cores: &[u32]) -> Vec<u32> {
-    let ops = kernels::ops();
-    let n = graph.num_vertices();
-    let mut mcd = vec![0u32; n];
-    for u in graph.vertices() {
-        if ops.prefetch_ahead && (u as usize) + 1 < n {
-            kernels::prefetch(graph.neighbors(u + 1));
-        }
-        mcd[u as usize] = (ops.count_ge)(graph.neighbors(u), cores, cores[u as usize]);
-    }
-    mcd
+    graph.vertices().map(|u| max_core_degree(graph, cores, u)).collect()
 }
 
 #[cfg(test)]

@@ -2,20 +2,15 @@
 
 use avt_graph::VertexId;
 
-use crate::kernels;
-
-/// Vertices whose core number is at least `k` (the k-core `C_k`). Dispatches
-/// through the [`kernels`] axis — this is the membership filter behind
-/// spectrum and `CORE` queries.
+/// Vertices whose core number is at least `k` (the k-core `C_k`) — the
+/// membership filter behind spectrum and `CORE` queries.
 pub fn k_core_members(cores: &[u32], k: u32) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    (kernels::ops().members_ge)(cores, k, &mut out);
-    out
+    cores.iter().enumerate().filter_map(|(v, &c)| (c >= k).then_some(v as VertexId)).collect()
 }
 
 /// Size of the k-core without materializing it.
 pub fn k_core_size(cores: &[u32], k: u32) -> usize {
-    (kernels::ops().count_members_ge)(cores, k)
+    cores.iter().filter(|&&c| c >= k).count()
 }
 
 /// Vertices with core number exactly `c` (the c-shell). Followers of a
@@ -23,6 +18,27 @@ pub fn k_core_size(cores: &[u32], k: u32) -> usize {
 /// reference \[37\] of the paper).
 pub fn shell_members(cores: &[u32], c: u32) -> Vec<VertexId> {
     cores.iter().enumerate().filter_map(|(v, &cv)| (cv == c).then_some(v as VertexId)).collect()
+}
+
+/// The still-alive peers among `neigh`, written into `out` in neighbour
+/// order: vertices `w` with `member[w] == epoch && removed[w] != epoch &&
+/// queued[w] != epoch`. These are the support decrements of one popped
+/// vertex in an epoch-stamped peel fixpoint, which the level re-peel of
+/// [`crate::MaintainedCore`] and the follower peel of `avt-core`'s
+/// anchored state both run.
+pub fn filter_alive(
+    neigh: &[VertexId],
+    member: &[u32],
+    removed: &[u32],
+    queued: &[u32],
+    epoch: u32,
+    out: &mut Vec<VertexId>,
+) {
+    out.clear();
+    out.extend(neigh.iter().copied().filter(|&w| {
+        let wi = w as usize;
+        member[wi] == epoch && removed[wi] != epoch && queued[wi] != epoch
+    }));
 }
 
 #[cfg(test)]

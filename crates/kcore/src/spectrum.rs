@@ -32,8 +32,7 @@ impl CoreSpectrum {
     }
 
     /// Decompose-and-summarize convenience; accepts any [`GraphView`]
-    /// substrate. The peel underneath dispatches through the
-    /// [`crate::kernels`] axis, so spectra inherit the active kernel.
+    /// substrate.
     pub fn of<G: GraphView>(graph: &G) -> Self {
         Self::from_decomposition(&CoreDecomposition::compute(graph))
     }

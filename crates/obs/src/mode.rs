@@ -1,10 +1,9 @@
 //! The flight recorder's slow-request threshold: a deployment setting
 //! (`AVT_OBS_SLOW_US`, or the `--slow-us` override), not a code path.
 //!
-//! Follows the same pattern as the workspace's runtime axes
-//! (`AVT_KERNEL`, `AVT_ENGINE_THREADS`): a process-wide setter for
-//! harnesses and CLI flags, the environment as fallback, and a warn-once
-//! on unparsable values. The environment is read once, on first use, and
+//! Follows the same pattern as the engine's `AVT_ENGINE_THREADS` axis: a
+//! process-wide setter for harnesses and CLI flags, the environment as
+//! fallback, and a warn-once on unparsable values. The environment is read once, on first use, and
 //! cached: [`slow_threshold_us`] sits on the per-request path.
 
 use std::sync::atomic::{AtomicU64, Ordering};

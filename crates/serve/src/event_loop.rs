@@ -30,6 +30,8 @@
 //! Off Linux (or with [`EventFront::threaded`] set) the front falls back
 //! to the thread-per-connection [`crate::tcp::TcpFront`], which speaks
 //! the same two codecs through the same [`Conn`] machine.
+//!
+//! [`Conn`]: crate::Conn
 
 use std::io;
 use std::net::TcpListener;

@@ -2,14 +2,15 @@
 //! a spilled `.csrbin` file must agree with the [`CsrGraph`] it was
 //! written from on *every* [`GraphView`] query — counts, degrees,
 //! neighbour slices (order included), membership probes, edge iteration —
-//! and a core decomposition computed on the mapped view must equal the
-//! resident one exactly.
+//! and the decomposition and follower answers computed on the mapped view
+//! must equal the resident ones exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use avt::algo::AnchoredCoreState;
 use avt::graph::io::write_csrbin_file;
-use avt::graph::{CsrGraph, Graph, GraphView, MmapCsr};
-use avt::kcore::CoreDecomposition;
+use avt::graph::{CsrGraph, Graph, GraphView, MmapCsr, VertexId};
+use avt::kcore::{k_core_members, max_core_degrees, CoreDecomposition, CoreSpectrum};
 use proptest::prelude::*;
 
 fn temp_file(tag: &str) -> std::path::PathBuf {
@@ -36,6 +37,55 @@ fn build(n: usize, pairs: &[(u32, u32)]) -> Graph {
         }
     }
     g
+}
+
+/// Everything a decomposition exposes, flattened for whole-value equality:
+/// core numbers, removal order, positions, per-vertex `deg_plus`, mcd,
+/// the shell spectrum, and the k-core members for every k.
+#[derive(Debug, PartialEq, Eq)]
+struct DecompFingerprint {
+    cores: Vec<u32>,
+    order: Vec<VertexId>,
+    pos: Vec<u32>,
+    deg_plus: Vec<u32>,
+    mcd: Vec<u32>,
+    shells: Vec<usize>,
+    members: Vec<Vec<VertexId>>,
+}
+
+fn decomp_fingerprint<G: GraphView>(graph: &G) -> DecompFingerprint {
+    let d = CoreDecomposition::compute(graph);
+    DecompFingerprint {
+        cores: d.cores().to_vec(),
+        order: d.order().to_vec(),
+        pos: graph.vertices().map(|v| d.pos(v)).collect(),
+        deg_plus: graph.vertices().map(|v| d.deg_plus(graph, v)).collect(),
+        mcd: max_core_degrees(graph, d.cores()),
+        shells: CoreSpectrum::from_decomposition(&d).shells().to_vec(),
+        members: (0..=d.max_core() + 1).map(|k| k_core_members(d.cores(), k)).collect(),
+    }
+}
+
+/// Every follower and candidate answer of the anchored-core state,
+/// flattened for whole-value equality.
+#[derive(Debug, PartialEq, Eq)]
+struct FollowerFingerprint {
+    ordered: Vec<Vec<VertexId>>,
+    unordered: Vec<Vec<VertexId>>,
+    counts: Vec<usize>,
+    candidates: Vec<VertexId>,
+    candidates_unordered: Vec<VertexId>,
+}
+
+fn follower_fingerprint<G: GraphView>(graph: &G, k: u32) -> FollowerFingerprint {
+    let mut state = AnchoredCoreState::new(graph, k);
+    FollowerFingerprint {
+        ordered: graph.vertices().map(|x| state.followers_of(x)).collect(),
+        unordered: graph.vertices().map(|x| state.followers_of_unordered(x)).collect(),
+        counts: graph.vertices().map(|x| state.follower_count_of(x)).collect(),
+        candidates: state.candidates(),
+        candidates_unordered: state.candidates_unordered(),
+    }
 }
 
 proptest! {
@@ -97,6 +147,37 @@ proptest! {
             prop_assert_eq!(resident.core(v), zero_copy.core(v));
         }
         prop_assert_eq!(resident.order(), zero_copy.order());
+
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// Everything else a decomposition exposes is identical on the resident
+    /// and mapped CSR too: positions, `deg_plus`, mcd, spectra and k-core
+    /// membership for every k.
+    #[test]
+    fn decomposition_fingerprint_identical_on_mmap((n, pairs) in graph_strategy(40, 150)) {
+        let g = build(n, &pairs);
+        let csr = CsrGraph::from_graph(&g);
+        let path = temp_file("fingerprint");
+        write_csrbin_file(&csr, &path).unwrap();
+        let mapped = MmapCsr::open(&path).unwrap();
+
+        prop_assert_eq!(decomp_fingerprint(&csr), decomp_fingerprint(&mapped));
+
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// Follower sets (ordered and OLAK-unordered), follower counts and both
+    /// candidate scans are identical on the resident and mapped CSR.
+    #[test]
+    fn followers_identical_on_mmap((n, pairs) in graph_strategy(28, 100), k in 2u32..5) {
+        let g = build(n, &pairs);
+        let csr = CsrGraph::from_graph(&g);
+        let path = temp_file("followers");
+        write_csrbin_file(&csr, &path).unwrap();
+        let mapped = MmapCsr::open(&path).unwrap();
+
+        prop_assert_eq!(follower_fingerprint(&csr, k), follower_fingerprint(&mapped, k), "k = {}", k);
 
         std::fs::remove_file(path).unwrap();
     }

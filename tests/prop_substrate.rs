@@ -9,7 +9,7 @@ use avt::datasets::ba::barabasi_albert;
 use avt::datasets::churn::{evolve, ChurnConfig};
 use avt::datasets::er::gnm;
 use avt::graph::{CsrGraph, EdgeBatch, Graph, GraphView, VertexId};
-use avt::kcore::CoreDecomposition;
+use avt::kcore::{max_core_degrees, CoreDecomposition, CoreSpectrum};
 use avt::prelude::{AvtAlgorithm, AvtParams, Greedy};
 use proptest::prelude::*;
 
@@ -135,8 +135,8 @@ proptest! {
         }
     }
 
-    /// Core decomposition assigns identical core numbers on both substrates,
-    /// and each substrate's removal order is a valid peel.
+    /// Core decomposition assigns identical core numbers, mcd and spectra on
+    /// both substrates, and each substrate's removal order is a valid peel.
     #[test]
     fn decomposition_identical_across_substrates(
         (n, pairs) in graph_strategy(40, 150),
@@ -150,6 +150,8 @@ proptest! {
         let dc = CoreDecomposition::compute_anchored(&csr, &anchors);
         prop_assert_eq!(dv.cores(), dc.cores());
         prop_assert_eq!(dv.max_core(), dc.max_core());
+        prop_assert_eq!(max_core_degrees(&g, dv.cores()), max_core_degrees(&csr, dc.cores()));
+        prop_assert_eq!(CoreSpectrum::from_decomposition(&dv), CoreSpectrum::from_decomposition(&dc));
         assert_valid_peel(&g, &dv);
         assert_valid_peel(&csr, &dc);
         for v in g.vertices() {
