@@ -30,9 +30,12 @@ fn bench_substrate(c: &mut Criterion) {
     group.bench_function("korder-build-20k-100k", |b| b.iter(|| KOrder::from_graph(&graph)));
 
     group.bench_function("follower-queries-all-candidates-k3", |b| {
-        let mut state = AnchoredCoreState::new(&graph, 3);
-        let candidates = state.candidates();
+        let mut built = AnchoredCoreState::new(&graph, 3);
+        let candidates = built.candidates();
         b.iter(|| {
+            // A clone's count memo starts empty, so no sample reads counts
+            // an earlier one left.
+            let mut state = built.clone();
             let mut total = 0usize;
             for &x in candidates.iter().take(500) {
                 total += state.follower_count_of(x);
@@ -56,13 +59,14 @@ fn bench_decomposition_by_substrate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Follower-query workload (candidate scan + 500 order-based follower
-/// evaluations), Vec-of-Vec vs CSR.
+/// Follower-query workload (500 order-based follower counts on a clone of
+/// a built state, whose count memo starts empty), Vec-of-Vec vs CSR.
 fn bench_followers_by_substrate(c: &mut Criterion) {
     let graph = chung_lu(20_000, 100_000, 2.4, 42);
     let csr = CsrGraph::from_graph(&graph);
 
-    fn run<G: GraphView>(state: &mut AnchoredCoreState<'_, G>, candidates: &[u32]) -> usize {
+    fn run<G: GraphView>(built: &AnchoredCoreState<'_, G>, candidates: &[u32]) -> usize {
+        let mut state = built.clone();
         let mut total = 0usize;
         for &x in candidates.iter().take(500) {
             total += state.follower_count_of(x);
@@ -75,12 +79,12 @@ fn bench_followers_by_substrate(c: &mut Criterion) {
     group.bench_function("vec-20k-100k", |b| {
         let mut state = AnchoredCoreState::new(&graph, 3);
         let candidates = state.candidates();
-        b.iter(|| run(&mut state, &candidates))
+        b.iter(|| run(&state, &candidates))
     });
     group.bench_function("csr-20k-100k", |b| {
         let mut state = AnchoredCoreState::new(&csr, 3);
         let candidates = state.candidates();
-        b.iter(|| run(&mut state, &candidates))
+        b.iter(|| run(&state, &candidates))
     });
     group.finish();
 }

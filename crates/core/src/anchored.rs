@@ -73,6 +73,25 @@
 //! shell order, so a shell vertex's slot is its position in it. The shell
 //! peel that lays down the order builds the index, in O(vol(shell)).
 //!
+//! ## The count memo
+//!
+//! A query on an `x` below the shell reads `x` only through its seeds:
+//! every shell neighbour of `x` is a seed, each seed gets one support from
+//! `x`, and `x` itself sits in no shell slice. The region, the supports and
+//! so the follower count are a function of the state and the seed set
+//! alone, and below-shell anchors with the same shell neighbours have the
+//! same count. A below-shell candidate commonly has exactly one shell
+//! neighbour, so [`AnchoredCoreState::follower_count_of`] memoizes the
+//! count of each such anchor keyed by that one seed, at the seed's shell
+//! slot, and stamped with a count epoch. A commit, an uncommit and a
+//! restore each bump the epoch, which forgets every count at once; the
+//! shell slots stay put between two bumps, and the epoch wraps the way the
+//! scratch stamps do. Only the ordered count path reads or writes the memo:
+//! follower sets, the unordered (OLAK) path and a commit's own follower
+//! computation always evaluate. A count served from the memo is not an
+//! evaluation and visits nothing ([`Metrics::follower_evaluations`],
+//! [`Metrics::vertices_visited`]).
+//!
 //! # Construction, commits and uncommits
 //!
 //! Construction is two threshold cascades over the graph — at `k − 1`,
@@ -157,6 +176,7 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     region: Vec<VertexId>,
     queue: Vec<VertexId>,
     targets: Vec<VertexId>,
+    memo: CountMemo,
 }
 
 impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
@@ -193,6 +213,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
+            memo: CountMemo::new(),
         };
         // The vertices peeled at k − 1 fall below the shell; those then
         // peeled at k form it.
@@ -433,9 +454,35 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     }
 
     /// Number of followers of `x` (allocation-free fast path for ranking).
+    /// A below-shell `x` with one shell neighbour is answered from the
+    /// count memo (see the module docs) once any anchor sharing that
+    /// neighbour has been counted since the last commit, uncommit or
+    /// restore.
     pub fn follower_count_of(&mut self, x: VertexId) -> usize {
+        let seed = self.seed_slot(x);
+        if let Some(count) = seed.and_then(|s| self.memo.get(s)) {
+            return count;
+        }
         self.evaluate(x, true);
-        self.followers().count()
+        let count = self.followers().count();
+        if let Some(s) = seed {
+            self.memo.put(self.shell.order.len(), s, count);
+        }
+        count
+    }
+
+    /// The memo key of `x`'s count: the shell slot of its one shell
+    /// neighbour, when `x` lies below the shell and has exactly one.
+    fn seed_slot(&self, x: VertexId) -> Option<usize> {
+        if self.class[x as usize] != BELOW {
+            return None;
+        }
+        let mut seeds =
+            self.graph.neighbors(x).iter().filter(|&&w| self.class[w as usize] == SHELL);
+        match (seeds.next(), seeds.next()) {
+            (Some(&v), None) => Some(self.pos[v as usize] as usize),
+            _ => None,
+        }
     }
 
     /// As [`Self::followers_of`] but reusing the caller's buffer.
@@ -591,6 +638,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     pub fn commit_anchor(&mut self, x: VertexId) {
         let was = self.class[x as usize];
         assert!(was != ANCHOR, "vertex {x} is already anchored");
+        self.memo.forget();
         self.anchors.push(x);
         if was == CORE {
             // Already a member: C_k, C_{k-1} and the shell stay as they are.
@@ -708,6 +756,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// swap test).
     pub(crate) fn uncommit_keeping(&mut self, u: VertexId) -> KeptAnchor {
         assert!(self.class[u as usize] == ANCHOR, "vertex {u} is not anchored");
+        self.memo.forget();
         self.anchors.retain(|&a| a != u);
         self.class[u as usize] = CORE;
         let mut kept = KeptAnchor {
@@ -737,6 +786,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     pub(crate) fn restore_anchor(&mut self, kept: KeptAnchor) {
         let u = kept.anchor;
         assert!(self.class[u as usize] != ANCHOR, "vertex {u} is already anchored");
+        self.memo.forget();
         let (to_core, to_shell) = kept.dropped.split_at(kept.split);
         for &v in to_shell {
             self.class[v as usize] = SHELL;
@@ -925,10 +975,53 @@ impl ShellIndex {
     }
 }
 
+/// Follower counts of single-seed below-shell anchors, keyed by the seed
+/// (see the module docs). Slot `s` holds a stamp and the count of
+/// anchoring a below-shell vertex whose one shell neighbour sits at shell
+/// slot `s`; the count is current while the stamp equals `epoch`. The
+/// slots grow to the shell's size when a count is memoized, so states
+/// that never rank candidates pay nothing for them.
+struct CountMemo {
+    epoch: u32,
+    slots: Vec<(u32, u32)>,
+}
+
+impl CountMemo {
+    /// An empty memo. Slots start stamped 0, which no epoch ever is.
+    fn new() -> Self {
+        CountMemo { epoch: 1, slots: Vec::new() }
+    }
+
+    fn get(&self, s: usize) -> Option<usize> {
+        match self.slots.get(s) {
+            Some(&(stamp, count)) if stamp == self.epoch => Some(count as usize),
+            _ => None,
+        }
+    }
+
+    /// Memoize `count` for the seed at slot `s` of a shell of `len`.
+    fn put(&mut self, len: usize, s: usize, count: usize) {
+        if self.slots.len() < len {
+            self.slots.resize(len, (0, 0));
+        }
+        // A count never exceeds the vertex count, which fits a VertexId.
+        self.slots[s] = (self.epoch, count as u32);
+    }
+
+    /// Forget every count: the state they were counted on has changed.
+    fn forget(&mut self) {
+        if self.epoch == u32::MAX {
+            self.slots.fill((0, 0));
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+}
+
 impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
     /// Cloning copies the classes, shell order and shell index (O(n));
-    /// scratch space and metrics are reset, so a clone answers follower
-    /// queries independently of the original.
+    /// scratch space, the count memo and metrics are reset, so a clone
+    /// answers follower queries independently of the original.
     fn clone(&self) -> Self {
         let n = self.graph.num_vertices();
         AnchoredCoreState {
@@ -949,6 +1042,7 @@ impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
+            memo: CountMemo::new(),
         }
     }
 }
@@ -1115,8 +1209,11 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(31);
         let mut restored_any = false;
         for trial in 0..40 {
-            let n = 25usize;
-            let mut g = Graph::new(n);
+            // 25 vertices and 8 pendants: at k ≥ 3 a pendant lies below
+            // the shell with at most one shell neighbour, the kind of
+            // anchor the count memo serves.
+            let (n, pendants) = (25usize, 8usize);
+            let mut g = Graph::new(n + pendants);
             for _ in 0..90 {
                 let u = rng.gen_range(0..n) as VertexId;
                 let v = rng.gen_range(0..n) as VertexId;
@@ -1124,10 +1221,13 @@ mod tests {
                     g.insert_edge(u, v).unwrap();
                 }
             }
+            for p in n..n + pendants {
+                g.insert_edge(p as VertexId, rng.gen_range(0..n) as VertexId).unwrap();
+            }
             let k = 2 + (trial % 3) as u32;
             let mut recommit = AnchoredCoreState::new(&g, k);
             for _ in 0..3 {
-                let x = rng.gen_range(0..n) as VertexId;
+                let x = rng.gen_range(0..n + pendants) as VertexId;
                 if !recommit.in_core(x) {
                     recommit.commit_anchor(x);
                 }
@@ -1141,6 +1241,11 @@ mod tests {
             recommit.uncommit_anchor(u);
             recommit.commit_anchor(u);
             let kept = restore.uncommit_keeping(u);
+            // Count on the state without u, as a swap test does: the
+            // restore must forget these counts.
+            for v in g.vertices() {
+                restore.follower_count_of(v);
+            }
             restore.restore_anchor(kept);
             restored_any = true;
 
@@ -1156,15 +1261,69 @@ mod tests {
                 for w in g.vertices() {
                     assert_eq!(restore.precedes(v, w), recommit.precedes(v, w), "trial {trial}");
                 }
-                assert_eq!(
-                    restore.follower_count_of(v),
-                    recommit.follower_count_of(v),
-                    "trial {trial} followers of {v}"
-                );
+            }
+            // The second pass reads the counts the restore left memoized.
+            for pass in 0..2 {
+                for v in g.vertices() {
+                    assert_eq!(
+                        restore.follower_count_of(v),
+                        recommit.follower_count_of(v),
+                        "trial {trial} pass {pass} followers of {v}"
+                    );
+                }
             }
             assert_eq!(restore.candidates(), recommit.candidates(), "trial {trial}");
         }
         assert!(restored_any);
+    }
+
+    #[test]
+    fn below_shell_anchors_sharing_their_shell_neighbour_share_one_evaluation() {
+        // 6 and 7 hang off the shell vertex 4 alone: anchoring either
+        // seeds 4 and nothing else, which saves 4 and 5.
+        let mut edges: Vec<(VertexId, VertexId)> =
+            shell_graph().edges().map(|e| (e.u, e.v)).collect();
+        edges.push((7, 4));
+        let g = Graph::from_edges(8, edges).unwrap();
+        let mut st = AnchoredCoreState::new(&g, 3);
+        assert!(!st.in_shell(6) && !st.in_shell(7) && st.in_shell(4));
+        let cost = |st: &AnchoredCoreState<'_>| {
+            let m = st.metrics();
+            (m.follower_evaluations, m.vertices_visited)
+        };
+        assert_eq!(st.follower_count_of(6), 2);
+        let first = cost(&st);
+        assert_eq!(st.follower_count_of(7), 2);
+        assert_eq!(cost(&st), first, "a memo hit evaluates and visits nothing");
+        // A commit, an uncommit and a restore each forget the memo, even
+        // when, as here, they change no count.
+        st.commit_anchor(0);
+        assert_eq!(st.follower_count_of(7), 2);
+        assert_eq!(st.follower_count_of(6), 2);
+        assert_eq!(st.metrics().follower_evaluations, 2);
+        let kept = st.uncommit_keeping(0);
+        assert_eq!(st.follower_count_of(6), 2);
+        assert_eq!(st.metrics().follower_evaluations, 3);
+        st.restore_anchor(kept);
+        assert_eq!(st.follower_count_of(6), 2);
+        assert_eq!(st.follower_count_of(7), 2);
+        assert_eq!(st.metrics().follower_evaluations, 4);
+        // Follower sets and the unordered path always evaluate.
+        assert_eq!(st.followers_of(6).len(), 2);
+        assert_eq!(st.follower_count_of_unordered(6), 2);
+        assert_eq!(st.metrics().follower_evaluations, 6);
+    }
+
+    #[test]
+    fn count_memo_forgets_across_the_epoch_wrap() {
+        let mut memo = CountMemo::new();
+        memo.put(3, 0, 7); // stamped 1, the first epoch
+        assert_eq!(memo.get(0), Some(7));
+        memo.epoch = u32::MAX; // as after 2³² − 2 forgets
+        memo.put(3, 1, 5);
+        memo.forget();
+        // The epoch is 1 again: the wrap must have cleared slot 0's stamp.
+        assert_eq!((memo.get(0), memo.get(1), memo.get(2)), (None, None, None));
     }
 
     #[test]

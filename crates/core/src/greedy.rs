@@ -93,7 +93,7 @@ pub(crate) fn greedy_rounds<G: GraphView>(
     for _ in 0..l {
         let candidates =
             if config.prune_candidates { state.candidates() } else { all_probe_targets(state) };
-        bump_probed(state, candidates.len() as u64);
+        state.add_probed(candidates.len() as u64);
         let Some((v, _gain)) = select_best(state, &candidates, config.order_based_followers) else {
             break;
         };
@@ -101,12 +101,6 @@ pub(crate) fn greedy_rounds<G: GraphView>(
         anchors.push(v);
     }
     anchors
-}
-
-fn bump_probed<G: GraphView>(state: &mut AnchoredCoreState<'_, G>, n: u64) {
-    // Metrics live inside the state; expose the probe count through a tiny
-    // helper so all algorithms count identically.
-    state.add_probed(n);
 }
 
 /// Without Theorem-3 pruning, every non-core, non-anchored vertex is

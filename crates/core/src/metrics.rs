@@ -10,13 +10,17 @@ use std::time::Duration;
 /// Counters accumulated while an algorithm runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Metrics {
-    /// Candidate anchors whose follower sets were evaluated.
+    /// Candidate anchors considered: the size of every candidate set a
+    /// solver draws up to rank, whether each follower count is then
+    /// evaluated or read from the anchored state's count memo.
     pub candidates_probed: u64,
-    /// Individual follower-set computations.
+    /// Individual follower-set computations. Counts read from the count
+    /// memo are not evaluations.
     pub follower_evaluations: u64,
     /// Vertices touched by follower computations, maintenance peels and
     /// the local repairs of anchor commits — the paper's "visited
-    /// vertices" metric. A whole-graph peel counts every vertex.
+    /// vertices" metric. A whole-graph peel counts every vertex; a count
+    /// read from the count memo touches none.
     pub vertices_visited: u64,
     /// Whole-graph anchored peels (each O(n + m)): one per
     /// `AnchoredCoreState` construction. Commits and uncommits repair the

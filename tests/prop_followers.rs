@@ -357,3 +357,56 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The count memo never serves a stale count. After every commit or
+    /// uncommit of a random sequence, every vertex's count is asked twice,
+    /// so the second pass reads the memo wherever a count was memoized,
+    /// and both answers equal the follower set of a fresh build for the
+    /// same anchors and the oracle's. At k ≥ 3 the pendant vertices lie
+    /// below the shell with at most one shell neighbour, the kind of
+    /// anchor the memo serves; steps pick their vertex by class, as in
+    /// `local_repair_matches_fresh_build`.
+    #[test]
+    fn memoized_counts_match_fresh_build(
+        (n, mut pairs) in graph_strategy(25, 90),
+        pendants in proptest::collection::vec(0u32..25, 0..12),
+        k in 2u32..5,
+        steps in proptest::collection::vec((0u8..4, 0usize..64), 1..12),
+    ) {
+        let hosts = n as u32;
+        pairs.extend(pendants.iter().zip(hosts..).map(|(&p, v)| (v, p % hosts)));
+        let g = build(n + pendants.len(), &pairs);
+        let mut state = AnchoredCoreState::new(&g, k);
+        for (class, pick) in steps {
+            let pool = of_class(&state, class);
+            let Some(&v) = pool.get(pick % pool.len().max(1)) else { continue };
+            if class == 3 {
+                state.uncommit_anchor(v);
+            } else {
+                state.commit_anchor(v);
+            }
+            let anchors = state.anchors().to_vec();
+            let mut fresh = AnchoredCoreState::with_anchors(&g, k, &anchors);
+            let expected: Vec<usize> = g.vertices().map(|x| fresh.followers_of(x).len()).collect();
+            for x in g.vertices() {
+                prop_assert_eq!(
+                    expected[x as usize],
+                    naive_followers(&g, k, &anchors, x).len(),
+                    "oracle, anchor {} on top of {:?} at k = {}", x, &anchors, k
+                );
+            }
+            for pass in 0..2 {
+                for x in g.vertices() {
+                    prop_assert_eq!(
+                        state.follower_count_of(x),
+                        expected[x as usize],
+                        "pass {}, anchor {} on top of {:?} at k = {}", pass, x, &anchors, k
+                    );
+                }
+            }
+        }
+    }
+}
