@@ -1,7 +1,7 @@
 //! Microbenchmarks of the hot scan loops — the bucket peel, the follower
-//! scans, the anchored-state repairs, one per-snapshot Greedy solve, mcd
-//! counting and k-core membership — on both CSR substrates (resident
-//! [`CsrGraph`] and page-cache [`MmapCsr`]):
+//! scans, the anchored-state repairs, one per-snapshot Greedy solve and
+//! k-core membership — on both CSR substrates (resident [`CsrGraph`] and
+//! page-cache [`MmapCsr`]):
 //!
 //! * `kernels/peel` — full core decomposition (the bucket peel's
 //!   `deg > dv` scan + bucket moves).
@@ -24,7 +24,6 @@
 //! * `kernels/greedy-solve` — one `Greedy::solve_snapshot` with l = 10 on
 //!   the `track` instance: the construction, ten rounds of counts and the
 //!   ten commits, the per-snapshot solver rung.
-//! * `kernels/mcd` — max-core-degree sweep over every vertex.
 //! * `kernels/members` — k-core membership filter over the core array.
 //!
 //! Labels are `kernels/<group>/{resident,mmap}`, and `kernels/members/k3`
@@ -40,7 +39,7 @@ use avt_datasets::chunglu::chung_lu;
 use avt_datasets::Dataset;
 use avt_graph::io::write_csrbin_file;
 use avt_graph::{CsrGraph, GraphView, MmapCsr, VertexId};
-use avt_kcore::{k_core_members, max_core_degrees, CoreDecomposition};
+use avt_kcore::{k_core_members, CoreDecomposition};
 
 /// The benchmark graph: the same 20k/100k Chung-Lu instance the substrate
 /// benches use, so these numbers compose with the vec-vs-csr ones.
@@ -171,18 +170,6 @@ fn bench_greedy_solve(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_mcd(c: &mut Criterion) {
-    let csr = bench_graph();
-    let mapped = mapped_copy(&csr);
-    let cores = CoreDecomposition::compute(&csr).cores().to_vec();
-
-    let mut g = c.benchmark_group("kernels/mcd");
-    g.sample_size(10);
-    g.bench_function("resident", |b| b.iter(|| max_core_degrees(&csr, &cores)));
-    g.bench_function("mmap", |b| b.iter(|| max_core_degrees(&mapped, &cores)));
-    g.finish();
-}
-
 fn bench_members(c: &mut Criterion) {
     let csr = bench_graph();
     let cores = CoreDecomposition::compute(&csr).cores().to_vec();
@@ -203,7 +190,6 @@ criterion_group!(
     bench_state_new,
     bench_state_commit,
     bench_greedy_solve,
-    bench_mcd,
     bench_members
 );
 criterion_main!(benches);

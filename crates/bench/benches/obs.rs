@@ -1,6 +1,6 @@
-//! Telemetry microbenchmarks: the three hot paths the PR 10 obs layer
-//! adds, so regressions in the "always cheap" story are caught by the
-//! same harness as every other bench group.
+//! Telemetry microbenchmarks: the three hot paths the obs layer adds, so
+//! regressions in the "always cheap" story are caught by the same harness
+//! as every other bench group.
 //!
 //! * `obs/hist/record` — one log-bucketed histogram absorbing a stream
 //!   of latencies (three relaxed atomics per sample; this is the cost

@@ -46,11 +46,8 @@ options:
                  AVT_FRAME_SOURCE, else resident). mmap spills each stream
                  once to $AVT_DATA_DIR/cache/ as .csrbin files and replays
                  zero-copy mapped frames; results are identical at either
-                 setting, only memory residency and wall time move
-  --no-cache     bypass the $AVT_DATA_DIR/cache/ spill cache (equivalent
-                 to AVT_NO_CACHE=1): mmap runs spill fresh frames to tmp
-                 instead of reusing — the knob for ruling out stale caches
-                 when results look wrong
+                 setting, only memory residency and wall time move; to
+                 rule out a stale cache, delete $AVT_DATA_DIR/cache/
   --out DIR      CSV output directory      (default results/); the run
                  exits nonzero if any CSV cannot be written there
 
@@ -66,15 +63,12 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = raw.iter().filter(|a| *a != "--quick" && *a != "--no-cache").cloned();
+    let mut args = raw.iter().filter(|a| *a != "--quick").cloned();
     let experiment = args.next().ok_or_else(|| USAGE.to_string())?;
     // --quick selects the tiny baseline context regardless of its position;
     // every explicit flag overrides it (it is filtered out of `args` above
-    // so the main loop never sees it). --no-cache is positionless too.
+    // so the main loop never sees it).
     let quick = raw.iter().any(|a| a == "--quick");
-    if raw.iter().any(|a| a == "--no-cache") {
-        avt_datasets::loader::set_cache_bypass(true);
-    }
     let mut ctx = if quick { Context::tiny() } else { Context::default() };
     let mut out = PathBuf::from("results");
     while let Some(flag) = args.next() {

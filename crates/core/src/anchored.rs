@@ -131,9 +131,8 @@ const ANCHOR: u32 = 3;
 /// Generic over the snapshot's [`GraphView`] substrate: per-snapshot
 /// solvers instantiate it over frozen [`avt_graph::CsrGraph`] frames, the
 /// incremental path over the mutable [`Graph`] it maintains. The default
-/// type parameter keeps plain `AnchoredCoreState<'g>` meaning "state over a
-/// mutable graph", which is what non-generic callers had before the
-/// substrate split.
+/// type parameter makes plain `AnchoredCoreState<'g>` a state over a
+/// mutable graph.
 ///
 /// # Example
 ///
@@ -448,9 +447,8 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// not the graph. Returns an empty set when `x` is already in the core
     /// or already an anchor.
     pub fn followers_of(&mut self, x: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.followers_of_into(x, &mut out);
-        out
+        self.evaluate(x, true);
+        self.followers().collect()
     }
 
     /// Number of followers of `x` (allocation-free fast path for ranking).
@@ -483,13 +481,6 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             (Some(&v), None) => Some(self.pos[v as usize] as usize),
             _ => None,
         }
-    }
-
-    /// As [`Self::followers_of`] but reusing the caller's buffer.
-    pub fn followers_of_into(&mut self, x: VertexId, out: &mut Vec<VertexId>) {
-        out.clear();
-        self.evaluate(x, true);
-        out.extend(self.followers());
     }
 
     /// Followers of `x` computed the OLAK way: the candidate region is the

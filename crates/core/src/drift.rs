@@ -116,7 +116,9 @@ mod tests {
             elapsed: Duration::ZERO,
             metrics: Metrics::default(),
         };
-        let result = AvtResult::from_reports(vec![mk(1, vec![1]), mk(2, vec![2])]);
+        let mut result = AvtResult::default();
+        result.push_report(mk(1, vec![1]));
+        result.push_report(mk(2, vec![2]));
         let report = analyze(&result);
         assert_eq!(report.jaccard, vec![0.0]);
     }

@@ -56,15 +56,6 @@ pub struct AvtResult {
 }
 
 impl AvtResult {
-    /// Assemble the summary fields from per-snapshot reports.
-    pub fn from_reports(reports: Vec<SnapshotReport>) -> Self {
-        let mut result = AvtResult::default();
-        for report in reports {
-            result.push_report(report);
-        }
-        result
-    }
-
     /// Fold one more snapshot's report into the summary fields. Reports
     /// must arrive in `t`-order — this is the [`crate::engine::ReportSink`]
     /// implementation the engine's streaming runners feed.
@@ -78,11 +69,6 @@ impl AvtResult {
     /// metric, Figures 9-11).
     pub fn total_followers(&self) -> usize {
         self.follower_counts.iter().sum()
-    }
-
-    /// Total wall time across snapshots.
-    pub fn total_elapsed(&self) -> Duration {
-        self.reports.iter().map(|r| r.elapsed).sum()
     }
 
     /// Aggregated efficiency counters.
@@ -135,14 +121,12 @@ mod tests {
 
     #[test]
     fn result_summaries() {
-        let r = AvtResult::from_reports(vec![
-            report(1, vec![4], vec![7, 8]),
-            report(2, vec![5], vec![9]),
-        ]);
+        let mut r = AvtResult::default();
+        r.push_report(report(1, vec![4], vec![7, 8]));
+        r.push_report(report(2, vec![5], vec![9]));
         assert_eq!(r.anchor_sets, vec![vec![4], vec![5]]);
         assert_eq!(r.follower_counts, vec![2, 1]);
         assert_eq!(r.total_followers(), 3);
-        assert_eq!(r.total_elapsed(), Duration::from_millis(3));
         assert_eq!(r.total_metrics().vertices_visited, 10);
     }
 }

@@ -20,7 +20,6 @@
 //! memory. Repeat runs skip the batch-merge frame derivation (opening the
 //! cache is one validation pass per frame, no adjacency rebuilding).
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -83,33 +82,6 @@ pub fn frame_cache_dir() -> PathBuf {
     crate::data_dir().join("cache")
 }
 
-/// Sentinel for "no process-wide override installed" (mirrors
-/// `avt_core::engine`'s thread knob).
-const BYPASS_UNSET: usize = usize::MAX;
-static CACHE_BYPASS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(BYPASS_UNSET);
-
-/// Install a process-wide cache-bypass override (the `run_experiments
-/// --no-cache` flag). Takes precedence over the `AVT_NO_CACHE`
-/// environment variable.
-pub fn set_cache_bypass(bypass: bool) {
-    CACHE_BYPASS.store(usize::from(bypass), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether [`cached_frame_source`] should bypass the persistent spill
-/// cache: the [`set_cache_bypass`] override if installed, else
-/// `AVT_NO_CACHE=1` from the environment, else false. Bypassed runs still
-/// serve mmap-backed frames — they just spill to a throwaway staging
-/// directory instead of reusing (or writing) `$AVT_DATA_DIR/cache/`,
-/// which is the knob for "could these results be coming from a stale
-/// cache?" debugging.
-pub fn cache_bypassed() -> bool {
-    match CACHE_BYPASS.load(std::sync::atomic::Ordering::Relaxed) {
-        BYPASS_UNSET => std::env::var("AVT_NO_CACHE").is_ok_and(|v| v.trim() == "1"),
-        installed => installed == 1,
-    }
-}
-
 /// How a [`cached_frames_in`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CacheOutcome {
@@ -128,7 +100,7 @@ fn note_cache_outcome(outcome: CacheOutcome, dir: &Path) {
         CacheOutcome::Reused => REUSED.call_once(|| {
             eprintln!(
                 "# frame cache: reusing {} (first reuse; later reuses are silent — \
-                 AVT_NO_CACHE=1 or --no-cache bypasses)",
+                 delete the directory to rule out a stale cache)",
                 dir.display()
             );
         }),
@@ -262,47 +234,9 @@ pub fn cached_frames_in(
 
 /// [`cached_frames_in`] rooted at the default [`frame_cache_dir`]
 /// (`$AVT_DATA_DIR/cache/`), with the fingerprint appended to the caller's
-/// key automatically.
-///
-/// When the cache is bypassed ([`cache_bypassed`]: `AVT_NO_CACHE=1` or
-/// `run_experiments --no-cache`), the stream is spilled to a throwaway
-/// temp directory instead — fresh frames every run, nothing reused,
-/// nothing left for a later run to reuse. The directory entries are
-/// unlinked as soon as the frames are mapped (mappings are inode-based;
-/// the non-Unix fallback reads frames into owned memory anyway), so
-/// bypassed runs leave no residue even when interrupted after open.
+/// key automatically. To rule out a stale cache, delete that directory.
 pub fn cached_frame_source(evolving: &EvolvingGraph, key: &str) -> Result<MmapFrames, GraphError> {
     let keyed = format!("{key}-{:016x}", evolving_fingerprint(evolving));
-    if cache_bypassed() {
-        static NOTE: std::sync::Once = std::sync::Once::new();
-        static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        // Process-local memo: an experiment sweep asks for the same
-        // stream once per table, and "never touch the persistent cache"
-        // should not mean "rewrite every frame eight times per run".
-        // Keyed by the same fingerprinted key as the persistent cache, so
-        // a different stream can never be handed back; entries (and their
-        // mappings) live until process exit, which is the point of a
-        // bypassed run.
-        static MEMO: std::sync::OnceLock<std::sync::Mutex<HashMap<String, MmapFrames>>> =
-            std::sync::OnceLock::new();
-        let mut memo =
-            MEMO.get_or_init(Default::default).lock().expect("bypass memo lock poisoned");
-        if let Some(frames) = memo.get(&keyed) {
-            return Ok(frames.clone());
-        }
-        NOTE.call_once(|| {
-            eprintln!("# frame cache: bypassed (AVT_NO_CACHE / --no-cache); spilling to tmp");
-        });
-        let dir = std::env::temp_dir().join(format!(
-            ".avt-nocache-{keyed}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let frames = MmapFrames::spill(evolving, &dir)?;
-        let _ = std::fs::remove_dir_all(&dir);
-        memo.insert(keyed, frames.clone());
-        return Ok(frames);
-    }
     cached_frames_in(&frame_cache_dir(), &keyed, evolving)
 }
 
@@ -442,37 +376,6 @@ mod tests {
             .collect();
         assert_eq!(entries, vec![key.to_string()], "leftovers: {entries:?}");
         let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn cache_bypass_spills_to_tmp_and_leaves_no_cache() {
-        let eg = crate::Dataset::Deezer.generate(0.005, 3, 77);
-        // No other test in this crate calls cached_frame_source, so
-        // flipping the process-wide knob around the probe is safe.
-        set_cache_bypass(true);
-        assert!(cache_bypassed());
-        let frames = cached_frame_source(&eg, "bypass-test").unwrap();
-        set_cache_bypass(false);
-        assert!(!cache_bypassed(), "explicit override beats the environment");
-
-        assert_eq!(frames.num_frames(), 3);
-        // Queries keep working although the staging directory is already
-        // unlinked (mappings are inode-based).
-        let touched: usize = frames.iter_frames().map(|(_, f)| f.num_edges()).sum();
-        assert!(touched > 0);
-        assert!(!frames.dir().exists(), "bypass staging must be unlinked");
-        // And the persistent cache was neither read nor written.
-        let keyed = format!("bypass-test-{:016x}", evolving_fingerprint(&eg));
-        assert!(!frame_cache_dir().join(keyed).exists(), "bypass must not populate the cache");
-
-        // A second bypassed request for the same stream is served from the
-        // process-local memo — same mapped frames, no fresh spill (the
-        // staging directory name embeds a sequence number, so a respill
-        // would report a different dir).
-        set_cache_bypass(true);
-        let again = cached_frame_source(&eg, "bypass-test").unwrap();
-        set_cache_bypass(false);
-        assert_eq!(again.dir(), frames.dir(), "second call must reuse the memoized spill");
     }
 
     #[test]

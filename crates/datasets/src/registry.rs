@@ -336,7 +336,7 @@ mod tests {
         assert_eq!(eg.num_snapshots(), 6);
         eg.validate().unwrap();
         // eu-core is dense: at 5% scale there should still be real churn.
-        assert!(eg.total_churn() > 0);
+        assert!(eg.batches().iter().any(|b| !b.is_empty()));
     }
 
     #[test]

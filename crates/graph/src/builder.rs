@@ -47,13 +47,6 @@ pub struct BuiltGraph {
     pub dropped_self_loops: usize,
 }
 
-impl BuiltGraph {
-    /// Reverse lookup: raw id -> dense id, if the vertex appeared.
-    pub fn dense_id(&self, raw: u64) -> Option<VertexId> {
-        self.original_ids.binary_search(&raw).ok().map(|i| i as VertexId)
-    }
-}
-
 impl GraphBuilder {
     /// New empty builder.
     pub fn new() -> Self {
@@ -67,11 +60,6 @@ impl GraphBuilder {
             return;
         }
         self.edges.push(if a < b { (a, b) } else { (b, a) });
-    }
-
-    /// Number of raw (non-self-loop) edges recorded so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Deduplicate, densify and produce the final graph.
@@ -125,10 +113,6 @@ mod tests {
         b.add_edge(5, 42);
         let built = b.build();
         assert_eq!(built.original_ids, vec![5, 42, 1000]);
-        assert_eq!(built.dense_id(5), Some(0));
-        assert_eq!(built.dense_id(42), Some(1));
-        assert_eq!(built.dense_id(1000), Some(2));
-        assert_eq!(built.dense_id(7), None);
         // edge (1000,5) -> (2,0); edge (5,42) -> (0,1)
         assert!(built.graph.has_edge(2, 0));
         assert!(built.graph.has_edge(0, 1));
@@ -150,7 +134,6 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edge(3, 3);
         b.add_edge(3, 4);
-        assert_eq!(b.raw_edge_count(), 1);
         let built = b.build();
         assert_eq!(built.dropped_self_loops, 1);
         assert_eq!(built.graph.num_edges(), 1);

@@ -93,11 +93,6 @@ impl EdgeBatch {
     pub fn is_empty(&self) -> bool {
         self.insertions.is_empty() && self.deletions.is_empty()
     }
-
-    /// The batch that undoes this one (insertions and deletions swapped).
-    pub fn inverted(&self) -> EdgeBatch {
-        EdgeBatch { insertions: self.deletions.clone(), deletions: self.insertions.clone() }
-    }
 }
 
 #[cfg(test)]
@@ -147,14 +142,5 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.insertions.len(), 2);
         assert_eq!(b.deletions.len(), 1);
-    }
-
-    #[test]
-    fn batch_inverted_swaps_roles() {
-        let b = EdgeBatch::from_pairs([(0, 1)], [(3, 4), (4, 5)]);
-        let inv = b.inverted();
-        assert_eq!(inv.insertions, b.deletions);
-        assert_eq!(inv.deletions, b.insertions);
-        assert_eq!(inv.inverted(), b);
     }
 }

@@ -26,9 +26,12 @@ pub enum GraphError {
         /// True when the conflict was a duplicate insertion.
         inserting: bool,
     },
-    /// A line of an edge-list file could not be parsed.
+    /// Input could not be read or parsed: a line of an edge-list file, or
+    /// a file, directory or index as a whole.
     Parse {
-        /// 1-based line number.
+        /// 1-based line number, or 0 when the error has no line (a file
+        /// that cannot be opened, a bad frame directory, an out-of-range
+        /// snapshot index); the message then omits it.
         line: usize,
         /// Human-readable description of the problem.
         message: String,
@@ -54,6 +57,7 @@ impl fmt::Display for GraphError {
                     write!(f, "edge ({u}, {v}) not present")
                 }
             }
+            GraphError::Parse { line: 0, message } => write!(f, "parse error: {message}"),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
@@ -86,6 +90,8 @@ mod tests {
 
         let e = GraphError::Parse { line: 7, message: "bad token".into() };
         assert!(e.to_string().contains("line 7"));
+        let e = GraphError::Parse { line: 0, message: "cannot open x".into() };
+        assert_eq!(e.to_string(), "parse error: cannot open x");
     }
 
     #[test]

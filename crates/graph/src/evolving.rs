@@ -6,9 +6,10 @@
 //! more importantly — would hide the deltas the incremental algorithm feeds
 //! on, so an [`EvolvingGraph`] is the initial snapshot plus `T-1` batches.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::{CsrGraph, EdgeBatch, Graph, GraphError, VertexId};
+use crate::{CsrGraph, EdgeBatch, Graph, GraphError};
 
 /// An evolving graph: snapshot `G_1` plus the per-step churn.
 ///
@@ -97,11 +98,11 @@ impl EvolvingGraph {
     }
 
     /// Iterate over snapshots `G_1..G_T` as immutable [`CsrGraph`] frames,
-    /// each materialized exactly once: frame `t+1` is derived from frame
-    /// `t` via [`CsrGraph::apply_batch`], so the whole walk costs
-    /// O(T·(n + m)) array merges instead of the O(T²·churn) a
-    /// [`Self::snapshot`]-in-a-loop pays. This is the substrate the
-    /// per-snapshot analysis algorithms consume.
+    /// each materialized exactly once by the [`Self::frames_arc`] walk, so
+    /// the whole walk costs O(T·(n + m)) array merges instead of the
+    /// O(T²·churn) a [`Self::snapshot`]-in-a-loop pays. Each non-final
+    /// frame is cloned out of its `Arc`, because the walk keeps it to derive
+    /// the next one; the final frame is handed over without a copy.
     ///
     /// # Example
     ///
@@ -114,20 +115,18 @@ impl EvolvingGraph {
     /// let edge_counts: Vec<_> = eg.frames().map(|(t, f)| (t, f.num_edges())).collect();
     /// assert_eq!(edge_counts, vec![(1, 1), (2, 2)]);
     /// ```
-    pub fn frames(&self) -> FrameIter<'_> {
-        FrameIter { evolving: self, current: None, next_t: 1 }
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = (usize, CsrGraph)> + '_ {
+        self.frames_arc().map(|(t, frame)| (t, Arc::unwrap_or_clone(frame)))
     }
 
-    /// Like [`Self::frames`], but yields each frame behind an [`Arc`] so it
-    /// can outlive the iterator (and the thread that materialized it). This
-    /// is the substrate the pipelined execution engine consumes: a producer
-    /// walks this iterator in `t`-order — the frame chain is inherently
-    /// sequential, each frame derived from its predecessor via
-    /// [`CsrGraph::apply_batch`] — and hands the completed `Arc` frames to
-    /// worker threads that solve snapshots concurrently. Because
-    /// [`CsrGraph::apply_batch`] is functional (`&self -> CsrGraph`), the
-    /// walk needs *no* per-step deep clone at all, unlike [`Self::frames`]
-    /// which clones every non-final frame to keep deriving.
+    /// Walk snapshots `G_1..G_T` as [`CsrGraph`] frames behind an [`Arc`],
+    /// so each can outlive the iterator (and the thread that materialized
+    /// it). Frame `t+1` is derived from frame `t` via
+    /// [`CsrGraph::apply_batch`], which is functional (`&self ->
+    /// CsrGraph`), so the walk deep-clones no frame. This is the substrate
+    /// the execution engine consumes: the frame chain is inherently
+    /// sequential, so a producer walks it in `t`-order and hands the
+    /// completed frames to worker threads.
     ///
     /// # Example
     ///
@@ -142,7 +141,13 @@ impl EvolvingGraph {
     /// assert_eq!(frames[1].1.num_edges(), 2); // Arc<CsrGraph>
     /// ```
     pub fn frames_arc(&self) -> ArcFrameIter<'_> {
-        ArcFrameIter { evolving: self, current: None, next_t: 1 }
+        ArcFrameIter { evolving: Cow::Borrowed(self), current: None, next_t: 1 }
+    }
+
+    /// [`Self::frames_arc`] over an owned history, so the walk needs no
+    /// borrow of where the history came from.
+    pub fn into_frames_arc(self) -> ArcFrameIter<'static> {
+        ArcFrameIter { evolving: Cow::Owned(self), current: None, next_t: 1 }
     }
 
     /// Truncate to the first `t` snapshots (used by the `T`-sweep
@@ -152,11 +157,6 @@ impl EvolvingGraph {
         EvolvingGraph { initial: self.initial.clone(), batches: self.batches[..keep].to_vec() }
     }
 
-    /// Total churn volume across all batches (|E+| + |E-| summed).
-    pub fn total_churn(&self) -> usize {
-        self.batches.iter().map(EdgeBatch::len).sum()
-    }
-
     /// Validate that every batch applies cleanly, returning the final
     /// snapshot. O(total churn).
     pub fn validate(&self) -> Result<Graph, GraphError> {
@@ -164,71 +164,28 @@ impl EvolvingGraph {
     }
 }
 
-/// Iterator over `(t, CsrGraph)` produced by [`EvolvingGraph::frames`].
-///
-/// Each step keeps one frame alive to derive the next from, so yielding
-/// costs one contiguous-array clone (two `memcpy`s) on top of the batch
-/// merge — still O(n + m) per frame with no replay from `G_1`.
-pub struct FrameIter<'a> {
-    evolving: &'a EvolvingGraph,
-    current: Option<CsrGraph>,
-    next_t: usize,
-}
-
-impl<'a> Iterator for FrameIter<'a> {
-    type Item = (usize, CsrGraph);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let t = self.next_t;
-        if t > self.evolving.num_snapshots() {
-            return None;
-        }
-        let frame = match self.current.take() {
-            None => CsrGraph::from_graph(&self.evolving.initial),
-            Some(frame) => {
-                let batch = self
-                    .evolving
-                    .batch(t - 1)
-                    .expect("batch t-1 exists because t <= num_snapshots");
-                frame.apply_batch(batch).expect("evolving graph batches must apply cleanly")
-            }
-        };
-        // Keep a copy only while another frame will be derived from it;
-        // the final frame is handed out without a wasted clone.
-        self.current = (t < self.evolving.num_snapshots()).then(|| frame.clone());
-        self.next_t += 1;
-        Some((t, frame))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.evolving.num_snapshots() + 1 - self.next_t;
-        (left, Some(left))
-    }
-}
-
-impl<'a> ExactSizeIterator for FrameIter<'a> {}
-
 /// Iterator over `(t, Arc<CsrGraph>)` produced by
-/// [`EvolvingGraph::frames_arc`].
+/// [`EvolvingGraph::frames_arc`] and [`EvolvingGraph::into_frames_arc`].
 ///
-/// The iterator retains an `Arc` to the latest frame (to derive the next
-/// from), so yielding is a reference-count bump — no array clone ever, not
-/// even for intermediate frames.
+/// The iterator retains an `Arc` to the latest frame while another frame
+/// will be derived from it, so yielding is a reference-count bump. It lets
+/// go of the final frame, which the caller then holds alone.
 pub struct ArcFrameIter<'a> {
-    evolving: &'a EvolvingGraph,
+    evolving: Cow<'a, EvolvingGraph>,
     current: Option<Arc<CsrGraph>>,
     next_t: usize,
 }
 
-impl<'a> Iterator for ArcFrameIter<'a> {
+impl Iterator for ArcFrameIter<'_> {
     type Item = (usize, Arc<CsrGraph>);
 
     fn next(&mut self) -> Option<Self::Item> {
         let t = self.next_t;
-        if t > self.evolving.num_snapshots() {
+        let last = self.evolving.num_snapshots();
+        if t > last {
             return None;
         }
-        let frame = match &self.current {
+        let frame = match self.current.take() {
             None => Arc::new(CsrGraph::from_graph(&self.evolving.initial)),
             Some(prev) => {
                 let batch = self
@@ -240,7 +197,7 @@ impl<'a> Iterator for ArcFrameIter<'a> {
                 )
             }
         };
-        self.current = Some(Arc::clone(&frame));
+        self.current = (t < last).then(|| Arc::clone(&frame));
         self.next_t += 1;
         Some((t, frame))
     }
@@ -251,19 +208,7 @@ impl<'a> Iterator for ArcFrameIter<'a> {
     }
 }
 
-impl<'a> ExactSizeIterator for ArcFrameIter<'a> {}
-
-/// Convenience: the set of vertices touched by a batch (endpoints of all
-/// events), each reported exactly once, in ascending order. Candidate-
-/// pruning consumers (IncAVT's impacted pool) iterate this directly, so the
-/// sorted-and-deduplicated contract is load-bearing, not cosmetic.
-pub fn touched_vertices(batch: &EdgeBatch) -> Vec<VertexId> {
-    let mut out: Vec<VertexId> =
-        batch.insertions.iter().chain(batch.deletions.iter()).flat_map(|e| e.endpoints()).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
+impl ExactSizeIterator for ArcFrameIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -282,7 +227,6 @@ mod tests {
         let eg = sample();
         assert_eq!(eg.num_snapshots(), 3);
         assert_eq!(eg.num_vertices(), 5);
-        assert_eq!(eg.total_churn(), 3);
     }
 
     #[test]
@@ -334,25 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn touched_vertices_deduplicates() {
-        let batch = EdgeBatch::from_pairs([(0, 1), (1, 2)], [(2, 3)]);
-        assert_eq!(touched_vertices(&batch), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn touched_vertices_contract_each_vertex_once_sorted() {
-        // A vertex hit by many events — across insertions AND deletions,
-        // out of id order — must still appear exactly once, and the whole
-        // output must be ascending.
-        let batch = EdgeBatch::from_pairs([(9, 1), (1, 5), (5, 9)], [(1, 3), (9, 0)]);
-        let touched = touched_vertices(&batch);
-        assert_eq!(touched, vec![0, 1, 3, 5, 9]);
-        assert!(touched.windows(2).all(|w| w[0] < w[1]), "strictly ascending, no repeats");
-        // Empty batch: empty output.
-        assert!(touched_vertices(&EdgeBatch::new()).is_empty());
-    }
-
-    #[test]
     fn frames_match_snapshot_materialization() {
         let eg = sample();
         let frames: Vec<(usize, crate::CsrGraph)> = eg.frames().collect();
@@ -377,6 +302,18 @@ mod tests {
         let (_, last) = eg.frames_arc().last().unwrap();
         let handle = std::thread::spawn(move || last.num_edges());
         assert_eq!(handle.join().unwrap(), 4);
+    }
+
+    #[test]
+    fn frames_arc_hands_over_the_final_frame() {
+        let eg = sample();
+        let mut it = eg.frames_arc();
+        let (_, first) = it.next().unwrap();
+        assert_eq!(Arc::strong_count(&first), 2, "kept to derive frame 2");
+        let (t, last) = it.nth(1).unwrap();
+        assert_eq!(t, 3);
+        assert_eq!(Arc::strong_count(&last), 1, "the live iterator keeps no handle");
+        assert!(it.next().is_none());
     }
 
     #[test]

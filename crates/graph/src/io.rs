@@ -1,5 +1,5 @@
-//! SNAP-style edge-list parsing and writing, plus the binary `.csrbin`
-//! snapshot format.
+//! SNAP-style edge-list parsing, plus the binary `.csrbin` snapshot
+//! format.
 //!
 //! Two text formats are supported, matching the datasets in the paper's
 //! §6.1:
@@ -44,7 +44,6 @@ use std::path::Path;
 
 use crate::builder::BuiltGraph;
 use crate::csr::CsrGraph;
-use crate::graph::Graph;
 use crate::{GraphBuilder, GraphError, VertexId};
 
 /// Magic bytes opening every `.csrbin` file.
@@ -140,11 +139,6 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<BuiltGraph, GraphError> {
     Ok(builder.build())
 }
 
-/// Parse a static edge list from a string.
-pub fn parse_edge_list(text: &str) -> Result<BuiltGraph, GraphError> {
-    read_edge_list(text.as_bytes())
-}
-
 /// Parse a temporal edge list (`u v timestamp` per line). Events are
 /// returned in file order; callers sort by timestamp as needed.
 pub fn read_temporal_edge_list<R: BufRead>(reader: R) -> Result<Vec<TemporalEdge>, GraphError> {
@@ -172,34 +166,6 @@ pub fn read_temporal_edge_list<R: BufRead>(reader: R) -> Result<Vec<TemporalEdge
     Ok(out)
 }
 
-/// Parse a temporal edge list from a string.
-pub fn parse_temporal_edge_list(text: &str) -> Result<Vec<TemporalEdge>, GraphError> {
-    read_temporal_edge_list(text.as_bytes())
-}
-
-/// Write a graph as a static edge list (one normalized edge per line) with a
-/// SNAP-style header comment.
-pub fn write_edge_list<W: Write>(graph: &Graph, mut writer: W) -> std::io::Result<()> {
-    writeln!(
-        writer,
-        "# Undirected graph: {} nodes, {} edges",
-        graph.num_vertices(),
-        graph.num_edges()
-    )?;
-    for e in graph.edges() {
-        writeln!(writer, "{}\t{}", e.u, e.v)?;
-    }
-    Ok(())
-}
-
-/// Render a graph to an edge-list string (round-trips through
-/// [`parse_edge_list`] up to vertex densification).
-pub fn edge_list_string(graph: &Graph) -> String {
-    let mut buf = Vec::new();
-    write_edge_list(graph, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("edge list output is ASCII")
-}
-
 /// Densify a set of temporal edges: returns `(n, events)` where events use
 /// dense vertex ids `0..n` and are sorted by timestamp (stable for ties).
 pub fn densify_temporal(events: &[TemporalEdge]) -> (usize, Vec<(VertexId, VertexId, u64)>) {
@@ -221,14 +187,15 @@ mod tests {
 
     #[test]
     fn parses_simple_edge_list() {
-        let built = parse_edge_list("# comment\n0 1\n1 2\n\n% also comment\n2 0\n").unwrap();
+        let built =
+            read_edge_list("# comment\n0 1\n1 2\n\n% also comment\n2 0\n".as_bytes()).unwrap();
         assert_eq!(built.graph.num_vertices(), 3);
         assert_eq!(built.graph.num_edges(), 3);
     }
 
     #[test]
     fn tolerates_duplicates_and_self_loops() {
-        let built = parse_edge_list("0 1\n1 0\n2 2\n0 1\n").unwrap();
+        let built = read_edge_list("0 1\n1 0\n2 2\n0 1\n".as_bytes()).unwrap();
         assert_eq!(built.graph.num_edges(), 1);
         assert_eq!(built.dropped_duplicates, 2);
         assert_eq!(built.dropped_self_loops, 1);
@@ -236,24 +203,24 @@ mod tests {
 
     #[test]
     fn rejects_malformed_lines() {
-        let err = parse_edge_list("0 1\nbogus\n").unwrap_err();
+        let err = read_edge_list("0 1\nbogus\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 2, .. }));
-        let err = parse_edge_list("0\n").unwrap_err();
+        let err = read_edge_list("0\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
-        let err = parse_edge_list("0 -3\n").unwrap_err();
+        let err = read_edge_list("0 -3\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
     }
 
     #[test]
     fn tab_separated_ids_accepted() {
-        let built = parse_edge_list("10\t20\n20\t30\n").unwrap();
+        let built = read_edge_list("10\t20\n20\t30\n".as_bytes()).unwrap();
         assert_eq!(built.graph.num_edges(), 2);
         assert_eq!(built.original_ids, vec![10, 20, 30]);
     }
 
     #[test]
     fn temporal_parse_and_densify() {
-        let events = parse_temporal_edge_list("# t\n5 6 100\n6 7 50\n5 7 75\n").unwrap();
+        let events = read_temporal_edge_list("# t\n5 6 100\n6 7 50\n5 7 75\n".as_bytes()).unwrap();
         assert_eq!(events.len(), 3);
         let (n, dense) = densify_temporal(&events);
         assert_eq!(n, 3);
@@ -263,21 +230,6 @@ mod tests {
 
     #[test]
     fn temporal_rejects_two_token_lines() {
-        assert!(parse_temporal_edge_list("1 2\n").is_err());
-    }
-
-    #[test]
-    fn edge_list_round_trip() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let text = edge_list_string(&g);
-        let built = parse_edge_list(&text).unwrap();
-        assert!(built.graph.is_isomorphic_identity(&g));
-    }
-
-    #[test]
-    fn writer_emits_header() {
-        let g = Graph::from_edges(2, [(0, 1)]).unwrap();
-        let text = edge_list_string(&g);
-        assert!(text.starts_with("# Undirected graph: 2 nodes, 1 edges"));
+        assert!(read_temporal_edge_list("1 2\n".as_bytes()).is_err());
     }
 }

@@ -34,7 +34,7 @@
 //!   consumes: anything yielding `(t, Arc<frame>)` in `t`-order.
 //!   [`EvolvingGraph`] is the resident source; [`MmapFrames`] replays a
 //!   spilled directory of `.csrbin` frames as mapped views.
-//! * [`io`] — SNAP-style whitespace edge-list parsing and writing (plus the
+//! * [`io`] — SNAP-style whitespace edge-list parsing (plus the
 //!   timestamped variant used by the temporal datasets), and the binary
 //!   `.csrbin` snapshot writer.
 //! * [`stats`] — the dataset statistics reported in Table 2 of the paper,
@@ -64,7 +64,7 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use edge::{Edge, EdgeBatch};
 pub use error::GraphError;
-pub use evolving::{EvolvingGraph, FrameIter};
+pub use evolving::EvolvingGraph;
 pub use graph::Graph;
 pub use mmap::MmapCsr;
 pub use source::{FrameSource, MmapFrames};

@@ -60,23 +60,6 @@ impl GraphStats {
             largest_component: largest,
         }
     }
-
-    /// One row of a Table-2 style report.
-    pub fn table_row(&self, name: &str) -> String {
-        format!(
-            "{name:<16} {:>9} {:>10} {:>7.2} {:>8} {:>8}",
-            self.nodes, self.edges, self.avg_degree, self.max_degree, self.components
-        )
-    }
-}
-
-/// Degree histogram: `hist[d]` = number of vertices with degree `d`.
-pub fn degree_histogram<G: GraphView>(graph: &G) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for v in graph.vertices() {
-        hist[graph.degree(v)] += 1;
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -89,7 +72,6 @@ mod tests {
         let g = Graph::from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
         assert_eq!(GraphStats::compute(&g), GraphStats::compute(&csr));
-        assert_eq!(degree_histogram(&g), degree_histogram(&csr));
     }
 
     #[test]
@@ -112,20 +94,5 @@ mod tests {
         assert_eq!(s.nodes, 0);
         assert_eq!(s.components, 0);
         assert_eq!(s.largest_component, 0);
-    }
-
-    #[test]
-    fn degree_histogram_star() {
-        let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
-        let hist = degree_histogram(&g);
-        assert_eq!(hist, vec![0, 4, 0, 0, 1]);
-    }
-
-    #[test]
-    fn table_row_contains_counts() {
-        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
-        let row = GraphStats::compute(&g).table_row("tiny");
-        assert!(row.contains("tiny"));
-        assert!(row.contains('3'));
     }
 }

@@ -106,12 +106,6 @@ impl KOrder {
         lvl
     }
 
-    /// Largest level index with storage (some levels may be empty after
-    /// churn).
-    pub fn max_level(&self) -> u32 {
-        self.levels.len().saturating_sub(1) as u32
-    }
-
     /// All core numbers as a slice indexed by vertex. Only valid when no
     /// vertex is detached (the steady state between maintenance
     /// operations).
@@ -170,11 +164,6 @@ impl KOrder {
             .iter()
             .copied()
             .filter(|&v| v != TOMB)
-    }
-
-    /// Live vertices of `lvl` in K-order, collected.
-    pub fn level_members(&self, lvl: u32) -> Vec<VertexId> {
-        self.iter_level(lvl).collect()
     }
 
     /// Remove `v` from its level, leaving it detached. The caller must
@@ -331,7 +320,7 @@ mod tests {
     fn iter_level_respects_order() {
         let g = diamond();
         let ko = KOrder::from_graph(&g);
-        let lvl2 = ko.level_members(2);
+        let lvl2: Vec<_> = ko.iter_level(2).collect();
         assert_eq!(lvl2.len(), 4);
         for w in lvl2.windows(2) {
             assert!(ko.precedes(w[0], w[1]));
@@ -342,7 +331,7 @@ mod tests {
     fn detach_and_reinstall_round_trip() {
         let g = diamond();
         let mut ko = KOrder::from_graph(&g);
-        let members = ko.level_members(2);
+        let members: Vec<_> = ko.iter_level(2).collect();
         for &v in &members {
             ko.detach(v);
         }
@@ -350,7 +339,7 @@ mod tests {
         // Reinstall in reverse order — the index accepts any sequence.
         let reversed: Vec<_> = members.iter().rev().copied().collect();
         ko.install_level(2, &reversed);
-        assert_eq!(ko.level_members(2), reversed);
+        assert_eq!(ko.iter_level(2).collect::<Vec<_>>(), reversed);
         ko.assert_internal_consistency();
     }
 
@@ -359,7 +348,7 @@ mod tests {
     fn install_requires_empty_level() {
         let g = diamond();
         let mut ko = KOrder::from_graph(&g);
-        let members = ko.level_members(2);
+        let members: Vec<_> = ko.iter_level(2).collect();
         ko.install_level(2, &members);
     }
 
@@ -382,12 +371,12 @@ mod tests {
         }
         let g = Graph::from_edges(20, edges).unwrap();
         let mut ko = KOrder::from_graph(&g);
-        let members = ko.level_members(2);
+        let members: Vec<_> = ko.iter_level(2).collect();
         assert_eq!(members.len(), 20);
         for &v in &members[..15] {
             ko.detach(v);
         }
-        let rest = ko.level_members(2);
+        let rest: Vec<_> = ko.iter_level(2).collect();
         assert_eq!(rest, members[15..].to_vec());
         for w in rest.windows(2) {
             assert!(ko.precedes(w[0], w[1]));
@@ -401,11 +390,9 @@ mod tests {
     fn install_extends_level_storage() {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         let mut ko = KOrder::from_graph(&g);
-        assert_eq!(ko.max_level(), 1);
         ko.detach(0);
         ko.install_level(7, &[0]);
         assert_eq!(ko.core(0), 7);
-        assert_eq!(ko.max_level(), 7);
-        assert_eq!(ko.level_members(7), vec![0]);
+        assert_eq!(ko.iter_level(7).collect::<Vec<_>>(), vec![0]);
     }
 }

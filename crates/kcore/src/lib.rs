@@ -12,7 +12,9 @@
 //! * [`MaintainedCore`] — the paper's "bounded K-order maintenance" (§5.2):
 //!   a graph bundled with an always-valid K-order that is updated *locally*
 //!   under edge insertions (`EdgeInsert`, Algorithm 4) and deletions
-//!   (`EdgeRemove`, Algorithm 5), instead of being rebuilt per snapshot.
+//!   (`EdgeRemove`, Algorithm 5, whose Lemma 4 max-core-degree cascade
+//!   counts each vertex's support inline), instead of being rebuilt per
+//!   snapshot.
 //!   [`MaintainedCore::apply_batch`] is its one batch entry point: a
 //!   batch's insertions are screened and repaired together, on the
 //!   calling thread.
@@ -27,7 +29,7 @@
 //! [`avt_graph::MmapCsr`] frames.
 //!
 //! The read-only layers ([`CoreDecomposition`], [`KOrder`] construction,
-//! [`mcd`], [`CoreSpectrum`], the verifiers) are generic over
+//! [`CoreSpectrum`], the verifiers) are generic over
 //! [`avt_graph::GraphView`], so they run identically on the mutable
 //! adjacency-list substrate and on frozen [`avt_graph::CsrGraph`]
 //! snapshots. Only [`MaintainedCore`] is pinned to the mutable
@@ -54,7 +56,6 @@
 pub mod decompose;
 pub mod korder;
 pub mod maintain;
-pub mod mcd;
 pub mod shell;
 pub mod spectrum;
 pub mod verify;
@@ -62,6 +63,5 @@ pub mod verify;
 pub use decompose::{CoreDecomposition, ANCHOR_CORE};
 pub use korder::KOrder;
 pub use maintain::{ChangeSet, MaintainedCore};
-pub use mcd::{max_core_degree, max_core_degrees};
 pub use shell::{k_core_members, k_core_size, shell_members};
 pub use spectrum::CoreSpectrum;

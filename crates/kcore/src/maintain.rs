@@ -192,11 +192,6 @@ impl MaintainedCore {
         self.visited
     }
 
-    /// Consume self, returning the parts.
-    pub fn into_parts(self) -> (Graph, KOrder) {
-        (self.graph, self.korder)
-    }
-
     /// Insert one edge and repair the K-order: a one-edge batch (see the
     /// module docs). Returns the promoted vertices.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<ChangeSet, GraphError> {
@@ -764,7 +759,7 @@ mod tests {
         let edges: Vec<(VertexId, VertexId)> =
             (0..15).map(|v| (v, v / 5 * 5 + (v + 1) % 5)).collect();
         let mut mc = MaintainedCore::new(Graph::from_edges(15, edges).unwrap());
-        let level = mc.korder().level_members(2);
+        let level: Vec<_> = mc.korder().iter_level(2).collect();
         assert_eq!(level.len(), 15);
         let mut chords = Vec::new();
         for cycle in [1u32, 2] {

@@ -77,19 +77,6 @@ pub fn simple_core_numbers<G: GraphView>(graph: &G, anchors: &[VertexId]) -> Vec
     core
 }
 
-/// Panic with a description unless `decomposition` assigns exactly the core
-/// numbers the naive oracle computes.
-pub fn assert_cores_match_oracle<G: GraphView>(
-    graph: &G,
-    decomposition: &CoreDecomposition,
-    anchors: &[VertexId],
-) {
-    let oracle = simple_core_numbers(graph, anchors);
-    for v in graph.vertices() {
-        assert_eq!(decomposition.core(v), oracle[v as usize], "core number mismatch at vertex {v}");
-    }
-}
-
 /// Check that a [`KOrder`] is *valid* for `graph`:
 ///
 /// 1. its levels equal the true core numbers (fresh decomposition), and

@@ -160,12 +160,6 @@ impl HistogramSnapshot {
         }
         Some(self.max)
     }
-
-    /// Mean of the recorded samples (integer division), `None` when empty.
-    pub fn mean(&self) -> Option<u64> {
-        let total = self.count();
-        (total > 0).then(|| self.sum / total)
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +204,6 @@ mod tests {
         // Low percentiles report the containing bucket's upper bound
         // (10 lands in the [10, 11] bucket at 2 significance bits).
         assert_eq!(s.percentile(1.0), Some(11));
-        assert_eq!(s.mean(), Some(20));
         assert_eq!(HistogramSnapshot::empty().percentile(50.0), None);
     }
 

@@ -2,12 +2,12 @@
 //!
 //! Three pieces, layered exactly like the serving stack consumes them:
 //!
-//! 1. **[`Registry`]** — a table of named [`Counter`]s, [`Gauge`]s, and
-//!    log-bucketed [`Histogram`]s. Registration takes a lock once; the
-//!    returned `Arc` handles record with plain atomics, so the hot path
-//!    never contends. A registry is scoped to whoever reports it — the
-//!    serve layer keeps one per service and one per admission buffer,
-//!    plus the process-wide [`Registry::global`]. Histograms are
+//! 1. **[`Registry`]** — a table of named [`Counter`]s and log-bucketed
+//!    [`Histogram`]s. Registration takes a lock once; the returned `Arc`
+//!    handles record with plain atomics, so the hot path never contends.
+//!    A registry is scoped to whoever reports it — the serve layer keeps
+//!    one per service and one per admission buffer, plus the
+//!    process-wide [`Registry::global`]. Histograms are
 //!    HDR-style (2 significance bits per octave): mergeable bucket-count
 //!    snapshots with percentile error bounded at 25 % and *no* sampling
 //!    window — unlike the fixed-slot rings they replaced, every sample
@@ -37,5 +37,5 @@ mod span;
 pub use flight::FlightRecorder;
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use mode::{set_slow_threshold_us, slow_threshold_us};
-pub use registry::{Counter, Gauge, Metric, Registry};
+pub use registry::{Counter, Metric, Registry};
 pub use span::{Span, SpanRecord, Stage, STAGE_COUNT};

@@ -37,30 +37,11 @@ impl Counter {
     }
 }
 
-/// A last-write-wins gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(std::sync::atomic::AtomicU64);
-
-impl Gauge {
-    /// Set the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
 /// One registered metric, by kind.
 #[derive(Debug, Clone)]
 pub enum Metric {
     /// A monotone counter.
     Counter(Arc<Counter>),
-    /// A last-write-wins gauge.
-    Gauge(Arc<Gauge>),
     /// A log-bucketed histogram.
     Histogram(Arc<Histogram>),
 }
@@ -101,19 +82,6 @@ impl Registry {
         }
     }
 
-    /// The gauge named `name`, registering it on first use (same
-    /// collision policy as [`Registry::counter`]).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut metrics = self.lock();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => Arc::new(Gauge::default()),
-        }
-    }
-
     /// The histogram named `name`, registering it on first use (same
     /// collision policy as [`Registry::counter`]).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
@@ -134,7 +102,7 @@ impl Registry {
     }
 
     /// Prometheus-style text exposition of the whole registry: counters
-    /// and gauges as single samples, histograms as summaries (`quantile`
+    /// as single samples, histograms as summaries (`quantile`
     /// series plus `_count` and `_sum`). Deterministic order (sorted by
     /// name), one trailing newline per line.
     pub fn render(&self) -> String {
@@ -146,14 +114,12 @@ impl Registry {
             if typed.insert(base.to_string()) {
                 let kind = match metric {
                     Metric::Counter(_) => "counter",
-                    Metric::Gauge(_) => "gauge",
                     Metric::Histogram(_) => "summary",
                 };
                 out.push_str(&format!("# TYPE {base} {kind}\n"));
             }
             match metric {
                 Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
-                Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
                 Metric::Histogram(h) => {
                     let s = h.snapshot();
                     for (q, p) in [("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)] {
@@ -225,8 +191,8 @@ mod tests {
     fn kind_collisions_yield_detached_handles() {
         let r = Registry::new();
         r.counter("x").inc();
-        // Asking for `x` as a gauge must not clobber the counter.
-        r.gauge("x").set(99);
+        // Asking for `x` as a histogram must not clobber the counter.
+        r.histogram("x").record(99);
         assert_eq!(r.counter("x").get(), 1);
         assert!(r.render().contains("x 1\n"));
     }
@@ -235,7 +201,6 @@ mod tests {
     fn render_is_deterministic_prometheus_text() {
         let r = Registry::new();
         r.counter("avt_requests_total").add(7);
-        r.gauge("avt_inflight").set(3);
         let h = r.histogram("avt_stage_us{op=\"core\",stage=\"queue\"}");
         for v in 1..=100u64 {
             h.record(v);
@@ -243,7 +208,6 @@ mod tests {
         let text = r.render();
         assert!(text.contains("# TYPE avt_requests_total counter\n"));
         assert!(text.contains("avt_requests_total 7\n"));
-        assert!(text.contains("avt_inflight 3\n"));
         assert!(text.contains("# TYPE avt_stage_us summary\n"));
         assert!(text.contains("avt_stage_us{op=\"core\",stage=\"queue\",quantile=\"0.5\"}"));
         assert!(text.contains("avt_stage_us_count{op=\"core\",stage=\"queue\"} 100\n"));

@@ -136,16 +136,6 @@ impl Admission {
         }
     }
 
-    /// The timeline this admission publishes into.
-    pub fn timeline(&self) -> &Arc<LiveTimeline> {
-        &self.timeline
-    }
-
-    /// The configured lag window.
-    pub fn lag(&self) -> u64 {
-        self.lag
-    }
-
     /// Admit `events` stamped `ts`: stage or reject them, then publish
     /// every bucket the new watermark has moved out of the lag window.
     ///

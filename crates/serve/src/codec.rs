@@ -126,9 +126,8 @@ pub trait Codec: Send + Sync {
 /// The newline-delimited text format: one request per line, one response
 /// line per request, in order.
 ///
-/// Byte-for-byte the format the PR 5 front-end spoke (`OK <kind>
-/// key=value ...` / `ERR <message>`, vertex lists comma-separated with
-/// `-` for empty), kept as the debug adapter: `nc` is a working client
+/// Replies read `OK <kind> key=value ...` or `ERR <message>`, vertex
+/// lists comma-separated with `-` for empty, so `nc` is a working client
 /// and every reply is eyeball-able. The nonblocking front-end sniffs it
 /// by first byte (any byte but the binary magic), so both formats share
 /// one listen port.

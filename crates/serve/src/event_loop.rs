@@ -1,10 +1,11 @@
 //! The readiness-driven nonblocking front-end: raw `epoll(7)`, no thread
 //! per connection.
 //!
-//! PR 5's [`crate::tcp::TcpFront`] spends a thread (and its stack) on
-//! every connection; at thousands of clients the stacks dominate memory
-//! and the scheduler dominates latency. [`EventFront`] replaces that with
-//! one event-loop thread multiplexing every socket through `epoll`:
+//! A thread-per-connection front such as [`crate::tcp::TcpFront`] spends a
+//! thread (and its stack) on every connection; at thousands of clients
+//! the stacks dominate memory and the scheduler dominates latency.
+//! [`EventFront`] instead runs one event-loop thread multiplexing every
+//! socket through `epoll`:
 //! per-connection state is a [`Conn`] state machine plus its buffers —
 //! memory proportional to *traffic*, not to connection count.
 //!
@@ -27,9 +28,9 @@
 //!
 //! The syscalls are bound directly, the way `avt_graph::mmap` binds
 //! `mmap(2)`: `std` already links libc, so no external crate is needed.
-//! Off Linux (or with [`EventFront::threaded`] set) the front falls back
-//! to the thread-per-connection [`crate::tcp::TcpFront`], which speaks
-//! the same two codecs through the same [`Conn`] machine.
+//! Off Linux the front falls back to the thread-per-connection
+//! [`crate::tcp::TcpFront`], which speaks the same two codecs through the
+//! same [`Conn`] machine.
 //!
 //! [`Conn`]: crate::Conn
 
@@ -42,20 +43,17 @@ use crate::executor::Service;
 pub use imp::{PollEvent, Poller};
 
 /// Nonblocking front-end configuration. `Default` serves up to 8192
-/// concurrent connections through the epoll loop on Linux.
+/// concurrent connections.
 #[derive(Debug, Clone, Copy)]
 pub struct EventFront {
     /// Concurrent connections before new ones are turned away with
     /// `ERR busy`.
     pub max_connections: usize,
-    /// Force the thread-per-connection fallback even where epoll is
-    /// available (debugging aid; also what non-Linux hosts always get).
-    pub threaded: bool,
 }
 
 impl Default for EventFront {
     fn default() -> Self {
-        EventFront { max_connections: 8192, threaded: false }
+        EventFront { max_connections: 8192 }
     }
 }
 
@@ -65,11 +63,14 @@ impl EventFront {
     /// caller still owns the [`Service`] and shuts it down afterwards.
     pub fn run(&self, listener: TcpListener, service: &Service) -> io::Result<()> {
         #[cfg(target_os = "linux")]
-        if !self.threaded {
-            return imp::run(self, listener, service);
+        {
+            imp::run(self, listener, service)
         }
-        crate::tcp::TcpFront { max_connections: self.max_connections, ..Default::default() }
-            .run(listener, service)
+        #[cfg(not(target_os = "linux"))]
+        {
+            crate::tcp::TcpFront { max_connections: self.max_connections, ..Default::default() }
+                .run(listener, service)
+        }
     }
 }
 

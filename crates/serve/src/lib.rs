@@ -1,9 +1,9 @@
 //! Online anchored-core query service over a live evolving graph.
 //!
-//! Everything below PR 4 replays a *finished* timeline offline; this crate
-//! answers "what is the anchored k-core — and the best `b` anchors —
-//! *right now*?" while edge batches keep arriving. The layers, each
-//! usable on its own:
+//! The offline crates replay a *finished* timeline; this crate answers
+//! "what is the anchored k-core — and the best `b` anchors — *right
+//! now*?" while edge batches keep arriving. The layers, each usable on
+//! its own:
 //!
 //! * [`LiveTimeline`] — the writer path. Each [`avt_graph::EdgeBatch`]
 //!   flows through [`avt_graph::CsrGraph::apply_batch`] (functional frame
@@ -19,18 +19,17 @@
 //!   current epoch, recording per-query visited/probed counters and
 //!   per-opcode latency histograms into [`stats::ServiceStats`] — one
 //!   store per service, which `STATS` and `METRICS` both read.
-//! * [`codec`] — the wire layer, redesigned in PR 6 as a swappable axis
-//!   (like `GraphView`/`FrameSource` before it): typed domain enums in
-//!   [`protocol`], a [`codec::Codec`] trait over bytes, and two
-//!   implementations — the newline text format ([`codec::TextCodec`],
-//!   unchanged on the wire) and the length-prefixed pipelined binary
-//!   format ([`binary::BinaryCodec`], spec in [`binary`]'s module docs).
+//! * [`codec`] — the wire layer, a swappable axis like `GraphView` and
+//!   `FrameSource`: typed domain enums in [`protocol`], a
+//!   [`codec::Codec`] trait over bytes, and two implementations — the
+//!   newline text format ([`codec::TextCodec`]) and the length-prefixed
+//!   pipelined binary format ([`binary::BinaryCodec`], spec in
+//!   [`binary`]'s module docs).
 //!   A connection's first byte picks its codec ([`conn::Conn`]).
 //! * The fronts: [`event_loop::EventFront`] — a readiness-driven
 //!   nonblocking `epoll` loop, one thread for every socket,
 //!   connection-count-independent memory — and [`tcp::TcpFront`], the
-//!   thread-per-connection fallback (and debugging aid) speaking the same
-//!   protocols.
+//!   thread-per-connection front off Linux, speaking the same protocols.
 //!
 //! The `avt-serve` binary wires all of it over a churned dataset;
 //! `avt-bench`'s `loadgen` binary is the matching traffic generator

@@ -3,17 +3,18 @@
 //! ```text
 //! avt-serve [--addr 127.0.0.1:7171] [--workers 2] [--scale 0.02]
 //!           [--epochs 30] [--epoch-ms 100] [--seed 42] [--spill DIR]
-//!           [--front epoll|threads] [--max-connections N]
-//!           [--ingest-lag T] [--slow-us N]
+//!           [--max-connections N] [--ingest-lag T] [--slow-us N]
 //! ```
 //!
 //! Starts a [`avt_serve::LiveTimeline`] on a churned dataset stream (the
 //! real SNAP download when present under `$AVT_DATA_DIR`, the synthetic
 //! stand-in otherwise), applies one churn batch every `--epoch-ms`
 //! milliseconds on a writer thread, and serves queries on `--addr` until
-//! a client sends a shutdown verb. Both wire formats are spoken on the
-//! one port — the newline text protocol and the length-prefixed binary
-//! protocol — sniffed from each connection's first byte. Prints
+//! a client sends a shutdown verb. On Linux one `epoll` event loop serves
+//! every connection; elsewhere each connection gets a handler thread.
+//! Both wire formats are spoken on the one port — the newline text
+//! protocol and the length-prefixed binary protocol — sniffed from each
+//! connection's first byte. Prints
 //! `avt-serve listening on <addr>` once the socket is bound (use
 //! `--addr 127.0.0.1:0` for an ephemeral port and scrape that line).
 //!
@@ -35,9 +36,7 @@ use std::time::Duration;
 
 use avt_datasets::Dataset;
 use avt_graph::FrameSource;
-use avt_serve::{
-    Admission, EventFront, IngestEvent, LiveTimeline, Service, ServiceConfig, TcpFront,
-};
+use avt_serve::{Admission, EventFront, IngestEvent, LiveTimeline, Service, ServiceConfig};
 
 const USAGE: &str = "\
 usage: avt-serve [options]
@@ -53,11 +52,7 @@ options:
   --seed N          stream generation seed        (default 42)
   --spill DIR       on shutdown, spill the served history to DIR as a
                     .csrbin frame directory (offline audit/replay)
-  --front KIND      connection handling: `epoll` (nonblocking event loop,
-                    the default; falls back to threads off Linux) or
-                    `threads` (one handler thread per connection)
-  --max-connections N  concurrent connection cap (default 8192 for the
-                    epoll front, 64 for the threaded one)
+  --max-connections N  concurrent connection cap, at least 1 (default 8192)
   --ingest-lag T    out-of-order admission window in timestamp units:
                     a batch at ts publishes once the watermark passes
                     ts + T; older events are rejected as stale
@@ -81,8 +76,7 @@ struct Args {
     epoch_ms: u64,
     seed: u64,
     spill: Option<std::path::PathBuf>,
-    threaded_front: bool,
-    max_connections: Option<usize>,
+    max_connections: usize,
     ingest_lag: u64,
     slow_us: Option<u64>,
 }
@@ -96,8 +90,7 @@ fn parse_args() -> Result<Args, String> {
         epoch_ms: 100,
         seed: 42,
         spill: None,
-        threaded_front: false,
-        max_connections: None,
+        max_connections: EventFront::default().max_connections,
         ingest_lag: 4,
         slow_us: None,
     };
@@ -117,16 +110,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => args.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
             "--spill" => args.spill = Some(value.into()),
-            "--front" => {
-                args.threaded_front = match value.as_str() {
-                    "epoll" => false,
-                    "threads" => true,
-                    other => return Err(format!("--front must be epoll or threads, got {other}")),
-                }
-            }
             "--max-connections" => {
                 args.max_connections =
-                    Some(value.parse().map_err(|e| format!("--max-connections: {e}"))?)
+                    value.parse().map_err(|e| format!("--max-connections: {e}"))?
             }
             "--ingest-lag" => {
                 args.ingest_lag = value.parse().map_err(|e| format!("--ingest-lag: {e}"))?
@@ -142,6 +128,9 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.epochs < 1 {
         return Err("--epochs must be at least 1".into());
+    }
+    if args.max_connections < 1 {
+        return Err("--max-connections must be at least 1".into());
     }
     Ok(Args { workers: args.workers.max(1), ..args })
 }
@@ -234,19 +223,7 @@ fn main() -> ExitCode {
     // Scrapeable by harnesses (stdout, immediately flushed by println).
     println!("avt-serve listening on {bound}");
 
-    let serve_result = if args.threaded_front {
-        let front = TcpFront {
-            max_connections: args.max_connections.unwrap_or(TcpFront::default().max_connections),
-            ..Default::default()
-        };
-        front.run(listener, &service)
-    } else {
-        let front = EventFront {
-            max_connections: args.max_connections.unwrap_or(EventFront::default().max_connections),
-            ..Default::default()
-        };
-        front.run(listener, &service)
-    };
+    let serve_result = EventFront { max_connections: args.max_connections }.run(listener, &service);
 
     stop.store(true, Ordering::Relaxed);
     let writer_ok = writer.join().is_ok();

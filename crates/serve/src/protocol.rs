@@ -5,9 +5,9 @@
 //! business of a [`crate::codec::Codec`] implementation. Two ship with the
 //! crate:
 //!
-//! * [`crate::codec::TextCodec`] — the original newline-delimited text
-//!   form (`CORE 3` → `OK core t=.. v=3 core=..`), byte-for-byte the
-//!   format PR 5 spoke, so `nc localhost 7171` stays a working client.
+//! * [`crate::codec::TextCodec`] — the newline-delimited text form
+//!   (`CORE 3` → `OK core t=.. v=3 core=..`), so `nc localhost 7171` is a
+//!   working client.
 //! * [`crate::binary::BinaryCodec`] — length-prefixed binary frames with
 //!   explicit request ids, the production format of the nonblocking
 //!   front-end (pipelined requests, out-of-order replies).

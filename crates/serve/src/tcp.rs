@@ -1,5 +1,5 @@
-//! The thread-per-connection TCP front-end (debug path / portability
-//! fallback).
+//! The thread-per-connection TCP front-end: what
+//! [`crate::event_loop::EventFront`] runs off Linux.
 //!
 //! Every connection gets a handler thread doing plain blocking reads, but
 //! the *protocol* work — codec sniffing, framing, pipelining, reply
@@ -12,7 +12,7 @@
 //! *sequentially* through [`Service::query`] rather than overlapping in
 //! the pool.
 //!
-//! Connection-level concerns are unchanged from PR 5: a connection cap,
+//! Connection-level concerns: a connection cap,
 //! an idle-poll read timeout so handlers notice a shutdown instead of
 //! blocking in `read` forever, and the two connection verbs `QUIT` (close
 //! this connection) and `SHUTDOWN` (drain and stop the whole front-end).

@@ -233,7 +233,11 @@ impl FrameSource for LiveTimeline {
     fn iter_frames(&self) -> impl Iterator<Item = (usize, Arc<Self::Frame>)> + Send + '_ {
         self.replay_borrows.fetch_add(1, Ordering::AcqRel);
         let guard = ReplayGuard(&self.replay_borrows);
-        OwnedFrameIter { evolving: self.freeze(), current: None, next_t: 1, _guard: guard }
+        // The closure owns the guard, so the borrow lasts as long as the
+        // walk does.
+        self.freeze().into_frames_arc().inspect(move |_| {
+            let _ = &guard;
+        })
     }
 }
 
@@ -244,37 +248,6 @@ struct ReplayGuard<'a>(&'a AtomicUsize);
 impl Drop for ReplayGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Owning variant of [`avt_graph::EvolvingGraph::frames_arc`]'s iterator:
-/// holds the cloned history itself, so the walk outlives the lock it was
-/// snapshotted under.
-struct OwnedFrameIter<'a> {
-    evolving: EvolvingGraph,
-    current: Option<Arc<CsrGraph>>,
-    next_t: usize,
-    _guard: ReplayGuard<'a>,
-}
-
-impl Iterator for OwnedFrameIter<'_> {
-    type Item = (usize, Arc<CsrGraph>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let t = self.next_t;
-        if t > self.evolving.num_snapshots() {
-            return None;
-        }
-        let frame = match &self.current {
-            None => Arc::new(CsrGraph::from_graph(self.evolving.initial())),
-            Some(prev) => {
-                let batch = self.evolving.batch(t - 1).expect("batch exists below num_snapshots");
-                Arc::new(prev.apply_batch(batch).expect("live history batches applied cleanly"))
-            }
-        };
-        self.current = Some(Arc::clone(&frame));
-        self.next_t += 1;
-        Some((t, frame))
     }
 }
 

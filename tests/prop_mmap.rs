@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use avt::algo::AnchoredCoreState;
 use avt::graph::io::write_csrbin_file;
 use avt::graph::{CsrGraph, Graph, GraphView, MmapCsr, VertexId};
-use avt::kcore::{k_core_members, max_core_degrees, CoreDecomposition, CoreSpectrum};
+use avt::kcore::{k_core_members, CoreDecomposition, CoreSpectrum};
 use proptest::prelude::*;
 
 fn temp_file(tag: &str) -> std::path::PathBuf {
@@ -40,15 +40,14 @@ fn build(n: usize, pairs: &[(u32, u32)]) -> Graph {
 }
 
 /// Everything a decomposition exposes, flattened for whole-value equality:
-/// core numbers, removal order, positions, per-vertex `deg_plus`, mcd,
-/// the shell spectrum, and the k-core members for every k.
+/// core numbers, removal order, positions, per-vertex `deg_plus`, the
+/// shell spectrum, and the k-core members for every k.
 #[derive(Debug, PartialEq, Eq)]
 struct DecompFingerprint {
     cores: Vec<u32>,
     order: Vec<VertexId>,
     pos: Vec<u32>,
     deg_plus: Vec<u32>,
-    mcd: Vec<u32>,
     shells: Vec<usize>,
     members: Vec<Vec<VertexId>>,
 }
@@ -60,7 +59,6 @@ fn decomp_fingerprint<G: GraphView>(graph: &G) -> DecompFingerprint {
         order: d.order().to_vec(),
         pos: graph.vertices().map(|v| d.pos(v)).collect(),
         deg_plus: graph.vertices().map(|v| d.deg_plus(graph, v)).collect(),
-        mcd: max_core_degrees(graph, d.cores()),
         shells: CoreSpectrum::from_decomposition(&d).shells().to_vec(),
         members: (0..=d.max_core() + 1).map(|k| k_core_members(d.cores(), k)).collect(),
     }
@@ -152,7 +150,7 @@ proptest! {
     }
 
     /// Everything else a decomposition exposes is identical on the resident
-    /// and mapped CSR too: positions, `deg_plus`, mcd, spectra and k-core
+    /// and mapped CSR too: positions, `deg_plus`, spectra and k-core
     /// membership for every k.
     #[test]
     fn decomposition_fingerprint_identical_on_mmap((n, pairs) in graph_strategy(40, 150)) {
