@@ -10,8 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use avt_core::engine::{run_pipelined, run_sequential};
-use avt_core::{AvtParams, Greedy};
+use avt_core::{AvtParams, Engine, Greedy};
 use avt_datasets::chunglu::chung_lu;
 use avt_datasets::churn::{evolve, ChurnConfig};
 use avt_graph::MmapFrames;
@@ -28,18 +27,20 @@ fn bench_frame_source(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("mmap-vs-resident");
     group.sample_size(10);
+    let sequential = Engine::sequential();
     group.bench_function("greedy-resident-sequential", |b| {
-        b.iter(|| run_sequential(&solver, &evolving, params).unwrap().total_followers())
+        b.iter(|| sequential.run(&solver, &evolving, params).unwrap().total_followers())
     });
     group.bench_function("greedy-mmap-sequential", |b| {
-        b.iter(|| run_sequential(&solver, &frames, params).unwrap().total_followers())
+        b.iter(|| sequential.run(&solver, &frames, params).unwrap().total_followers())
     });
     for threads in [2usize, 4] {
+        let engine = Engine::pipelined(threads);
         group.bench_function(format!("greedy-resident-threads-{threads}"), |b| {
-            b.iter(|| run_pipelined(&solver, &evolving, params, threads).unwrap().total_followers())
+            b.iter(|| engine.run(&solver, &evolving, params).unwrap().total_followers())
         });
         group.bench_function(format!("greedy-mmap-threads-{threads}"), |b| {
-            b.iter(|| run_pipelined(&solver, &frames, params, threads).unwrap().total_followers())
+            b.iter(|| engine.run(&solver, &frames, params).unwrap().total_followers())
         });
     }
     group.finish();

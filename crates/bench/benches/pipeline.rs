@@ -9,8 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use avt_core::engine::{run_pipelined, run_sequential};
-use avt_core::{AvtParams, Greedy};
+use avt_core::{AvtParams, Engine, Greedy};
 use avt_datasets::chunglu::chung_lu;
 use avt_datasets::churn::{evolve, ChurnConfig};
 
@@ -24,11 +23,12 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
     group.bench_function("greedy-churn-T12-sequential", |b| {
-        b.iter(|| run_sequential(&solver, &evolving, params).unwrap().total_followers())
+        b.iter(|| Engine::sequential().run(&solver, &evolving, params).unwrap().total_followers())
     });
     for threads in [1usize, 2, 4] {
+        let engine = Engine::pipelined(threads);
         group.bench_function(format!("greedy-churn-T12-threads-{threads}"), |b| {
-            b.iter(|| run_pipelined(&solver, &evolving, params, threads).unwrap().total_followers())
+            b.iter(|| engine.run(&solver, &evolving, params).unwrap().total_followers())
         });
     }
     group.finish();

@@ -2,11 +2,12 @@
 //! construction, and local follower queries. These are the building blocks
 //! whose costs explain the end-to-end figures.
 //!
-//! The `vec-vs-csr` groups run the *same* workloads on both [`GraphView`]
-//! substrates — the heap-fragmented `Vec<Vec<VertexId>>` adjacency and the
-//! contiguous CSR layout — so the layout's effect on the neighbour-scan
-//! hot paths is directly visible. A third group measures the snapshot
-//! pipeline itself: incremental `frames()` vs the quadratic
+//! The `substrate` group times K-order construction. The `vec-vs-csr`
+//! groups run core decomposition and follower queries on both
+//! [`GraphView`] substrates — the heap-fragmented `Vec<Vec<VertexId>>`
+//! adjacency and the contiguous CSR layout — so the layout's effect on the
+//! neighbour-scan hot paths is directly visible. A last group measures the
+//! snapshot pipeline itself: incremental `frames()` vs the quadratic
 //! `snapshot(t)`-in-a-loop it replaces.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -23,27 +24,7 @@ fn bench_substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate");
     group.sample_size(10);
 
-    group.bench_function("core-decomposition-20k-100k", |b| {
-        b.iter(|| CoreDecomposition::compute(&graph))
-    });
-
     group.bench_function("korder-build-20k-100k", |b| b.iter(|| KOrder::from_graph(&graph)));
-
-    group.bench_function("follower-queries-all-candidates-k3", |b| {
-        let mut built = AnchoredCoreState::new(&graph, 3);
-        let candidates = built.candidates();
-        b.iter(|| {
-            // A clone's count memo starts empty, so no sample reads counts
-            // an earlier one left.
-            let mut state = built.clone();
-            let mut total = 0usize;
-            for &x in candidates.iter().take(500) {
-                total += state.follower_count_of(x);
-            }
-            total
-        })
-    });
-
     group.finish();
 }
 
@@ -89,8 +70,8 @@ fn bench_followers_by_substrate(c: &mut Criterion) {
     group.finish();
 }
 
-/// The snapshot pipeline: incremental CSR frames vs replaying batches from
-/// `G_1` for every `t` (what `snapshot(t)`-in-a-loop costs).
+/// The snapshot pipeline: incremental CSR frames vs re-applying batches
+/// from `G_1` for every `t` (what `snapshot(t)`-in-a-loop costs).
 fn bench_snapshot_pipeline(c: &mut Criterion) {
     let base = chung_lu(5_000, 25_000, 2.4, 7);
     let config = ChurnConfig { snapshots: 20, ..ChurnConfig::default() };

@@ -87,7 +87,7 @@ fn bench_admission(c: &mut Criterion) {
         let timeline = Arc::new(LiveTimeline::new(initial.clone()));
         let admission = Admission::new(Arc::clone(&timeline), lag);
         for &idx in order {
-            admission.ingest(idx as u64 + 1, &events[idx]).expect("no replay borrows");
+            admission.ingest(idx as u64 + 1, &events[idx]).expect("batches apply");
         }
         admission.flush().expect("flush publishes the tail");
         timeline.epochs_published()

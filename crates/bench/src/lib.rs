@@ -146,7 +146,7 @@ impl Instance {
         Instance { evolving, mmap: None }
     }
 
-    /// Prepare `evolving` under `mode`, spilling to (or replaying from)
+    /// Prepare `evolving` under `mode`, spilling to (or reading from)
     /// the `$AVT_DATA_DIR/cache/` frame cache keyed by `key_hint` plus the
     /// stream fingerprint. A failed spill warns and falls back to resident
     /// frames — results are identical either way, so an experiment sweep

@@ -12,9 +12,9 @@
 //!   [`avt_graph::MmapFrames`] (frames mapped straight off `.csrbin`
 //!   files). The engine never names a concrete substrate; solvers are
 //!   generic over [`GraphView`], so new sources need zero solver changes.
-//! * **how frames are driven** — [`run_sequential`] (one thread, original
-//!   behaviour bit for bit) or [`run_pipelined`] (a producer walks the
-//!   source in `t`-order feeding a bounded queue drained by a
+//! * **how frames are driven** — [`Engine::sequential`] (one thread,
+//!   original behaviour bit for bit) or [`Engine::pipelined`] (a producer
+//!   walks the source in `t`-order feeding a bounded queue drained by a
 //!   [`std::thread::scope`] worker pool).
 //!
 //! # Streaming reports
@@ -25,7 +25,7 @@
 //! reorder window (workers finish out of order, the sink never sees that),
 //! so end-to-end resident memory stays O(threads · frame) — frames in the
 //! bounded queue, reports in the reorder window, nothing proportional to
-//! `T`. The convenience wrappers fold into an [`AvtResult`] (which records
+//! `T`. [`Engine::run`] folds into an [`AvtResult`] (which records
 //! per-snapshot detail by design); pass your own sink to
 //! [`Engine::run_into`] to consume prefix aggregates in O(1) memory.
 //!
@@ -147,8 +147,8 @@ pub fn default_threads() -> usize {
 
 /// Resolve a user-facing thread knob: `0` means one worker per available
 /// core ([`std::thread::available_parallelism`]), any other value is taken
-/// literally (`1` = explicitly sequential).
-pub fn resolve_threads(threads: usize) -> usize {
+/// literally.
+fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
@@ -177,42 +177,38 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine {
-    threads: usize,
+    /// Pipeline worker count, or `None` for the sequential loop.
+    workers: Option<usize>,
 }
 
 impl Default for Engine {
     /// The process default: sequential unless `AVT_ENGINE_THREADS` /
-    /// [`set_default_threads`] say otherwise (see [`default_threads`]).
+    /// [`set_default_threads`] ask for more than one worker (see
+    /// [`default_threads`]).
     fn default() -> Self {
-        Engine { threads: default_threads() }
+        match default_threads() {
+            1 => Engine::sequential(),
+            threads => Engine::pipelined(threads),
+        }
     }
 }
 
 impl Engine {
-    /// The sequential runner: current behaviour, bit-identical output.
+    /// The sequential runner: every snapshot solved in order on the
+    /// calling thread.
     pub fn sequential() -> Self {
-        Engine { threads: 1 }
+        Engine { workers: None }
     }
 
     /// The pipelined runner with `threads` workers (`0` = one per core).
-    ///
-    /// Note [`Self::run`] dispatches on the *resolved* count: a count of 1
-    /// (including `0` resolved on a single-core host) takes the sequential
-    /// loop, since a 1-worker pipeline only adds queue overhead. Call
-    /// [`run_pipelined`] directly to force the producer/worker machinery
-    /// at any worker count.
+    /// It runs the producer/worker pipeline at every worker count, one
+    /// included, so frame production overlaps solving even then.
     pub fn pipelined(threads: usize) -> Self {
-        Engine { threads: resolve_threads(threads) }
-    }
-
-    /// The worker count this engine will run with (1 = sequential).
-    pub fn threads(&self) -> usize {
-        self.threads
+        Engine { workers: Some(resolve_threads(threads)) }
     }
 
     /// Replay `source` through `solver`, collecting everything into an
-    /// [`AvtResult`]. Dispatches to [`run_sequential`] or [`run_pipelined`]
-    /// by the configured worker count.
+    /// [`AvtResult`].
     pub fn run<S: SnapshotSolver, F: FrameSource>(
         &self,
         solver: &S,
@@ -233,32 +229,19 @@ impl Engine {
         params: AvtParams,
         sink: &mut K,
     ) -> Result<(), GraphError> {
-        if self.threads > 1 {
-            run_pipelined_into(solver, source, params, self.threads, sink)
-        } else {
-            run_sequential_into(solver, source, params, sink)
+        match self.workers {
+            Some(threads) => run_pipelined_into(solver, source, params, threads, sink),
+            None => run_sequential_into(solver, source, params, sink),
         }
     }
 }
 
 /// Solve every snapshot in order on the calling thread — the exact loop the
-/// per-solver `track` implementations used to hand-roll — collecting into
-/// an [`AvtResult`]. Works over any [`FrameSource`]; for the resident
-/// [`avt_graph::EvolvingGraph`] that is the zero-clone
-/// [`avt_graph::EvolvingGraph::frames_arc`] walk.
-pub fn run_sequential<S: SnapshotSolver, F: FrameSource>(
-    solver: &S,
-    source: &F,
-    params: AvtParams,
-) -> Result<AvtResult, GraphError> {
-    let mut result = AvtResult::default();
-    run_sequential_into(solver, source, params, &mut result)?;
-    Ok(result)
-}
-
-/// The streaming form of [`run_sequential`]: each report goes straight
-/// from the solver into `sink`; nothing is buffered.
-pub fn run_sequential_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
+/// per-solver `track` implementations used to hand-roll — streaming each
+/// report straight from the solver into `sink`; nothing is buffered. For
+/// the resident [`avt_graph::EvolvingGraph`] the walk is the zero-clone
+/// [`avt_graph::EvolvingGraph::frames_arc`].
+fn run_sequential_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
     solver: &S,
     source: &F,
     params: AvtParams,
@@ -270,42 +253,25 @@ pub fn run_sequential_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
     Ok(())
 }
 
-/// Pipelined replay collecting into an [`AvtResult`]: one producer thread
-/// walks the source's frames in `t`-order (for an evolving graph, frame
-/// `t+1` is merged while frame `t` is being solved) feeding a bounded
-/// queue drained by `threads` workers. `0` = one worker per core.
+/// Pipelined replay: one producer thread walks the source's frames in
+/// `t`-order (for an evolving graph, frame `t+1` is merged while frame `t`
+/// is being solved) feeding a bounded queue drained by `threads` workers,
+/// with output identical to [`run_sequential_into`] — see the module docs
+/// on determinism.
 ///
-/// Identical output to [`run_sequential`] — see the module docs on
-/// determinism. Even `threads == 1` runs the real producer/worker pipeline
-/// (frame production overlaps solving), so equivalence tests exercise the
-/// machinery rather than a shortcut.
-pub fn run_pipelined<S: SnapshotSolver, F: FrameSource>(
-    solver: &S,
-    source: &F,
-    params: AvtParams,
-    threads: usize,
-) -> Result<AvtResult, GraphError> {
-    let mut result = AvtResult::default();
-    run_pipelined_into(solver, source, params, threads, &mut result)?;
-    Ok(result)
-}
-
-/// The streaming form of [`run_pipelined`]: reports are re-ordered through
-/// a bounded window and pushed into `sink` in `t`-order *while workers are
-/// still solving* — the all-`T` buffer the engine used to accumulate is
-/// gone. The bound is enforced, not incidental: the producer holds a
-/// credit for every snapshot between production and *delivery to the
-/// sink*, with 4·threads credits total, so even when one slow snapshot
-/// blocks delivery the faster workers can run at most O(threads) reports
-/// ahead before the whole pipeline waits for it.
-pub fn run_pipelined_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
+/// Reports are re-ordered through a bounded window and pushed into `sink`
+/// in `t`-order *while workers are still solving*. The bound is enforced,
+/// not incidental: the producer holds a credit for every snapshot between
+/// production and *delivery to the sink*, with 4·threads credits total, so
+/// even when one slow snapshot blocks delivery the faster workers can run
+/// at most O(threads) reports ahead before the whole pipeline waits for it.
+fn run_pipelined_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
     solver: &S,
     source: &F,
     params: AvtParams,
     threads: usize,
     sink: &mut K,
 ) -> Result<(), GraphError> {
-    let threads = resolve_threads(threads);
     let total = source.num_frames();
     // Bounded frame queue: the producer stays at most ~2 frames per worker
     // ahead, so resident memory is O(threads · frame), not O(T · frame).
@@ -474,8 +440,8 @@ mod tests {
         for threads in [1, 2, 4] {
             macro_rules! check {
                 ($solver:expr) => {
-                    let seq = run_sequential(&$solver, &eg, params).unwrap();
-                    let par = run_pipelined(&$solver, &eg, params, threads).unwrap();
+                    let seq = Engine::sequential().run(&$solver, &eg, params).unwrap();
+                    let par = Engine::pipelined(threads).run(&$solver, &eg, params).unwrap();
                     assert_eq!(shape(&seq), shape(&par), "threads = {threads}");
                 };
             }
@@ -487,18 +453,42 @@ mod tests {
     }
 
     #[test]
-    fn engine_dispatch_matches_runners() {
+    fn pipelined_runs_the_pipeline_at_every_worker_count() {
+        // The sequential loop solves on the calling thread, the pipeline
+        // on its workers. `pipelined(1)`, and `pipelined(0)` on a
+        // one-core host, must not fall back to the loop: the equivalence
+        // and panic tests use them to force the pipeline.
+        struct WhereSolved {
+            caller: std::thread::ThreadId,
+            on_caller: Mutex<Vec<bool>>,
+        }
+        impl SnapshotSolver for WhereSolved {
+            fn solve_snapshot<G: avt_graph::GraphView>(
+                &self,
+                t: usize,
+                frame: &G,
+                params: AvtParams,
+            ) -> SnapshotReport {
+                let here = std::thread::current().id() == self.caller;
+                self.on_caller.lock().unwrap().push(here);
+                Olak.solve_snapshot(t, frame, params)
+            }
+        }
         let eg = churny();
-        let params = AvtParams::new(3, 1);
-        let solver = Greedy::default();
-        let seq = Engine::sequential().run(&solver, &eg, params).unwrap();
-        let par = Engine::pipelined(3).run(&solver, &eg, params).unwrap();
-        assert_eq!(shape(&seq), shape(&par));
-        assert_eq!(Engine::sequential().threads(), 1);
-        assert_eq!(Engine::pipelined(3).threads(), 3);
-        // `pipelined(0)` resolves to the available parallelism (≥ 1; on a
-        // single-core host `run` then takes the sequential loop).
-        assert!(Engine::pipelined(0).threads() >= 1);
+        for (engine, on_caller) in [
+            (Engine::sequential(), true),
+            (Engine::pipelined(1), false),
+            (Engine::pipelined(0), false),
+            (Engine::pipelined(3), false),
+        ] {
+            let solver = WhereSolved {
+                caller: std::thread::current().id(),
+                on_caller: Mutex::new(Vec::new()),
+            };
+            engine.run(&solver, &eg, AvtParams::new(3, 1)).unwrap();
+            let seen = solver.on_caller.into_inner().unwrap();
+            assert_eq!(seen, vec![on_caller; eg.num_snapshots()], "{engine:?}");
+        }
     }
 
     #[test]
@@ -514,9 +504,9 @@ mod tests {
         let frames = MmapFrames::spill(&eg, &dir).unwrap();
         let params = AvtParams::new(3, 2);
         let solver = Greedy::default();
-        let resident = run_sequential(&solver, &eg, params).unwrap();
-        let mapped_seq = run_sequential(&solver, &frames, params).unwrap();
-        let mapped_par = run_pipelined(&solver, &frames, params, 3).unwrap();
+        let resident = Engine::sequential().run(&solver, &eg, params).unwrap();
+        let mapped_seq = Engine::sequential().run(&solver, &frames, params).unwrap();
+        let mapped_par = Engine::pipelined(3).run(&solver, &frames, params).unwrap();
         assert_eq!(shape(&resident), shape(&mapped_seq));
         assert_eq!(shape(&resident), shape(&mapped_par));
         let _ = std::fs::remove_dir_all(dir);
@@ -529,17 +519,15 @@ mod tests {
         let eg = churny();
         let mut seen = Vec::new();
         let mut sink = |report: SnapshotReport| seen.push(report.t);
-        run_pipelined_into(&Olak, &eg, AvtParams::new(3, 1), 4, &mut sink).unwrap();
+        Engine::pipelined(4).run_into(&Olak, &eg, AvtParams::new(3, 1), &mut sink).unwrap();
         assert_eq!(seen, vec![1, 2, 3, 4]);
 
         // And a fold-only consumer reproduces the collected aggregate
         // without ever holding a report vector.
-        let collected = run_sequential(&Olak, &eg, AvtParams::new(3, 1)).unwrap();
+        let collected = Engine::sequential().run(&Olak, &eg, AvtParams::new(3, 1)).unwrap();
         let mut total = 0usize;
-        run_sequential_into(&Olak, &eg, AvtParams::new(3, 1), &mut |report: SnapshotReport| {
-            total += report.followers.len()
-        })
-        .unwrap();
+        let mut fold = |report: SnapshotReport| total += report.followers.len();
+        Engine::sequential().run_into(&Olak, &eg, AvtParams::new(3, 1), &mut fold).unwrap();
         assert_eq!(total, collected.total_followers());
     }
 
@@ -569,7 +557,7 @@ mod tests {
         let total = eg.num_snapshots();
         let mut seen = Vec::new();
         let mut sink = |report: SnapshotReport| seen.push(report.t);
-        run_pipelined_into(&SlowFirst, &eg, AvtParams::new(3, 1), 2, &mut sink).unwrap();
+        Engine::pipelined(2).run_into(&SlowFirst, &eg, AvtParams::new(3, 1), &mut sink).unwrap();
         assert_eq!(seen, (1..=total).collect::<Vec<_>>());
     }
 
@@ -591,7 +579,7 @@ mod tests {
         }
         let eg = churny();
         let result = std::panic::catch_unwind(|| {
-            let _ = run_pipelined(&Dies, &eg, AvtParams::new(3, 1), 1);
+            let _ = Engine::pipelined(1).run(&Dies, &eg, AvtParams::new(3, 1));
         });
         assert!(result.is_err(), "the worker panic must surface");
 
@@ -604,7 +592,7 @@ mod tests {
             long.push_batch(EdgeBatch::new());
         }
         let result = std::panic::catch_unwind(|| {
-            let _ = run_pipelined(&Dies, &long, AvtParams::new(3, 1), 2);
+            let _ = Engine::pipelined(2).run(&Dies, &long, AvtParams::new(3, 1));
         });
         assert!(result.is_err(), "the worker panic must surface on long streams too");
     }
@@ -617,7 +605,7 @@ mod tests {
         let eg = churny();
         let params = AvtParams::new(3, 2);
         let tracked = Greedy::default().track(&eg, params).unwrap();
-        let seq = run_sequential(&Greedy::default(), &eg, params).unwrap();
+        let seq = Engine::sequential().run(&Greedy::default(), &eg, params).unwrap();
         assert_eq!(shape(&tracked), shape(&seq));
     }
 
@@ -632,8 +620,8 @@ mod tests {
     fn single_snapshot_pipeline() {
         let eg = EvolvingGraph::new(Graph::from_edges(4, [(0, 1), (1, 2), (2, 0)]).unwrap());
         let params = AvtParams::new(2, 1);
-        let seq = run_sequential(&Olak, &eg, params).unwrap();
-        let par = run_pipelined(&Olak, &eg, params, 4).unwrap();
+        let seq = Engine::sequential().run(&Olak, &eg, params).unwrap();
+        let par = Engine::pipelined(4).run(&Olak, &eg, params).unwrap();
         assert_eq!(shape(&seq), shape(&par));
         assert_eq!(par.reports.len(), 1);
     }

@@ -31,15 +31,14 @@
 //!   owns the *only* replay loop — generic over any
 //!   [`avt_graph::FrameSource`] (resident [`avt_graph::EvolvingGraph`]
 //!   frames or zero-copy [`avt_graph::MmapFrames`]):
-//!   [`engine::run_sequential`] walks frozen frames on one thread, while
-//!   [`engine::run_pipelined`] overlaps frame production with a worker
-//!   pool solving snapshots concurrently — identical output, selected per
-//!   process via `AVT_ENGINE_THREADS` or per call via
-//!   [`Engine::pipelined`]. Both runners stream each [`SnapshotReport`]
-//!   into a [`ReportSink`] in `t`-order as it arrives, so nothing buffers
-//!   all `T` reports. [`IncAvt`] is the deliberate exception: it carries
-//!   K-order state between snapshots, so it keeps the mutable
-//!   [`avt_graph::Graph`] and its own sequential walk.
+//!   [`Engine::sequential`] walks frozen frames on one thread, while
+//!   [`Engine::pipelined`] overlaps frame production with a worker pool
+//!   solving snapshots concurrently — identical output, selected per
+//!   process via `AVT_ENGINE_THREADS` or per call. Both runners stream
+//!   each [`SnapshotReport`] into a [`ReportSink`] in `t`-order as it
+//!   arrives, so nothing buffers all `T` reports. [`IncAvt`] is the
+//!   deliberate exception: it carries K-order state between snapshots, so
+//!   it keeps the mutable [`avt_graph::Graph`] and its own sequential walk.
 
 #![warn(missing_docs)]
 

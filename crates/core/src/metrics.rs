@@ -5,7 +5,6 @@
 //! explain them (follower evaluations, whole-graph anchored peels).
 
 use std::ops::AddAssign;
-use std::time::Duration;
 
 /// Counters accumulated while an algorithm runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,22 +48,6 @@ impl AddAssign for Metrics {
     }
 }
 
-/// A metrics snapshot paired with the wall time it took to produce.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimedMetrics {
-    /// The counters.
-    pub metrics: Metrics,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl AddAssign for TimedMetrics {
-    fn add_assign(&mut self, rhs: TimedMetrics) {
-        self.metrics += rhs.metrics;
-        self.elapsed += rhs.elapsed;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,20 +77,5 @@ mod tests {
         let mut m = Metrics { candidates_probed: 5, ..Default::default() };
         m.reset();
         assert_eq!(m, Metrics::default());
-    }
-
-    #[test]
-    fn timed_metrics_accumulate() {
-        let mut t = TimedMetrics::default();
-        t += TimedMetrics {
-            metrics: Metrics { vertices_visited: 7, ..Default::default() },
-            elapsed: Duration::from_millis(5),
-        };
-        t += TimedMetrics {
-            metrics: Metrics { vertices_visited: 3, ..Default::default() },
-            elapsed: Duration::from_millis(5),
-        };
-        assert_eq!(t.metrics.vertices_visited, 10);
-        assert_eq!(t.elapsed, Duration::from_millis(10));
     }
 }

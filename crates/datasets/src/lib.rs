@@ -38,7 +38,6 @@ pub mod figure1;
 pub mod loader;
 pub mod registry;
 pub mod temporal;
-pub mod watts_strogatz;
 
 pub use churn::ChurnConfig;
 pub use registry::{data_dir, Dataset, DatasetSpec, DATA_DIR_ENV};

@@ -30,11 +30,12 @@ use avt_graph::{EvolvingGraph, FrameSource, GraphError, MmapFrames};
 use crate::churn::{evolve, ChurnConfig};
 use crate::temporal::snapshots_from_events;
 
+fn file_err(path: &Path, message: impl std::fmt::Display) -> GraphError {
+    GraphError::File { path: path.to_path_buf(), message: message.to_string() }
+}
+
 fn open(path: &Path) -> Result<BufReader<File>, GraphError> {
-    File::open(path).map(BufReader::new).map_err(|e| GraphError::Parse {
-        line: 0,
-        message: format!("cannot open {}: {e}", path.display()),
-    })
+    File::open(path).map(BufReader::new).map_err(|e| file_err(path, format!("cannot open: {e}")))
 }
 
 /// Load a static SNAP edge list and evolve it with the paper's churn model
@@ -60,10 +61,7 @@ pub fn load_temporal(
 ) -> Result<EvolvingGraph, GraphError> {
     let raw = read_temporal_edge_list(open(path)?)?;
     if raw.is_empty() {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: format!("{} contains no events", path.display()),
-        });
+        return Err(file_err(path, "contains no events"));
     }
     let (n, mut events) = densify_temporal(&raw);
     // Rebase time to start at zero so the horizon equals the span.
@@ -213,23 +211,17 @@ pub fn cached_frames_in(
                         return Ok(frames);
                     }
                     Ok(_) => {
-                        last_err = Some(GraphError::Parse {
-                            line: 0,
-                            message: format!(
-                                "{}: concurrently published cache has the wrong frame count",
-                                dir.display()
-                            ),
-                        });
+                        last_err = Some(file_err(
+                            &dir,
+                            "concurrently published cache has the wrong frame count",
+                        ));
                     }
                     Err(e) => last_err = Some(e),
                 }
             }
         }
     }
-    Err(last_err.unwrap_or_else(|| GraphError::Parse {
-        line: 0,
-        message: format!("{}: frame cache unusable after retry", dir.display()),
-    }))
+    Err(last_err.unwrap_or_else(|| file_err(&dir, "frame cache unusable after retry")))
 }
 
 /// [`cached_frames_in`] rooted at the default [`frame_cache_dir`]

@@ -318,12 +318,6 @@ impl GraphView for CsrGraph {
     }
 }
 
-impl From<&Graph> for CsrGraph {
-    fn from(graph: &Graph) -> Self {
-        CsrGraph::from_graph(graph)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,12 +453,5 @@ mod tests {
             csr = csr.apply_batch(batch).unwrap();
             assert_matches(&csr, &g);
         }
-    }
-
-    #[test]
-    fn from_reference_conversion() {
-        let g = sample();
-        let csr: CsrGraph = (&g).into();
-        assert_eq!(csr.num_edges(), g.num_edges());
     }
 }

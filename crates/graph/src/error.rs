@@ -1,6 +1,7 @@
 //! Error type for graph construction and I/O.
 
 use std::fmt;
+use std::path::PathBuf;
 
 /// Errors produced while building or parsing graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,19 +27,28 @@ pub enum GraphError {
         /// True when the conflict was a duplicate insertion.
         inserting: bool,
     },
-    /// Input could not be read or parsed: a line of an edge-list file, or
-    /// a file, directory or index as a whole.
+    /// A line of an edge-list input could not be read or parsed.
     Parse {
-        /// 1-based line number, or 0 when the error has no line (a file
-        /// that cannot be opened, a bad frame directory, an out-of-range
-        /// snapshot index); the message then omits it.
+        /// 1-based line number.
         line: usize,
         /// Human-readable description of the problem.
         message: String,
     },
-    /// The writer is unavailable: a live replay borrow requires a
-    /// quiesced writer (used by the serve layer's timeline guard).
-    WriterBusy,
+    /// A file or frame directory could not be opened, written, mapped or
+    /// validated.
+    File {
+        /// The file or directory.
+        path: PathBuf,
+        /// What went wrong with it.
+        message: String,
+    },
+    /// A snapshot index outside `1..=snapshots`.
+    SnapshotOutOfRange {
+        /// The requested 1-based index.
+        t: usize,
+        /// The number of snapshots `T`.
+        snapshots: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -57,12 +67,12 @@ impl fmt::Display for GraphError {
                     write!(f, "edge ({u}, {v}) not present")
                 }
             }
-            GraphError::Parse { line: 0, message } => write!(f, "parse error: {message}"),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
-            GraphError::WriterBusy => {
-                write!(f, "writer busy: a replay borrow is live; retry after the replay finishes")
+            GraphError::File { path, message } => write!(f, "{}: {message}", path.display()),
+            GraphError::SnapshotOutOfRange { t, snapshots } => {
+                write!(f, "snapshot index {t} out of range 1..={snapshots}")
             }
         }
     }
@@ -89,9 +99,13 @@ mod tests {
         assert!(e.to_string().contains("not present"));
 
         let e = GraphError::Parse { line: 7, message: "bad token".into() };
-        assert!(e.to_string().contains("line 7"));
-        let e = GraphError::Parse { line: 0, message: "cannot open x".into() };
-        assert_eq!(e.to_string(), "parse error: cannot open x");
+        assert_eq!(e.to_string(), "parse error on line 7: bad token");
+
+        let e = GraphError::File { path: "frames/MANIFEST".into(), message: "cannot open".into() };
+        assert_eq!(e.to_string(), "frames/MANIFEST: cannot open");
+
+        let e = GraphError::SnapshotOutOfRange { t: 4, snapshots: 3 };
+        assert_eq!(e.to_string(), "snapshot index 4 out of range 1..=3");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! more importantly — would hide the deltas the incremental algorithm feeds
 //! on, so an [`EvolvingGraph`] is the initial snapshot plus `T-1` batches.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::{CsrGraph, EdgeBatch, Graph, GraphError};
@@ -79,16 +78,13 @@ impl EvolvingGraph {
         &self.batches
     }
 
-    /// Materialize a *single* snapshot `G_t` (`t` 1-based) by replaying all
+    /// Materialize a *single* snapshot `G_t` (`t` 1-based) by applying all
     /// batches from `G_1`. O(m + total churn up to t) — calling this in a
     /// loop over `t` is quadratic; iterate [`Self::frames`] (immutable CSR
     /// frames, each materialized once, incrementally) instead.
     pub fn snapshot(&self, t: usize) -> Result<Graph, GraphError> {
         if t == 0 || t > self.num_snapshots() {
-            return Err(GraphError::Parse {
-                line: 0,
-                message: format!("snapshot index {t} out of range 1..={}", self.num_snapshots()),
-            });
+            return Err(GraphError::SnapshotOutOfRange { t, snapshots: self.num_snapshots() });
         }
         let mut g = self.initial.clone();
         for batch in &self.batches[..t - 1] {
@@ -141,13 +137,7 @@ impl EvolvingGraph {
     /// assert_eq!(frames[1].1.num_edges(), 2); // Arc<CsrGraph>
     /// ```
     pub fn frames_arc(&self) -> ArcFrameIter<'_> {
-        ArcFrameIter { evolving: Cow::Borrowed(self), current: None, next_t: 1 }
-    }
-
-    /// [`Self::frames_arc`] over an owned history, so the walk needs no
-    /// borrow of where the history came from.
-    pub fn into_frames_arc(self) -> ArcFrameIter<'static> {
-        ArcFrameIter { evolving: Cow::Owned(self), current: None, next_t: 1 }
+        ArcFrameIter { evolving: self, current: None, next_t: 1 }
     }
 
     /// Truncate to the first `t` snapshots (used by the `T`-sweep
@@ -165,13 +155,13 @@ impl EvolvingGraph {
 }
 
 /// Iterator over `(t, Arc<CsrGraph>)` produced by
-/// [`EvolvingGraph::frames_arc`] and [`EvolvingGraph::into_frames_arc`].
+/// [`EvolvingGraph::frames_arc`].
 ///
 /// The iterator retains an `Arc` to the latest frame while another frame
 /// will be derived from it, so yielding is a reference-count bump. It lets
 /// go of the final frame, which the caller then holds alone.
 pub struct ArcFrameIter<'a> {
-    evolving: Cow<'a, EvolvingGraph>,
+    evolving: &'a EvolvingGraph,
     current: Option<Arc<CsrGraph>>,
     next_t: usize,
 }
@@ -246,8 +236,10 @@ mod tests {
     #[test]
     fn snapshot_index_bounds() {
         let eg = sample();
-        assert!(eg.snapshot(0).is_err());
-        assert!(eg.snapshot(4).is_err());
+        for t in [0, 4] {
+            let err = eg.snapshot(t).unwrap_err();
+            assert_eq!(err, GraphError::SnapshotOutOfRange { t, snapshots: 3 });
+        }
     }
 
     #[test]

@@ -83,16 +83,15 @@ pub fn write_csrbin<W: Write>(csr: &CsrGraph, mut writer: W) -> std::io::Result<
     writer.write_all(&buf)
 }
 
-/// Write a `.csrbin` file at `path` (created or truncated).
+/// Write a `.csrbin` file at `path` (created or truncated). The buffer is
+/// flushed before returning, so a failed write is reported, not dropped.
 pub fn write_csrbin_file(csr: &CsrGraph, path: &Path) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path).map_err(|e| GraphError::Parse {
-        line: 0,
-        message: format!("cannot create {}: {e}", path.display()),
-    })?;
-    write_csrbin(csr, std::io::BufWriter::new(file)).map_err(|e| GraphError::Parse {
-        line: 0,
-        message: format!("cannot write {}: {e}", path.display()),
-    })
+    let file_err = |message: String| GraphError::File { path: path.to_path_buf(), message };
+    let file = std::fs::File::create(path).map_err(|e| file_err(format!("cannot create: {e}")))?;
+    let mut writer = std::io::BufWriter::new(file);
+    write_csrbin(csr, &mut writer)
+        .and_then(|()| writer.flush())
+        .map_err(|e| file_err(format!("cannot write: {e}")))
 }
 
 /// A timestamped interaction `(u, v, t)` from a temporal edge list.
@@ -231,5 +230,16 @@ mod tests {
     #[test]
     fn temporal_rejects_two_token_lines() {
         assert!(read_temporal_edge_list("1 2\n".as_bytes()).is_err());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn csrbin_write_errors_are_reported() {
+        // `/dev/full` accepts the open and fails every write with ENOSPC;
+        // the small frame fits the buffer, so only the flush can see it.
+        let frame =
+            CsrGraph::from_graph(&crate::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap());
+        let err = write_csrbin_file(&frame, Path::new("/dev/full")).unwrap_err();
+        assert!(matches!(err, GraphError::File { .. }), "{err}");
     }
 }

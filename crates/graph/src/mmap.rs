@@ -36,7 +36,7 @@ use crate::io::{CSRBIN_HEADER_BYTES, CSRBIN_MAGIC, CSRBIN_VERSION};
 use crate::{GraphError, GraphView, VertexId};
 
 fn format_err(path: &Path, message: impl std::fmt::Display) -> GraphError {
-    GraphError::Parse { line: 0, message: format!("{}: {message}", path.display()) }
+    GraphError::File { path: path.to_path_buf(), message: message.to_string() }
 }
 
 /// The bytes backing an [`MmapCsr`]: a real file mapping where the platform
@@ -183,7 +183,7 @@ impl MmapCsr {
     /// monotonicity, target bounds, sortedness, no self-loops) so that
     /// every subsequent query can trust the structure. Corrupt or
     /// truncated files, unknown versions, and big-endian hosts are
-    /// rejected with a [`GraphError::Parse`].
+    /// rejected with a [`GraphError::File`].
     pub fn open(path: &Path) -> Result<MmapCsr, GraphError> {
         if cfg!(target_endian = "big") {
             return Err(format_err(path, ".csrbin is little-endian; big-endian hosts unsupported"));

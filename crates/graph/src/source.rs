@@ -69,7 +69,7 @@ fn frame_filename(t: usize) -> String {
 }
 
 fn dir_err(dir: &Path, message: impl std::fmt::Display) -> GraphError {
-    GraphError::Parse { line: 0, message: format!("{}: {message}", dir.display()) }
+    GraphError::File { path: dir.to_path_buf(), message: message.to_string() }
 }
 
 /// A directory of `.csrbin` frames replayed as a zero-copy [`FrameSource`].

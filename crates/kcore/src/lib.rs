@@ -20,7 +20,7 @@
 //!   calling thread.
 //! * [`verify`] — from-scratch invariant checkers used heavily by the test
 //!   suite: core-number correctness against an independent peel oracle and
-//!   K-order validity via replaying the stored order as a peel.
+//!   K-order validity via a replay of the stored order as a peel.
 //!
 //! Each hot loop above is one plain scan over a contiguous `&[VertexId]`
 //! neighbour range, written where it is used. Every substrate hands out the

@@ -80,7 +80,7 @@ pub fn simple_core_numbers<G: GraphView>(graph: &G, anchors: &[VertexId]) -> Vec
 /// Check that a [`KOrder`] is *valid* for `graph`:
 ///
 /// 1. its levels equal the true core numbers (fresh decomposition), and
-/// 2. replaying the stored order as a peel is legal — every vertex has
+/// 2. the stored order, replayed as a peel, is legal — every vertex has
 ///    remaining degree ≤ its level at the moment it is removed.
 ///
 /// Together these certify the invariant documented in [`crate`], which the

@@ -26,12 +26,11 @@
 //! published epochs, which `tests/prop_writer.rs` pins.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use avt_graph::{EdgeBatch, GraphError, VertexId};
-use avt_obs::{Histogram, Registry, Span, Stage};
+use avt_obs::{Counter, Histogram, Registry, Span, Stage};
 
 use crate::protocol::WriterStats;
 use crate::timeline::LiveTimeline;
@@ -73,8 +72,6 @@ struct Inner {
     /// Staged events keyed by timestamp; the key order is the publish
     /// order.
     staged: BTreeMap<u64, Vec<IngestEvent>>,
-    /// Events dropped by the publish-time sanitizer.
-    dropped: u64,
 }
 
 /// The watermark buffer in front of a [`LiveTimeline`].
@@ -108,11 +105,21 @@ pub struct Admission {
     /// are rejected as stale.
     lag: u64,
     inner: Mutex<Inner>,
-    accepted: AtomicU64,
-    folded: AtomicU64,
-    rejected: AtomicU64,
-    /// The writer's latency store, behind both `STATS` and `METRICS`.
+    /// The writer's counters and latencies, behind both `STATS` and
+    /// `METRICS`.
     registry: Registry,
+    /// `avt_writer_events_total{admission="accepted"}`: events staged in
+    /// order.
+    accepted: Arc<Counter>,
+    /// `avt_writer_events_total{admission="folded"}`: stragglers folded
+    /// into the staged window.
+    folded: Arc<Counter>,
+    /// `avt_writer_events_total{admission="rejected"}`: events older than
+    /// the lag window.
+    rejected: Arc<Counter>,
+    /// `avt_writer_dropped_total`: events the publish-time sanitizer
+    /// dropped.
+    dropped: Arc<Counter>,
     /// `avt_writer_publish_us`: one sample per published batch, so its
     /// count is the number of batches applied.
     publish: Arc<Histogram>,
@@ -124,13 +131,17 @@ impl Admission {
     /// arrives; stragglers are then always stale).
     pub fn new(timeline: Arc<LiveTimeline>, lag: u64) -> Admission {
         let registry = Registry::new();
+        let events = |verdict: &str| {
+            registry.counter(&format!("avt_writer_events_total{{admission=\"{verdict}\"}}"))
+        };
         Admission {
             timeline,
             lag,
-            inner: Mutex::new(Inner { watermark: 0, staged: BTreeMap::new(), dropped: 0 }),
-            accepted: AtomicU64::new(0),
-            folded: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            inner: Mutex::new(Inner { watermark: 0, staged: BTreeMap::new() }),
+            accepted: events("accepted"),
+            folded: events("folded"),
+            rejected: events("rejected"),
+            dropped: registry.counter("avt_writer_dropped_total"),
             publish: registry.histogram("avt_writer_publish_us"),
             registry,
         }
@@ -138,10 +149,6 @@ impl Admission {
 
     /// Admit `events` stamped `ts`: stage or reject them, then publish
     /// every bucket the new watermark has moved out of the lag window.
-    ///
-    /// Fails with [`GraphError::WriterBusy`] while a replay borrow on the
-    /// timeline is live (the quiesced-writer guard) — nothing is staged
-    /// in that case, so the client can retry the whole call.
     pub fn ingest(&self, ts: u64, events: &[IngestEvent]) -> Result<IngestReceipt, GraphError> {
         self.ingest_traced(ts, events, None)
     }
@@ -156,9 +163,6 @@ impl Admission {
         events: &[IngestEvent],
         span: Option<&Span>,
     ) -> Result<IngestReceipt, GraphError> {
-        if self.timeline.replaying() {
-            return Err(GraphError::WriterBusy);
-        }
         let mut inner = self.inner.lock().expect("admission lock poisoned");
         let mut receipt = IngestReceipt::default();
         if inner.watermark > self.lag && ts < inner.watermark - self.lag {
@@ -175,9 +179,9 @@ impl Admission {
             }
             inner.watermark = inner.watermark.max(ts);
         }
-        self.accepted.fetch_add(receipt.accepted, Ordering::Relaxed);
-        self.folded.fetch_add(receipt.folded, Ordering::Relaxed);
-        self.rejected.fetch_add(receipt.rejected, Ordering::Relaxed);
+        self.accepted.add(receipt.accepted);
+        self.folded.add(receipt.folded);
+        self.rejected.add(receipt.rejected);
         if let Some(span) = span {
             span.mark(Stage::Admit);
         }
@@ -205,7 +209,7 @@ impl Admission {
 
     /// Publish ripe buckets in timestamp order. With `force`, every
     /// bucket is ripe. A bucket is popped only after its epoch publishes,
-    /// so a failure (e.g. [`GraphError::WriterBusy`]) leaves it staged.
+    /// so a failure leaves it staged.
     fn drain(&self, inner: &mut Inner, force: bool) -> Result<u64, GraphError> {
         let mut published = 0u64;
         while let Some((&ts, _)) = inner.staged.first_key_value() {
@@ -219,7 +223,7 @@ impl Admission {
             self.timeline.apply_batch(batch)?;
             self.publish.record(start.elapsed().as_micros() as u64);
             inner.staged.remove(&ts);
-            inner.dropped += dropped;
+            self.dropped.add(dropped);
             published += 1;
         }
         Ok(published)
@@ -275,10 +279,10 @@ impl Admission {
         let publish = self.publish.snapshot();
         WriterStats {
             batches_applied: publish.count(),
-            events_accepted: self.accepted.load(Ordering::Relaxed),
-            events_folded: self.folded.load(Ordering::Relaxed),
-            events_rejected: self.rejected.load(Ordering::Relaxed),
-            events_dropped: inner.dropped,
+            events_accepted: self.accepted.get(),
+            events_folded: self.folded.get(),
+            events_rejected: self.rejected.get(),
+            events_dropped: self.dropped.get(),
             watermark: inner.watermark,
             watermark_lag: oldest.map_or(0, |ts| inner.watermark.saturating_sub(ts)),
             publish_p50_us: publish.percentile(50.0),
@@ -286,8 +290,8 @@ impl Admission {
         }
     }
 
-    /// The writer's latency registry (the publish histogram), as
-    /// `METRICS` renders it.
+    /// The writer's registry (event counters and the publish histogram),
+    /// as `METRICS` renders it.
     pub(crate) fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -391,20 +395,6 @@ mod tests {
                 Some(r) => assert_eq!(&got, r, "order {order:?} diverged"),
             }
         }
-    }
-
-    #[test]
-    fn ingest_refuses_while_timeline_replays() {
-        use avt_graph::FrameSource;
-        let (tl, a) = adm(1);
-        a.ingest(1, &[ins(0, 1)]).unwrap();
-        let mut walk = tl.iter_frames();
-        assert!(walk.next().is_some());
-        assert!(matches!(a.ingest(2, &[ins(1, 2)]), Err(GraphError::WriterBusy)));
-        drop(walk);
-        a.ingest(2, &[ins(1, 2)]).unwrap();
-        a.flush().unwrap();
-        assert!(tl.current().frame.has_edge(1, 2));
     }
 
     #[test]

@@ -291,8 +291,6 @@ struct Job {
 /// assert_eq!(report.worker_panics, 0);
 /// ```
 pub struct Service {
-    timeline: Arc<LiveTimeline>,
-    admission: Option<Arc<Admission>>,
     stats: Arc<ServiceStats>,
     /// The bounded job queue's sender. It lives behind a mutexed `Option`
     /// so [`Service::begin_shutdown`] can retire it from `&self` — that is
@@ -375,7 +373,7 @@ impl Service {
                     .expect("spawning a worker thread")
             })
             .collect();
-        Service { timeline, admission, stats, intake: Mutex::new(Some(jobs)), workers }
+        Service { stats, intake: Mutex::new(Some(jobs)), workers }
     }
 
     /// The job queue's sender, cloned out of the intake lock so a caller
@@ -438,16 +436,6 @@ impl Service {
                 Reply::Channel(_) => unreachable!("submitted with a callback"),
             }
         })
-    }
-
-    /// The timeline this service reads.
-    pub fn timeline(&self) -> &Arc<LiveTimeline> {
-        &self.timeline
-    }
-
-    /// The admission buffer, when this service accepts `INGEST`.
-    pub fn admission(&self) -> Option<&Arc<Admission>> {
-        self.admission.as_ref()
     }
 
     /// Live counters (shared with the workers).
@@ -610,8 +598,9 @@ mod tests {
 
     #[test]
     fn queries_see_fresh_epochs() {
-        let svc = service();
-        svc.timeline().apply_batch(EdgeBatch::from_pairs([(6, 9)], [])).unwrap();
+        let tl = Arc::new(LiveTimeline::new(winged()));
+        let svc = Service::start(Arc::clone(&tl), ServiceConfig::default());
+        tl.apply_batch(EdgeBatch::from_pairs([(6, 9)], [])).unwrap();
         let Response::Info { t, epochs, .. } = svc.query(Request::Info).unwrap() else {
             panic!("wrong reply kind")
         };
@@ -621,7 +610,8 @@ mod tests {
 
     #[test]
     fn concurrent_queries_against_a_moving_timeline() {
-        let svc = Arc::new(service());
+        let tl = Arc::new(LiveTimeline::new(winged()));
+        let svc = Arc::new(Service::start(Arc::clone(&tl), ServiceConfig::default()));
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let svc = Arc::clone(&svc);
@@ -642,7 +632,6 @@ mod tests {
                     }
                 });
             }
-            let tl = Arc::clone(svc.timeline());
             scope.spawn(move || {
                 let mut flip = true;
                 for _ in 0..20 {
@@ -681,7 +670,11 @@ mod tests {
     fn ingest_publishes_through_admission_and_shows_in_stats() {
         let tl = Arc::new(LiveTimeline::new(winged()));
         let adm = Arc::new(Admission::new(Arc::clone(&tl), 1));
-        let svc = Service::start_with_admission(Arc::clone(&tl), adm, ServiceConfig::default());
+        let svc = Service::start_with_admission(
+            Arc::clone(&tl),
+            Arc::clone(&adm),
+            ServiceConfig::default(),
+        );
         let Response::Ingest { accepted, watermark, .. } = svc
             .query(Request::Ingest { ts: 1, insertions: vec![(6, 9)], deletions: vec![] })
             .unwrap()
@@ -699,7 +692,7 @@ mod tests {
         assert_eq!(writer.batches_applied, 1);
         assert_eq!(writer.events_accepted, 2);
         assert_eq!(writer.watermark, 3);
-        svc.admission().expect("attached").flush().unwrap();
+        adm.flush().unwrap();
         assert!(tl.current().frame.has_edge(9, 5));
         assert_eq!(svc.shutdown().worker_panics, 0);
     }

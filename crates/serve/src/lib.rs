@@ -10,9 +10,9 @@
 //!   derivation, validating the batch up front) and
 //!   [`avt_kcore::MaintainedCore`] (incremental K-order repair), then the
 //!   new epoch is *published* as one `Arc` swap. Readers share frozen
-//!   frames zero-copy and are never invalidated; the recorded history
-//!   makes the timeline a replayable [`avt_graph::FrameSource`] and
-//!   spillable to `.csrbin` for audit.
+//!   frames zero-copy and are never invalidated; for audit,
+//!   [`LiveTimeline::freeze`] hands out the recorded history as an
+//!   [`avt_graph::EvolvingGraph`] to replay offline or spill to `.csrbin`.
 //! * [`Service`] — the query executor: a bounded worker pool dispatching
 //!   [`Request`]s ([`protocol`] lists them: spectrum, core, anchored core,
 //!   followers, Greedy-vs-OLAK best-`b` anchors, stats) against the

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use avt_datasets::Dataset;
-use avt_graph::FrameSource;
+use avt_graph::{FrameSource, MmapFrames};
 use avt_serve::{Admission, EventFront, IngestEvent, LiveTimeline, Service, ServiceConfig};
 
 const USAGE: &str = "\
@@ -172,9 +172,9 @@ fn main() -> ExitCode {
 
     // Writer: one batch per tick until the script runs out or we shut
     // down, routed through the same admission buffer client INGESTs use
-    // (ts = tick index). Admission only errors when a replay borrow is
-    // live, which never happens while the service is up, so an error is
-    // a real bug worth crashing the writer (and failing CI) over. If
+    // (ts = tick index). Admission only errors when a sanitized batch
+    // fails to apply, so an error is a real bug worth crashing the
+    // writer (and failing CI) over. If
     // clients push the watermark more than the lag window ahead of the
     // script, the late scripted events surface in the writer stats as
     // rejected — they are counted, never applied out of order.
@@ -206,7 +206,7 @@ fn main() -> ExitCode {
                         .collect();
                     admission
                         .ingest(i as u64 + 1, &events)
-                        .expect("no replay borrows while serving");
+                        .expect("sanitized batches apply cleanly");
                 }
             })
             .expect("spawning the writer thread")
@@ -234,7 +234,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(dir) = &args.spill {
-        match timeline.spill(dir) {
+        match MmapFrames::spill(&timeline.freeze(), dir) {
             Ok(frames) => {
                 eprintln!("# spilled {} frames to {}", frames.num_frames(), dir.display())
             }

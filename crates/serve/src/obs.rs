@@ -18,6 +18,8 @@
 //! | `avt_requests_total` | counter | — | service | every answered request |
 //! | `avt_errors_total` | counter | — | service | every error reply |
 //! | `avt_request_us` | histogram | `op` | service | executor service time |
+//! | `avt_writer_events_total` | counter | `admission` (`accepted`, `folded`, `rejected`) | admission | each `INGEST` event's admission verdict |
+//! | `avt_writer_dropped_total` | counter | — | admission | events the publish-time sanitizer dropped |
 //! | `avt_writer_publish_us` | histogram | — | admission | each published batch |
 //! | `avt_stage_us` | histogram | `op`, `stage` | process | span finish (front-end requests) |
 

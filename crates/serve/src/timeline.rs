@@ -19,18 +19,17 @@
 //!   never sees a half-applied batch — it simply keeps the epoch it
 //!   started with until it asks again.
 //!
-//! Because the writer records the batch history, a `LiveTimeline` is also
-//! a [`FrameSource`]: the stream served online can be replayed through the
-//! offline execution engine (or spilled to a `.csrbin` directory with
-//! [`LiveTimeline::spill`]) for audit — the service-vs-offline equivalence
-//! tests are built on exactly this round trip.
+//! Because the writer records the batch history, [`LiveTimeline::freeze`]
+//! hands out the stream served so far as an offline [`EvolvingGraph`]. For
+//! audit it replays through the offline execution engine, or spills to a
+//! `.csrbin` directory with [`avt_graph::MmapFrames::spill`]; the
+//! service-vs-offline equivalence tests are built on exactly this round
+//! trip.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use avt_graph::{
-    CsrGraph, EdgeBatch, EvolvingGraph, FrameSource, Graph, GraphError, MmapFrames, VertexId,
-};
+use avt_graph::{CsrGraph, EdgeBatch, EvolvingGraph, Graph, GraphError, VertexId};
 use avt_kcore::{ChangeSet, MaintainedCore};
 
 /// One published epoch: the frozen frame plus the core numbers the writer
@@ -106,12 +105,6 @@ pub struct LiveTimeline {
     /// data itself is never behind the lock.
     published: RwLock<Arc<EpochFrame>>,
     epochs: AtomicU64,
-    /// Live replay borrows (outstanding [`FrameSource::iter_frames`]
-    /// iterators). While nonzero, the writer is required to be quiescent:
-    /// [`Self::apply_batch`] refuses with [`GraphError::WriterBusy`]
-    /// instead of silently invalidating the pipelined replay's
-    /// `num_frames` contract.
-    replay_borrows: AtomicUsize,
 }
 
 impl LiveTimeline {
@@ -128,7 +121,6 @@ impl LiveTimeline {
             writer: Mutex::new(Writer { maintained, history: EvolvingGraph::new(initial), frame }),
             published: RwLock::new(epoch),
             epochs: AtomicU64::new(1),
-            replay_borrows: AtomicUsize::new(0),
         }
     }
 
@@ -145,14 +137,7 @@ impl LiveTimeline {
     /// batch — duplicate insert, deleting an absent edge, out-of-range
     /// endpoint — leaves the timeline exactly where it was and readers
     /// never observe it.
-    /// While a replay borrow is live (see [`Self::replaying`]), admission
-    /// is refused with [`GraphError::WriterBusy`] — the documented
-    /// "quiesced writer" precondition of the pipelined replay, enforced
-    /// instead of trusted.
     pub fn apply_batch(&self, batch: EdgeBatch) -> Result<EpochReport, GraphError> {
-        if self.replaying() {
-            return Err(GraphError::WriterBusy);
-        }
         let mut w = self.writer.lock().expect("writer lock poisoned");
         // Derive-and-validate first; only a clean batch reaches the
         // incremental maintenance below.
@@ -171,12 +156,6 @@ impl LiveTimeline {
         *self.published.write().expect("publish lock poisoned") = Arc::clone(&epoch);
         self.epochs.fetch_add(1, Ordering::Relaxed);
         Ok(EpochReport { epoch, changes })
-    }
-
-    /// True while at least one [`FrameSource::iter_frames`] iterator is
-    /// alive. The writer must stay quiescent until it drops.
-    pub fn replaying(&self) -> bool {
-        self.replay_borrows.load(Ordering::Acquire) > 0
     }
 
     /// The current epoch: a shared handle to the latest published frame.
@@ -200,54 +179,11 @@ impl LiveTimeline {
 
     /// A frozen copy of the full batch history as an offline
     /// [`EvolvingGraph`] — the audit/replay currency. O(n + m + total
-    /// churn).
+    /// churn). The copy is taken under the writer lock, so it is one whole
+    /// prefix of the history however the writer moves on: a replay of it
+    /// needs no quiescent writer.
     pub fn freeze(&self) -> EvolvingGraph {
         self.writer.lock().expect("writer lock poisoned").history.clone()
-    }
-
-    /// Spill the history so far into `dir` as a `.csrbin` frame directory
-    /// (see [`MmapFrames::spill`]) — the on-disk audit trail, replayable by
-    /// the offline engine without this process.
-    pub fn spill(&self, dir: &std::path::Path) -> Result<MmapFrames, GraphError> {
-        MmapFrames::spill(&self.freeze(), dir)
-    }
-}
-
-/// Replaying a live timeline walks the history as of the call: each call
-/// to [`FrameSource::iter_frames`] clones the batch history under the
-/// writer lock (a consistent prefix) and derives the frames from the
-/// clone.
-///
-/// The pipelined engine runner checks `num_frames` against delivered
-/// reports, so it needs the writer quiescent for the duration of the
-/// walk. That precondition is *enforced*: every live iterator holds a
-/// replay borrow, and [`LiveTimeline::apply_batch`] refuses with
-/// [`GraphError::WriterBusy`] until the last one drops.
-impl FrameSource for LiveTimeline {
-    type Frame = CsrGraph;
-
-    fn num_frames(&self) -> usize {
-        self.writer.lock().expect("writer lock poisoned").history.num_snapshots()
-    }
-
-    fn iter_frames(&self) -> impl Iterator<Item = (usize, Arc<Self::Frame>)> + Send + '_ {
-        self.replay_borrows.fetch_add(1, Ordering::AcqRel);
-        let guard = ReplayGuard(&self.replay_borrows);
-        // The closure owns the guard, so the borrow lasts as long as the
-        // walk does.
-        self.freeze().into_frames_arc().inspect(move |_| {
-            let _ = &guard;
-        })
-    }
-}
-
-/// Drop bomb for the replay-borrow count: releases the borrow taken in
-/// [`FrameSource::iter_frames`] when the iterator goes away.
-struct ReplayGuard<'a>(&'a AtomicUsize);
-
-impl Drop for ReplayGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -255,6 +191,7 @@ impl Drop for ReplayGuard<'_> {
 mod tests {
     use super::*;
     use avt_kcore::decompose::CoreDecomposition;
+    use std::sync::Barrier;
 
     fn start() -> LiveTimeline {
         LiveTimeline::new(Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 0)]).unwrap())
@@ -316,47 +253,68 @@ mod tests {
     }
 
     #[test]
-    fn frame_source_replays_the_history() {
+    fn freeze_replays_the_history() {
         let tl = start();
         tl.apply_batch(EdgeBatch::from_pairs([(3, 4)], [])).unwrap();
         tl.apply_batch(EdgeBatch::from_pairs([(4, 1)], [(3, 0)])).unwrap();
-        assert_eq!(FrameSource::num_frames(&tl), 3);
-        let walked: Vec<_> = tl.iter_frames().map(|(t, f)| (t, f.num_edges())).collect();
-        assert_eq!(walked, vec![(1, 4), (2, 5), (3, 5)]);
         // The frozen history round-trips through the offline model.
         let frozen = tl.freeze();
         assert_eq!(frozen.num_snapshots(), 3);
         frozen.validate().unwrap();
+        let walked: Vec<_> = frozen.frames().map(|(t, f)| (t, f.num_edges())).collect();
+        assert_eq!(walked, vec![(1, 4), (2, 5), (3, 5)]);
     }
 
     #[test]
-    fn spill_writes_a_replayable_frame_directory() {
+    fn frozen_history_spills_to_a_replayable_frame_directory() {
         let tl = start();
         tl.apply_batch(EdgeBatch::from_pairs([(3, 4)], [])).unwrap();
         let dir = std::env::temp_dir().join(format!("avt_serve_spill_{}", std::process::id()));
-        let frames = tl.spill(&dir).unwrap();
-        assert_eq!(frames.num_frames(), 2);
+        let frames = avt_graph::MmapFrames::spill(&tl.freeze(), &dir).unwrap();
         assert_eq!(frames.frame(2).unwrap().num_edges(), 5);
+        assert!(frames.frame(3).is_none());
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn apply_batch_refuses_while_replay_borrow_is_live() {
+    fn freeze_racing_the_writer_sees_one_whole_prefix() {
+        // `freeze` clones the history under the writer lock, so a replay
+        // needs no quiescent writer: every copy taken mid-stream is a
+        // valid prefix of what the writer publishes.
+        const BATCHES: usize = 200;
         let tl = start();
-        tl.apply_batch(EdgeBatch::from_pairs([(3, 4)], [])).unwrap();
-        let mut walk = tl.iter_frames();
-        assert!(walk.next().is_some());
-        assert!(tl.replaying());
-        // The quiesced-writer precondition is enforced, not documented:
-        // admissions bounce until the replay borrow drops.
-        assert!(matches!(
-            tl.apply_batch(EdgeBatch::from_pairs([(4, 1)], [])),
-            Err(GraphError::WriterBusy)
-        ));
-        assert_eq!(tl.epochs_published(), 2);
-        drop(walk);
-        assert!(!tl.replaying());
-        assert_eq!(tl.apply_batch(EdgeBatch::from_pairs([(4, 1)], [])).unwrap().epoch.t, 3);
+        let barrier = Barrier::new(2);
+        let frozen = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                barrier.wait();
+                for i in 0..BATCHES {
+                    let edges = [(3, 4), (4, 1)];
+                    let batch = if i % 2 == 0 {
+                        EdgeBatch::from_pairs(edges, [])
+                    } else {
+                        EdgeBatch::from_pairs([], edges)
+                    };
+                    tl.apply_batch(batch).unwrap();
+                }
+            });
+            barrier.wait();
+            let mut frozen = Vec::new();
+            while !writer.is_finished() {
+                let before = tl.epochs_published() as usize;
+                let history = tl.freeze();
+                let after = tl.epochs_published() as usize;
+                history.validate().unwrap();
+                let t = history.num_snapshots();
+                assert!(before <= t && t <= after, "{before} <= {t} <= {after}");
+                frozen.push(history);
+            }
+            frozen
+        });
+        let last = tl.freeze();
+        assert_eq!(last.num_snapshots(), BATCHES + 1);
+        for history in &frozen {
+            assert_eq!(history.batches(), &last.batches()[..history.num_snapshots() - 1]);
+        }
     }
 
     #[test]

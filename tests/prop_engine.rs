@@ -1,13 +1,13 @@
-//! Property tests for the temporal execution engine: `run_pipelined` must
-//! be observationally identical to `run_sequential` — same anchors, same
-//! followers, same aggregated efficiency counters — at any worker count,
-//! on ER, BA, and churned evolving instances; and runs over the zero-copy
-//! mmap frame source must be bit-identical to resident-frame runs.
+//! Property tests for the temporal execution engine: `Engine::pipelined`
+//! must be observationally identical to `Engine::sequential` — same
+//! anchors, same followers, same aggregated efficiency counters — at any
+//! worker count, on ER, BA, and churned evolving instances; and runs over
+//! the zero-copy mmap frame source must be bit-identical to resident-frame
+//! runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use avt::algo::engine::{run_pipelined, run_sequential, SnapshotSolver};
-use avt::algo::{AvtParams, Greedy, Metrics, Olak, Rcm};
+use avt::algo::{AvtParams, Engine, Greedy, Metrics, Olak, Rcm, SnapshotSolver};
 use avt::datasets::ba::barabasi_albert;
 use avt::datasets::churn::{evolve, ChurnConfig};
 use avt::datasets::er::gnm;
@@ -52,9 +52,9 @@ fn shape(result: &avt::algo::AvtResult) -> Shape {
 /// Run `solver` sequentially and pipelined with 1/2/4 workers; every run
 /// must produce the identical shape and identical aggregates.
 fn assert_engine_equivalence<S: SnapshotSolver>(solver: &S, eg: &EvolvingGraph, params: AvtParams) {
-    let seq = run_sequential(solver, eg, params).unwrap();
+    let seq = Engine::sequential().run(solver, eg, params).unwrap();
     for threads in [1usize, 2, 4] {
-        let par = run_pipelined(solver, eg, params, threads).unwrap();
+        let par = Engine::pipelined(threads).run(solver, eg, params).unwrap();
         assert_eq!(shape(&seq), shape(&par), "shape diverged at threads = {threads}");
         assert_eq!(seq.anchor_sets, par.anchor_sets, "threads = {threads}");
         assert_eq!(seq.follower_counts, par.follower_counts, "threads = {threads}");
@@ -72,10 +72,10 @@ fn assert_mmap_equivalence(eg: &EvolvingGraph, params: AvtParams, tag: &str) {
     let frames = MmapFrames::spill(eg, &dir).expect("spill to tmpdir succeeds");
     macro_rules! check {
         ($solver:expr) => {
-            let resident = run_sequential(&$solver, eg, params).unwrap();
-            let mapped = run_sequential(&$solver, &frames, params).unwrap();
+            let resident = Engine::sequential().run(&$solver, eg, params).unwrap();
+            let mapped = Engine::sequential().run(&$solver, &frames, params).unwrap();
             assert_eq!(shape(&resident), shape(&mapped), "sequential mmap diverged");
-            let mapped_par = run_pipelined(&$solver, &frames, params, 3).unwrap();
+            let mapped_par = Engine::pipelined(3).run(&$solver, &frames, params).unwrap();
             assert_eq!(shape(&resident), shape(&mapped_par), "pipelined mmap diverged");
         };
     }

@@ -264,8 +264,8 @@ fn stats_are_scoped_per_service() {
 /// `STATS` and `METRICS` are two views of one store: after a scripted
 /// run of reads, two errors and publishing `INGEST`s, the same service's
 /// `METRICS` carries the request and writer series at the default
-/// config, with counts and per-op percentiles equal to what `STATS`
-/// reported.
+/// config, with counts, per-op percentiles and the writer's event
+/// verdicts equal to what `STATS` reported.
 #[test]
 fn stats_and_metrics_read_the_same_store() {
     let timeline = Arc::new(LiveTimeline::new(gnm(40, 120, 9)));
@@ -285,9 +285,19 @@ fn stats_and_metrics_read_the_same_store() {
     service.query(Request::Core(999)).unwrap_err();
     // What a front end does with a frame it cannot parse.
     service.stats().note_error();
-    // Lag 1: each of ts = 3, 4, 5 publishes the bucket two ticks behind.
+    // Lag 1: each of ts = 3, 4, 5 publishes the bucket two ticks behind,
+    // and the sanitizer drops the self-loop staged at ts = 1.
     for ts in 1..=5u64 {
-        let insertions = vec![(0, 20 + ts as u32)];
+        let mut insertions = vec![(0, 20 + ts as u32)];
+        if ts == 1 {
+            insertions.push((7, 7));
+        }
+        service.query(Request::Ingest { ts, insertions, deletions: vec![] }).unwrap();
+    }
+    // At watermark 5, a straggler at ts = 4 folds and one at ts = 2 is
+    // stale.
+    for ts in [4, 2] {
+        let insertions = vec![(1, 30 + ts as u32)];
         service.query(Request::Ingest { ts, insertions, deletions: vec![] }).unwrap();
     }
 
@@ -299,7 +309,7 @@ fn stats_and_metrics_read_the_same_store() {
     let Response::Metrics { text } = service.query(Request::Metrics).unwrap() else {
         panic!("wrong reply kind")
     };
-    assert_eq!((served, errors), (12, 2));
+    assert_eq!((served, errors), (14, 2));
     // METRICS was answered after STATS completed, so it also counts the
     // STATS request itself.
     assert_eq!(series(&text, "avt_requests_total"), Some(served + errors + 1));
@@ -321,6 +331,14 @@ fn stats_and_metrics_read_the_same_store() {
     }
     let writer = writer.expect("admission-backed service reports a writer block");
     assert_eq!(writer.batches_applied, 3);
+    assert_eq!((writer.events_folded, writer.events_rejected), (1, 1));
+    assert!(writer.events_dropped > 0, "the self-loop is dropped");
     assert_eq!(series(&text, "avt_writer_publish_us_count"), Some(writer.batches_applied));
+    let events =
+        |verdict| series(&text, &format!("avt_writer_events_total{{admission=\"{verdict}\"}}"));
+    assert_eq!(events("accepted"), Some(writer.events_accepted));
+    assert_eq!(events("folded"), Some(writer.events_folded));
+    assert_eq!(events("rejected"), Some(writer.events_rejected));
+    assert_eq!(series(&text, "avt_writer_dropped_total"), Some(writer.events_dropped));
     assert_eq!(service.shutdown().worker_panics, 0);
 }

@@ -18,8 +18,7 @@
 
 use std::sync::{mpsc, Arc};
 
-use avt::algo::engine::run_sequential;
-use avt::algo::{AvtParams, Greedy, Olak, SnapshotSolver};
+use avt::algo::{AvtParams, Engine, Greedy, Olak, SnapshotSolver};
 use avt::datasets::churn::{evolve, ChurnConfig};
 use avt::datasets::er::gnm;
 use avt::graph::{CsrGraph, EvolvingGraph, Graph, GraphView, VertexId};
@@ -160,10 +159,11 @@ fn assert_service_offline_equivalence(eg: &EvolvingGraph, params: AvtParams, rea
         });
     }
 
-    // The audit path: replaying the live history through the offline
-    // engine reproduces the offline run bit for bit.
-    let via_live = run_sequential(&Greedy::default(), timeline.as_ref(), params).unwrap();
-    let via_offline = run_sequential(&Greedy::default(), eg, params).unwrap();
+    // The audit path: the frozen live history, replayed through the
+    // offline engine, reproduces the offline run bit for bit.
+    let via_live =
+        Engine::sequential().run(&Greedy::default(), &timeline.freeze(), params).unwrap();
+    let via_offline = Engine::sequential().run(&Greedy::default(), eg, params).unwrap();
     assert_eq!(via_live.anchor_sets, via_offline.anchor_sets);
     assert_eq!(via_live.follower_counts, via_offline.follower_counts);
     assert_eq!(via_live.total_metrics(), via_offline.total_metrics());

@@ -72,7 +72,7 @@ fn deliver(
     for &idx in order {
         let receipt = admission
             .ingest(idx as u64 + 1, &events_of(&batches[idx]))
-            .expect("no replay borrows are live");
+            .expect("sanitized batches apply cleanly");
         assert_eq!(receipt.rejected, 0, "in-window batch {idx} rejected");
     }
     admission.flush().expect("final flush publishes the tail");
