@@ -19,9 +19,10 @@
 //!    queue-wait vs service time split falls out for free.
 //! 3. **[`FlightRecorder`]** — a bounded overwrite-oldest ring of
 //!    completed span records: every request slower than
-//!    [`slow_threshold_us`] (`AVT_OBS_SLOW_US`), plus a reservoir sample
-//!    of normal ones for contrast. Dumpable on demand (the serve layer's
-//!    `TRACE n` verb) without stopping anything.
+//!    [`slow_threshold_us`] (10 ms unless [`set_slow_threshold_us`], as
+//!    `avt-serve --slow-us` does, installs another), plus a reservoir
+//!    sample of normal ones for contrast. Dumpable on demand (the serve
+//!    layer's `TRACE n` verb) without stopping anything.
 //!
 //! There is no off switch: every sample is recorded, at a few relaxed
 //! atomics apiece, and the slow threshold only decides which spans the

@@ -4,11 +4,10 @@
 //! go in through [`Conn::ingest`], decoded [`Request`]s come out for the
 //! caller to hand to the worker pool, completions come back through
 //! [`Conn::complete`], and encoded reply bytes accumulate for the caller
-//! to write when the socket allows. Both fronts drive the same machine —
-//! the epoll event loop nonblockingly, the thread-per-connection fallback
-//! with plain blocking reads — so protocol behaviour (sniffing,
-//! pipelining, ordering, backpressure) is identical and testable without
-//! opening a single socket.
+//! to write when the socket allows. The epoll front
+//! ([`crate::EventFront`]) drives one machine per socket, so protocol
+//! behaviour (sniffing, pipelining, ordering, backpressure) is testable
+//! without opening a single socket.
 //!
 //! # Codec sniffing
 //!
@@ -531,7 +530,7 @@ mod tests {
 
     #[test]
     fn wire_request_shape_is_stable() {
-        // Guard the codec-facing surface the fronts rely on.
+        // Guard the codec-facing surface the front relies on.
         let req = WireRequest { id: Some(3), verb: WireVerb::Quit };
         assert_eq!(req.id, Some(3));
     }

@@ -7,7 +7,9 @@
 //! [`std::sync::mpsc::sync_channel`] (callers feel backpressure instead of
 //! the pool growing unboundedly), each worker grabs the *current* epoch at
 //! dequeue time, and per-query visited/probed counters plus executor
-//! latency flow into [`ServiceStats`].
+//! latency flow into [`ServiceStats`]. Every job answers the one way,
+//! through its [`QueryCallback`]: the event loop's queues a completion
+//! and wakes the loop, and [`Service::query`]'s wakes its blocked caller.
 //!
 //! The cheap queries (`CORE`, `SPECTRUM`, `INFO`, `STATS`) read only what
 //! the epoch published — the core array and its shell histogram, no
@@ -216,8 +218,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Completion callback for [`Service::try_submit`]: invoked exactly once,
-/// on a worker thread, with the query's outcome.
+/// Completion callback of a queued query: invoked exactly once, on a
+/// worker thread, with the query's outcome. Every job carries one;
+/// [`Service::query`] passes one that wakes the blocked caller.
 pub type QueryCallback = Box<dyn FnOnce(Result<Response, String>) + Send + 'static>;
 
 /// Why [`Service::try_submit`] handed a job back instead of queuing it.
@@ -239,25 +242,9 @@ impl std::fmt::Debug for SubmitError {
     }
 }
 
-enum Reply {
-    Channel(mpsc::SyncSender<Result<Response, String>>),
-    Callback(QueryCallback),
-}
-
-impl Reply {
-    fn deliver(self, outcome: Result<Response, String>) {
-        match self {
-            // The client may have given up; that is its business, not an
-            // executor fault.
-            Reply::Channel(tx) => drop(tx.send(outcome)),
-            Reply::Callback(done) => done(outcome),
-        }
-    }
-}
-
 struct Job {
     request: Request,
-    reply: Reply,
+    done: QueryCallback,
     /// The request's lifecycle span, when a front end opened one at
     /// decode ([`Service::try_submit_traced`]). The worker charges queue
     /// wait and execute time to it; the front end closes it after
@@ -269,9 +256,9 @@ struct Job {
 /// [`LiveTimeline`].
 ///
 /// Embed it directly (`examples/live_service.rs` does) or put the TCP
-/// front-end of [`crate::tcp`] in front of it. [`Service::query`] is safe
-/// to call from any number of threads; each query observes the newest
-/// epoch at execution time and the reply says which (`t=` in every
+/// front-end [`crate::EventFront`] in front of it. [`Service::query`] is
+/// safe to call from any number of threads; each query observes the
+/// newest epoch at execution time and the reply says which (`t=` in every
 /// response).
 ///
 /// # Example
@@ -368,7 +355,7 @@ impl Service {
                             span.mark(Stage::Execute);
                         }
                         stats.record(op, reply.is_ok(), micros);
-                        job.reply.deliver(reply);
+                        (job.done)(reply);
                     })
                     .expect("spawning a worker thread")
             })
@@ -387,16 +374,12 @@ impl Service {
     /// queue has room, when the pool is saturated — bounded backpressure
     /// by construction).
     pub fn query(&self, request: Request) -> Result<Response, String> {
-        self.query_traced(request, None)
-    }
-
-    /// [`Service::query`] with a lifecycle span riding along (the
-    /// blocking fronts' traced path; in-process callers just use
-    /// [`Service::query`], which passes `None`).
-    pub fn query_traced(&self, request: Request, span: Option<Span>) -> Result<Response, String> {
         let (tx, rx) = mpsc::sync_channel(1);
+        // The caller may have given up; that is its business, not an
+        // executor fault.
+        let done: QueryCallback = Box::new(move |reply| drop(tx.send(reply)));
         self.jobs()
-            .and_then(|jobs| jobs.send(Job { request, reply: Reply::Channel(tx), span }).ok())
+            .and_then(|jobs| jobs.send(Job { request, done, span: None }).ok())
             .ok_or_else(|| "service is shutting down".to_string())?;
         rx.recv().map_err(|_| "worker died before answering".to_string())?
     }
@@ -426,15 +409,9 @@ impl Service {
         let Some(jobs) = self.jobs() else {
             return Err(SubmitError::Closed(request, done));
         };
-        jobs.try_send(Job { request, reply: Reply::Callback(done), span }).map_err(|e| {
-            let (handback, job): (fn(_, _) -> SubmitError, _) = match e {
-                mpsc::TrySendError::Full(job) => (SubmitError::Full, job),
-                mpsc::TrySendError::Disconnected(job) => (SubmitError::Closed, job),
-            };
-            match job.reply {
-                Reply::Callback(done) => handback(job.request, done),
-                Reply::Channel(_) => unreachable!("submitted with a callback"),
-            }
+        jobs.try_send(Job { request, done, span }).map_err(|e| match e {
+            mpsc::TrySendError::Full(job) => SubmitError::Full(job.request, job.done),
+            mpsc::TrySendError::Disconnected(job) => SubmitError::Closed(job.request, job.done),
         })
     }
 

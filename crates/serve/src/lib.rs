@@ -26,10 +26,10 @@
 //!   pipelined binary format ([`binary::BinaryCodec`], spec in
 //!   [`binary`]'s module docs).
 //!   A connection's first byte picks its codec ([`conn::Conn`]).
-//! * The fronts: [`event_loop::EventFront`] — a readiness-driven
+//! * The front: [`event_loop::EventFront`] — a readiness-driven
 //!   nonblocking `epoll` loop, one thread for every socket,
-//!   connection-count-independent memory — and [`tcp::TcpFront`], the
-//!   thread-per-connection front off Linux, speaking the same protocols.
+//!   connection-count-independent memory. It serves on Linux only; every
+//!   layer above builds and runs in-process on any platform.
 //!
 //! The `avt-serve` binary wires all of it over a churned dataset;
 //! `avt-bench`'s `loadgen` binary is the matching traffic generator
@@ -70,7 +70,6 @@ pub mod executor;
 pub mod obs;
 pub mod protocol;
 pub mod stats;
-pub mod tcp;
 pub mod timeline;
 
 pub use admission::{Admission, IngestEvent, IngestReceipt};
@@ -82,7 +81,6 @@ pub use event_loop::EventFront;
 pub use executor::{execute, QueryCallback, Service, ServiceConfig, ShutdownReport, SubmitError};
 pub use protocol::{BestAlgo, OpClass, OpLatency, Request, Response, TraceEntry, WriterStats};
 pub use stats::ServiceStats;
-pub use tcp::TcpFront;
 pub use timeline::{EpochFrame, EpochReport, LiveTimeline};
 
 #[cfg(target_os = "linux")]

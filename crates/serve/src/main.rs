@@ -10,11 +10,11 @@
 //! real SNAP download when present under `$AVT_DATA_DIR`, the synthetic
 //! stand-in otherwise), applies one churn batch every `--epoch-ms`
 //! milliseconds on a writer thread, and serves queries on `--addr` until
-//! a client sends a shutdown verb. On Linux one `epoll` event loop serves
-//! every connection; elsewhere each connection gets a handler thread.
-//! Both wire formats are spoken on the one port — the newline text
-//! protocol and the length-prefixed binary protocol — sniffed from each
-//! connection's first byte. Prints
+//! a client sends a shutdown verb. One `epoll` event loop serves every
+//! connection, so the server runs on Linux only. Both wire formats are
+//! spoken on the one port — the newline text protocol and the
+//! length-prefixed binary protocol — sniffed from each connection's
+//! first byte. Prints
 //! `avt-serve listening on <addr>` once the socket is bound (use
 //! `--addr 127.0.0.1:0` for an ephemeral port and scrape that line).
 //!
@@ -58,8 +58,7 @@ options:
                     ts + T; older events are rejected as stale
                     (default 4)
   --slow-us N       flight-recorder slow threshold in µs — requests at or
-                    over it are always retained (default: $AVT_OBS_SLOW_US,
-                    else 10000)
+                    over it are always retained (default 10000)
 
 The service speaks the protocols documented in avt_serve::codec and
 avt_serve::binary — text lines (INFO / SPECTRUM / CORE / ANCHORED /

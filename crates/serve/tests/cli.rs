@@ -40,7 +40,7 @@ fn bad_options_exit_2_before_serving() {
     for (args, expected) in [
         // A cap of 0 would turn every client away, the shutdown verb too.
         (&["--max-connections", "0"][..], "--max-connections must be at least 1"),
-        // The front is not a choice: epoll on Linux, a thread each elsewhere.
+        // The front is not a choice: one epoll loop, on Linux only.
         (&["--front", "threads"][..], "unknown option --front"),
     ] {
         let (code, stderr) = run(args);

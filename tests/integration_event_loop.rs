@@ -1,9 +1,8 @@
-//! End-to-end tests of the nonblocking event-loop front: real TCP
-//! sockets against a real [`Service`] over a real [`LiveTimeline`].
+//! End-to-end tests of the TCP front, the nonblocking `epoll` loop: real
+//! TCP sockets against a real [`Service`] over a real [`LiveTimeline`].
+//! The front serves on Linux only, and so do these tests.
 //!
-//! What must hold, regardless of which front the platform resolves to
-//! (the `epoll` loop on Linux, the threaded fallback elsewhere — both
-//! drive the same [`avt_serve::Conn`] state machine):
+//! What must hold:
 //!
 //! * **Pipelining is order-independent.** A binary client that writes a
 //!   burst of requests in one syscall gets every reply, matched by id,
@@ -15,11 +14,20 @@
 //!   instead of ballooning.
 //! * **Both wire formats share the port**, sniffed per connection; a
 //!   text client and a binary client converse concurrently.
+//! * **Errors stay per request, `QUIT` per connection.** A text client's
+//!   bad requests each get an `ERR` line and its next request is still
+//!   answered; blank lines get no reply; `QUIT` closes only its own
+//!   connection.
+//! * **The connection cap turns clients away, not the server down**: a
+//!   client past it reads `ERR busy` and EOF while admitted ones are
+//!   still answered.
 //! * **The shutdown verb drains the front**: `run` returns, the worker
 //!   pool reports no panics.
 
+#![cfg(target_os = "linux")]
+
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,16 +36,19 @@ use avt::datasets::er::gnm;
 use avt_serve::codec::Codec;
 use avt_serve::{BinaryCodec, EventFront, LiveTimeline, Request, Response, Service, ServiceConfig};
 
-/// Boot a service on an ephemeral port; returns the address and the
-/// serving thread (joins once a client sends the shutdown verb, yielding
-/// the front's verdict and the worker-panic count).
-fn boot(seed: u64) -> (SocketAddr, std::thread::JoinHandle<(std::io::Result<()>, usize)>) {
+/// Boot `front` over a service on an ephemeral port; returns the address
+/// and the serving thread (joins once a client sends the shutdown verb,
+/// yielding the front's verdict and the worker-panic count).
+fn boot(
+    front: EventFront,
+    seed: u64,
+) -> (SocketAddr, std::thread::JoinHandle<(std::io::Result<()>, usize)>) {
     let timeline = Arc::new(LiveTimeline::new(gnm(60, 240, seed)));
     let service = Service::start(timeline, ServiceConfig { workers: 2, ..Default::default() });
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
     let addr = listener.local_addr().expect("bound address");
     let handle = std::thread::spawn(move || {
-        let verdict = EventFront::default().run(listener, &service);
+        let verdict = front.run(listener, &service);
         (verdict, service.shutdown().worker_panics)
     });
     (addr, handle)
@@ -76,6 +87,14 @@ fn read_replies(
     out
 }
 
+/// Join the serving thread after a shutdown verb, asserting a clean
+/// drain.
+fn join_clean(handle: std::thread::JoinHandle<(std::io::Result<()>, usize)>) {
+    let (verdict, panics) = handle.join().expect("serving thread");
+    verdict.expect("front drained cleanly");
+    assert_eq!(panics, 0, "query workers panicked");
+}
+
 /// Send the shutdown verb over an existing binary connection and join
 /// the serving thread, asserting a clean drain.
 fn shutdown_and_join(
@@ -91,14 +110,44 @@ fn shutdown_and_join(
         matches!(replies[0], (Some(999_999), Ok(Response::Bye))),
         "unexpected shutdown reply {replies:?}"
     );
-    let (verdict, panics) = handle.join().expect("serving thread");
-    verdict.expect("front drained cleanly");
-    assert_eq!(panics, 0, "query workers panicked");
+    join_clean(handle);
+}
+
+/// A text-protocol client reading its replies a line at a time.
+struct TextClient {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl TextClient {
+    fn connect(addr: SocketAddr) -> TextClient {
+        let stream = connect(addr);
+        let writer = stream.try_clone().expect("clone the socket");
+        TextClient { reader: BufReader::new(stream), writer }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).expect("write request");
+    }
+
+    /// The next reply line without its newline; `None` at EOF.
+    fn line(&mut self) -> Option<String> {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line).expect("read reply") {
+            0 => None,
+            _ => Some(line.trim_end().to_string()),
+        }
+    }
+
+    fn roundtrip(&mut self, request: &str) -> String {
+        self.send(format!("{request}\n").as_bytes());
+        self.line().expect("a reply line, not EOF")
+    }
 }
 
 #[test]
 fn pipelined_burst_is_order_independent() {
-    let (addr, handle) = boot(7);
+    let (addr, handle) = boot(EventFront::default(), 7);
     let codec = BinaryCodec;
     let mut stream = connect(addr);
 
@@ -135,7 +184,7 @@ fn pipelined_burst_is_order_independent() {
 
 #[test]
 fn slow_reader_gets_every_reply_without_wedging_the_server() {
-    let (addr, handle) = boot(11);
+    let (addr, handle) = boot(EventFront::default(), 11);
     let codec = BinaryCodec;
     let mut stream = connect(addr);
 
@@ -164,11 +213,11 @@ fn slow_reader_gets_every_reply_without_wedging_the_server() {
 
 #[test]
 fn both_wire_formats_share_the_port() {
-    let (addr, handle) = boot(13);
+    let (addr, handle) = boot(EventFront::default(), 13);
 
     // Text client: classic newline protocol, replies in request order.
-    let mut text = connect(addr);
-    text.write_all(b"INFO\nSPECTRUM\n").expect("write text");
+    let mut text = TextClient::connect(addr);
+    text.send(b"INFO\nSPECTRUM\n");
 
     // Binary client on a second connection at the same time.
     let codec = BinaryCodec;
@@ -177,22 +226,9 @@ fn both_wire_formats_share_the_port() {
     codec.encode_request(5, &Request::Info, &mut wire);
     binary.write_all(&wire).expect("write binary");
 
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    for _ in 0..2 {
-        line.clear();
-        loop {
-            assert_eq!(text.read(&mut byte).expect("read text"), 1, "unexpected EOF");
-            if byte[0] == b'\n' {
-                break;
-            }
-            line.push(byte[0]);
-        }
-        assert!(
-            line.starts_with(b"OK info") || line.starts_with(b"OK spectrum"),
-            "unexpected text reply {:?}",
-            String::from_utf8_lossy(&line)
-        );
+    for expected in ["OK info", "OK spectrum"] {
+        let line = text.line().expect("a reply line, not EOF");
+        assert!(line.starts_with(expected), "unexpected text reply {line:?}");
     }
 
     let replies = read_replies(&mut binary, &codec, 1);
@@ -205,13 +241,54 @@ fn both_wire_formats_share_the_port() {
 
 #[test]
 fn text_shutdown_verb_drains_the_front_too() {
-    let (addr, handle) = boot(17);
+    let (addr, handle) = boot(EventFront::default(), 17);
     let mut text = connect(addr);
     text.write_all(b"SHUTDOWN\n").expect("write shutdown");
     let mut reply = String::new();
     text.read_to_string(&mut reply).expect("read bye");
     assert_eq!(reply, "OK bye\n");
-    let (verdict, panics) = handle.join().expect("serving thread");
-    verdict.expect("front drained cleanly");
-    assert_eq!(panics, 0);
+    join_clean(handle);
+}
+
+#[test]
+fn text_errors_blank_lines_and_quit_stay_per_connection() {
+    let (addr, handle) = boot(EventFront::default(), 19);
+    let mut client = TextClient::connect(addr);
+    // An unknown verb and an out-of-range vertex (n = 60) each get an
+    // ERR line, and the connection stays usable.
+    assert!(client.roundtrip("FROBNICATE").starts_with("ERR "));
+    assert!(client.roundtrip("CORE 99").starts_with("ERR "));
+    // Blank lines get no reply: the next line read answers INFO.
+    client.send(b"\n\n");
+    assert!(client.roundtrip("INFO").starts_with("OK info"));
+
+    // QUIT closes only its own connection.
+    let mut second = TextClient::connect(addr);
+    assert!(second.roundtrip("STATS").starts_with("OK stats"));
+    second.send(b"QUIT\n");
+    assert_eq!(second.line(), None, "QUIT closes the connection");
+    assert!(client.roundtrip("SPECTRUM").starts_with("OK spectrum"));
+
+    // A query written in one burst with the shutdown verb is answered,
+    // in order, before the bye.
+    client.send(b"CORE 0\nSHUTDOWN\n");
+    assert!(client.line().expect("CORE reply").starts_with("OK core t=1 v=0 "));
+    assert_eq!(client.line().as_deref(), Some("OK bye"));
+    assert_eq!(client.line(), None, "the drained front closes the connection");
+    join_clean(handle);
+}
+
+#[test]
+fn connections_past_the_cap_are_turned_away() {
+    let (addr, handle) = boot(EventFront { max_connections: 1 }, 23);
+    let mut admitted = TextClient::connect(addr);
+    // A round trip proves the loop has accepted this client.
+    assert!(admitted.roundtrip("INFO").starts_with("OK info"));
+    let mut refused = connect(addr);
+    let mut reply = String::new();
+    refused.read_to_string(&mut reply).expect("read to EOF");
+    assert_eq!(reply, "ERR busy: connection limit reached\n");
+    assert!(admitted.roundtrip("SPECTRUM").starts_with("OK spectrum"));
+    assert_eq!(admitted.roundtrip("SHUTDOWN"), "OK bye");
+    join_clean(handle);
 }

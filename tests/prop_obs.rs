@@ -18,7 +18,7 @@
 //!   counters and histograms, so their counts agree exactly, and one
 //!   service's traffic never shows in another's books.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use avt::datasets::er::gnm;
 use avt_obs::{Histogram, Span, Stage, STAGE_COUNT};
@@ -192,8 +192,10 @@ fn service_on(graph: &avt::graph::Graph) -> Service {
 /// set — `STATS` first, while the books are deterministically empty —
 /// encodes to byte-identical frames under both codecs whether each
 /// request carried a lifecycle span (as every front-end request does) or
-/// not (in-process [`Service::query`]). `METRICS`/`TRACE` read the
-/// telemetry itself, so no legacy frame constrains them.
+/// not (as in-process [`Service::query`] requests do). Each request goes
+/// through [`Service::try_submit_traced`] with a callback, the path every
+/// front-end request takes. `METRICS`/`TRACE` read the telemetry itself,
+/// so no legacy frame constrains them.
 #[test]
 fn legacy_frames_are_byte_identical_with_and_without_a_span() {
     let graph = gnm(40, 120, 9);
@@ -212,7 +214,15 @@ fn legacy_frames_are_byte_identical_with_and_without_a_span() {
             .iter()
             .map(|request| {
                 let span = traced.then(|| Span::begin(request.op_class().wire_name()));
-                let reply = service.query_traced(request.clone(), span);
+                let (tx, rx) = mpsc::channel();
+                service
+                    .try_submit_traced(
+                        request.clone(),
+                        span,
+                        Box::new(move |reply| tx.send(reply).expect("test channel alive")),
+                    )
+                    .expect("queue has room");
+                let reply = rx.recv().expect("callback ran");
                 let mut bytes = Vec::new();
                 for codec in CODECS {
                     codec.encode_response(7, &reply, &mut bytes);
