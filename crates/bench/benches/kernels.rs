@@ -139,7 +139,7 @@ fn bench_state_new(c: &mut Criterion) {
 fn bench_state_commit(c: &mut Criterion) {
     let csr = track_graph();
     let mapped = mapped_copy(&csr);
-    let anchors = Greedy::default().solve_snapshot(1, &csr, AvtParams::new(TRACK_K, 10)).anchors;
+    let anchors = Greedy.solve_snapshot(1, &csr, AvtParams::new(TRACK_K, 10)).anchors;
 
     fn commit_uncommit<G: GraphView>(state: &mut AnchoredCoreState<'_, G>, anchors: &[VertexId]) {
         for &a in anchors {
@@ -165,8 +165,8 @@ fn bench_greedy_solve(c: &mut Criterion) {
     let params = AvtParams::new(TRACK_K, 10);
     let mut g = c.benchmark_group("kernels/greedy-solve");
     g.sample_size(10);
-    g.bench_function("resident", |b| b.iter(|| Greedy::default().solve_snapshot(1, &csr, params)));
-    g.bench_function("mmap", |b| b.iter(|| Greedy::default().solve_snapshot(1, &mapped, params)));
+    g.bench_function("resident", |b| b.iter(|| Greedy.solve_snapshot(1, &csr, params)));
+    g.bench_function("mmap", |b| b.iter(|| Greedy.solve_snapshot(1, &mapped, params)));
     g.finish();
 }
 

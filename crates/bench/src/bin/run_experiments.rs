@@ -19,24 +19,22 @@ use avt_bench::{datasets, Context};
 const USAGE: &str = "\
 usage: run_experiments <experiment> [options]
 
-experiments:
-  all       every table and figure
-  table2    dataset statistics
-  fig3 fig4 time / visited vertices vs k
-  fig5 fig6 time / visited vertices vs T
-  fig7 fig8 time / visited vertices vs l
-  fig9      followers vs T
-  fig10     followers vs l
-  fig11     followers vs k
-  fig12     case study vs brute force
-  table4    anchor/follower detail
+experiments (names on one line share a sweep: any of them runs it once
+and writes all of its CSVs):
+  all              every table and figure, each sweep once
+  table2           dataset statistics
+  fig3 fig4 fig11  time / visited vertices / followers vs k
+  fig5 fig6 fig9   time / visited vertices / followers vs T
+  fig7 fig8 fig10  time / visited vertices / followers vs l
+  fig12            case study vs brute force
+  table4           anchor/follower detail
 
 options:
   --quick        smoke mode: tiny datasets, few snapshots (CI harness
                  check); explicit flags below override it, in any order
   --scale S      dataset scale in (0, 1]   (default 0.02)
-  --snapshots T  snapshot count            (default 30)
-  --l L          anchor budget             (default 10)
+  --snapshots T  snapshot count >= 1       (default 30)
+  --l L          anchor budget >= 1        (default 10)
   --seed N       generation seed           (default 42)
   --threads N    engine workers per tracking run: 1 = sequential, 0 = one
                  per core (default: AVT_ENGINE_THREADS, else 1); results
@@ -97,6 +95,12 @@ fn parse_args() -> Result<Args, String> {
     if !(ctx.scale > 0.0 && ctx.scale <= 1.0) {
         return Err("--scale must be in (0, 1]".into());
     }
+    if ctx.snapshots == 0 {
+        return Err("--snapshots must be at least 1".into());
+    }
+    if ctx.l == 0 {
+        return Err("--l must be at least 1".into());
+    }
     Ok(Args { experiment, ctx, out })
 }
 
@@ -136,26 +140,24 @@ fn main() -> ExitCode {
     );
 
     // Whether every CSV of the experiment was written; None when the name
-    // is unknown. Both tables of a pair are emitted even if one write fails.
+    // is unknown. Every table of a sweep is emitted even if one write
+    // fails.
     let run_one = |name: &str| -> Option<bool> {
         let out = &args.out;
+        let sweep = |(a, b, c): (Table, Table, Table), slugs: [&str; 3]| {
+            emit(&a, out, slugs[0]) & emit(&b, out, slugs[1]) & emit(&c, out, slugs[2])
+        };
         Some(match name {
             "table2" => emit(&experiments::table2(ctx, &all), out, "table2"),
-            "fig3" | "fig4" => {
-                let (t3, t4) = experiments::fig3_4(ctx, &all);
-                emit(&t3, out, "fig3") & emit(&t4, out, "fig4")
+            "fig3" | "fig4" | "fig11" => {
+                sweep(experiments::fig3_4(ctx, &all), ["fig3", "fig4", "fig11"])
             }
-            "fig5" | "fig6" => {
-                let (t5, t6) = experiments::fig5_6(ctx, &all);
-                emit(&t5, out, "fig5") & emit(&t6, out, "fig6")
+            "fig5" | "fig6" | "fig9" => {
+                sweep(experiments::fig5_6(ctx, &all), ["fig5", "fig6", "fig9"])
             }
-            "fig7" | "fig8" => {
-                let (t7, t8) = experiments::fig7_8(ctx, &all);
-                emit(&t7, out, "fig7") & emit(&t8, out, "fig8")
+            "fig7" | "fig8" | "fig10" => {
+                sweep(experiments::fig7_8(ctx, &all), ["fig7", "fig8", "fig10"])
             }
-            "fig9" => emit(&experiments::fig9(ctx, &all), out, "fig9"),
-            "fig10" => emit(&experiments::fig10(ctx, &all), out, "fig10"),
-            "fig11" => emit(&experiments::fig11(ctx, &all), out, "fig11"),
             "fig12" => emit(&experiments::fig12(ctx), out, "fig12"),
             "table4" => emit(&experiments::table4(ctx), out, "table4"),
             _ => return None,
@@ -165,9 +167,7 @@ fn main() -> ExitCode {
     let written = match args.experiment.as_str() {
         "all" => {
             let mut written = true;
-            for name in
-                ["table2", "fig3", "fig5", "fig7", "fig9", "fig10", "fig11", "fig12", "table4"]
-            {
+            for name in ["table2", "fig3", "fig5", "fig7", "fig12", "table4"] {
                 written &= run_one(name) == Some(true);
             }
             Some(written)

@@ -84,9 +84,11 @@ pub fn table2(ctx: &Context, datasets: &[Dataset]) -> Table {
     table
 }
 
-/// Figures 3 and 4: per dataset, sweep `k`, run every algorithm, report
-/// total time (Fig. 3) and visited candidate vertices (Fig. 4).
-pub fn fig3_4(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
+/// Figures 3, 4 and 11: per dataset, sweep `k`, run every algorithm,
+/// report total time (Fig. 3), visited candidate vertices (Fig. 4) and,
+/// for the first three k of the sweep (the paper's "2/5, 3/10, 4/15"
+/// axis), total followers (Fig. 11).
+pub fn fig3_4(ctx: &Context, datasets: &[Dataset]) -> (Table, Table, Table) {
     let mut time = Table::new(
         "Figure 3: time (s) with varying k",
         &["dataset", "k_paper", "k_eff", "algorithm", "time_s"],
@@ -95,9 +97,13 @@ pub fn fig3_4(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
         "Figure 4: visited candidate vertices with varying k",
         &["dataset", "k_paper", "k_eff", "algorithm", "visited", "probed"],
     );
+    let mut followers = Table::new(
+        "Figure 11: total followers with varying k",
+        &["dataset", "k", "algorithm", "followers"],
+    );
     for &ds in datasets {
         let inst = crate::dataset_instance(ctx, ds);
-        for &k_paper in ds.k_sweep() {
+        for (i, &k_paper) in ds.k_sweep().iter().enumerate() {
             let k = calibrate_k(&inst.evolving, k_paper);
             let params = AvtParams::new(k, ctx.l);
             for algo in algorithms() {
@@ -120,19 +126,27 @@ pub fn fig3_4(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
                         totals.metrics.candidates_probed.to_string(),
                     ]);
                 }
+                if i < 3 {
+                    followers.push_row(vec![
+                        ds.spec().name.into(),
+                        format!("{k_paper}/{k}"),
+                        algo.name().into(),
+                        totals.followers.to_string(),
+                    ]);
+                }
             }
         }
     }
-    (time, visited)
+    (time, visited, followers)
 }
 
-/// Figures 5 and 6: cumulative time and visited vertices as `T` grows.
-/// One tracking run per (dataset, algorithm); the T-axis points are prefix
-/// sums folded *as reports stream out* of [`Tracker::track_into`] — the
-/// engine pushes each snapshot's report in `t`-order while later
-/// snapshots are still solving, and nothing here ever holds an all-`T`
-/// report buffer.
-pub fn fig5_6(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
+/// Figures 5, 6 and 9: cumulative time, visited vertices and followers as
+/// `T` grows. One tracking run per (dataset, algorithm); the T-axis points
+/// are prefix sums folded *as reports stream out* of
+/// [`Tracker::track_into`] — the engine pushes each snapshot's report in
+/// `t`-order while later snapshots are still solving, and nothing here
+/// ever holds an all-`T` report buffer.
+pub fn fig5_6(ctx: &Context, datasets: &[Dataset]) -> (Table, Table, Table) {
     let mut time = Table::new(
         "Figure 5: cumulative time (s) with varying T",
         &["dataset", "T", "algorithm", "time_s"],
@@ -141,6 +155,10 @@ pub fn fig5_6(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
         "Figure 6: cumulative visited vertices with varying T",
         &["dataset", "T", "algorithm", "visited"],
     );
+    let mut followers = Table::new(
+        "Figure 9: cumulative followers with varying T",
+        &["dataset", "T", "algorithm", "followers"],
+    );
     for &ds in datasets {
         let inst = crate::dataset_instance(ctx, ds);
         let params = AvtParams::new(calibrate_k(&inst.evolving, ds.default_k()), ctx.l);
@@ -148,10 +166,12 @@ pub fn fig5_6(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
             let name = algo.name();
             let mut cum_time = Duration::ZERO;
             let mut cum_visited = 0u64;
+            let mut cum_followers = 0usize;
             let mut axis = t_axis(ctx.snapshots).into_iter().peekable();
             algo.track_into(&inst, params, &mut |report| {
                 cum_time += report.elapsed;
                 cum_visited += report.metrics.vertices_visited;
+                cum_followers += report.followers.len();
                 if axis.peek() == Some(&report.t) {
                     axis.next();
                     time.push_row(vec![
@@ -168,21 +188,32 @@ pub fn fig5_6(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
                             cum_visited.to_string(),
                         ]);
                     }
+                    followers.push_row(vec![
+                        ds.spec().name.into(),
+                        report.t.to_string(),
+                        name.into(),
+                        cum_followers.to_string(),
+                    ]);
                 }
             })
             .expect("experiment datasets are internally consistent");
         }
     }
-    (time, visited)
+    (time, visited, followers)
 }
 
-/// Figures 7 and 8: total time and visited vertices with varying `l`.
-pub fn fig7_8(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
+/// Figures 7, 8 and 10: total time, visited vertices and followers with
+/// varying `l`.
+pub fn fig7_8(ctx: &Context, datasets: &[Dataset]) -> (Table, Table, Table) {
     let mut time =
         Table::new("Figure 7: time (s) with varying l", &["dataset", "l", "algorithm", "time_s"]);
     let mut visited = Table::new(
         "Figure 8: visited candidate vertices with varying l",
         &["dataset", "l", "algorithm", "visited"],
+    );
+    let mut followers = Table::new(
+        "Figure 10: total followers with varying l",
+        &["dataset", "l", "algorithm", "followers"],
     );
     for &ds in datasets {
         let inst = crate::dataset_instance(ctx, ds);
@@ -205,58 +236,7 @@ pub fn fig7_8(ctx: &Context, datasets: &[Dataset]) -> (Table, Table) {
                         totals.metrics.vertices_visited.to_string(),
                     ]);
                 }
-            }
-        }
-    }
-    (time, visited)
-}
-
-/// Figure 9: cumulative followers as `T` grows (effectiveness). Streamed
-/// like [`fig5_6`]: the fold holds one counter, not a result object.
-pub fn fig9(ctx: &Context, datasets: &[Dataset]) -> Table {
-    let mut table = Table::new(
-        "Figure 9: cumulative followers with varying T",
-        &["dataset", "T", "algorithm", "followers"],
-    );
-    for &ds in datasets {
-        let inst = crate::dataset_instance(ctx, ds);
-        let params = AvtParams::new(calibrate_k(&inst.evolving, ds.default_k()), ctx.l);
-        for algo in algorithms() {
-            let name = algo.name();
-            let mut cum = 0usize;
-            let mut axis = t_axis(ctx.snapshots).into_iter().peekable();
-            algo.track_into(&inst, params, &mut |report| {
-                cum += report.followers.len();
-                if axis.peek() == Some(&report.t) {
-                    axis.next();
-                    table.push_row(vec![
-                        ds.spec().name.into(),
-                        report.t.to_string(),
-                        name.into(),
-                        cum.to_string(),
-                    ]);
-                }
-            })
-            .expect("experiment datasets are internally consistent");
-        }
-    }
-    table
-}
-
-/// Figure 10: total followers with varying `l`.
-pub fn fig10(ctx: &Context, datasets: &[Dataset]) -> Table {
-    let mut table = Table::new(
-        "Figure 10: total followers with varying l",
-        &["dataset", "l", "algorithm", "followers"],
-    );
-    for &ds in datasets {
-        let inst = crate::dataset_instance(ctx, ds);
-        let k = calibrate_k(&inst.evolving, ds.default_k());
-        for l in l_axis(ctx.l) {
-            let params = AvtParams::new(k, l);
-            for algo in algorithms() {
-                let totals = track_totals(algo.as_ref(), &inst, params);
-                table.push_row(vec![
+                followers.push_row(vec![
                     ds.spec().name.into(),
                     l.to_string(),
                     algo.name().into(),
@@ -265,33 +245,7 @@ pub fn fig10(ctx: &Context, datasets: &[Dataset]) -> Table {
             }
         }
     }
-    table
-}
-
-/// Figure 11: total followers with varying `k` (the paper's "2/5, 3/10,
-/// 4/15" axis — the first three entries of each dataset's sweep).
-pub fn fig11(ctx: &Context, datasets: &[Dataset]) -> Table {
-    let mut table = Table::new(
-        "Figure 11: total followers with varying k",
-        &["dataset", "k", "algorithm", "followers"],
-    );
-    for &ds in datasets {
-        let inst = crate::dataset_instance(ctx, ds);
-        for &k_paper in ds.k_sweep().iter().take(3) {
-            let k = calibrate_k(&inst.evolving, k_paper);
-            let params = AvtParams::new(k, ctx.l);
-            for algo in algorithms() {
-                let totals = track_totals(algo.as_ref(), &inst, params);
-                table.push_row(vec![
-                    ds.spec().name.into(),
-                    format!("{k_paper}/{k}"),
-                    algo.name().into(),
-                    totals.followers.to_string(),
-                ]);
-            }
-        }
-    }
-    table
+    (time, visited, followers)
 }
 
 /// Figure 12: the eu-core case study — per-snapshot followers of every
@@ -386,16 +340,18 @@ mod tests {
 
     #[test]
     fn fig3_4_produces_rows_per_algorithm() {
-        let (time, visited) = fig3_4(&ctx(), &[Dataset::Deezer]);
+        let (time, visited, followers) = fig3_4(&ctx(), &[Dataset::Deezer]);
         // 4 k values × 4 algorithms.
         assert_eq!(time.rows.len(), 16);
         // Figure 4 excludes RCM.
         assert_eq!(visited.rows.len(), 12);
+        // Figure 11 plots the first 3 k values.
+        assert_eq!(followers.rows.len(), 12);
     }
 
     #[test]
     fn fig5_6_emits_prefix_series() {
-        let (time, visited) = fig5_6(&ctx(), &[Dataset::Deezer]);
+        let (time, visited, _) = fig5_6(&ctx(), &[Dataset::Deezer]);
         // T axis for 6 snapshots = {2, 6}; 4 algorithms.
         assert_eq!(time.rows.len(), 8);
         assert_eq!(visited.rows.len(), 6);
@@ -406,8 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn fig9_followers_are_cumulative() {
-        let t = fig9(&ctx(), &[Dataset::CollegeMsg]);
+    fn fig5_6_followers_are_cumulative() {
+        let (_, _, t) = fig5_6(&ctx(), &[Dataset::CollegeMsg]);
         let inc: Vec<u64> =
             t.rows.iter().filter(|r| r[2] == "IncAVT").map(|r| r[3].parse().unwrap()).collect();
         assert!(inc.windows(2).all(|w| w[0] <= w[1]));

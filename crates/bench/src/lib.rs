@@ -8,14 +8,15 @@
 //! | Experiment | Paper artifact | Series |
 //! |------------|----------------|--------|
 //! | [`experiments::table2`]  | Table 2  | dataset statistics |
-//! | [`experiments::fig3_4`]  | Fig. 3+4 | time & visited vertices vs `k` |
-//! | [`experiments::fig5_6`]  | Fig. 5+6 | time & visited vertices vs `T` |
-//! | [`experiments::fig7_8`]  | Fig. 7+8 | time & visited vertices vs `l` |
-//! | [`experiments::fig9`]    | Fig. 9   | followers vs `T` |
-//! | [`experiments::fig10`]   | Fig. 10  | followers vs `l` |
-//! | [`experiments::fig11`]   | Fig. 11  | followers vs `k` |
+//! | [`experiments::fig3_4`]  | Fig. 3+4+11 | time, visited vertices & followers vs `k` |
+//! | [`experiments::fig5_6`]  | Fig. 5+6+9  | time, visited vertices & followers vs `T` |
+//! | [`experiments::fig7_8`]  | Fig. 7+8+10 | time, visited vertices & followers vs `l` |
 //! | [`experiments::fig12`]   | Fig. 12  | heuristics vs brute force |
 //! | [`experiments::table4`]  | Table 4  | anchors + followers detail |
+//!
+//! Each sweep runs every tracking pass once and folds all three of its
+//! figures from the same report stream: the followers figures plot the
+//! same runs the time and visited-vertex figures do.
 //!
 //! Every tracking run goes through an [`Instance`] — the evolving stream
 //! plus, when the mmap frame source is selected (`--frame-source mmap` /
@@ -204,9 +205,9 @@ pub trait Tracker {
 /// line of solver code.
 struct PerSnapshot<S>(S);
 
-impl<S: SnapshotSolver + AvtAlgorithm> Tracker for PerSnapshot<S> {
+impl<S: SnapshotSolver> Tracker for PerSnapshot<S> {
     fn name(&self) -> &'static str {
-        self.0.name()
+        S::NAME
     }
 
     fn track_into(
@@ -250,7 +251,7 @@ impl Tracker for Incremental {
 
 /// Wrap a per-snapshot solver as a [`Tracker`] (used for the brute-force
 /// reference, which is not part of the standard roster).
-pub fn engine_tracker<S: SnapshotSolver + AvtAlgorithm + 'static>(solver: S) -> Box<dyn Tracker> {
+pub fn engine_tracker<S: SnapshotSolver + 'static>(solver: S) -> Box<dyn Tracker> {
     Box::new(PerSnapshot(solver))
 }
 
@@ -258,9 +259,9 @@ pub fn engine_tracker<S: SnapshotSolver + AvtAlgorithm + 'static>(solver: S) -> 
 pub fn algorithms() -> Vec<Box<dyn Tracker>> {
     vec![
         Box::new(PerSnapshot(Olak)),
-        Box::new(PerSnapshot(Greedy::default())),
+        Box::new(PerSnapshot(Greedy)),
         Box::new(Incremental(IncAvt)),
-        Box::new(PerSnapshot(Rcm::default())),
+        Box::new(PerSnapshot(Rcm)),
     ]
 }
 

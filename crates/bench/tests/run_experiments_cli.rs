@@ -1,6 +1,7 @@
 //! The `run_experiments` binary end to end: its exit status reports every
 //! CSV it could not write, because the golden-file diff reads those files,
-//! and every option it does not know.
+//! and every option it does not know or cannot use; and one experiment
+//! name writes every CSV of the sweep it belongs to.
 
 use std::process::Command;
 
@@ -15,6 +16,10 @@ fn unwritable_out_exits_nonzero() {
         (&["table2", "--quick"][..], "could not write table2.csv"),
         // The spill cache has no bypass: deleting it rules out staleness.
         (&["table2", "--quick", "--no-cache"][..], "unknown option --no-cache"),
+        // A stream has at least one snapshot, and a sweep at least one
+        // anchor: both are refused before any dataset is built.
+        (&["fig5", "--quick", "--snapshots", "0"][..], "--snapshots must be at least 1"),
+        (&["fig7", "--quick", "--l", "0"][..], "--l must be at least 1"),
     ];
     let runs: Vec<_> = cases
         .iter()
@@ -33,4 +38,24 @@ fn unwritable_out_exits_nonzero() {
         assert!(!run.status.success(), "{args:?}: exit status {:?}, stderr:\n{stderr}", run.status);
         assert!(stderr.contains(expected), "{args:?}: stderr:\n{stderr}");
     }
+}
+
+#[test]
+fn one_figure_name_writes_its_whole_sweep() {
+    // Figure 11 plots the first three k of Figure 3's sweep: asking for it
+    // runs that sweep once and writes all three of its tables.
+    let out =
+        std::env::temp_dir().join(format!("avt_run_experiments_fig11_{}", std::process::id()));
+    let run = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
+        .args(["fig11", "--quick", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run_experiments starts");
+    let read = |slug: &str| std::fs::read(out.join(format!("{slug}.csv")));
+    let (fig3, fig4, fig11) = (read("fig3"), read("fig4"), read("fig11"));
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(run.status.success(), "stderr:\n{}", String::from_utf8_lossy(&run.stderr));
+    assert!(fig3.is_ok() && fig4.is_ok(), "fig3.csv and fig4.csv are written with fig11.csv");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/quick/fig11.csv");
+    assert_eq!(fig11.expect("fig11.csv is written"), std::fs::read(golden).unwrap());
 }

@@ -9,12 +9,12 @@
 
 use std::time::Instant;
 
-use avt_graph::{EvolvingGraph, GraphError, GraphView, VertexId};
+use avt_graph::{GraphView, VertexId};
 use avt_kcore::decompose::CoreDecomposition;
 
-use crate::engine::{Engine, SnapshotSolver};
+use crate::engine::SnapshotSolver;
 use crate::oracle::naive_set_followers;
-use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
+use crate::params::{AvtParams, SnapshotReport};
 
 /// Exhaustive search over anchor sets.
 #[derive(Debug, Clone, Copy, Default)]
@@ -129,17 +129,9 @@ fn for_each_combination(
     }
 }
 
-impl AvtAlgorithm for BruteForce {
-    fn name(&self) -> &'static str {
-        "Brute-force"
-    }
-
-    fn track(&self, evolving: &EvolvingGraph, params: AvtParams) -> Result<AvtResult, GraphError> {
-        Engine::default().run(self, evolving, params)
-    }
-}
-
 impl SnapshotSolver for BruteForce {
+    const NAME: &'static str = "Brute-force";
+
     fn solve_snapshot<G: GraphView>(
         &self,
         t: usize,
@@ -202,8 +194,9 @@ mod tests {
     use crate::greedy::Greedy;
     use crate::olak::Olak;
     use crate::oracle::naive_anchored_core_size;
+    use crate::params::AvtAlgorithm;
     use crate::rcm::Rcm;
-    use avt_graph::Graph;
+    use avt_graph::{EvolvingGraph, Graph};
 
     fn toy() -> Graph {
         Graph::from_edges(
@@ -253,9 +246,9 @@ mod tests {
         let params = AvtParams::new(3, 2);
         let brute = BruteForce::default().track(&eg, params).unwrap();
         for result in [
-            Greedy::default().track(&eg, params).unwrap(),
+            Greedy.track(&eg, params).unwrap(),
             Olak.track(&eg, params).unwrap(),
-            Rcm::default().track(&eg, params).unwrap(),
+            Rcm.track(&eg, params).unwrap(),
         ] {
             assert!(
                 result.follower_counts[0] <= brute.follower_counts[0],

@@ -53,9 +53,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once};
 
-use avt_graph::{FrameSource, GraphError, GraphView};
+use avt_graph::{EvolvingGraph, FrameSource, GraphError, GraphView};
 
-use crate::params::{AvtParams, AvtResult, SnapshotReport};
+use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
 
 /// A solver for one frozen snapshot of the evolving graph.
 ///
@@ -64,7 +64,13 @@ use crate::params::{AvtParams, AvtResult, SnapshotReport};
 /// engine fan snapshots out across threads. The frame is any
 /// [`GraphView`] substrate; the engine feeds whatever its
 /// [`FrameSource`] yields (resident CSR frames, mmap'd frames, …).
+///
+/// Every implementor is an [`AvtAlgorithm`] whose `track` runs
+/// [`Engine::default`].
 pub trait SnapshotSolver: Send + Sync {
+    /// Display name used in experiment tables ("Greedy", "OLAK"…).
+    const NAME: &'static str;
+
     /// Solve snapshot `t` (1-based) on the frozen `frame`.
     fn solve_snapshot<G: GraphView>(
         &self,
@@ -72,6 +78,16 @@ pub trait SnapshotSolver: Send + Sync {
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport;
+}
+
+impl<S: SnapshotSolver> AvtAlgorithm for S {
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
+
+    fn track(&self, evolving: &EvolvingGraph, params: AvtParams) -> Result<AvtResult, GraphError> {
+        Engine::default().run(self, evolving, params)
+    }
 }
 
 /// A consumer of per-snapshot reports, fed strictly in `t`-order.
@@ -379,8 +395,8 @@ fn run_pipelined_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AvtAlgorithm, BruteForce, Greedy, Olak, Rcm};
-    use avt_graph::{EdgeBatch, EvolvingGraph, Graph, MmapFrames};
+    use crate::{BruteForce, Greedy, Olak, Rcm};
+    use avt_graph::{EdgeBatch, Graph, MmapFrames};
 
     fn churny() -> EvolvingGraph {
         let g1 = Graph::from_edges(
@@ -445,9 +461,9 @@ mod tests {
                     assert_eq!(shape(&seq), shape(&par), "threads = {threads}");
                 };
             }
-            check!(Greedy::default());
+            check!(Greedy);
             check!(Olak);
-            check!(Rcm::default());
+            check!(Rcm);
             check!(brute);
         }
     }
@@ -463,6 +479,8 @@ mod tests {
             on_caller: Mutex<Vec<bool>>,
         }
         impl SnapshotSolver for WhereSolved {
+            const NAME: &'static str = "WhereSolved";
+
             fn solve_snapshot<G: avt_graph::GraphView>(
                 &self,
                 t: usize,
@@ -503,7 +521,7 @@ mod tests {
         ));
         let frames = MmapFrames::spill(&eg, &dir).unwrap();
         let params = AvtParams::new(3, 2);
-        let solver = Greedy::default();
+        let solver = Greedy;
         let resident = Engine::sequential().run(&solver, &eg, params).unwrap();
         let mapped_seq = Engine::sequential().run(&solver, &frames, params).unwrap();
         let mapped_par = Engine::pipelined(3).run(&solver, &frames, params).unwrap();
@@ -538,6 +556,8 @@ mod tests {
         // pile up O(T) deep — and the run must still complete, in order.
         struct SlowFirst;
         impl SnapshotSolver for SlowFirst {
+            const NAME: &'static str = "SlowFirst";
+
             fn solve_snapshot<G: avt_graph::GraphView>(
                 &self,
                 t: usize,
@@ -567,6 +587,8 @@ mod tests {
         // re-raises), not hang with the producer blocked on a full queue.
         struct Dies;
         impl SnapshotSolver for Dies {
+            const NAME: &'static str = "Dies";
+
             fn solve_snapshot<G: avt_graph::GraphView>(
                 &self,
                 t: usize,
@@ -604,8 +626,8 @@ mod tests {
         // sequential run.
         let eg = churny();
         let params = AvtParams::new(3, 2);
-        let tracked = Greedy::default().track(&eg, params).unwrap();
-        let seq = Engine::sequential().run(&Greedy::default(), &eg, params).unwrap();
+        let tracked = Greedy.track(&eg, params).unwrap();
+        let seq = Engine::sequential().run(&Greedy, &eg, params).unwrap();
         assert_eq!(shape(&tracked), shape(&seq));
     }
 

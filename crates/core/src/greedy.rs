@@ -1,60 +1,30 @@
-//! The Greedy algorithm (Algorithm 2) with the §4 accelerations.
+//! The Greedy algorithm (Algorithm 2) with the §4 accelerations, and the
+//! anchor-selection loop every greedy-rule solver shares.
 //!
 //! Per snapshot, `l` rounds of "evaluate every candidate anchor, commit the
-//! one with the most followers". The two optimizations of §4 are both on by
-//! default and individually switchable for the ablation benches:
+//! one with the most followers". Greedy runs both optimizations of §4:
 //!
 //! * **candidate pruning** (§4.1, Theorem 3): only vertices preceding a
 //!   (k-1)-shell neighbour in the K-order are evaluated;
 //! * **order-based follower computation** (§4.2, Algorithm 3): follower
 //!   sets are computed on the forward closure instead of the whole shell.
 //!
-//! With both disabled this degenerates to the unoptimized Algorithm 2
-//! (every non-core vertex probed, whole-shell search per probe).
+//! [`crate::Olak`] runs the same loop with both turned off, so it is the
+//! unoptimized reference, and [`crate::Rcm`] runs it on a score-ranked
+//! shortlist. `solve_rounds` is that loop; each solver passes only its
+//! candidate rule and its follower count.
 
 use std::time::Instant;
 
-use avt_graph::{EvolvingGraph, GraphError, GraphView, VertexId};
+use avt_graph::{GraphView, VertexId};
 
 use crate::anchored::AnchoredCoreState;
-use crate::engine::{Engine, SnapshotSolver};
-use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
-
-/// Tuning switches for [`Greedy`] (the §4 ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GreedyConfig {
-    /// Apply Theorem-3 candidate pruning (§4.1).
-    pub prune_candidates: bool,
-    /// Use the order-based (forward-closure) follower computation (§4.2);
-    /// when false, the undirected whole-shell search is used.
-    pub order_based_followers: bool,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        GreedyConfig { prune_candidates: true, order_based_followers: true }
-    }
-}
+use crate::engine::SnapshotSolver;
+use crate::params::{AvtParams, SnapshotReport};
 
 /// The paper's optimized Greedy algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct Greedy {
-    /// Configuration; [`GreedyConfig::default`] enables both §4
-    /// optimizations.
-    pub config: GreedyConfig,
-}
-
-impl Greedy {
-    /// Greedy with explicit configuration.
-    pub fn with_config(config: GreedyConfig) -> Self {
-        Greedy { config }
-    }
-
-    /// Fully unoptimized variant (ablation baseline).
-    pub fn unoptimized() -> Self {
-        Greedy { config: GreedyConfig { prune_candidates: false, order_based_followers: false } }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Greedy;
 
 /// Evaluate `candidates` on `state` and return the best `(vertex, gain)`
 /// with gain > 0, ties broken toward the smallest vertex id.
@@ -81,67 +51,54 @@ pub(crate) fn select_best<G: GraphView>(
     best
 }
 
-/// Run the greedy anchor-selection rounds on an existing state (shared with
-/// `IncAvt` for its first snapshot). Returns the committed anchors, in
-/// commit order; stops early when no candidate has any followers.
-pub(crate) fn greedy_rounds<G: GraphView>(
-    state: &mut AnchoredCoreState<'_, G>,
-    l: usize,
-    config: GreedyConfig,
-) -> Vec<VertexId> {
-    let mut anchors = Vec::with_capacity(l);
-    for _ in 0..l {
-        let candidates =
-            if config.prune_candidates { state.candidates() } else { all_probe_targets(state) };
-        state.add_probed(candidates.len() as u64);
-        let Some((v, _gain)) = select_best(state, &candidates, config.order_based_followers) else {
+/// Solve snapshot `t` with the greedy rule: build the anchored state, then
+/// run up to `l` rounds, each probing what `candidates` returns and
+/// committing the winner of [`select_best`]; stop early when no candidate
+/// has any followers. `order_based` picks the §4.2 follower count over the
+/// unordered whole-shell search.
+pub(crate) fn solve_rounds<G: GraphView>(
+    t: usize,
+    frame: &G,
+    params: AvtParams,
+    order_based: bool,
+    mut candidates: impl FnMut(&mut AnchoredCoreState<'_, G>) -> Vec<VertexId>,
+) -> SnapshotReport {
+    let start = Instant::now();
+    let mut state = AnchoredCoreState::new(frame, params.k);
+    let base_cores = state.base_cores_snapshot();
+    let base_core_size = state.anchored_core_size();
+    let mut anchors = Vec::with_capacity(params.l);
+    for _ in 0..params.l {
+        let probes = candidates(&mut state);
+        state.add_probed(probes.len() as u64);
+        let Some((v, _gain)) = select_best(&mut state, &probes, order_based) else {
             break;
         };
         state.commit_anchor(v);
         anchors.push(v);
     }
-    anchors
-}
-
-/// Without Theorem-3 pruning, every non-core, non-anchored vertex is
-/// probed (the unoptimized Algorithm 2 candidate loop).
-fn all_probe_targets<G: GraphView>(state: &AnchoredCoreState<'_, G>) -> Vec<VertexId> {
-    let g = state.graph();
-    g.vertices().filter(|&v| !state.in_core(v) && !state.anchors().contains(&v)).collect()
-}
-
-impl AvtAlgorithm for Greedy {
-    fn name(&self) -> &'static str {
-        "Greedy"
-    }
-
-    fn track(&self, evolving: &EvolvingGraph, params: AvtParams) -> Result<AvtResult, GraphError> {
-        Engine::default().run(self, evolving, params)
+    let followers = state.committed_followers(&base_cores);
+    SnapshotReport {
+        t,
+        anchors,
+        followers,
+        base_core_size,
+        anchored_core_size: state.anchored_core_size(),
+        elapsed: start.elapsed(),
+        metrics: state.take_metrics(),
     }
 }
 
 impl SnapshotSolver for Greedy {
+    const NAME: &'static str = "Greedy";
+
     fn solve_snapshot<G: GraphView>(
         &self,
         t: usize,
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        let start = Instant::now();
-        let mut state = AnchoredCoreState::new(frame, params.k);
-        let base_cores = state.base_cores_snapshot();
-        let base_core_size = state.anchored_core_size();
-        let anchors = greedy_rounds(&mut state, params.l, self.config);
-        let followers = state.committed_followers(&base_cores);
-        SnapshotReport {
-            t,
-            anchors,
-            followers,
-            base_core_size,
-            anchored_core_size: state.anchored_core_size(),
-            elapsed: start.elapsed(),
-            metrics: state.take_metrics(),
-        }
+        solve_rounds(t, frame, params, true, |state| state.candidates())
     }
 }
 
@@ -149,7 +106,8 @@ impl SnapshotSolver for Greedy {
 mod tests {
     use super::*;
     use crate::oracle::naive_set_followers;
-    use avt_graph::{EdgeBatch, Graph};
+    use crate::params::AvtAlgorithm;
+    use avt_graph::{EdgeBatch, EvolvingGraph, Graph};
 
     /// Two "wings" of savable vertices around a K4 core, k = 3. Anchoring
     /// 6 saves the left wing {4, 5}; anchoring 9 saves the right wing
@@ -187,7 +145,7 @@ mod tests {
     fn greedy_matches_oracle_follower_count() {
         let g = winged();
         let eg = EvolvingGraph::new(g.clone());
-        let result = Greedy::default().track(&eg, AvtParams::new(3, 2)).unwrap();
+        let result = Greedy.track(&eg, AvtParams::new(3, 2)).unwrap();
         assert_eq!(result.reports.len(), 1);
         let r = &result.reports[0];
         // Whatever greedy picked, the reported followers must equal the
@@ -203,7 +161,7 @@ mod tests {
     fn greedy_finds_productive_anchors() {
         let g = winged();
         let eg = EvolvingGraph::new(g);
-        let result = Greedy::default().track(&eg, AvtParams::new(3, 2)).unwrap();
+        let result = Greedy.track(&eg, AvtParams::new(3, 2)).unwrap();
         // At least the 4/5 wing (joint support) is recoverable with one
         // anchor; two anchors must produce at least 3 followers total.
         assert!(
@@ -215,23 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn unoptimized_and_optimized_agree_on_followers() {
-        let g = winged();
-        let eg = EvolvingGraph::new(g);
-        let params = AvtParams::new(3, 2);
-        let fast = Greedy::default().track(&eg, params).unwrap();
-        let slow = Greedy::unoptimized().track(&eg, params).unwrap();
-        assert_eq!(fast.follower_counts, slow.follower_counts);
-        assert_eq!(fast.anchor_sets, slow.anchor_sets);
-        // The optimized variant probes no more candidates.
-        assert!(fast.total_metrics().candidates_probed <= slow.total_metrics().candidates_probed);
-    }
-
-    #[test]
     fn budget_limits_anchor_count() {
         let g = winged();
         let eg = EvolvingGraph::new(g);
-        let result = Greedy::default().track(&eg, AvtParams::new(3, 1)).unwrap();
+        let result = Greedy.track(&eg, AvtParams::new(3, 1)).unwrap();
         assert!(result.anchor_sets[0].len() <= 1);
     }
 
@@ -240,7 +185,7 @@ mod tests {
         // A lone triangle at k=2: the core is everything, no anchor helps.
         let g = Graph::from_edges(3, [(0, 1), (1, 2), (2, 0)]).unwrap();
         let eg = EvolvingGraph::new(g);
-        let result = Greedy::default().track(&eg, AvtParams::new(2, 5)).unwrap();
+        let result = Greedy.track(&eg, AvtParams::new(2, 5)).unwrap();
         assert!(result.anchor_sets[0].is_empty());
         assert_eq!(result.follower_counts[0], 0);
     }
@@ -251,7 +196,7 @@ mod tests {
         let mut eg = EvolvingGraph::new(g);
         eg.push_batch(EdgeBatch::from_pairs([(6, 5)], []));
         eg.push_batch(EdgeBatch::from_pairs([], [(4, 5)]));
-        let result = Greedy::default().track(&eg, AvtParams::new(3, 2)).unwrap();
+        let result = Greedy.track(&eg, AvtParams::new(3, 2)).unwrap();
         assert_eq!(result.reports.len(), 3);
         for (i, r) in result.reports.iter().enumerate() {
             assert_eq!(r.t, i + 1);

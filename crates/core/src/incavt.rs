@@ -1,6 +1,8 @@
 //! IncAVT: the incremental algorithm (Algorithm 6, §5).
 //!
-//! IncAVT exploits the *smoothness* of network evolution twice:
+//! Snapshot 1 is one [`Greedy`] solve on the maintained graph
+//! (Algorithm 6, lines 1-2). From then on IncAVT exploits the
+//! *smoothness* of network evolution twice:
 //!
 //! 1. **Bounded K-order maintenance** (§5.2): the K-order of `G_t` is
 //!    repaired from `G_{t-1}` via `avt_kcore::MaintainedCore` (EdgeInsert /
@@ -26,8 +28,9 @@
 //!   committing `u` again.
 //! * After the swap phase, if the anchor set is still below budget (e.g.
 //!   the initial snapshot had fewer than `l` productive anchors), a growth
-//!   phase adds the best impacted candidates. Without it the paper's
-//!   Algorithm 6 can never recover from an undersized `S_1`.
+//!   phase adds the best impacted candidates, picked by Greedy's
+//!   selection rule. Without it the paper's Algorithm 6 can never recover
+//!   from an undersized `S_1`.
 
 use std::time::Instant;
 
@@ -35,8 +38,8 @@ use avt_graph::{EvolvingGraph, GraphError, VertexId};
 use avt_kcore::MaintainedCore;
 
 use crate::anchored::AnchoredCoreState;
-use crate::engine::ReportSink;
-use crate::greedy::{greedy_rounds, GreedyConfig};
+use crate::engine::{ReportSink, SnapshotSolver};
+use crate::greedy::{select_best, Greedy};
 use crate::metrics::Metrics;
 use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
 
@@ -61,25 +64,9 @@ impl IncAvt {
         // Snapshot 1: build the K-order and run one full Greedy pass
         // (Algorithm 6, lines 1-2).
         let mut maintained = MaintainedCore::new(evolving.initial().clone());
-        let mut anchors: Vec<VertexId>;
-        {
-            let start = Instant::now();
-            let graph = maintained.graph();
-            let mut state = AnchoredCoreState::new(graph, params.k);
-            let base_cores = state.base_cores_snapshot();
-            let base_core_size = state.anchored_core_size();
-            anchors = greedy_rounds(&mut state, params.l, GreedyConfig::default());
-            let followers = state.committed_followers(&base_cores);
-            sink.push(SnapshotReport {
-                t: 1,
-                anchors: anchors.clone(),
-                followers,
-                base_core_size,
-                anchored_core_size: state.anchored_core_size(),
-                elapsed: start.elapsed(),
-                metrics: state.take_metrics(),
-            });
-        }
+        let first = Greedy.solve_snapshot(1, maintained.graph(), params);
+        let mut anchors = first.anchors.clone();
+        sink.push(first);
 
         // Snapshots 2..T: maintain + local search (lines 4-17).
         for t in 2..=evolving.num_snapshots() {
@@ -206,21 +193,9 @@ fn local_search_snapshot(
 
     // Growth phase: fill remaining budget from the impacted pool.
     while anchors.len() < params.l {
-        let mut best: Option<(VertexId, usize)> = None;
-        for &v in &pool {
-            if anchors.contains(&v) || state.in_core(v) {
-                continue;
-            }
-            let gain = state.follower_count_of(v);
-            if gain == 0 {
-                continue;
-            }
-            best = match best {
-                Some((bv, bg)) if bg > gain || (bg == gain && bv < v) => Some((bv, bg)),
-                _ => Some((v, gain)),
-            };
-        }
-        let Some((v, _)) = best else { break };
+        let open: Vec<VertexId> =
+            pool.iter().copied().filter(|&v| !anchors.contains(&v) && !state.in_core(v)).collect();
+        let Some((v, _)) = select_best(&mut state, &open, true) else { break };
         state.commit_anchor(v);
         anchors.push(v);
     }
@@ -263,7 +238,6 @@ fn impacted_candidates(state: &mut AnchoredCoreState<'_>, impacted: &[VertexId])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::Greedy;
     use crate::oracle::naive_set_followers;
     use avt_graph::{EdgeBatch, Graph};
 
@@ -324,7 +298,7 @@ mod tests {
         let eg = evolving();
         let params = AvtParams::new(3, 2);
         let inc = IncAvt.track(&eg, params).unwrap();
-        let greedy = Greedy::default().track(&eg, params).unwrap();
+        let greedy = Greedy.track(&eg, params).unwrap();
         assert_eq!(inc.anchor_sets[0], greedy.anchor_sets[0]);
         assert_eq!(inc.follower_counts[0], greedy.follower_counts[0]);
     }
@@ -334,7 +308,7 @@ mod tests {
         let eg = evolving();
         let params = AvtParams::new(3, 2);
         let inc = IncAvt.track(&eg, params).unwrap();
-        let greedy = Greedy::default().track(&eg, params).unwrap();
+        let greedy = Greedy.track(&eg, params).unwrap();
         // The local search must stay within 80% of the scratch recompute on
         // this toy (here it actually matches it).
         for t in 0..3 {
@@ -353,7 +327,7 @@ mod tests {
         let eg = evolving();
         let params = AvtParams::new(3, 2);
         let inc = IncAvt.track(&eg, params).unwrap();
-        let greedy = Greedy::default().track(&eg, params).unwrap();
+        let greedy = Greedy.track(&eg, params).unwrap();
         // Skip the shared first snapshot; compare the incremental ones.
         let inc_probes: u64 = inc.reports[1..].iter().map(|r| r.metrics.candidates_probed).sum();
         let greedy_probes: u64 =

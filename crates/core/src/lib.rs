@@ -27,10 +27,11 @@
 //!   generic over the snapshot's [`avt_graph::GraphView`] substrate.
 //! * [`Engine`] — the temporal execution engine. Every per-snapshot solver
 //!   implements [`SnapshotSolver`] (solve one frozen frame, no state
-//!   across snapshots) and its `track` routes through the engine, which
-//!   owns the *only* replay loop — generic over any
-//!   [`avt_graph::FrameSource`] (resident [`avt_graph::EvolvingGraph`]
-//!   frames or zero-copy [`avt_graph::MmapFrames`]):
+//!   across snapshots) and gets [`AvtAlgorithm`] through it: its `track`
+//!   routes through the engine, which owns the *only* replay loop —
+//!   generic over any [`avt_graph::FrameSource`] (resident
+//!   [`avt_graph::EvolvingGraph`] frames or zero-copy
+//!   [`avt_graph::MmapFrames`]):
 //!   [`Engine::sequential`] walks frozen frames on one thread, while
 //!   [`Engine::pipelined`] overlaps frame production with a worker pool
 //!   solving snapshots concurrently — identical output, selected per
@@ -58,7 +59,7 @@ pub mod reduction;
 pub use anchored::AnchoredCoreState;
 pub use brute::BruteForce;
 pub use engine::{Engine, ReportSink, SnapshotSolver};
-pub use greedy::{Greedy, GreedyConfig};
+pub use greedy::Greedy;
 pub use incavt::IncAvt;
 pub use metrics::Metrics;
 pub use olak::Olak;

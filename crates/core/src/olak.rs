@@ -1,9 +1,9 @@
 //! The OLAK baseline (Zhang et al., PVLDB'17, adapted per §6.1).
 //!
 //! OLAK is the onion-layer anchored-k-core algorithm the paper compares
-//! against by re-running it on every snapshot. Relative to our optimized
-//! [`crate::Greedy`], this rendering differs in exactly the two dimensions
-//! the paper's efficiency analysis attributes to OLAK:
+//! against by re-running it on every snapshot. It runs the selection loop
+//! of [`crate::Greedy`] with both §4 optimizations off, which are exactly
+//! the two dimensions the paper's efficiency analysis attributes to OLAK:
 //!
 //! * **no K-order candidate pruning** — every non-core vertex adjacent to
 //!   the (k-1)-shell (and every shell vertex) is probed, not just those
@@ -13,65 +13,30 @@
 //!
 //! Both yield identical *answers* (the extra work is provably fruitless);
 //! they inflate the visited-vertex and probe counts, which is what
-//! Figures 4/6/8 measure.
+//! Figures 4/6/8 measure. That also makes OLAK the unoptimized reference
+//! the tests hold Greedy's pruning against.
 
-use std::time::Instant;
+use avt_graph::GraphView;
 
-use avt_graph::{EvolvingGraph, GraphError, GraphView};
-
-use crate::anchored::AnchoredCoreState;
-use crate::engine::{Engine, SnapshotSolver};
-use crate::greedy::select_best;
-use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
+use crate::engine::SnapshotSolver;
+use crate::greedy::solve_rounds;
+use crate::params::{AvtParams, SnapshotReport};
 
 /// Per-snapshot anchored k-core via onion layers, re-run on every
 /// snapshot.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Olak;
 
-impl AvtAlgorithm for Olak {
-    fn name(&self) -> &'static str {
-        "OLAK"
-    }
-
-    fn track(&self, evolving: &EvolvingGraph, params: AvtParams) -> Result<AvtResult, GraphError> {
-        Engine::default().run(self, evolving, params)
-    }
-}
-
 impl SnapshotSolver for Olak {
+    const NAME: &'static str = "OLAK";
+
     fn solve_snapshot<G: GraphView>(
         &self,
         t: usize,
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        let start = Instant::now();
-        let mut state = AnchoredCoreState::new(frame, params.k);
-        let base_cores = state.base_cores_snapshot();
-        let base_core_size = state.anchored_core_size();
-
-        let mut anchors = Vec::with_capacity(params.l);
-        for _ in 0..params.l {
-            let candidates = state.candidates_unordered();
-            state.add_probed(candidates.len() as u64);
-            let Some((v, _gain)) = select_best(&mut state, &candidates, false) else {
-                break;
-            };
-            state.commit_anchor(v);
-            anchors.push(v);
-        }
-
-        let followers = state.committed_followers(&base_cores);
-        SnapshotReport {
-            t,
-            anchors,
-            followers,
-            base_core_size,
-            anchored_core_size: state.anchored_core_size(),
-            elapsed: start.elapsed(),
-            metrics: state.take_metrics(),
-        }
+        solve_rounds(t, frame, params, false, |state| state.candidates_unordered())
     }
 }
 
@@ -80,7 +45,8 @@ mod tests {
     use super::*;
     use crate::greedy::Greedy;
     use crate::oracle::naive_set_followers;
-    use avt_graph::Graph;
+    use crate::params::AvtAlgorithm;
+    use avt_graph::{EvolvingGraph, Graph};
 
     fn toy() -> Graph {
         Graph::from_edges(
@@ -119,12 +85,14 @@ mod tests {
 
     #[test]
     fn olak_matches_greedy_effectiveness() {
-        // Same greedy rule, different pruning: follower counts must match.
+        // Same greedy rule, different pruning: anchors and follower counts
+        // must match.
         let eg = EvolvingGraph::new(toy());
         let params = AvtParams::new(3, 2);
         let olak = Olak.track(&eg, params).unwrap();
-        let greedy = Greedy::default().track(&eg, params).unwrap();
+        let greedy = Greedy.track(&eg, params).unwrap();
         assert_eq!(olak.follower_counts, greedy.follower_counts);
+        assert_eq!(olak.anchor_sets, greedy.anchor_sets);
     }
 
     #[test]
@@ -132,7 +100,7 @@ mod tests {
         let eg = EvolvingGraph::new(toy());
         let params = AvtParams::new(3, 2);
         let olak = Olak.track(&eg, params).unwrap();
-        let greedy = Greedy::default().track(&eg, params).unwrap();
+        let greedy = Greedy.track(&eg, params).unwrap();
         assert!(olak.total_metrics().candidates_probed >= greedy.total_metrics().candidates_probed);
         assert!(olak.total_metrics().vertices_visited >= greedy.total_metrics().vertices_visited);
     }

@@ -13,6 +13,9 @@
 //!    estimate of the cascade an anchor can start — and only the
 //!    top-scoring few are evaluated exactly.
 //!
+//! The shortlist is evaluated by the selection loop of [`crate::Greedy`]
+//! with the order-based follower count.
+//!
 //! Deviations from the published RCM: we do not implement its
 //! corona-component collapse or its budgeted residual-path search; the
 //! score above plays the role of both. The
@@ -20,35 +23,21 @@
 //! to Greedy at a fraction of OLAK's probe count, but no incremental reuse
 //! across snapshots.
 
-use std::time::Instant;
-
-use avt_graph::{EvolvingGraph, GraphError, GraphView, VertexId};
+use avt_graph::{GraphView, VertexId};
 
 use crate::anchored::AnchoredCoreState;
-use crate::engine::{Engine, SnapshotSolver};
-use crate::greedy::select_best;
-use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
+use crate::engine::SnapshotSolver;
+use crate::greedy::solve_rounds;
+use crate::params::{AvtParams, SnapshotReport};
+
+/// How many top-scored candidates are evaluated exactly per round, as a
+/// multiple of `l` (minimum 8). The published algorithm uses a comparable
+/// fixed evaluation budget.
+const EVAL_BUDGET_FACTOR: usize = 3;
 
 /// Residual-core-maximization baseline, re-run per snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct Rcm {
-    /// How many top-scored candidates are evaluated exactly per round,
-    /// as a multiple of `l` (minimum 8). The published algorithm uses a
-    /// comparable fixed evaluation budget.
-    pub eval_budget_factor: usize,
-}
-
-impl Default for Rcm {
-    fn default() -> Self {
-        Rcm { eval_budget_factor: 3 }
-    }
-}
-
-impl Rcm {
-    fn eval_budget(&self, l: usize) -> usize {
-        (self.eval_budget_factor * l).max(8)
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Rcm;
 
 /// Rank candidates by anchor score; returns (score-sorted) candidates.
 fn ranked_candidates<G: GraphView>(
@@ -86,51 +75,19 @@ fn ranked_candidates<G: GraphView>(
     out
 }
 
-impl AvtAlgorithm for Rcm {
-    fn name(&self) -> &'static str {
-        "RCM"
-    }
-
-    fn track(&self, evolving: &EvolvingGraph, params: AvtParams) -> Result<AvtResult, GraphError> {
-        Engine::default().run(self, evolving, params)
-    }
-}
-
 impl SnapshotSolver for Rcm {
+    const NAME: &'static str = "RCM";
+
     fn solve_snapshot<G: GraphView>(
         &self,
         t: usize,
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        let start = Instant::now();
-        let budget = self.eval_budget(params.l);
-        let mut state = AnchoredCoreState::new(frame, params.k);
-        let base_cores = state.base_cores_snapshot();
-        let base_core_size = state.anchored_core_size();
-
-        let mut anchors = Vec::with_capacity(params.l);
-        for _ in 0..params.l {
-            let ranked = ranked_candidates(&mut state, params.k);
-            let shortlist: Vec<VertexId> = ranked.iter().take(budget).map(|&(v, _)| v).collect();
-            state.add_probed(shortlist.len() as u64);
-            let Some((v, _gain)) = select_best(&mut state, &shortlist, true) else {
-                break;
-            };
-            state.commit_anchor(v);
-            anchors.push(v);
-        }
-
-        let followers = state.committed_followers(&base_cores);
-        SnapshotReport {
-            t,
-            anchors,
-            followers,
-            base_core_size,
-            anchored_core_size: state.anchored_core_size(),
-            elapsed: start.elapsed(),
-            metrics: state.take_metrics(),
-        }
+        solve_rounds(t, frame, params, true, |state| {
+            let budget = (EVAL_BUDGET_FACTOR * params.l).max(8);
+            ranked_candidates(state, params.k).into_iter().take(budget).map(|(v, _)| v).collect()
+        })
     }
 }
 
@@ -139,7 +96,8 @@ mod tests {
     use super::*;
     use crate::greedy::Greedy;
     use crate::oracle::naive_set_followers;
-    use avt_graph::Graph;
+    use crate::params::AvtAlgorithm;
+    use avt_graph::{EvolvingGraph, Graph};
 
     fn toy() -> Graph {
         Graph::from_edges(
@@ -168,7 +126,7 @@ mod tests {
     #[test]
     fn rcm_followers_match_oracle() {
         let eg = EvolvingGraph::new(toy());
-        let result = Rcm::default().track(&eg, AvtParams::new(3, 2)).unwrap();
+        let result = Rcm.track(&eg, AvtParams::new(3, 2)).unwrap();
         let r = &result.reports[0];
         let oracle = naive_set_followers(eg.initial(), 3, &r.anchors);
         let mut got = r.followers.clone();
@@ -178,19 +136,20 @@ mod tests {
 
     #[test]
     fn rcm_close_to_greedy_on_small_graph() {
-        // With a generous budget on a tiny graph, RCM's shortlist contains
-        // the true best anchor, so effectiveness equals Greedy's.
+        // On a tiny graph the evaluation budget covers every ranked
+        // candidate, so RCM's shortlist contains the true best anchor and
+        // effectiveness equals Greedy's.
         let eg = EvolvingGraph::new(toy());
         let params = AvtParams::new(3, 2);
-        let rcm = Rcm { eval_budget_factor: 10 }.track(&eg, params).unwrap();
-        let greedy = Greedy::default().track(&eg, params).unwrap();
+        let rcm = Rcm.track(&eg, params).unwrap();
+        let greedy = Greedy.track(&eg, params).unwrap();
         assert_eq!(rcm.follower_counts, greedy.follower_counts);
     }
 
     #[test]
     fn rcm_respects_budget() {
         let eg = EvolvingGraph::new(toy());
-        let result = Rcm::default().track(&eg, AvtParams::new(3, 1)).unwrap();
+        let result = Rcm.track(&eg, AvtParams::new(3, 1)).unwrap();
         assert!(result.anchor_sets[0].len() <= 1);
     }
 
@@ -209,6 +168,6 @@ mod tests {
 
     #[test]
     fn rcm_name() {
-        assert_eq!(Rcm::default().name(), "RCM");
+        assert_eq!(Rcm.name(), "RCM");
     }
 }

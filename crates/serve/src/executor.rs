@@ -117,7 +117,7 @@ pub fn execute(
             check_k(*k)?;
             let params = AvtParams::new(*k, *b);
             let report = match algo {
-                BestAlgo::Greedy => Greedy::default().solve_snapshot(epoch.t, frame, params),
+                BestAlgo::Greedy => Greedy.solve_snapshot(epoch.t, frame, params),
                 BestAlgo::Olak => Olak.solve_snapshot(epoch.t, frame, params),
             };
             Ok(Response::Best {
@@ -497,8 +497,7 @@ mod tests {
     #[test]
     fn best_matches_the_offline_solver() {
         let svc = service();
-        let offline =
-            Greedy::default().track(&EvolvingGraph::new(winged()), AvtParams::new(3, 2)).unwrap();
+        let offline = Greedy.track(&EvolvingGraph::new(winged()), AvtParams::new(3, 2)).unwrap();
         let Response::Best { anchors, followers, visited, probed, .. } =
             svc.query(Request::Best { k: 3, b: 2, algo: BestAlgo::Greedy }).unwrap()
         else {

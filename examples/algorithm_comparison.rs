@@ -33,9 +33,9 @@ fn main() {
 
     let solvers: Vec<Box<dyn AvtAlgorithm>> = vec![
         Box::new(Olak),
-        Box::new(Greedy::default()),
+        Box::new(Greedy),
         Box::new(IncAvt),
-        Box::new(Rcm::default()),
+        Box::new(Rcm),
         Box::new(BruteForce { pool_cap: Some(40) }),
     ];
 
@@ -66,7 +66,7 @@ fn main() {
     // same Greedy solver through both runners. Snapshots are solved
     // independently, so the pipelined runner can solve t while t+1 is
     // still being merged — with identical anchors and followers.
-    let solver = Greedy::default();
+    let solver = Greedy;
     let start = Instant::now();
     let seq = Engine::sequential().run(&solver, &evolving, params).expect("consistent dataset");
     let seq_ms = start.elapsed().as_secs_f64() * 1000.0;

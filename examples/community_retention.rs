@@ -31,8 +31,7 @@ fn main() {
     );
 
     // Strategy 1: set-and-forget — anchors chosen at t=1, never revisited.
-    let first_only =
-        Greedy::default().track(&evolving.truncated(1), params).expect("dataset is consistent");
+    let first_only = Greedy.track(&evolving.truncated(1), params).expect("dataset is consistent");
     let frozen = first_only.anchor_sets[0].clone();
 
     // Strategy 2: incremental tracking.

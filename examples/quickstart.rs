@@ -58,8 +58,7 @@ fn main() {
 
     // Example 4: tracking across both snapshots (k = 3, l = 2).
     let params = AvtParams::new(3, 2);
-    let result =
-        Greedy::default().track(&evolving, params).expect("the Figure 1 graph is consistent");
+    let result = Greedy.track(&evolving, params).expect("the Figure 1 graph is consistent");
     println!("Anchored Vertex Tracking with k = 3, l = 2:");
     for report in &result.reports {
         println!(

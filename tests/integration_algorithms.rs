@@ -53,13 +53,7 @@ fn random_evolving(seed: u64, n: usize, m: usize, snapshots: usize) -> EvolvingG
 }
 
 fn all_solvers() -> Vec<Box<dyn AvtAlgorithm>> {
-    vec![
-        Box::new(Greedy::default()),
-        Box::new(Greedy::unoptimized()),
-        Box::new(Olak),
-        Box::new(IncAvt),
-        Box::new(Rcm::default()),
-    ]
+    vec![Box::new(Greedy), Box::new(Olak), Box::new(IncAvt), Box::new(Rcm)]
 }
 
 #[test]
@@ -117,11 +111,12 @@ fn heuristics_never_beat_brute_force() {
 
 #[test]
 fn optimized_greedy_prunes_but_matches_unoptimized() {
+    // OLAK is Greedy's selection loop with both §4 optimizations off.
     for seed in 20..24u64 {
         let evolving = random_evolving(seed, 35, 110, 3);
         let params = AvtParams::new(3, 3);
-        let fast = Greedy::default().track(&evolving, params).unwrap();
-        let slow = Greedy::unoptimized().track(&evolving, params).unwrap();
+        let fast = Greedy.track(&evolving, params).unwrap();
+        let slow = Olak.track(&evolving, params).unwrap();
         assert_eq!(fast.anchor_sets, slow.anchor_sets, "seed {seed}");
         assert_eq!(fast.follower_counts, slow.follower_counts, "seed {seed}");
         assert!(
@@ -137,7 +132,7 @@ fn olak_greedy_agree_and_olak_visits_more() {
         let evolving = random_evolving(seed, 35, 110, 3);
         let params = AvtParams::new(3, 3);
         let olak = Olak.track(&evolving, params).unwrap();
-        let greedy = Greedy::default().track(&evolving, params).unwrap();
+        let greedy = Greedy.track(&evolving, params).unwrap();
         assert_eq!(olak.follower_counts, greedy.follower_counts, "seed {seed}");
         assert!(
             olak.total_metrics().vertices_visited >= greedy.total_metrics().vertices_visited,
@@ -155,7 +150,7 @@ fn incavt_stays_close_to_greedy_effectiveness() {
         let evolving = random_evolving(seed, 40, 130, 5);
         let params = AvtParams::new(3, 3);
         let inc = IncAvt.track(&evolving, params).unwrap();
-        let greedy = Greedy::default().track(&evolving, params).unwrap();
+        let greedy = Greedy.track(&evolving, params).unwrap();
         let (it, gt) = (inc.total_followers(), greedy.total_followers());
         assert!(
             10 * it >= 6 * gt,

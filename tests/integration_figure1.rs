@@ -54,7 +54,7 @@ fn example_5_and_6_followers_of_u15() {
 fn example_4_tracking_both_snapshots() {
     let evolving = figure1::evolving();
     let params = AvtParams::new(3, 2);
-    let result = Greedy::default().track(&evolving, params).unwrap();
+    let result = Greedy.track(&evolving, params).unwrap();
     // t=1: the paper's S1 = {u7, u10} with 5 followers.
     let mut s1 = result.anchor_sets[0].clone();
     s1.sort_unstable();
@@ -72,12 +72,9 @@ fn all_algorithms_find_the_t1_optimum() {
     let params = AvtParams::new(3, 2);
     let brute = BruteForce::default().track(&evolving, params).unwrap();
     assert_eq!(brute.follower_counts[0], 5, "the optimum at t=1 retains 5 followers");
-    for algo in [
-        Box::new(Greedy::default()) as Box<dyn AvtAlgorithm>,
-        Box::new(Olak),
-        Box::new(IncAvt),
-        Box::new(Rcm::default()),
-    ] {
+    for algo in
+        [Box::new(Greedy) as Box<dyn AvtAlgorithm>, Box::new(Olak), Box::new(IncAvt), Box::new(Rcm)]
+    {
         let result = algo.track(&evolving, params).unwrap();
         assert_eq!(
             result.follower_counts[0],

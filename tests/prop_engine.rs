@@ -79,9 +79,9 @@ fn assert_mmap_equivalence(eg: &EvolvingGraph, params: AvtParams, tag: &str) {
             assert_eq!(shape(&resident), shape(&mapped_par), "pipelined mmap diverged");
         };
     }
-    check!(Greedy::default());
+    check!(Greedy);
     check!(Olak);
-    check!(Rcm::default());
+    check!(Rcm);
     std::fs::remove_dir_all(dir).expect("cleanup");
 }
 
@@ -97,7 +97,7 @@ proptest! {
         snapshots in 2usize..5,
     ) {
         let eg = churned(gnm(n, m_factor * n, seed), snapshots, seed ^ 0x9e37);
-        assert_engine_equivalence(&Greedy::default(), &eg, AvtParams::new(3, 2));
+        assert_engine_equivalence(&Greedy, &eg, AvtParams::new(3, 2));
     }
 
     /// Barabási–Albert base + churn, OLAK (unordered shell search).
@@ -121,7 +121,7 @@ proptest! {
         l in 1usize..4,
     ) {
         let eg = churned(gnm(n, 3 * n, seed), 3, seed ^ 0x0bad);
-        assert_engine_equivalence(&Rcm::default(), &eg, AvtParams::new(k, l));
+        assert_engine_equivalence(&Rcm, &eg, AvtParams::new(k, l));
     }
 
     /// ER base + churn: mmap'd frames reproduce resident frames bit for

@@ -62,7 +62,7 @@ fn expected_of(t: usize, frame: &CsrGraph, params: AvtParams) -> Expected {
     let mut anchored_followers = anchored.committed_followers(&cores);
     anchored_followers.sort_unstable();
     let anchored_size = anchored.anchored_core_size();
-    let greedy = Greedy::default().solve_snapshot(t, frame, params);
+    let greedy = Greedy.solve_snapshot(t, frame, params);
     let olak = Olak.solve_snapshot(t, frame, params);
     let sorted = |mut v: Vec<VertexId>| {
         v.sort_unstable();
@@ -161,9 +161,8 @@ fn assert_service_offline_equivalence(eg: &EvolvingGraph, params: AvtParams, rea
 
     // The audit path: the frozen live history, replayed through the
     // offline engine, reproduces the offline run bit for bit.
-    let via_live =
-        Engine::sequential().run(&Greedy::default(), &timeline.freeze(), params).unwrap();
-    let via_offline = Engine::sequential().run(&Greedy::default(), eg, params).unwrap();
+    let via_live = Engine::sequential().run(&Greedy, &timeline.freeze(), params).unwrap();
+    let via_offline = Engine::sequential().run(&Greedy, eg, params).unwrap();
     assert_eq!(via_live.anchor_sets, via_offline.anchor_sets);
     assert_eq!(via_live.follower_counts, via_offline.follower_counts);
     assert_eq!(via_live.total_metrics(), via_offline.total_metrics());

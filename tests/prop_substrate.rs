@@ -198,7 +198,7 @@ proptest! {
         // per-snapshot follower total as the Vec-substrate greedy loop.
         let gains = greedy_gains(&base, k, 2);
         let eg = avt::graph::EvolvingGraph::new(base);
-        let result = Greedy::default().track(&eg, AvtParams::new(k, 2)).unwrap();
+        let result = Greedy.track(&eg, AvtParams::new(k, 2)).unwrap();
         prop_assert_eq!(result.follower_counts[0], gains.iter().sum::<usize>());
     }
 }

@@ -13,7 +13,7 @@ fn prelude_quickstart_tracks_figure1() {
 
     // Track l = 2 anchors with degree threshold k = 3 over all snapshots.
     let params = AvtParams::new(3, 2);
-    let result = Greedy::default().track(&eg, params).unwrap();
+    let result = Greedy.track(&eg, params).unwrap();
     assert_eq!(result.anchor_sets.len(), 2);
     // At t = 1, anchoring two vertices pulls 5 followers into the 3-core.
     assert_eq!(result.follower_counts[0], 5);
@@ -34,10 +34,10 @@ fn prelude_exports_every_advertised_name() {
     let _: Metrics = Metrics::default();
     // Every algorithm the paper compares, behind the shared trait.
     let algos: Vec<Box<dyn AvtAlgorithm>> = vec![
-        Box::new(Greedy::default()),
+        Box::new(Greedy),
         Box::new(IncAvt),
         Box::new(Olak),
-        Box::new(Rcm::default()),
+        Box::new(Rcm),
         Box::new(BruteForce::default()),
     ];
     let eg = avt::datasets::figure1::evolving();
