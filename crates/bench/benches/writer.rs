@@ -1,17 +1,22 @@
-//! Writer-path microbenchmarks: batch-apply throughput, and end-to-end
-//! admission (watermark buffer → sanitize → batched repair → publish)
-//! under in-order vs shuffled delivery.
+//! Writer-path microbenchmarks: batch-apply throughput, end-to-end
+//! admission (watermark buffer → sanitize → repair → publish) under
+//! in-order vs shuffled delivery, and the small writes of a serving mix.
 //!
 //! * `writer/batch-apply` — [`MaintainedCore::apply_batch`] over a
-//!   scripted churn stream: each batch's insertions are screened and
-//!   repaired together, then its deletions cascade edge at a time.
+//!   scripted churn stream: each batch's edges are repaired one at a
+//!   time, insertions first.
 //! * `writer/admission` — the same stream pushed through an
 //!   [`Admission`] buffer in arrival order and in a fixed shuffle within
 //!   the lag window.
+//! * `writer/ingest-2edge` — [`LiveTimeline::apply_batch`] over 300
+//!   batches of two random edge insertions on the Deezer stand-in at
+//!   scale 0.5: the write shape and graph of perfbench's serve-mixed
+//!   workload, where each publish derives a frame, repairs the K-order
+//!   and copies the cores.
 //!
-//! Labels are `writer/batch-apply` and
-//! `writer/admission/{in-order,shuffled}`; smoke runs fold the medians
-//! into `bench-medians.json` (see the criterion shim).
+//! Labels are `writer/batch-apply`, `writer/admission/{in-order,shuffled}`
+//! and `writer/ingest-2edge`; smoke runs fold the medians into
+//! `bench-medians.json` (see the criterion shim).
 
 use std::sync::Arc;
 
@@ -19,7 +24,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use avt_datasets::chunglu::chung_lu;
 use avt_datasets::churn::{evolve, ChurnConfig};
-use avt_graph::{EdgeBatch, EvolvingGraph, Graph};
+use avt_datasets::Dataset;
+use avt_graph::{EdgeBatch, EvolvingGraph, Graph, VertexId};
 use avt_kcore::MaintainedCore;
 use avt_serve::{Admission, IngestEvent, LiveTimeline};
 use rand::rngs::SmallRng;
@@ -100,5 +106,42 @@ fn bench_admission(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_batch_apply, bench_admission);
+fn bench_ingest_2edge(c: &mut Criterion) {
+    let initial = Dataset::Deezer.generate(0.5, 1, 42).initial().clone();
+    let n = initial.num_vertices() as VertexId;
+    // One timeline for every sample, so a sample times the writes and not
+    // the initial decomposition; each sample draws fresh edges.
+    let timeline = LiveTimeline::new(initial);
+    let mut rng = SmallRng::seed_from_u64(0x16e57);
+
+    let mut g = c.benchmark_group("writer");
+    g.sample_size(10);
+    g.bench_function("ingest-2edge", |b| {
+        b.iter(|| {
+            for _ in 0..300 {
+                let frame = Arc::clone(&timeline.current().frame);
+                let mut absent = || loop {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if u != v && !frame.has_edge(u, v) {
+                        return (u.min(v), u.max(v));
+                    }
+                };
+                let first = absent();
+                let second = loop {
+                    let e = absent();
+                    if e != first {
+                        break e;
+                    }
+                };
+                timeline
+                    .apply_batch(EdgeBatch::from_pairs([first, second], []))
+                    .expect("absent edges insert");
+            }
+            timeline.epochs_published()
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_batch_apply, bench_admission, bench_ingest_2edge);
 criterion_main!(benches);

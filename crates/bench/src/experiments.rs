@@ -12,9 +12,14 @@ use crate::{
 };
 
 /// The T values plotted on the x-axis of Figures 5/6/9 (2, 6, 10, ... 30),
-/// clamped to the configured snapshot count.
+/// clamped to the configured snapshot count and ending at its last
+/// snapshot, so every run plots its final cumulative totals.
 fn t_axis(snapshots: usize) -> Vec<usize> {
-    (1..).map(|i| 4 * i - 2).take_while(|&t| t <= snapshots).collect()
+    let mut axis: Vec<usize> = (1..).map(|i| 4 * i - 2).take_while(|&t| t <= snapshots).collect();
+    if axis.last() != Some(&snapshots) {
+        axis.push(snapshots);
+    }
+    axis
 }
 
 /// The l values of Figures 7/8/10, scaled down with the context budget.
@@ -321,7 +326,8 @@ mod tests {
     fn t_axis_matches_paper_ticks() {
         assert_eq!(t_axis(30), vec![2, 6, 10, 14, 18, 22, 26, 30]);
         assert_eq!(t_axis(6), vec![2, 6]);
-        assert_eq!(t_axis(1), Vec::<usize>::new());
+        assert_eq!(t_axis(1), vec![1]);
+        assert_eq!(t_axis(8), vec![2, 6, 8]);
     }
 
     #[test]

@@ -59,3 +59,26 @@ fn one_figure_name_writes_its_whole_sweep() {
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/quick/fig11.csv");
     assert_eq!(fig11.expect("fig11.csv is written"), std::fs::read(golden).unwrap());
 }
+
+#[test]
+fn a_one_snapshot_stream_plots_its_only_snapshot() {
+    // The T axis ends at the last snapshot, so even a stream of one
+    // snapshot fills Figures 5, 6 and 9: one row per dataset and
+    // algorithm, all at T = 1.
+    let out = std::env::temp_dir().join(format!("avt_run_experiments_t1_{}", std::process::id()));
+    let run = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
+        .args(["fig5", "--quick", "--snapshots", "1", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run_experiments starts");
+    let read = |slug: &str| std::fs::read_to_string(out.join(format!("{slug}.csv")));
+    let figures = [read("fig5"), read("fig6"), read("fig9")];
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(run.status.success(), "stderr:\n{}", String::from_utf8_lossy(&run.stderr));
+    for csv in figures {
+        let csv = csv.expect("each figure of the sweep is written");
+        let rows: Vec<&str> = csv.lines().skip(2).collect();
+        assert!(!rows.is_empty(), "no rows below the header:\n{csv}");
+        assert!(rows.iter().all(|row| row.split(',').nth(1) == Some("1")), "{csv}");
+    }
+}

@@ -6,8 +6,9 @@
 //!
 //! 1. **Bounded K-order maintenance** (§5.2): the K-order of `G_t` is
 //!    repaired from `G_{t-1}` via `avt_kcore::MaintainedCore` (EdgeInsert /
-//!    EdgeRemove; the batch's insertions are repaired together) instead of
-//!    being rebuilt, and the maintenance reports the impacted vertex sets
+//!    EdgeRemove, edge at a time; a batch that churns 5 % of the graph or
+//!    more is decomposed instead) rather than rebuilt from nothing every
+//!    snapshot, and the maintenance reports the impacted vertex sets
 //!    `VI` (insert-affected) and `VR` (delete-affected).
 //! 2. **Local anchor search** (Algorithm 6, lines 9-16): the anchor set is
 //!    seeded with `S_{t-1}` and improved by *swaps only*, probing

@@ -13,8 +13,8 @@
 //!
 //! The price is immutability: there is no `insert_edge`. Evolution happens
 //! functionally through [`CsrGraph::apply_batch`], which builds the next
-//! frame in one merge pass over the arrays — O(n + m + churn log churn),
-//! never a from-scratch replay.
+//! frame from bulk copies of the ranges a batch leaves alone and merges
+//! only the neighbour lists it touches — never a from-scratch replay.
 
 use crate::{EdgeBatch, Graph, GraphError, GraphView, VertexId};
 
@@ -115,10 +115,16 @@ impl CsrGraph {
 
     /// Derive the *next* snapshot: apply a full [`EdgeBatch`] (insertions
     /// first, then deletions, mirroring `G_t = (G_{t-1} ⊕ E+) ⊖ E-`) and
-    /// return the result as a fresh CSR graph. One merge pass over the
-    /// arrays — O(n + m + churn log churn) — with the same error semantics
-    /// as [`Graph::apply_batch`]: inserting a present edge or deleting an
-    /// absent one fails.
+    /// return the result as a fresh CSR graph, with the same error
+    /// semantics as [`Graph::apply_batch`]: inserting a present edge or
+    /// deleting an absent one fails.
+    ///
+    /// The batch's arcs are sorted once per side. The neighbour lists of
+    /// the vertices they touch are merged; every range between two touched
+    /// vertices is copied in bulk, with its offsets shifted by what the
+    /// merges before it added. That is O(n) for the offsets plus
+    /// O(m) of memcpy plus O(churn log churn) — no pass over untouched
+    /// neighbour lists.
     pub fn apply_batch(&self, batch: &EdgeBatch) -> Result<CsrGraph, GraphError> {
         let n = self.num_vertices();
         let check = |x: VertexId| {
@@ -129,9 +135,9 @@ impl CsrGraph {
             }
         };
 
-        // Per-vertex sorted insertion lists, validated against the current
-        // structure (duplicates inside the batch surface after the sort).
-        let mut ins: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        // Insertion arcs, both directions, validated against the current
+        // structure; duplicates inside the batch surface after the sort.
+        let mut ins: Vec<(VertexId, VertexId)> = Vec::with_capacity(2 * batch.insertions.len());
         for e in &batch.insertions {
             check(e.u)?;
             check(e.v)?;
@@ -145,27 +151,24 @@ impl CsrGraph {
                     inserting: true,
                 });
             }
-            ins[e.u as usize].push(e.v);
-            ins[e.v as usize].push(e.u);
+            ins.extend([(e.u, e.v), (e.v, e.u)]);
         }
-        for (u, list) in ins.iter_mut().enumerate() {
-            list.sort_unstable();
-            if let Some(w) = list.windows(2).find(|w| w[0] == w[1]) {
-                return Err(GraphError::EdgeConflict {
-                    u: u as u64,
-                    v: w[0] as u64,
-                    inserting: true,
-                });
-            }
+        ins.sort_unstable();
+        if let Some(w) = ins.windows(2).find(|w| w[0] == w[1]) {
+            return Err(GraphError::EdgeConflict {
+                u: w[0].0 as u64,
+                v: w[0].1 as u64,
+                inserting: true,
+            });
         }
 
         // Deletions may target pre-existing edges or ones inserted by this
         // very batch (insertions apply first).
-        let mut del: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut del: Vec<(VertexId, VertexId)> = Vec::with_capacity(2 * batch.deletions.len());
         for e in &batch.deletions {
             check(e.u)?;
             check(e.v)?;
-            let present = self.has_edge(e.u, e.v) || ins[e.u as usize].binary_search(&e.v).is_ok();
+            let present = self.has_edge(e.u, e.v) || ins.binary_search(&(e.u, e.v)).is_ok();
             if !present {
                 return Err(GraphError::EdgeConflict {
                     u: e.u as u64,
@@ -173,59 +176,58 @@ impl CsrGraph {
                     inserting: false,
                 });
             }
-            del[e.u as usize].push(e.v);
-            del[e.v as usize].push(e.u);
+            del.extend([(e.u, e.v), (e.v, e.u)]);
         }
-        for (u, list) in del.iter_mut().enumerate() {
-            list.sort_unstable();
-            if let Some(w) = list.windows(2).find(|w| w[0] == w[1]) {
-                // A second deletion of the same edge targets an edge that
-                // is already gone.
-                return Err(GraphError::EdgeConflict {
-                    u: u as u64,
-                    v: w[0] as u64,
-                    inserting: false,
-                });
-            }
+        del.sort_unstable();
+        if let Some(w) = del.windows(2).find(|w| w[0] == w[1]) {
+            // A second deletion of the same edge targets an edge that is
+            // already gone.
+            return Err(GraphError::EdgeConflict {
+                u: w[0].0 as u64,
+                v: w[0].1 as u64,
+                inserting: false,
+            });
         }
 
-        // Single merge pass: old (sorted) ∪ ins (sorted) minus del (sorted).
-        let grown = self.targets.len() + 2 * batch.insertions.len();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(grown.saturating_sub(2 * batch.deletions.len()));
+        let mut targets = Vec::with_capacity(self.targets.len() + ins.len() - del.len());
         offsets.push(0);
-        for u in 0..n {
-            let old = self.neighbors(u as VertexId);
-            let add = &ins[u];
-            let drop = &del[u];
-            let (mut i, mut j, mut d) = (0usize, 0usize, 0usize);
-            while i < old.len() || j < add.len() {
-                let next = match (old.get(i), add.get(j)) {
-                    (Some(&a), Some(&b)) if a <= b => {
-                        i += 1;
-                        a
-                    }
-                    (Some(&a), None) => {
-                        i += 1;
-                        a
-                    }
-                    (_, Some(&b)) => {
-                        j += 1;
-                        b
-                    }
-                    (None, None) => unreachable!("loop condition guarantees one side"),
-                };
-                if d < drop.len() && drop[d] == next {
-                    d += 1;
-                    continue;
-                }
-                targets.push(next);
-            }
+        // `from` is the first vertex not yet written; `i` and `d` walk the
+        // touched vertices' arcs in both sorted lists.
+        let (mut from, mut i, mut d) = (0usize, 0usize, 0usize);
+        while i < ins.len() || d < del.len() {
+            let u = match (ins.get(i), del.get(d)) {
+                (Some(a), Some(b)) => a.0.min(b.0),
+                (Some(a), None) => a.0,
+                (None, Some(b)) => b.0,
+                (None, None) => unreachable!("loop condition guarantees one side"),
+            };
+            self.copy_range(from, u as usize, &mut offsets, &mut targets);
+            let add_end = i + ins[i..].partition_point(|a| a.0 == u);
+            let drop_end = d + del[d..].partition_point(|a| a.0 == u);
+            merge_list(self.neighbors(u), &ins[i..add_end], &del[d..drop_end], &mut targets);
             offsets.push(targets.len());
+            (from, i, d) = (u as usize + 1, add_end, drop_end);
         }
+        self.copy_range(from, n, &mut offsets, &mut targets);
         debug_assert_eq!(targets.len() % 2, 0, "every edge stores two directed arcs");
         let m = targets.len() / 2;
         Ok(CsrGraph { offsets, targets, m })
+    }
+
+    /// Append vertices `from..to`, untouched by a batch, to a frame under
+    /// construction: one bulk copy of their neighbour lists, and their end
+    /// offsets shifted to where the copy lands.
+    fn copy_range(
+        &self,
+        from: usize,
+        to: usize,
+        offsets: &mut Vec<usize>,
+        targets: &mut Vec<VertexId>,
+    ) {
+        let (old, new) = (self.offsets[from], targets.len());
+        targets.extend_from_slice(&self.targets[old..self.offsets[to]]);
+        offsets.extend(self.offsets[from + 1..=to].iter().map(|&o| o - old + new));
     }
 
     /// Number of vertices.
@@ -284,6 +286,40 @@ impl CsrGraph {
     /// slice sorted ascending). See [`Self::offsets`].
     pub fn targets(&self) -> &[VertexId] {
         &self.targets
+    }
+}
+
+/// Push `old ∪ add \ drop` onto `out`, ascending: one touched vertex's
+/// next neighbour list, merged from its sorted old list and its sorted
+/// batch arcs (only the second element of each arc is read).
+fn merge_list(
+    old: &[VertexId],
+    add: &[(VertexId, VertexId)],
+    drop: &[(VertexId, VertexId)],
+    out: &mut Vec<VertexId>,
+) {
+    let (mut i, mut j, mut d) = (0usize, 0usize, 0usize);
+    while i < old.len() || j < add.len() {
+        let next = match (old.get(i), add.get(j)) {
+            (Some(&a), Some(&(_, b))) if a <= b => {
+                i += 1;
+                a
+            }
+            (Some(&a), None) => {
+                i += 1;
+                a
+            }
+            (_, Some(&(_, b))) => {
+                j += 1;
+                b
+            }
+            (None, None) => unreachable!("loop condition guarantees one side"),
+        };
+        if d < drop.len() && drop[d].1 == next {
+            d += 1;
+            continue;
+        }
+        out.push(next);
     }
 }
 

@@ -155,6 +155,19 @@ impl Graph {
     /// the per-edge [`Self::insert_edge`] loop would produce: the graph is
     /// bit-identical to that loop's, not merely isomorphic.
     pub fn insert_edges(&mut self, edges: &[Edge]) -> Result<(), GraphError> {
+        self.check_insertions(edges)?;
+        for e in edges {
+            self.adj[e.u as usize].push(e.v);
+            self.adj[e.v as usize].push(e.u);
+        }
+        self.m += edges.len();
+        Ok(())
+    }
+
+    /// The error [`Self::insert_edges`] would return for `edges`, without
+    /// inserting anything: an out-of-range endpoint, a self-loop, an edge
+    /// already present, or one listed twice.
+    pub fn check_insertions(&self, edges: &[Edge]) -> Result<(), GraphError> {
         for e in edges {
             self.check_vertex(e.u)?;
             self.check_vertex(e.v)?;
@@ -182,12 +195,6 @@ impl Graph {
                 });
             }
         }
-
-        for e in edges {
-            self.adj[e.u as usize].push(e.v);
-            self.adj[e.v as usize].push(e.u);
-        }
-        self.m += edges.len();
         Ok(())
     }
 

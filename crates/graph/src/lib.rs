@@ -20,8 +20,8 @@
 //!   neighbourhood walks — the access pattern of the bucket peel and the
 //!   order-based follower queries — run over one dense array; membership
 //!   probes binary-search. Evolution is functional:
-//!   [`CsrGraph::apply_batch`] merges out the next frame in O(n + m +
-//!   churn log churn).
+//!   [`CsrGraph::apply_batch`] copies the untouched ranges in bulk and
+//!   merges only the touched lists into the next frame.
 //! * [`MmapCsr`] — the *zero-copy* substrate: the same CSR arrays read in
 //!   place from a memory-mapped `.csrbin` file ([`io`] documents the
 //!   format), so full-size frozen frames are scanned straight off the page

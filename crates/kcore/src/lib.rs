@@ -11,13 +11,14 @@
 //!   removal order of core decomposition, with O(1) `u ⪯ v` comparisons.
 //! * [`MaintainedCore`] — the paper's "bounded K-order maintenance" (§5.2):
 //!   a graph bundled with an always-valid K-order that is updated *locally*
-//!   under edge insertions (`EdgeInsert`, Algorithm 4) and deletions
-//!   (`EdgeRemove`, Algorithm 5, whose Lemma 4 max-core-degree cascade
-//!   counts each vertex's support inline), instead of being rebuilt per
-//!   snapshot.
-//!   [`MaintainedCore::apply_batch`] is its one batch entry point: a
-//!   batch's insertions are screened and repaired together, on the
-//!   calling thread.
+//!   under edge insertions (`EdgeInsert`, Algorithm 4, as the order-based
+//!   insertion of Zhang et al., which visits only the vertices whose
+//!   place in the order can change) and deletions (`EdgeRemove`,
+//!   Algorithm 5, whose Lemma 4 max-core-degree cascade counts each
+//!   vertex's support inline), instead of being rebuilt per snapshot.
+//!   [`MaintainedCore::apply_batch`] is its one batch entry point: it
+//!   repairs a batch edge at a time, on the calling thread, and decomposes
+//!   instead when the batch churns 5 % of the graph or more.
 //! * [`verify`] — from-scratch invariant checkers used heavily by the test
 //!   suite: core-number correctness against an independent peel oracle and
 //!   K-order validity via a replay of the stored order as a peel.

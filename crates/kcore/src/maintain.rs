@@ -4,62 +4,82 @@
 //! updates both *locally* when edges are inserted (`EdgeInsert`,
 //! Algorithm 4) or deleted (`EdgeRemove`, Algorithm 5). The K-order and
 //! its repair come from Zhang et al., "A Fast Order-Based Approach for
-//! Core Maintenance" (ICDE 2017). A batch's insertions are repaired
-//! together; a single inserted edge is a batch of one. Deletions are
-//! applied edge at a time, which reduces them to the single-edge theorem:
-//! deleting `(u, v)` can only lower core numbers, only for vertices with
-//! core `K = min(core(u), core(v))`, and only by 1.
+//! Core Maintenance" (ICDE 2017). Both repairs run edge at a time, which
+//! reduces each to a single-edge theorem: inserting or deleting `(u, v)`
+//! can change core numbers only for vertices with core
+//! `K = min(core(u), core(v))`, and only by 1. A batch too big to repair
+//! is decomposed instead (see *Heavy batches*).
 //!
 //! # Insertion
 //!
-//! Insertions can only raise core numbers. Once a batch's edges are in
-//! the graph, the only vertices whose remaining degree `deg+` grew are
-//! the ⪯-smaller endpoints `w` of the new edges (the larger endpoint gains
-//! a neighbour *before* it, which `deg+` does not count). The old removal
-//! order therefore replays verbatim — and every core stays put — unless
-//! some `w` now has `deg+(w) > core(w)` (the paper's Lemma 2,
-//! contrapositive). The *screen* checks exactly that; such a `w` is a
-//! *dirty endpoint* of its level. This fast path covers most random churn.
+//! Inserting `(u, v)` with `u ⪯ v` grows the remaining degree `deg+` of
+//! `u` alone: `v` gains a neighbour *before* it, which `deg+` does not
+//! count. If still `deg+(u) ≤ K`, the old removal order replays verbatim
+//! and no core moves (the paper's Lemma 2, contrapositive); this covers
+//! most random churn.
 //!
-//! Dirty levels are then repaired bottom-up. A level `K` is *re-peeled*:
-//! a queue peel removes level-`K` vertices whose support (neighbours of
-//! core > K plus unremoved level-`K` peers) is ≤ K. The peel survivors are
-//! exactly the level-`K` vertices whose core rises. They are *carried*
-//! into level `K+1`, which is re-peeled whole with them in front, and so
-//! on upward while survivors remain — which is how a batch can lift a
-//! vertex by more than one level. Levels below the lowest dirty level,
-//! and levels a repair never reaches, are untouched.
-//!
-//! A level that receives no carry is re-peeled only from its ⪯-earliest
-//! dirty endpoint. Every vertex before that endpoint still has
-//! `deg+ ≤ K`: its later neighbours are what they were, or it is a clean
-//! endpoint of a new edge. So the old prefix is a legal start of the
-//! level's peel and replays verbatim, and the suffix is re-peeled with the
-//! prefix treated as already removed. For a one-edge batch this is the
-//! classic single-edge repair: one suffix re-peel of level `K`, then one
-//! re-peel of level `K+1` when some core rose.
+//! Otherwise the order-based insertion of Zhang et al. walks level `K`
+//! forward from `u`, in K-order, through a heap keyed by label. It
+//! examines `u` and every vertex `w` with `deg*(w) > 0`, the number of
+//! *candidate* neighbours before `w`; no other level-`K` vertex can change.
+//! If `deg*(w) + deg+(w) > K`, `w` cannot be removed at its slot once the
+//! candidates move up, so `w` becomes a candidate and raises `deg*` of its
+//! later level-`K` neighbours. Otherwise `w` stays, and each candidate
+//! neighbour loses `w`'s support. A candidate left with `K` or less is
+//! *evicted*: it stays in level `K`, linked right after the vertex that
+//! evicted it (after `w`, or after the previous eviction of the same
+//! cascade), and its own neighbours lose its support in turn. When the
+//! heap runs dry, the candidates left are exactly the vertices whose core
+//! rises. They move, in the order they became candidates, to the front of
+//! level `K+1`. Every move takes its label from a gap of the [`KOrder`],
+//! so a level is rewritten only when a gap runs out, and the walk costs
+//! the degrees of the vertices it examines, however large level `K` is.
 //!
 //! # Deletion
 //!
 //! The classic mcd cascade (Lemma 4): starting from the endpoint(s) with
 //! core `K`, any vertex whose support among core-≥K neighbours drops below
 //! `K` is demoted, propagating to same-core neighbours. Demoted vertices
-//! are detached from level `K` (tombstones keep the remainder valid — every
-//! remaining vertex only *loses* later neighbours) and appended to the end
-//! of level `K-1`.
+//! are detached from level `K` (every remaining vertex only *loses* later
+//! neighbours) and appended to the end of level `K-1`.
 //!
-//! Both repairs produce removal sequences that satisfy the validity
+//! # Heavy batches
+//!
+//! A temporal window can replace a large share of the graph in one batch,
+//! and then one decomposition costs less than repairing edge by edge.
+//! [`MaintainedCore::apply_batch`] therefore decomposes a batch whose
+//! churn reaches 5 % of `n + m`: once after its insertions and once
+//! after its deletions, so the [`ChangeSet`] means the same on both
+//! branches (the vertices promoted over the insertion phase, and those
+//! demoted over the deletion phase). The K-order is rebuilt from the last
+//! decomposition. It orders each level differently from a repair, but the
+//! cores and change sets are the same.
+//!
+//! Every path produces removal sequences that satisfy the validity
 //! invariant documented in [`crate`]; `verify::assert_korder_valid` is
 //! exercised after every operation in the test suite, and the from-scratch
 //! [`crate::CoreDecomposition`] is the oracle the maintained cores are
 //! compared against.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use avt_graph::{Edge, EdgeBatch, Graph, GraphError, VertexId};
+use avt_graph::{EdgeBatch, Graph, GraphError, VertexId};
 
+use crate::decompose::CoreDecomposition;
 use crate::korder::KOrder;
-use crate::shell::filter_alive;
+
+/// A batch is decomposed instead of repaired once its churn (insertions
+/// plus deletions) reaches `(n + m) / REBUILD_SHARE`, 5 %. Measured on 2
+/// vCPU as the time to repair one batch over the time to decompose it,
+/// from the same state: on random batches, half insertions and half
+/// deletions, over the email-Enron, Gnutella, Deezer and mathoverflow
+/// stand-ins at scales 0.1 and 0.5, the ratio was 0.05–0.11 at 0.5 %
+/// churn, 0.51–1.35 at 5 % and 0.83–9.5 at 10 %. The fig3 streams sit far
+/// to either side: static churn is about 0.2 % of `n + m` per batch, and
+/// the temporal windows of eu-core, mathoverflow and CollegeMsg churn
+/// 5.4–24 % per batch, where the ratio was 0.9–3.1.
+const REBUILD_SHARE: usize = 20;
 
 /// Vertices whose core number changed while applying updates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -107,8 +127,14 @@ struct Scratch {
     queued: Vec<u32>,
     support: Vec<u32>,
     queue: Vec<VertexId>,
-    /// Per-vertex filter output reused across peel iterations.
+    /// Per-vertex neighbour subset reused across the insertion walk.
     targets: Vec<VertexId>,
+    /// The insertion walk's frontier, keyed by label.
+    heap: BinaryHeap<Reverse<(u64, VertexId)>>,
+    /// The insertion walk's candidates, in the order they became one.
+    candidates: Vec<VertexId>,
+    /// The insertion walk's evictions: `(p, e)` links `e` right after `p`.
+    moves: Vec<(VertexId, VertexId)>,
 }
 
 impl Scratch {
@@ -121,6 +147,9 @@ impl Scratch {
             support: vec![0; n],
             queue: Vec::new(),
             targets: Vec::new(),
+            heap: BinaryHeap::new(),
+            candidates: Vec::new(),
+            moves: Vec::new(),
         }
     }
 
@@ -133,6 +162,17 @@ impl Scratch {
         }
         self.epoch += 1;
         self.epoch
+    }
+
+    /// A candidate `c` of the insertion walk on level `k` loses one
+    /// supporter; it is queued for eviction once it has `k` or fewer.
+    fn lose(&mut self, c: VertexId, k: u32, epoch: u32) {
+        let ci = c as usize;
+        self.support[ci] -= 1;
+        if self.support[ci] <= k && self.queued[ci] != epoch {
+            self.queued[ci] = epoch;
+            self.queue.push(c);
+        }
     }
 }
 
@@ -159,8 +199,8 @@ pub struct MaintainedCore {
     graph: Graph,
     korder: KOrder,
     scratch: Scratch,
-    /// Cumulative count of vertices visited by re-peels; feeds the paper's
-    /// "visited vertices" efficiency metric (Figures 4, 6, 8).
+    /// Cumulative count of vertices the maintenance visited; feeds the
+    /// paper's "visited vertices" efficiency metric (Figures 4, 6, 8).
     visited: u64,
 }
 
@@ -187,16 +227,19 @@ impl MaintainedCore {
         self.korder.core(v)
     }
 
-    /// Vertices the maintenance peels have visited so far.
+    /// Vertices the maintenance has visited so far: each vertex the
+    /// insertion walk examines, each vertex whose support the deletion
+    /// cascade counts, and `n` per decomposition of a heavy batch.
     pub fn visited_vertices(&self) -> u64 {
         self.visited
     }
 
-    /// Insert one edge and repair the K-order: a one-edge batch (see the
-    /// module docs). Returns the promoted vertices.
+    /// Insert one edge and repair the K-order (see the module docs).
+    /// Returns the promoted vertices.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<ChangeSet, GraphError> {
+        self.graph.insert_edge(u, v)?;
         let mut changes = ChangeSet::default();
-        self.insert_batch(&[Edge { u, v }], &mut changes)?;
+        self.order_insert(u, v, &mut changes.promoted);
         changes.dedup();
         Ok(changes)
     }
@@ -243,13 +286,34 @@ impl MaintainedCore {
     /// `G ⊕ E+ ⊖ E-`), accumulating the change set. This is the paper's
     /// `EdgeInsert` + `EdgeRemove` pair from Algorithm 6, lines 7-8.
     ///
-    /// The insertions are screened and repaired together (see the module
-    /// docs). Deletions run edge at a time after them: the demotion
-    /// cascade is inherently sequential and deletions are the minority of
-    /// churn.
+    /// The edges are repaired one at a time (see the module docs), unless
+    /// the batch's churn reaches 5 % of `n + m`: such a batch is
+    /// decomposed after its insertions and again after its deletions,
+    /// which yields the same cores and the same change set. The
+    /// insertions are validated before any is applied, so a rejected
+    /// insertion leaves everything untouched.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<ChangeSet, GraphError> {
+        let churn = batch.insertions.len() + batch.deletions.len();
+        let heavy = churn * REBUILD_SHARE >= self.graph.num_vertices() + self.graph.num_edges();
+        self.apply_batch_by(batch, heavy)
+    }
+
+    /// [`Self::apply_batch`] on the branch `rebuild` names: tests run both
+    /// branches on the same stream.
+    pub(crate) fn apply_batch_by(
+        &mut self,
+        batch: &EdgeBatch,
+        rebuild: bool,
+    ) -> Result<ChangeSet, GraphError> {
+        if rebuild {
+            return self.rebuild_batch(batch);
+        }
+        self.graph.check_insertions(&batch.insertions)?;
         let mut changes = ChangeSet::default();
-        self.insert_batch(&batch.insertions, &mut changes)?;
+        for e in &batch.insertions {
+            self.graph.insert_edge(e.u, e.v).expect("insertions validated above");
+            self.order_insert(e.u, e.v, &mut changes.promoted);
+        }
         for e in &batch.deletions {
             changes.absorb(self.remove_edge(e.u, e.v)?);
         }
@@ -257,134 +321,137 @@ impl MaintainedCore {
         Ok(changes)
     }
 
-    /// Insert `edges` and repair the K-order, adding the promoted vertices
-    /// to `changes`: adjacency pushes, the dirty screen, then one
-    /// bottom-up repair (module docs).
-    fn insert_batch(&mut self, edges: &[Edge], changes: &mut ChangeSet) -> Result<(), GraphError> {
-        // Validation is up-front, so a rejected batch leaves the graph
-        // untouched, and the graph it produces is bit-identical to an
-        // edge-at-a-time insertion loop.
-        self.graph.insert_edges(edges)?;
-        let mut dirty = screen(&self.graph, &self.korder, edges);
-
-        // Bottom-up repair. `carry` holds detached survivors being spliced
-        // upward; a level is peeled when it is dirty or when a carry
-        // reaches it.
-        let mut carry: Vec<VertexId> = Vec::new();
-        let mut k = 0u32;
-        loop {
-            // Without a carry, the prefix before the level's ⪯-earliest
-            // dirty endpoint replays verbatim; with one, the whole level is
-            // re-peeled.
-            let from = if carry.is_empty() {
-                match dirty.pop_first() {
-                    Some((lvl, w)) => {
-                        k = lvl;
-                        Some(self.korder.order_key(w))
-                    }
-                    None => break,
-                }
-            } else {
-                dirty.remove(&k);
-                None
-            };
-            let mut level: Vec<VertexId> = self.korder.iter_level(k).collect();
-            let skip =
-                from.map_or(0, |key| level.partition_point(|&x| self.korder.order_key(x) < key));
-            // Carry first: survivors precede the old members in the member
-            // seed order.
-            let mut members = std::mem::take(&mut carry);
-            members.extend_from_slice(&level[skip..]);
-            let (order, survivors) = self.peel_level(k, &members);
-            debug_assert_eq!(
-                order.len() + survivors.len(),
-                members.len(),
-                "peel at level {k} lost vertices"
-            );
-            for &x in &level {
-                self.korder.detach(x);
-            }
-            level.truncate(skip);
-            level.extend_from_slice(&order);
-            self.korder.install_level(k, &level);
-            changes.promoted.extend_from_slice(&survivors);
-            carry = survivors;
-            k += 1;
+    /// The heavy-batch branch: decompose after the insertions and again
+    /// after the deletions, and rebuild the K-order from the last
+    /// decomposition (module docs).
+    fn rebuild_batch(&mut self, batch: &EdgeBatch) -> Result<ChangeSet, GraphError> {
+        self.graph.insert_edges(&batch.insertions)?;
+        let mut changes = ChangeSet::default();
+        let mut last: Option<CoreDecomposition> = None;
+        if !batch.insertions.is_empty() {
+            let grown = self.decompose();
+            changes.promoted = moved(self.korder.core_slice(), grown.cores());
+            last = Some(grown);
         }
-        Ok(())
+        let mut deleted = Ok(());
+        if !batch.deletions.is_empty() {
+            deleted = batch.deletions.iter().try_for_each(|e| self.graph.remove_edge(e.u, e.v));
+            let shrunk = self.decompose();
+            let before = last.as_ref().map_or(self.korder.core_slice(), |d| d.cores());
+            changes.demoted = moved(before, shrunk.cores());
+            last = Some(shrunk);
+        }
+        if let Some(d) = last {
+            self.korder = KOrder::from_decomposition(&d);
+        }
+        deleted.map(|()| changes)
     }
 
-    /// Queue-peel the given members at `lvl`: repeatedly remove any member
-    /// whose support (neighbours of core > `lvl`, plus unremoved member
-    /// peers) is ≤ `lvl`. Returns the removal order and the survivors (in
-    /// member order).
-    fn peel_level(&mut self, lvl: u32, members: &[VertexId]) -> (Vec<VertexId>, Vec<VertexId>) {
+    /// A from-scratch decomposition of the graph, charged `n` visits.
+    fn decompose(&mut self) -> CoreDecomposition {
+        self.visited += self.graph.num_vertices() as u64;
+        CoreDecomposition::compute(&self.graph)
+    }
+
+    /// The order-based insertion of the edge `(a, b)`, which is already in
+    /// the graph: walk level `K` from the edge's ⪯-smaller endpoint, then
+    /// move the evicted and the promoted vertices (module docs). Pushes
+    /// the promoted vertices onto `promoted`.
+    fn order_insert(&mut self, a: VertexId, b: VertexId, promoted: &mut Vec<VertexId>) {
+        let u = if self.korder.precedes(a, b) { a } else { b };
+        let k = self.korder.core(u);
         let epoch = self.scratch.next_epoch();
         let sc = &mut self.scratch;
-        for &m in members {
-            sc.member[m as usize] = epoch;
-        }
-        // Initial supports: member peers count while unremoved (checked
-        // first so detached members never reach `core()`), outsiders count
-        // when they live strictly above this level. The count reads the
-        // raw level array, where detachment's `u32::MAX` sentinel would
-        // compare as "above" — safe, because the only vertices ever
-        // detached during a re-peel are the carry survivors, and those are
-        // members, counted by the member branch.
-        let level = self.korder.levels_raw();
-        for &m in members {
-            sc.support[m as usize] = self
-                .graph
-                .neighbors(m)
-                .iter()
-                .filter(|&&w| sc.member[w as usize] == epoch || level[w as usize] > lvl)
-                .count() as u32;
-        }
-        self.visited += members.len() as u64;
-
-        sc.queue.clear();
-        for &m in members {
-            if sc.support[m as usize] <= lvl {
-                sc.queued[m as usize] = epoch;
-                sc.queue.push(m);
+        let (level, label) = (self.korder.levels_raw(), self.korder.labels_raw());
+        // Scratch roles: `member` = reached by the walk (in the heap or
+        // examined); `support` = deg* until examined, then deg+ + deg* for
+        // a candidate and 0 for a vertex that stays; `removed` =
+        // candidate; `queued` = queued for eviction.
+        sc.heap.clear();
+        sc.candidates.clear();
+        sc.moves.clear();
+        sc.member[u as usize] = epoch;
+        sc.support[u as usize] = 0;
+        sc.heap.push(Reverse((label[u as usize], u)));
+        while let Some(Reverse((_, w))) = sc.heap.pop() {
+            let wi = w as usize;
+            let star = sc.support[wi];
+            if star == 0 && w != u {
+                continue; // every candidate before it was evicted again
             }
-        }
-
-        // Fixpoint: each popped vertex decrements its still-alive member
-        // neighbours. Pre-filtering the whole range is exact — neighbour
-        // lists hold distinct vertices, so the stamps a pop writes can't
-        // affect later entries of its own range.
-        let mut targets = std::mem::take(&mut sc.targets);
-        let mut order = Vec::with_capacity(members.len());
-        let mut head = 0usize;
-        while head < sc.queue.len() {
-            let x = sc.queue[head];
-            head += 1;
-            sc.removed[x as usize] = epoch;
-            order.push(x);
-            filter_alive(
-                self.graph.neighbors(x),
-                &sc.member,
-                &sc.removed,
-                &sc.queued,
-                epoch,
-                &mut targets,
-            );
-            for &w in &targets {
-                let wi = w as usize;
-                sc.support[wi] -= 1;
-                if sc.support[wi] <= lvl {
-                    sc.queued[wi] = epoch;
-                    sc.queue.push(w);
+            // deg+(w), and w's later neighbours on level K, in one scan.
+            let key = (k, label[wi]);
+            let mut plus = 0u32;
+            sc.targets.clear();
+            for &x in self.graph.neighbors(w) {
+                let xk = (level[x as usize], label[x as usize]);
+                if xk > key {
+                    plus += 1;
+                    if xk.0 == k {
+                        sc.targets.push(x);
+                    }
+                }
+            }
+            self.visited += 1;
+            if star + plus > k {
+                sc.removed[wi] = epoch;
+                sc.support[wi] = star + plus;
+                sc.candidates.push(w);
+                for &x in &sc.targets {
+                    let xi = x as usize;
+                    if sc.member[xi] != epoch {
+                        sc.member[xi] = epoch;
+                        sc.support[xi] = 0;
+                        sc.heap.push(Reverse((label[xi], x)));
+                    }
+                    sc.support[xi] += 1;
+                }
+                continue;
+            }
+            // w stays: every candidate neighbour (all precede w) loses it.
+            sc.support[wi] = 0;
+            sc.queue.clear();
+            for &c in self.graph.neighbors(w) {
+                if sc.removed[c as usize] == epoch {
+                    sc.lose(c, k, epoch);
+                }
+            }
+            let (mut head, mut p) = (0usize, w);
+            while head < sc.queue.len() {
+                let e = sc.queue[head];
+                head += 1;
+                sc.removed[e as usize] = 0;
+                sc.support[e as usize] = 0;
+                sc.moves.push((p, e));
+                p = e;
+                // A candidate neighbour counted e as moving up with it; a
+                // neighbour still in the heap counted e in its deg*.
+                for &y in self.graph.neighbors(e) {
+                    let yi = y as usize;
+                    if level[yi] != k || sc.member[yi] != epoch {
+                        continue;
+                    }
+                    if sc.removed[yi] == epoch {
+                        sc.lose(y, k, epoch);
+                    } else if sc.support[yi] > 0 {
+                        sc.support[yi] -= 1;
+                    }
                 }
             }
         }
-        sc.targets = targets;
-        self.visited += order.len() as u64;
 
-        let survivors: Vec<VertexId> =
-            members.iter().copied().filter(|&m| sc.removed[m as usize] != epoch).collect();
-        (order, survivors)
+        // Relink: the promoted leave level K first, so the evictions take
+        // their labels from the widest gaps.
+        let start = promoted.len();
+        promoted.extend(sc.candidates.iter().copied().filter(|&c| sc.removed[c as usize] == epoch));
+        for &c in &promoted[start..] {
+            self.korder.detach(c);
+        }
+        for &(p, e) in &sc.moves {
+            self.korder.detach(e);
+            self.korder.insert_after(p, e);
+        }
+        self.korder.prepend_to_level(k + 1, &promoted[start..]);
     }
 
     /// The mcd demotion cascade for level `k` after an edge deletion.
@@ -460,26 +527,15 @@ impl MaintainedCore {
     }
 }
 
-/// The screen: over the ⪯-smaller endpoints `w` of the new edges, the
-/// dirty ones — those with `deg+(w) > core(w)` in the updated graph —
-/// keyed by level, keeping each level's ⪯-earliest one. `korder` is the
-/// pre-batch order.
-fn screen(graph: &Graph, korder: &KOrder, edges: &[Edge]) -> BTreeMap<u32, VertexId> {
-    let mut dirty: BTreeMap<u32, VertexId> = BTreeMap::new();
-    for e in edges {
-        let w = if korder.precedes(e.u, e.v) { e.u } else { e.v };
-        if korder.deg_plus(graph, w) > korder.core(w) {
-            dirty
-                .entry(korder.core(w))
-                .and_modify(|earliest| {
-                    if korder.precedes(w, *earliest) {
-                        *earliest = w;
-                    }
-                })
-                .or_insert(w);
-        }
-    }
-    dirty
+/// The vertices whose core differs between `before` and `after`,
+/// ascending.
+fn moved(before: &[u32], after: &[u32]) -> Vec<VertexId> {
+    before
+        .iter()
+        .zip(after)
+        .enumerate()
+        .filter_map(|(v, (b, a))| (b != a).then_some(v as VertexId))
+        .collect()
 }
 
 #[cfg(test)]
@@ -579,28 +635,31 @@ mod tests {
 
     #[test]
     fn batch_application_matches_scratch() {
-        let mut g =
-            Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]).unwrap();
-        let mut mc = MaintainedCore::new(g.clone());
-        // Cores hold still, then rise (the K4 on 0..4), then fall again.
-        let batches = [
-            EdgeBatch::from_pairs([(0, 3), (1, 4)], [(2, 3)]),
-            EdgeBatch::from_pairs([(0, 4), (1, 3), (2, 3)], []),
-            EdgeBatch::from_pairs([], [(0, 1), (3, 5)]),
-        ];
-        for batch in &batches {
-            let before = CoreDecomposition::compute(&g);
-            let ch = mc.apply_batch(batch).unwrap();
-            g.apply_batch(batch).unwrap();
-            let after = CoreDecomposition::compute(&g);
-            for v in g.vertices() {
-                assert_eq!(mc.core(v), after.core(v), "vertex {v}");
+        for rebuild in [false, true] {
+            let mut g =
+                Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+                    .unwrap();
+            let mut mc = MaintainedCore::new(g.clone());
+            // Cores hold still, then rise (the K4 on 0..4), then fall again.
+            let batches = [
+                EdgeBatch::from_pairs([(0, 3), (1, 4)], [(2, 3)]),
+                EdgeBatch::from_pairs([(0, 4), (1, 3), (2, 3)], []),
+                EdgeBatch::from_pairs([], [(0, 1), (3, 5)]),
+            ];
+            for batch in &batches {
+                let before = CoreDecomposition::compute(&g);
+                let ch = mc.apply_batch_by(batch, rebuild).unwrap();
+                g.apply_batch(batch).unwrap();
+                let after = CoreDecomposition::compute(&g);
+                for v in g.vertices() {
+                    assert_eq!(mc.core(v), after.core(v), "vertex {v}");
+                }
+                assert_synced(&mc);
+                // The change set names exactly the vertices whose core moved.
+                let moved: Vec<VertexId> =
+                    g.vertices().filter(|&v| before.core(v) != after.core(v)).collect();
+                assert_eq!(ch.changed_vertices(), moved);
             }
-            assert_synced(&mc);
-            // The change set names exactly the vertices whose core moved.
-            let moved: Vec<VertexId> =
-                g.vertices().filter(|&v| before.core(v) != after.core(v)).collect();
-            assert_eq!(ch.changed_vertices(), moved);
         }
     }
 
@@ -748,66 +807,161 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repair_starts_at_the_earliest_dirty_endpoint() {
-        // Three disjoint 5-cycles: one level, core 2. A chord from a
-        // cycle's ⪯-first vertex (already two later neighbours) makes that
-        // vertex dirty but raises no core. With chords in the second and
-        // third cycles, the repair re-peels level 2 from the ⪯-earlier of
-        // the two, and every suffix vertex is visited twice: once to count
-        // its support, once when the peel removes it.
+    /// Vertices the insertion walk visits for a chord in the first of
+    /// `cycles` disjoint 5-cycles, all on level 2.
+    fn chord_visits(cycles: u32) -> u64 {
+        let n = 5 * cycles;
         let edges: Vec<(VertexId, VertexId)> =
-            (0..15).map(|v| (v, v / 5 * 5 + (v + 1) % 5)).collect();
-        let mut mc = MaintainedCore::new(Graph::from_edges(15, edges).unwrap());
-        let level: Vec<_> = mc.korder().iter_level(2).collect();
-        assert_eq!(level.len(), 15);
-        let mut chords = Vec::new();
-        for cycle in [1u32, 2] {
-            let w = *level.iter().find(|&&v| v / 5 == cycle).expect("cycle on level 2");
-            assert_eq!(mc.korder().deg_plus(mc.graph(), w), 2);
-            chords.push((w, cycle * 5 + (w + 2) % 5));
-        }
-        let from = level.iter().position(|&v| v == chords[0].0 || v == chords[1].0).unwrap();
-        assert!(from > 0, "the prefix must be non-empty for the skip to show");
-
+            (0..n).map(|v| (v, v / 5 * 5 + (v + 1) % 5)).collect();
+        let mut mc = MaintainedCore::new(Graph::from_edges(n as usize, edges).unwrap());
+        assert_eq!(mc.korder().live_count(2), n as usize);
+        // A chord from the first cycle's ⪯-first vertex, which already has
+        // two later neighbours: deg+ reaches 3 and the walk starts, but no
+        // core rises (a 5-cycle with one chord has no 3-core).
+        let w = mc.korder().iter_level(2).find(|&v| v < 5).expect("cycle on level 2");
         let visited = mc.visited_vertices();
-        let ch = mc.apply_batch(&EdgeBatch::from_pairs(chords, [])).unwrap();
+        let ch = mc.insert_edge(w, (w + 2) % 5).unwrap();
         assert!(ch.is_empty());
-        assert_eq!(mc.visited_vertices() - visited, 2 * (level.len() - from) as u64);
         assert!(mc.graph().vertices().all(|v| mc.core(v) == 2));
         assert_synced(&mc);
+        mc.visited_vertices() - visited
+    }
+
+    #[test]
+    fn insertion_walk_is_local() {
+        // The walk examines only the chord's cycle, however big level 2 is.
+        let visits = chord_visits(3);
+        assert!((1..=5).contains(&visits), "visited {visits}");
+        assert_eq!(chord_visits(30), visits);
+    }
+
+    /// Apply `batches` to `initial` on both branches of `apply_batch`, and
+    /// after every batch assert equal cores, equal change sets (those of
+    /// the edge-at-a-time repair) and valid K-orders on both sides.
+    fn assert_branches_agree(initial: &Graph, batches: &[EdgeBatch]) {
+        let mut repaired = MaintainedCore::new(initial.clone());
+        let mut rebuilt = MaintainedCore::new(initial.clone());
+        let mut per_edge = MaintainedCore::new(initial.clone());
+        for (i, batch) in batches.iter().enumerate() {
+            let mut reference = ChangeSet::default();
+            for e in &batch.insertions {
+                reference.absorb(per_edge.insert_edge(e.u, e.v).unwrap());
+            }
+            for e in &batch.deletions {
+                reference.absorb(per_edge.remove_edge(e.u, e.v).unwrap());
+            }
+            reference.dedup();
+            let a = repaired.apply_batch_by(batch, false).unwrap();
+            let b = rebuilt.apply_batch_by(batch, true).unwrap();
+            assert_eq!(a, reference, "batch {i}: repaired change set");
+            assert_eq!(b, reference, "batch {i}: rebuilt change set");
+            assert_eq!(repaired.korder().core_slice(), rebuilt.korder().core_slice());
+            assert!(repaired.graph().is_isomorphic_identity(rebuilt.graph()));
+            assert_synced(&repaired);
+            assert_synced(&rebuilt);
+        }
+    }
+
+    #[test]
+    fn branches_agree_on_random_streams() {
+        use rand::{Rng, SeedableRng};
+        for seed in [5u64, 77, 4096] {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let n = 40usize;
+            let mut g = Graph::new(n);
+            let mut batches = Vec::new();
+            for _ in 0..30 {
+                let mut ins = Vec::new();
+                for _ in 0..rng.gen_range(0..20usize) {
+                    let u = rng.gen_range(0..n) as VertexId;
+                    let v = rng.gen_range(0..n) as VertexId;
+                    let e = (u.min(v), u.max(v));
+                    if u != v && !g.has_edge(u, v) && !ins.contains(&e) {
+                        ins.push(e);
+                    }
+                }
+                let mut present: Vec<(VertexId, VertexId)> =
+                    g.edges().map(|e| (e.u, e.v)).chain(ins.iter().copied()).collect();
+                let mut del = Vec::new();
+                for _ in 0..rng.gen_range(0..8usize) {
+                    if present.is_empty() {
+                        break;
+                    }
+                    del.push(present.swap_remove(rng.gen_range(0..present.len())));
+                }
+                let batch = EdgeBatch::from_pairs(ins, del);
+                g.apply_batch(&batch).unwrap();
+                batches.push(batch);
+            }
+            assert_branches_agree(&Graph::new(n), &batches);
+        }
+    }
+
+    #[test]
+    fn branches_agree_on_dataset_streams() {
+        use avt_datasets::Dataset;
+        // Static churn on a hub-heavy graph, and a temporal window whose
+        // batches replace most of the graph.
+        for (ds, scale) in [(Dataset::Deezer, 0.01), (Dataset::CollegeMsg, 0.05)] {
+            let eg = ds.generate(scale, 8, 3);
+            assert_branches_agree(eg.initial(), eg.batches());
+        }
+    }
+
+    #[test]
+    fn promotions_exhaust_the_front_gap() {
+        // A 100-cycle (level 2) with a pendant on each of its first 70
+        // vertices (level 1). Tying each pendant to the next cycle vertex
+        // promotes it, alone, into the front of level 2: 70 moves into
+        // the one gap below the level's first label, which halves each
+        // time until the level is relabelled.
+        let mut edges: Vec<(VertexId, VertexId)> = (0..100).map(|v| (v, (v + 1) % 100)).collect();
+        edges.extend((0..70).map(|i| (100 + i, i)));
+        let mut mc = MaintainedCore::new(Graph::from_edges(170, edges).unwrap());
+        for i in 0..70 {
+            let ch = mc.insert_edge(100 + i, i + 1).unwrap();
+            assert_eq!(ch.promoted, vec![100 + i]);
+            assert_eq!(mc.korder().iter_level(2).next(), Some(100 + i));
+            assert_synced(&mc);
+        }
+        assert_eq!(mc.korder().live_count(2), 170);
     }
 
     #[test]
     fn batch_promotes_across_multiple_levels() {
         // One batch that lifts a vertex by more than one level: vertex 5
         // starts isolated (core 0) and the batch wires it into a K5's
-        // worth of edges, so the carry must ascend through several peels.
-        let g = Graph::from_edges(
-            6,
-            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
-        )
-        .unwrap();
-        let mut mc = MaintainedCore::new(g);
-        assert_eq!(mc.core(5), 0);
-        let batch = EdgeBatch::from_pairs([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)], []);
-        let ch = mc.apply_batch(&batch).unwrap();
-        assert!(mc.graph().vertices().all(|v| mc.core(v) == 5));
-        assert_eq!(ch.promoted.len(), 6);
-        assert_synced(&mc);
+        // worth of edges, so its core rises one level per edge.
+        for rebuild in [false, true] {
+            let g = Graph::from_edges(
+                6,
+                [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+            )
+            .unwrap();
+            let mut mc = MaintainedCore::new(g);
+            assert_eq!(mc.core(5), 0);
+            let batch = EdgeBatch::from_pairs([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)], []);
+            let ch = mc.apply_batch_by(&batch, rebuild).unwrap();
+            assert!(mc.graph().vertices().all(|v| mc.core(v) == 5));
+            assert_eq!(ch.promoted.len(), 6);
+            assert_synced(&mc);
+        }
     }
 
     #[test]
     fn batch_rejects_bad_edges() {
-        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
-        let mut mc = MaintainedCore::new(g);
-        let dup = EdgeBatch::from_pairs([(0, 1)], []);
-        assert!(mc.apply_batch(&dup).is_err());
-        let missing = EdgeBatch::from_pairs([], [(1, 2)]);
-        assert!(mc.apply_batch(&missing).is_err());
-        assert_synced(&mc);
+        for rebuild in [false, true] {
+            let g = Graph::from_edges(3, [(0, 1)]).unwrap();
+            let mut mc = MaintainedCore::new(g);
+            let dup = EdgeBatch::from_pairs([(0, 1)], []);
+            assert!(mc.apply_batch_by(&dup, rebuild).is_err());
+            let missing = EdgeBatch::from_pairs([(1, 2)], [(0, 2)]);
+            assert!(mc.apply_batch_by(&missing, rebuild).is_err());
+            // The insertion went in; the K-order follows the graph.
+            assert!(mc.graph().has_edge(1, 2));
+            assert_synced(&mc);
+        }
     }
-
     #[test]
     fn visited_counter_is_monotone() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();

@@ -23,9 +23,8 @@ pub fn shell_members(cores: &[u32], c: u32) -> Vec<VertexId> {
 /// The still-alive peers among `neigh`, written into `out` in neighbour
 /// order: vertices `w` with `member[w] == epoch && removed[w] != epoch &&
 /// queued[w] != epoch`. These are the support decrements of one popped
-/// vertex in an epoch-stamped peel fixpoint, which the level re-peel of
-/// [`crate::MaintainedCore`] and the follower peel of `avt-core`'s
-/// anchored state both run.
+/// vertex in an epoch-stamped peel fixpoint, the follower peel of
+/// `avt-core`'s anchored state.
 pub fn filter_alive(
     neigh: &[VertexId],
     member: &[u32],

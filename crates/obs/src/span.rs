@@ -27,8 +27,8 @@ pub enum Stage {
     /// Write path only: admission staging/folding inside the watermark
     /// buffer.
     Admit,
-    /// Write path only: batch publish (screen + repair) into the
-    /// timeline.
+    /// Write path only: batch publish (frame derivation + K-order repair)
+    /// into the timeline.
     Publish,
     /// Executor service time (for writes: whatever `run_job` spent
     /// outside admission).

@@ -22,7 +22,7 @@
 //! alike — funnel through one [`avt_serve::Admission`] watermark buffer,
 //! so out-of-order arrivals within the `--ingest-lag` window fold into
 //! the right epoch. Each published batch is repaired once, under the
-//! timeline's writer lock, by the batched K-order maintenance of
+//! timeline's writer lock, by the K-order maintenance of
 //! [`avt_kcore::MaintainedCore::apply_batch`].
 //!
 //! Exit status: 0 on a clean drain, 1 if any query worker panicked, 2 on

@@ -8,10 +8,14 @@
 //! * the **writer** applies each [`EdgeBatch`] twice, through the two
 //!   machines that already exist for exactly these jobs —
 //!   [`CsrGraph::apply_batch`] derives the next frozen frame functionally
-//!   (one merge pass, also validating the batch up front), and
+//!   (bulk copies of what the batch leaves alone, merges of the lists it
+//!   touches, after validating the batch up front), and
 //!   [`MaintainedCore`] repairs the K-order incrementally (§5.2 of the
 //!   paper), which both keeps core numbers O(1)-queryable and yields the
-//!   promoted/demoted [`ChangeSet`] per epoch;
+//!   promoted/demoted [`ChangeSet`] per epoch. A small write costs what it
+//!   changes: its edges' neighbour lists and the vertices whose order
+//!   they disturb, plus the O(n) copies of the offsets and cores that a
+//!   new epoch publishes;
 //! * **publication** swaps one `Arc<EpochFrame>` pointer. Readers grab the
 //!   current epoch with a refcount bump and from then on share the frozen
 //!   [`CsrGraph`] and its core array with every other reader, zero-copy:
@@ -171,7 +175,7 @@ impl LiveTimeline {
         self.epochs.load(Ordering::Relaxed)
     }
 
-    /// Cumulative vertices visited by the writer's maintenance re-peels
+    /// Cumulative vertices visited by the writer's K-order maintenance
     /// (the paper's "visited vertices" counter, here for the write path).
     pub fn maintenance_visited(&self) -> u64 {
         self.writer.lock().expect("writer lock poisoned").maintained.visited_vertices()

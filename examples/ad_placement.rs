@@ -55,7 +55,10 @@ fn main() {
         snapshots,
         100.0 * (1.0 - drift.mean_stability)
     );
-    if let Some((&veteran, &steps)) = drift.lifetimes.iter().max_by_key(|&(_, &s)| s) {
+    // Ties go to the smallest user id, so the line does not depend on the
+    // hash map's iteration order.
+    let longest = drift.lifetimes.iter().max_by_key(|&(&v, &s)| (s, std::cmp::Reverse(v)));
+    if let Some((&veteran, &steps)) = longest {
         println!(
             "Longest-serving target: user {veteran}, selected in {steps}/{snapshots} snapshots."
         );

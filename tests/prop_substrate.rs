@@ -132,6 +132,10 @@ proptest! {
             csr = csr.apply_batch(&batch).unwrap();
             prop_assert_eq!(csr.num_edges(), g.num_edges());
             prop_assert!(csr.to_graph().is_isomorphic_identity(&g));
+            // Byte for byte the frame a from-scratch freeze builds.
+            let fresh = CsrGraph::from_graph(&g);
+            prop_assert_eq!(csr.offsets(), fresh.offsets());
+            prop_assert_eq!(csr.targets(), fresh.targets());
         }
     }
 
