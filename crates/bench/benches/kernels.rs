@@ -18,6 +18,10 @@
 //!   instance: the two threshold cascades, the shell peel and the scratch
 //!   arrays every per-snapshot solver and every `FOLLOWERS`/`ANCHORED`
 //!   request pays.
+//! * `kernels/followers-of` — one `followers_of` on a state built for the
+//!   same instance, the query a `FOLLOWERS` request pays after the
+//!   construction. The anchor is the one Greedy commits first there, so
+//!   the query builds and peels a real forward closure.
 //! * `kernels/state-commit` — on the same state, commit the 10 anchors
 //!   Greedy picks on the `track` instance, then uncommit them in order:
 //!   twenty local repairs, which leave the state as it was built.
@@ -136,6 +140,19 @@ fn bench_state_new(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_followers_of(c: &mut Criterion) {
+    let csr = track_graph();
+    let mapped = mapped_copy(&csr);
+    let anchor = Greedy.solve_snapshot(1, &csr, AvtParams::new(TRACK_K, 1)).anchors[0];
+    let mut g = c.benchmark_group("kernels/followers-of");
+    g.sample_size(10);
+    let mut resident = AnchoredCoreState::new(&csr, TRACK_K);
+    g.bench_function("resident", |b| b.iter(|| resident.followers_of(anchor)));
+    let mut on_map = AnchoredCoreState::new(&mapped, TRACK_K);
+    g.bench_function("mmap", |b| b.iter(|| on_map.followers_of(anchor)));
+    g.finish();
+}
+
 fn bench_state_commit(c: &mut Criterion) {
     let csr = track_graph();
     let mapped = mapped_copy(&csr);
@@ -188,6 +205,7 @@ criterion_group!(
     bench_follower_scan,
     bench_evaluate,
     bench_state_new,
+    bench_followers_of,
     bench_state_commit,
     bench_greedy_solve,
     bench_members

@@ -54,24 +54,31 @@
 //!
 //! Every region vertex is a shell vertex, yet most of a shell vertex's
 //! neighbours lie outside the shell. The state therefore keeps an index of
-//! the shell: each shell vertex's *shell* neighbours, in the frame's
-//! neighbour order, and its *engaged count*, the number of its neighbours
-//! in `C_k(S)` (anchors included). A follower query reads `x`'s own
-//! neighbour list in full and everything else from the index:
+//! the shell laid out in the shell order: the shell vertex at position `s`
+//! of the order has *slot* `s`, and the index holds each slot's shell
+//! neighbours as slots, in the frame's neighbour order, and its *engaged
+//! count*, the number of its neighbours in `C_k(S)` (anchors included). A
+//! follower query reads `x`'s own neighbour list in full, turns its shell
+//! neighbours into slots, and from then on works on slots alone: its
+//! region, the region's stamps, the supports and the peel queue are arrays
+//! indexed by slot, so the closure, the support count and the peel read no
+//! per-vertex array.
 //!
 //! * closure expansion and the fixpoint keep only shell vertices (region
-//!   membership), so filtering the shell slice gives the same vertices in
-//!   the same order as filtering the full list;
+//!   membership), so a slot's slice holds the same vertices in the same
+//!   order as filtering its full list, and `v ⪯ w` between two shell
+//!   vertices is `slot(v) < slot(w)`;
 //! * support is `engaged(v)` plus the region peers and `x` counted over the
-//!   shell slice, plus one for each seed when `x` lies below the shell
+//!   slot's slice, plus one for each seed when `x` lies below the shell
 //!   (then `x` is in no slice, and its shell neighbours are exactly the
 //!   seeds).
 //!
 //! This is exact because the region holds only shell vertices, and a shell
 //! vertex's support from outside the shell — the engaged count — cannot
-//! change until the next commit or uncommit. The index is laid out in the
-//! shell order, so a shell vertex's slot is its position in it. The shell
-//! peel that lays down the order builds the index, in O(vol(shell)).
+//! change until the next commit or uncommit, and each of those rebuilds the
+//! index. The shell peel that lays down the order builds the index in
+//! O(vol(shell)) and sizes the slot arrays with it, so a query allocates
+//! nothing.
 //!
 //! ## The count memo
 //!
@@ -81,16 +88,44 @@
 //! so the follower count are a function of the state and the seed set
 //! alone, and below-shell anchors with the same shell neighbours have the
 //! same count. A below-shell candidate commonly has exactly one shell
-//! neighbour, so [`AnchoredCoreState::follower_count_of`] memoizes the
-//! count of each such anchor keyed by that one seed, at the seed's shell
-//! slot, and stamped with a count epoch. A commit, an uncommit and a
-//! restore each bump the epoch, which forgets every count at once; the
-//! shell slots stay put between two bumps, and the epoch wraps the way the
-//! scratch stamps do. Only the ordered count path reads or writes the memo:
-//! follower sets, the unordered (OLAK) path and a commit's own follower
-//! computation always evaluate. A count served from the memo is not an
-//! evaluation and visits nothing ([`Metrics::follower_evaluations`],
+//! neighbour, so the ordered count memoizes the count of each such anchor
+//! keyed by that one seed's shell slot, and stamped with a count epoch.
+//! The Theorem-3 candidate scan finds each candidate's key as it finds the
+//! candidate, since it walks every shell vertex's neighbours;
+//! [`AnchoredCoreState::follower_count_of`] reads the key off `x`'s
+//! neighbour list. A commit, an uncommit and a restore each bump the
+//! epoch, which forgets every count at once; the shell slots stay put
+//! between two bumps, and the epoch wraps the way the scratch stamps do.
+//! Only the ordered count path reads or writes the memo: follower sets,
+//! the unordered (OLAK) path, whose candidates carry no key, and a
+//! commit's own follower computation always evaluate. A count served from the memo is not an evaluation and
+//! visits nothing ([`Metrics::follower_evaluations`],
 //! [`Metrics::vertices_visited`]).
+//!
+//! ## Bound-and-skip
+//!
+//! A solver ranking candidates needs the count of a candidate only if it
+//! can win. Every follower of `x` lies in `x`'s region, so the region's size
+//! bounds the count. A ranking loop therefore passes each count the gain
+//! the candidate needs to win, its *floor*, and a query whose region is
+//! smaller than the floor answers "cannot win" without the support count
+//! and the peel. The skip is exact: such a candidate has fewer followers
+//! than the floor. Ties stay with the caller: Greedy's selection passes the
+//! best gain so far, not one more, so a candidate that could tie the best
+//! is still counted and wins when its id is smaller. A floor of 0 skips
+//! nothing, and [`AnchoredCoreState::follower_count_of`] is the same count
+//! with that floor. A skipped query is still an evaluation, and it still
+//! visits its region.
+//!
+//! The memo keeps the region size of a skipped query on a key as a *bound*
+//! until its next forget. A bound is never returned as a count: a later
+//! query on the key answers "cannot win" when the bound is below its floor,
+//! and evaluates otherwise. The skip rests on one invariant of the
+//! callers: within one memo epoch a caller's floor never falls, so a bound
+//! lies below every later floor of its epoch and is never evaluated again.
+//! Greedy's rounds, IncAVT's growth steps and each swap test keep it: their
+//! floors only rise, and each forgets the memo at its commit, uncommit or
+//! restore.
 //!
 //! # Construction, commits and uncommits
 //!
@@ -111,7 +146,6 @@
 //! builds for the same anchors, shell order and index included.
 
 use avt_graph::{Graph, GraphView, VertexId};
-use avt_kcore::shell::filter_alive;
 use avt_kcore::ANCHOR_CORE;
 
 use crate::metrics::Metrics;
@@ -124,6 +158,26 @@ const BELOW: u32 = 0;
 const SHELL: u32 = 1;
 const CORE: u32 = 2;
 const ANCHOR: u32 = 3;
+
+/// The memo key of a candidate that has none.
+const NO_KEY: u32 = u32::MAX;
+
+/// A candidate anchor with the count-memo key of its follower count: the
+/// shell slot of its one shell neighbour when it lies below the shell and
+/// has exactly one (see the module docs), and none otherwise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Candidate {
+    pub(crate) vertex: VertexId,
+    key: u32,
+}
+
+impl Candidate {
+    /// `vertex` with no key: its count neither reads nor writes the memo.
+    /// Right for the unordered count, which never memoizes.
+    pub(crate) fn unkeyed(vertex: VertexId) -> Self {
+        Candidate { vertex, key: NO_KEY }
+    }
+}
 
 /// Anchored k-core, (k-1)-core and shell order of one snapshot, with local
 /// follower queries and local commits.
@@ -157,16 +211,17 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     anchors: Vec<VertexId>,
     // Per vertex: BELOW, SHELL, CORE or ANCHOR.
     class: Vec<u32>,
-    // Per vertex: position in the shell order for shell vertices,
-    // `u32::MAX` for all others.
+    // Per vertex: the slot (position in the shell order) of a shell
+    // vertex, `u32::MAX` for all others.
     pos: Vec<u32>,
     core_size: usize,
     shell: ShellIndex,
-    // Scratch for the shell peel: the shell indexed in vertex-id order.
+    // Scratch for the shell peel: the shell indexed by rank in vertex-id
+    // order, its neighbours as ranks.
     spare: ShellIndex,
     metrics: Metrics,
-    // Epoch-stamped scratch for follower queries and repairs (no per-call
-    // allocation).
+    // Epoch-stamped per-vertex scratch for the repairs and the candidate
+    // scans (no per-call allocation).
     epoch: u32,
     in_region: Vec<u32>,
     removed: Vec<u32>,
@@ -175,6 +230,8 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     region: Vec<VertexId>,
     queue: Vec<VertexId>,
     targets: Vec<VertexId>,
+    // Per-slot scratch for follower queries, stamped with `epoch` too.
+    query: SlotScratch,
     memo: CountMemo,
 }
 
@@ -212,6 +269,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
+            query: SlotScratch::default(),
             memo: CountMemo::new(),
         };
         // The vertices peeled at k − 1 fall below the shell; those then
@@ -261,68 +319,76 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// vertex supported by its engaged count and its shell neighbours
     /// still in the peel. Construction and every repair end here, which is
     /// what makes the order a function of the graph, `k` and the anchors
-    /// alone.
+    /// alone. The query scratch grows to the shell's size here too.
     fn peel_shell(&mut self, ids: Vec<VertexId>) {
-        let (graph, k) = (self.graph, self.k);
-        let epoch = self.next_epoch();
-        // One scan of each shell vertex indexes it into `spare` at its rank
-        // in `ids`, which `pos` holds until the order replaces it.
-        let (class, spare) = (&self.class, &mut self.spare);
+        let (graph, k, class, pos) = (self.graph, self.k, &self.class, &mut self.pos);
+        let (spare, scratch) = (&mut self.spare, &mut self.query);
+        scratch.fit(ids.len());
+        // The peel runs on ranks in `ids`, which `pos` holds until the
+        // order replaces them; one scan of each shell vertex indexes its
+        // shell neighbours into `spare` as ranks.
+        for (r, &v) in ids.iter().enumerate() {
+            pos[v as usize] = r as u32;
+        }
         spare.offsets.clear();
         spare.nbrs.clear();
         spare.engaged.clear();
         spare.offsets.push(0);
-        self.queue.clear();
-        for (s, &v) in ids.iter().enumerate() {
-            self.pos[v as usize] = s as u32;
+        let (degree, queue) = (&mut scratch.support, &mut scratch.region);
+        queue.clear();
+        for (r, &v) in ids.iter().enumerate() {
             let mut engaged = 0u32;
             for &w in graph.neighbors(v) {
                 let c = class[w as usize];
                 if c == SHELL {
-                    spare.nbrs.push(w);
+                    spare.nbrs.push(pos[w as usize]);
                 }
                 engaged += u32::from(c >= CORE);
             }
-            let degree = engaged + (spare.nbrs.len() - spare.offsets[s]) as u32;
+            degree[r] = engaged + (spare.nbrs.len() - spare.offsets[r]) as u32;
             spare.offsets.push(spare.nbrs.len());
             spare.engaged.push(engaged);
-            self.support[v as usize] = degree;
-            if degree < k {
-                self.queued[v as usize] = epoch;
-                self.queue.push(v);
+            if degree[r] < k {
+                queue.push(r as u32);
             }
         }
+        // A rank is queued exactly when its degree has fallen below k.
         let mut head = 0;
-        while head < self.queue.len() {
-            let v = self.queue[head];
+        while head < queue.len() {
+            let r = queue[head] as usize;
             head += 1;
-            for &w in spare.neighbors(&self.pos, v) {
-                let wi = w as usize;
-                if self.queued[wi] != epoch {
-                    self.support[wi] -= 1;
-                    if self.support[wi] < k {
-                        self.queued[wi] = epoch;
-                        self.queue.push(w);
+            for &w in spare.slice(r) {
+                let d = &mut degree[w as usize];
+                if *d >= k {
+                    *d -= 1;
+                    if *d < k {
+                        queue.push(w);
                     }
                 }
             }
         }
-        debug_assert_eq!(self.queue.len(), ids.len(), "the shell peels out completely");
+        debug_assert_eq!(queue.len(), ids.len(), "the shell peels out completely");
 
+        // The removal order is the shell order; `degree`, spent, now maps
+        // each rank to its slot.
+        for (s, &r) in queue.iter().enumerate() {
+            degree[r as usize] = s as u32;
+        }
         let ix = &mut self.shell;
         ix.offsets.clear();
         ix.nbrs.clear();
         ix.engaged.clear();
+        ix.order.clear();
         ix.offsets.push(0);
-        for (p, &v) in self.queue.iter().enumerate() {
-            let s = self.pos[v as usize] as usize;
-            ix.nbrs.extend_from_slice(spare.slice(s));
+        for (s, &r) in queue.iter().enumerate() {
+            let r = r as usize;
+            ix.nbrs.extend(spare.slice(r).iter().map(|&w| degree[w as usize]));
             ix.offsets.push(ix.nbrs.len());
-            ix.engaged.push(spare.engaged[s]);
-            self.pos[v as usize] = p as u32;
+            ix.engaged.push(spare.engaged[r]);
+            ix.order.push(ids[r]);
+            pos[ids[r] as usize] = s as u32;
         }
         ix.ids = ids;
-        std::mem::swap(&mut ix.order, &mut self.queue);
     }
 
     /// Re-peel the shell after a repair moved vertices between classes:
@@ -436,6 +502,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             self.in_region.fill(0);
             self.removed.fill(0);
             self.queued.fill(0);
+            self.query.stamp.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -447,7 +514,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// not the graph. Returns an empty set when `x` is already in the core
     /// or already an anchor.
     pub fn followers_of(&mut self, x: VertexId) -> Vec<VertexId> {
-        self.evaluate(x, true);
+        self.evaluate(Candidate::unkeyed(x), true, 0);
         self.followers().collect()
     }
 
@@ -457,30 +524,60 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// neighbour has been counted since the last commit, uncommit or
     /// restore.
     pub fn follower_count_of(&mut self, x: VertexId) -> usize {
-        let seed = self.seed_slot(x);
-        if let Some(count) = seed.and_then(|s| self.memo.get(s)) {
-            return count;
-        }
-        self.evaluate(x, true);
-        let count = self.followers().count();
-        if let Some(s) = seed {
-            self.memo.put(self.shell.order.len(), s, count);
-        }
-        count
+        let candidate = self.candidate(x);
+        self.count_followers(candidate, true, 0).expect("a floor of 0 skips no count")
     }
 
-    /// The memo key of `x`'s count: the shell slot of its one shell
-    /// neighbour, when `x` lies below the shell and has exactly one.
-    fn seed_slot(&self, x: VertexId) -> Option<usize> {
-        if self.class[x as usize] != BELOW {
+    /// `x` as a candidate, with the memo key read off its neighbour list:
+    /// the slot of its one shell neighbour, when `x` lies below the shell
+    /// and has exactly one. For callers whose candidates did not come from
+    /// [`Self::keyed_candidates`].
+    pub(crate) fn candidate(&self, x: VertexId) -> Candidate {
+        let mut key = NO_KEY;
+        if self.class[x as usize] == BELOW {
+            let mut seeds =
+                self.graph.neighbors(x).iter().filter(|&&w| self.class[w as usize] == SHELL);
+            if let (Some(&v), None) = (seeds.next(), seeds.next()) {
+                key = self.pos[v as usize];
+            }
+        }
+        Candidate { vertex: x, key }
+    }
+
+    /// The follower count of `c` if it can reach `floor`: `None` ("cannot
+    /// win") when `c`'s region — the forward closure, or the undirected one
+    /// when not `ordered` — holds fewer than `floor` vertices, which bounds
+    /// its followers below `floor` (Bound-and-skip in the module docs). A
+    /// keyed `c` reads and writes the count memo; OLAK's candidates are
+    /// unkeyed, so the unordered count always evaluates.
+    pub(crate) fn count_followers(
+        &mut self,
+        c: Candidate,
+        ordered: bool,
+        floor: usize,
+    ) -> Option<usize> {
+        let (key, memoized) = (c.key as usize, c.key != NO_KEY);
+        if memoized {
+            if let Some(count) = self.memo.get(key) {
+                return Some(count);
+            }
+            if self.memo.bound(key).is_some_and(|bound| bound < floor) {
+                return None;
+            }
+        }
+        let region = self.evaluate(c, ordered, floor);
+        let len = self.shell.order.len();
+        if region < floor {
+            if memoized {
+                self.memo.put_bound(len, key, region);
+            }
             return None;
         }
-        let mut seeds =
-            self.graph.neighbors(x).iter().filter(|&&w| self.class[w as usize] == SHELL);
-        match (seeds.next(), seeds.next()) {
-            (Some(&v), None) => Some(self.pos[v as usize] as usize),
-            _ => None,
+        let count = self.followers().count();
+        if memoized {
+            self.memo.put(len, key, count);
         }
+        Some(count)
     }
 
     /// Followers of `x` computed the OLAK way: the candidate region is the
@@ -490,136 +587,139 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// vertices are visited, which is precisely the inefficiency the
     /// paper's Figures 4/6/8 attribute to OLAK.
     pub fn followers_of_unordered(&mut self, x: VertexId) -> Vec<VertexId> {
-        self.evaluate(x, false);
+        self.evaluate(Candidate::unkeyed(x), false, 0);
         self.followers().collect()
     }
 
     /// Follower count via the unordered (OLAK) region.
     pub fn follower_count_of_unordered(&mut self, x: VertexId) -> usize {
-        self.evaluate(x, false);
-        self.followers().count()
+        self.count_followers(Candidate::unkeyed(x), false, 0).expect("a floor of 0 skips no count")
     }
 
-    /// One follower evaluation, as the solvers count them.
-    fn evaluate(&mut self, x: VertexId, ordered: bool) {
+    /// One follower evaluation, as the solvers count them. Returns the
+    /// size of `c`'s region; see [`Self::compute_followers`].
+    fn evaluate(&mut self, c: Candidate, ordered: bool, floor: usize) -> usize {
         self.metrics.follower_evaluations += 1;
-        self.compute_followers(x, ordered);
-    }
-
-    /// The followers the last [`Self::compute_followers`] found: region
-    /// members the fixpoint did not remove.
-    fn followers(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let epoch = self.epoch;
-        self.region.iter().copied().filter(move |&v| self.removed[v as usize] != epoch)
+        self.compute_followers(c, ordered, floor)
     }
 
     /// Core of the follower machinery: builds the forward-closure region
-    /// for anchor `x` (the undirected one when not `ordered`) and peels it;
-    /// survivors (region members not stamped `removed`) are the followers.
-    fn compute_followers(&mut self, x: VertexId, ordered: bool) {
-        let epoch = self.next_epoch();
-        self.region.clear();
+    /// for anchoring `c` (the undirected one when not `ordered`) and,
+    /// unless it holds fewer than `floor` slots, peels it; then the
+    /// survivors are the followers ([`Self::followers`]). Returns the
+    /// region's size.
+    fn compute_followers(&mut self, c: Candidate, ordered: bool, floor: usize) -> usize {
+        let region = self.closure(c, ordered);
+        if region >= floor {
+            self.peel(c.vertex);
+        }
+        region
+    }
 
+    /// The followers the last peel found: the region's slots whose support
+    /// stayed at `k` or more, as vertices.
+    fn followers(&self) -> impl Iterator<Item = VertexId> + '_ {
+        let (q, k, order) = (&self.query, self.k, &self.shell.order);
+        q.region
+            .iter()
+            .filter(move |&&s| q.support[s as usize] >= k)
+            .map(move |&s| order[s as usize])
+    }
+
+    /// Build the region of a follower query on `c` into the slot scratch
+    /// and return its size: the seeds, then their forward closure (the
+    /// undirected one when not `ordered`).
+    fn closure(&mut self, c: Candidate, ordered: bool) -> usize {
+        let x = c.vertex;
+        let epoch = self.next_epoch();
+        let (index, q) = (&self.shell, &mut self.query);
+        q.region.clear();
         let x_class = self.class[x as usize];
         if x_class >= CORE {
-            return; // anchoring a core member or an anchor gains nothing
+            return 0; // anchoring a core member or an anchor gains nothing
         }
-
-        let mut targets = std::mem::take(&mut self.targets);
-        let (graph, k, index) = (self.graph, self.k, &self.shell);
-        let (class, pos) = (&self.class, &self.pos);
-        // Region expansion: the shell vertices `w ≠ x` of `neigh` not yet
-        // in the region (`stamp`), at shell position `min_pos` or later.
-        let expand = |neigh: &[VertexId], stamp: &[u32], min_pos: u32, out: &mut Vec<VertexId>| {
-            out.clear();
-            out.extend(neigh.iter().copied().filter(|&w| {
-                let wi = w as usize;
-                class[wi] == SHELL && stamp[wi] != epoch && w != x && pos[wi] >= min_pos
-            }));
-        };
-
-        // Seeds: shell neighbours v of x with x ⪯ v. Both are shell
-        // vertices when the order matters, so `x ⪯ v` is a shell-position
-        // comparison; with x below the shell it is automatic. `expand`
-        // takes that as a position floor: `min_pos = 0` disables the
-        // condition (also the unordered OLAK variant). `x` may lie outside
-        // the shell, so this is the one full neighbour list a query reads.
-        let seed_min_pos = if ordered && x_class == SHELL { pos[x as usize] + 1 } else { 0 };
-        expand(graph.neighbors(x), &self.in_region, seed_min_pos, &mut targets);
-        for &v in &targets {
-            self.in_region[v as usize] = epoch;
-            self.region.push(v);
-        }
-        let seeds = self.region.len();
-
-        // Forward closure: v → w with w in the shell and v ⪯ w (both shell
-        // vertices, so again a position floor; dropped when unordered).
-        let mut head = 0usize;
-        while head < self.region.len() {
-            let v = self.region[head];
-            head += 1;
-            let min_pos = if ordered { pos[v as usize] + 1 } else { 0 };
-            expand(index.neighbors(pos, v), &self.in_region, min_pos, &mut targets);
-            for &w in &targets {
-                self.in_region[w as usize] = epoch;
-                self.region.push(w);
+        // A shell `x` takes part as a stamped slot whose support stays
+        // below k: the supports count it as a region peer, the peel never
+        // decrements it, and no expansion adds it.
+        let mut seed_floor = 0;
+        if x_class == SHELL {
+            let s = self.pos[x as usize];
+            q.stamp[s as usize] = epoch;
+            q.support[s as usize] = 0;
+            if ordered {
+                seed_floor = s + 1;
             }
         }
-        self.metrics.vertices_visited += self.region.len() as u64;
-
-        // Exact anchored peel on the region: support counts core members
-        // (the engaged count), the anchor x, and unremoved region peers.
-        // An `x` below the shell is in no shell slice; its shell neighbours
-        // are exactly the seeds.
-        let x_below_shell = x_class == BELOW;
-        for ri in 0..self.region.len() {
-            let v = self.region[ri];
-            let s = pos[v as usize] as usize;
-            let peers = index
-                .slice(s)
-                .iter()
-                .filter(|&&w| {
-                    w == x || class[w as usize] >= CORE || self.in_region[w as usize] == epoch
-                })
-                .count() as u32;
-            self.support[v as usize] =
-                index.engaged[s] + peers + u32::from(x_below_shell && ri < seeds);
-        }
-
-        self.queue.clear();
-        for ri in 0..self.region.len() {
-            let v = self.region[ri];
-            if self.support[v as usize] < k {
-                self.queued[v as usize] = epoch;
-                self.queue.push(v);
-            }
-        }
-        // Fixpoint: pre-filtering each popped vertex's range is exact —
-        // neighbour lists hold distinct vertices, so the stamps written
-        // while applying one range can't affect its own later entries.
-        let mut qhead = 0usize;
-        while qhead < self.queue.len() {
-            let v = self.queue[qhead];
-            qhead += 1;
-            self.removed[v as usize] = epoch;
-            filter_alive(
-                index.neighbors(pos, v),
-                &self.in_region,
-                &self.removed,
-                &self.queued,
-                epoch,
-                &mut targets,
-            );
-            for &w in &targets {
-                let wi = w as usize;
-                self.support[wi] -= 1;
-                if self.support[wi] < k {
-                    self.queued[wi] = epoch;
-                    self.queue.push(w);
+        // Seeds: shell neighbours v of x with x ⪯ v, a slot comparison when
+        // x is in the shell and automatic below it (`seed_floor` 0, also
+        // when unordered). A keyed x has one, the key. Otherwise `x` may lie
+        // outside the shell, so this is the one full neighbour list a query
+        // reads.
+        if c.key != NO_KEY {
+            q.stamp[c.key as usize] = epoch;
+            q.region.push(c.key);
+        } else {
+            for &w in self.graph.neighbors(x) {
+                if self.class[w as usize] == SHELL {
+                    let s = self.pos[w as usize];
+                    if s >= seed_floor {
+                        q.stamp[s as usize] = epoch;
+                        q.region.push(s);
+                    }
                 }
             }
         }
-        self.targets = targets;
+        q.seeds = q.region.len();
+        // Forward closure: slot s → t for every later slot t (every t when
+        // unordered) not yet in the region.
+        let mut head = 0;
+        while head < q.region.len() {
+            let s = q.region[head];
+            head += 1;
+            let from = if ordered { s + 1 } else { 0 };
+            for &t in index.slice(s as usize) {
+                if t >= from && q.stamp[t as usize] != epoch {
+                    q.stamp[t as usize] = epoch;
+                    q.region.push(t);
+                }
+            }
+        }
+        self.metrics.vertices_visited += q.region.len() as u64;
+        q.region.len()
+    }
+
+    /// Exact anchored peel on the region [`Self::closure`] built for `x`:
+    /// support counts core members (the engaged count), the anchor `x`, and
+    /// unremoved region peers. A below-shell `x` is in no slice; its shell
+    /// neighbours are exactly the seeds. A slot is queued exactly when its
+    /// support falls below `k`, so the survivors are the slots whose support
+    /// ends at `k` or more.
+    fn peel(&mut self, x: VertexId) {
+        let (k, epoch, index) = (self.k, self.epoch, &self.shell);
+        let SlotScratch { stamp, support, region, queue, seeds } = &mut self.query;
+        let x_below_shell = self.class[x as usize] == BELOW;
+        for (i, &s) in region.iter().enumerate() {
+            let s = s as usize;
+            let peers =
+                index.slice(s).iter().filter(|&&t| stamp[t as usize] == epoch).count() as u32;
+            support[s] = index.engaged[s] + peers + u32::from(x_below_shell && i < *seeds);
+        }
+        queue.clear();
+        queue.extend(region.iter().copied().filter(|&s| support[s as usize] < k));
+        let mut head = 0;
+        while head < queue.len() {
+            let s = queue[head] as usize;
+            head += 1;
+            for &t in index.slice(s) {
+                let t = t as usize;
+                if stamp[t] == epoch && support[t] >= k {
+                    support[t] -= 1;
+                    if support[t] < k {
+                        queue.push(t as u32);
+                    }
+                }
+            }
+        }
     }
 
     /// Commit `x` as an anchor. `x` and its followers join `C_k(S)`; if
@@ -636,12 +736,12 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             self.class[x as usize] = ANCHOR;
             return;
         }
-        self.compute_followers(x, true);
-        let epoch = self.epoch;
+        self.compute_followers(Candidate::unkeyed(x), true, 0);
+        let (k, q, order) = (self.k, &self.query, &self.shell.order);
         let mut joined = 1;
-        for &v in &self.region {
-            if self.removed[v as usize] != epoch {
-                self.class[v as usize] = CORE;
+        for &s in &q.region {
+            if q.support[s as usize] >= k {
+                self.class[order[s as usize] as usize] = CORE;
                 joined += 1;
             }
         }
@@ -795,6 +895,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             for (p, &v) in shell.order.iter().enumerate() {
                 self.pos[v as usize] = p as u32;
             }
+            // The slot scratch never shrinks, so it covers every shell this
+            // state has laid out.
+            debug_assert!(self.query.stamp.len() >= shell.order.len());
             self.shell = shell;
         }
     }
@@ -864,31 +967,44 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// that `x ⪯ v`. Only these can have any followers. The scan walks the
     /// shell's neighbourhoods (O(|shell| + vol(shell))).
     pub fn candidates(&mut self) -> Vec<VertexId> {
+        self.keyed_candidates().into_iter().map(|c| c.vertex).collect()
+    }
+
+    /// [`Self::candidates`], each with its count-memo key. The scan reads
+    /// every edge between the shell and the vertices below it, so it sees
+    /// every shell neighbour of a below-shell candidate: the first gives
+    /// the key, a second takes it away.
+    pub(crate) fn keyed_candidates(&mut self) -> Vec<Candidate> {
         let epoch = self.next_epoch();
-        let mut targets = std::mem::take(&mut self.targets);
-        let mut out = Vec::new();
-        let (class, pos) = (&self.class, &self.pos);
+        let mut out: Vec<Candidate> = Vec::new();
+        let (class, pos, stamp) = (&self.class, &self.pos, &mut self.in_region);
+        // Per stamped below-shell candidate: its index in `out`.
+        let at = &mut self.support;
         for &v in &self.shell.ids {
-            // Keep unstamped x with `x ⪯ v`: below the shell, or in it and
-            // removed earlier. Anchors and core members fail both arms
-            // (their class is above the shell), so no separate tests needed.
+            // Keep x with `x ⪯ v`: below the shell, or in it and removed
+            // earlier. Anchors and core members fail both arms (their class
+            // is above the shell), so no separate tests are needed.
             let pos_v = pos[v as usize];
-            targets.clear();
-            targets.extend(self.graph.neighbors(v).iter().copied().filter(|&w| {
+            for &w in self.graph.neighbors(v) {
                 let wi = w as usize;
-                self.in_region[wi] != epoch
-                    && (class[wi] < SHELL || (class[wi] == SHELL && pos[wi] < pos_v))
-            }));
-            for &x in &targets {
-                self.in_region[x as usize] = epoch;
-                out.push(x);
+                if class[wi] == BELOW {
+                    if stamp[wi] != epoch {
+                        stamp[wi] = epoch;
+                        at[wi] = out.len() as u32;
+                        out.push(Candidate { vertex: w, key: pos_v });
+                    } else {
+                        out[at[wi] as usize].key = NO_KEY;
+                    }
+                } else if class[wi] == SHELL && pos[wi] < pos_v && stamp[wi] != epoch {
+                    stamp[wi] = epoch;
+                    out.push(Candidate::unkeyed(w));
+                }
             }
             // A shell vertex can anchor itself if it precedes a fellow
             // shell neighbour — that case is covered by the scan above when
             // the roles are swapped, so nothing more to do here.
         }
         self.metrics.vertices_visited += self.shell.ids.len() as u64;
-        self.targets = targets;
         out
     }
 
@@ -942,11 +1058,12 @@ pub(crate) struct KeptAnchor {
 struct ShellIndex {
     /// The shell's vertices in vertex-id order.
     ids: Vec<VertexId>,
-    /// The shell's vertices in the shell order.
+    /// The shell's vertices in the shell order: the vertex of each slot.
     order: Vec<VertexId>,
-    /// Slot `s`'s shell neighbours are `nbrs[offsets[s]..offsets[s + 1]]`.
+    /// Slot `s`'s shell neighbours are `nbrs[offsets[s]..offsets[s + 1]]`,
+    /// as slots.
     offsets: Vec<usize>,
-    nbrs: Vec<VertexId>,
+    nbrs: Vec<u32>,
     /// Per slot: neighbours in `C_k(S)`, anchors included.
     engaged: Vec<u32>,
 }
@@ -954,27 +1071,52 @@ struct ShellIndex {
 impl ShellIndex {
     /// Shell neighbours of slot `s`, in the frame's neighbour order.
     #[inline]
-    fn slice(&self, s: usize) -> &[VertexId] {
+    fn slice(&self, s: usize) -> &[u32] {
         &self.nbrs[self.offsets[s]..self.offsets[s + 1]]
-    }
-
-    /// Shell neighbours of the shell vertex `v`, whose slot is its shell
-    /// position `pos[v]`.
-    #[inline]
-    fn neighbors(&self, pos: &[u32], v: VertexId) -> &[VertexId] {
-        self.slice(pos[v as usize] as usize)
     }
 }
 
-/// Follower counts of single-seed below-shell anchors, keyed by the seed
-/// (see the module docs). Slot `s` holds a stamp and the count of
-/// anchoring a below-shell vertex whose one shell neighbour sits at shell
-/// slot `s`; the count is current while the stamp equals `epoch`. The
-/// slots grow to the shell's size when a count is memoized, so states
-/// that never rank candidates pay nothing for them.
+/// Scratch of a follower query, indexed by shell slot: the region in
+/// discovery order, its first `seeds` entries the seeds; per slot, a
+/// region stamp and the support; and the peel queue. The shell peel uses
+/// `support` and `region` for its own peel too.
+#[derive(Default)]
+struct SlotScratch {
+    stamp: Vec<u32>,
+    support: Vec<u32>,
+    region: Vec<u32>,
+    queue: Vec<u32>,
+    seeds: usize,
+}
+
+impl SlotScratch {
+    /// Grow the per-slot arrays to cover a shell of `len` slots. New
+    /// stamps are 0, which no epoch ever is.
+    fn fit(&mut self, len: usize) {
+        if self.stamp.len() < len {
+            self.stamp.resize(len, 0);
+            self.support.resize(len, 0);
+        }
+    }
+}
+
+/// Follower counts of single-seed below-shell anchors, keyed by the seed's
+/// slot (see the module docs). Slot `s` holds a stamp and either the count
+/// of anchoring a below-shell vertex whose one shell neighbour sits at slot
+/// `s`, or, after a skipped query, an upper bound on it; the entry is
+/// current while the stamp equals `epoch`. The slots grow to the shell's
+/// size when a count is memoized, so states that never rank candidates pay
+/// nothing for them.
 struct CountMemo {
     epoch: u32,
-    slots: Vec<(u32, u32)>,
+    slots: Vec<MemoSlot>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct MemoSlot {
+    stamp: u32,
+    value: u32,
+    bound: bool,
 }
 
 impl CountMemo {
@@ -983,26 +1125,46 @@ impl CountMemo {
         CountMemo { epoch: 1, slots: Vec::new() }
     }
 
+    /// The current entry at slot `s`, if any.
+    fn entry(&self, s: usize) -> Option<MemoSlot> {
+        self.slots.get(s).copied().filter(|slot| slot.stamp == self.epoch)
+    }
+
+    /// The count memoized for the seed at slot `s`; never a bound.
     fn get(&self, s: usize) -> Option<usize> {
-        match self.slots.get(s) {
-            Some(&(stamp, count)) if stamp == self.epoch => Some(count as usize),
-            _ => None,
-        }
+        self.entry(s).filter(|slot| !slot.bound).map(|slot| slot.value as usize)
+    }
+
+    /// The bound memoized for the seed at slot `s`, if a query on it
+    /// skipped its peel.
+    fn bound(&self, s: usize) -> Option<usize> {
+        self.entry(s).filter(|slot| slot.bound).map(|slot| slot.value as usize)
     }
 
     /// Memoize `count` for the seed at slot `s` of a shell of `len`.
     fn put(&mut self, len: usize, s: usize, count: usize) {
+        self.store(len, s, count, false);
+    }
+
+    /// Memoize `bound` as an upper bound on the count of the seed at slot
+    /// `s` of a shell of `len`.
+    fn put_bound(&mut self, len: usize, s: usize, bound: usize) {
+        self.store(len, s, bound, true);
+    }
+
+    fn store(&mut self, len: usize, s: usize, value: usize, bound: bool) {
         if self.slots.len() < len {
-            self.slots.resize(len, (0, 0));
+            self.slots.resize(len, MemoSlot::default());
         }
-        // A count never exceeds the vertex count, which fits a VertexId.
-        self.slots[s] = (self.epoch, count as u32);
+        // Counts and region sizes never exceed the vertex count, which fits
+        // a VertexId.
+        self.slots[s] = MemoSlot { stamp: self.epoch, value: value as u32, bound };
     }
 
     /// Forget every count: the state they were counted on has changed.
     fn forget(&mut self) {
         if self.epoch == u32::MAX {
-            self.slots.fill((0, 0));
+            self.slots.fill(MemoSlot::default());
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -1015,6 +1177,8 @@ impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
     /// answers follower queries independently of the original.
     fn clone(&self) -> Self {
         let n = self.graph.num_vertices();
+        let mut query = SlotScratch::default();
+        query.fit(self.shell.order.len());
         AnchoredCoreState {
             graph: self.graph,
             k: self.k,
@@ -1033,6 +1197,7 @@ impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
+            query,
             memo: CountMemo::new(),
         }
     }
@@ -1303,6 +1468,106 @@ mod tests {
         assert_eq!(st.followers_of(6).len(), 2);
         assert_eq!(st.follower_count_of_unordered(6), 2);
         assert_eq!(st.metrics().follower_evaluations, 6);
+    }
+
+    #[test]
+    fn bound_entries_are_never_counts_and_every_repair_forgets_them() {
+        // k = 3 around the K4 {0, 1, 2, 3}: the shell chain 4 → 5 → 6 needs
+        // 7, which comes earlier in the shell order, so no anchor on 4
+        // reaches it. Anchoring 8 or 9, which hang off 4 alone, has the
+        // region {4, 5, 6} and no followers.
+        let g = Graph::from_edges(
+            10,
+            [
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (1, 3),
+                (2, 3),
+                (4, 0),
+                (4, 5),
+                (5, 2),
+                (5, 6),
+                (6, 3),
+                (6, 7),
+                (7, 0),
+                (8, 4),
+                (9, 4),
+            ],
+        )
+        .unwrap();
+        let mut st = AnchoredCoreState::new(&g, 3);
+        let (c8, c9) = (st.candidate(8), st.candidate(9));
+        assert!(c8.key != NO_KEY && c8.key == c9.key, "both are keyed by 4's slot");
+        let key = c8.key as usize;
+        let evaluations = |st: &AnchoredCoreState<'_>| st.metrics().follower_evaluations;
+        // A floor above the region skips the peel and memoizes the bound.
+        assert_eq!(st.count_followers(c8, true, 4), None);
+        assert_eq!((st.memo.bound(key), st.memo.get(key)), (Some(3), None));
+        assert_eq!(evaluations(&st), 1);
+        // The same key under a floor the bound stays below costs nothing.
+        assert_eq!(st.count_followers(c9, true, 5), None);
+        assert_eq!(evaluations(&st), 1);
+        // Under a floor the bound reaches, the query evaluates: a bound is
+        // never answered as a count.
+        assert_eq!(st.count_followers(c9, true, 3), Some(0));
+        assert_eq!(st.follower_count_of(8), 0);
+        assert_eq!(evaluations(&st), 2);
+        assert_eq!(naive_followers(&g, 3, &[], 8), Vec::<VertexId>::new());
+        // A commit, an uncommit and a restore each forget a bound; none of
+        // them moves the shell here, so the key stays 4's slot.
+        assert_eq!(st.follower_count_of(4), 0);
+        st.memo.forget();
+        let bound_after = |st: &mut AnchoredCoreState<'_>, repair: &str| {
+            assert_eq!(st.memo.bound(key), None, "{repair} forgets the bound");
+            assert_eq!(st.count_followers(c8, true, 4), None, "{repair}");
+            assert_eq!(st.memo.bound(key), Some(3), "{repair}");
+        };
+        assert_eq!(st.count_followers(c8, true, 4), None);
+        st.commit_anchor(0);
+        bound_after(&mut st, "a commit");
+        let kept = st.uncommit_keeping(0);
+        bound_after(&mut st, "an uncommit");
+        st.restore_anchor(kept);
+        assert_eq!(st.memo.bound(key), None, "a restore forgets the bound");
+        assert_eq!(st.candidate(8), c8);
+    }
+
+    #[test]
+    fn the_candidate_scan_finds_the_keys_a_neighbour_scan_derives() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(37);
+        let mut keyed = 0;
+        for trial in 0..30 {
+            let (n, pendants) = (25usize, 10usize);
+            let mut g = Graph::new(n + pendants);
+            for _ in 0..80 {
+                let u = rng.gen_range(0..n) as VertexId;
+                let v = rng.gen_range(0..n) as VertexId;
+                if u != v && !g.has_edge(u, v) {
+                    g.insert_edge(u, v).unwrap();
+                }
+            }
+            for p in n..n + pendants {
+                for _ in 0..rng.gen_range(1usize..3) {
+                    let host = rng.gen_range(0..n) as VertexId;
+                    if !g.has_edge(p as VertexId, host) {
+                        g.insert_edge(p as VertexId, host).unwrap();
+                    }
+                }
+            }
+            let k = 2 + (trial % 3) as u32;
+            let mut st = AnchoredCoreState::new(&g, k);
+            let scanned = st.keyed_candidates();
+            let plain = st.candidates();
+            assert_eq!(scanned.iter().map(|c| c.vertex).collect::<Vec<_>>(), plain);
+            for &c in &scanned {
+                assert_eq!(c, st.candidate(c.vertex), "trial {trial} k = {k}");
+                keyed += usize::from(c.key != NO_KEY);
+            }
+        }
+        assert!(keyed > 0, "some candidate hangs off one shell vertex");
     }
 
     #[test]

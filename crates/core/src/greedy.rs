@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use avt_graph::{GraphView, VertexId};
 
-use crate::anchored::AnchoredCoreState;
+use crate::anchored::{AnchoredCoreState, Candidate};
 use crate::engine::SnapshotSolver;
 use crate::params::{AvtParams, SnapshotReport};
 
@@ -26,26 +26,29 @@ use crate::params::{AvtParams, SnapshotReport};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy;
 
-/// Evaluate `candidates` on `state` and return the best `(vertex, gain)`
-/// with gain > 0, ties broken toward the smallest vertex id.
+/// Count `candidates` on `state` and return the best `(vertex, gain)`
+/// with gain > 0, ties broken toward the smallest vertex id. Each count
+/// gets the best gain so far as its floor (1 before there is one): a
+/// candidate whose region is smaller cannot reach that gain, so its peel
+/// is skipped, while one that could tie is still counted, since it wins
+/// the tie when its id is smaller (Bound-and-skip in the
+/// `crate::anchored` docs). The floor never falls within a call, and the
+/// caller's commit after it forgets the memo.
 pub(crate) fn select_best<G: GraphView>(
     state: &mut AnchoredCoreState<'_, G>,
-    candidates: &[VertexId],
+    candidates: &[Candidate],
     order_based: bool,
 ) -> Option<(VertexId, usize)> {
     let mut best: Option<(VertexId, usize)> = None;
     for &c in candidates {
-        let gain = if order_based {
-            state.follower_count_of(c)
-        } else {
-            state.follower_count_of_unordered(c)
-        };
+        let floor = best.map_or(1, |(_, gain)| gain);
+        let Some(gain) = state.count_followers(c, order_based, floor) else { continue };
         if gain == 0 {
             continue;
         }
         best = match best {
-            Some((bv, bg)) if bg > gain || (bg == gain && bv < c) => Some((bv, bg)),
-            _ => Some((c, gain)),
+            Some((bv, bg)) if bg > gain || (bg == gain && bv < c.vertex) => Some((bv, bg)),
+            _ => Some((c.vertex, gain)),
         };
     }
     best
@@ -55,13 +58,15 @@ pub(crate) fn select_best<G: GraphView>(
 /// run up to `l` rounds, each probing what `candidates` returns and
 /// committing the winner of [`select_best`]; stop early when no candidate
 /// has any followers. `order_based` picks the §4.2 follower count over the
-/// unordered whole-shell search.
+/// unordered whole-shell search. Greedy's candidates come keyed from the
+/// Theorem-3 scan, so its probes read the count memo without re-reading
+/// their neighbour lists.
 pub(crate) fn solve_rounds<G: GraphView>(
     t: usize,
     frame: &G,
     params: AvtParams,
     order_based: bool,
-    mut candidates: impl FnMut(&mut AnchoredCoreState<'_, G>) -> Vec<VertexId>,
+    mut candidates: impl FnMut(&mut AnchoredCoreState<'_, G>) -> Vec<Candidate>,
 ) -> SnapshotReport {
     let start = Instant::now();
     let mut state = AnchoredCoreState::new(frame, params.k);
@@ -98,7 +103,7 @@ impl SnapshotSolver for Greedy {
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        solve_rounds(t, frame, params, true, |state| state.candidates())
+        solve_rounds(t, frame, params, true, |state| state.keyed_candidates())
     }
 }
 

@@ -20,7 +20,11 @@
 //!
 //! * Evaluating a swap `S_t \ {u} ∪ {v}` uses one anchored state for
 //!   `S_t \ {u}` plus a *local* follower query for each candidate `v`,
-//!   instead of a full evaluation per pair — identical results. A
+//!   instead of a full evaluation per pair — identical results. Each query
+//!   is passed the fewest followers with which `v` could still beat the
+//!   current set and the best swap so far (a tie with the best goes to the
+//!   smaller id), so a `v` whose region is smaller skips its peel
+//!   (Bound-and-skip in the `crate::anchored` docs). A
 //!   snapshot costs one construction of the anchored state for the
 //!   inherited anchors (its one whole-graph pass) plus local repairs: an
 //!   uncommit per swap test, a commit per swap made, an uncommit per
@@ -38,7 +42,7 @@ use std::time::Instant;
 use avt_graph::{EvolvingGraph, GraphError, VertexId};
 use avt_kcore::MaintainedCore;
 
-use crate::anchored::AnchoredCoreState;
+use crate::anchored::{AnchoredCoreState, Candidate};
 use crate::engine::{ReportSink, SnapshotSolver};
 use crate::greedy::{select_best, Greedy};
 use crate::metrics::Metrics;
@@ -152,8 +156,17 @@ fn local_search_snapshot(
                 if v == u || anchors.contains(&v) {
                     continue;
                 }
-                // |C_k(S\u ∪ v)| = |C_k(S\u)| + followers(v) + v itself.
-                let gain = state.follower_count_of(v);
+                // |C_k(S\u ∪ v)| = |C_k(S\u)| + followers(v) + v itself. A
+                // swap must beat the current set and tie the best swap so
+                // far (ties go to the smaller id), which takes `floor`
+                // followers at least: a v whose region is smaller cannot
+                // win and skips its peel. The floor only rises within a
+                // test, and each test starts with an uncommit, which
+                // forgets the memo.
+                let target = best.map_or(current_size + 1, |(_, size)| size);
+                let floor = target - (without_size + 1);
+                let candidate = state.candidate(v);
+                let Some(gain) = state.count_followers(candidate, true, floor) else { continue };
                 let swapped_size = without_size + gain + usize::from(!state.in_core(v));
                 if swapped_size > current_size {
                     best = match best {
@@ -194,8 +207,12 @@ fn local_search_snapshot(
 
     // Growth phase: fill remaining budget from the impacted pool.
     while anchors.len() < params.l {
-        let open: Vec<VertexId> =
-            pool.iter().copied().filter(|&v| !anchors.contains(&v) && !state.in_core(v)).collect();
+        let open: Vec<Candidate> = pool
+            .iter()
+            .copied()
+            .filter(|&v| !anchors.contains(&v) && !state.in_core(v))
+            .map(|v| state.candidate(v))
+            .collect();
         let Some((v, _)) = select_best(&mut state, &open, true) else { break };
         state.commit_anchor(v);
         anchors.push(v);

@@ -18,6 +18,7 @@
 
 use avt_graph::GraphView;
 
+use crate::anchored::Candidate;
 use crate::engine::SnapshotSolver;
 use crate::greedy::solve_rounds;
 use crate::params::{AvtParams, SnapshotReport};
@@ -36,7 +37,9 @@ impl SnapshotSolver for Olak {
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        solve_rounds(t, frame, params, false, |state| state.candidates_unordered())
+        solve_rounds(t, frame, params, false, |state| {
+            state.candidates_unordered().into_iter().map(Candidate::unkeyed).collect()
+        })
     }
 }
 

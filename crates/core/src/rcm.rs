@@ -86,7 +86,8 @@ impl SnapshotSolver for Rcm {
     ) -> SnapshotReport {
         solve_rounds(t, frame, params, true, |state| {
             let budget = (EVAL_BUDGET_FACTOR * params.l).max(8);
-            ranked_candidates(state, params.k).into_iter().take(budget).map(|(v, _)| v).collect()
+            let shortlist = ranked_candidates(state, params.k).into_iter().take(budget);
+            shortlist.map(|(v, _)| state.candidate(v)).collect()
         })
     }
 }

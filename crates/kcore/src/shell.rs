@@ -20,26 +20,6 @@ pub fn shell_members(cores: &[u32], c: u32) -> Vec<VertexId> {
     cores.iter().enumerate().filter_map(|(v, &cv)| (cv == c).then_some(v as VertexId)).collect()
 }
 
-/// The still-alive peers among `neigh`, written into `out` in neighbour
-/// order: vertices `w` with `member[w] == epoch && removed[w] != epoch &&
-/// queued[w] != epoch`. These are the support decrements of one popped
-/// vertex in an epoch-stamped peel fixpoint, the follower peel of
-/// `avt-core`'s anchored state.
-pub fn filter_alive(
-    neigh: &[VertexId],
-    member: &[u32],
-    removed: &[u32],
-    queued: &[u32],
-    epoch: u32,
-    out: &mut Vec<VertexId>,
-) {
-    out.clear();
-    out.extend(neigh.iter().copied().filter(|&w| {
-        let wi = w as usize;
-        member[wi] == epoch && removed[wi] != epoch && queued[wi] != epoch
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use avt_graph::{CsrGraph, EdgeBatch, EvolvingGraph, Graph, GraphError, VertexId};
-use avt_kcore::{ChangeSet, MaintainedCore};
+use avt_kcore::{ChangeSet, CoreSpectrum, MaintainedCore};
 
 /// One published epoch: the frozen frame plus the core numbers the writer
 /// maintained for it. Immutable once published; readers share it by `Arc`.
@@ -49,16 +49,39 @@ pub struct EpochFrame {
     /// construction, so `CORE` queries never pay a decomposition.
     pub cores: Arc<[u32]>,
     /// Shell histogram of `cores` (`shells[c]` = vertices with core
-    /// exactly `c`), derived once at publication so `SPECTRUM` queries
-    /// are a copy of O(degeneracy) counters, not an O(n) rescan each.
+    /// exactly `c`), derived once at publication from the previous
+    /// epoch's and the batch's core changes, so `SPECTRUM` queries are a
+    /// copy of O(degeneracy) counters, not an O(n) rescan each.
     pub shells: Vec<usize>,
 }
 
 impl EpochFrame {
-    /// Assemble an epoch, deriving the shell histogram from `cores`.
-    fn assemble(t: usize, frame: Arc<CsrGraph>, cores: Arc<[u32]>) -> EpochFrame {
-        let shells = avt_kcore::CoreSpectrum::from_cores(&cores).shells().to_vec();
-        EpochFrame { t, frame, cores, shells }
+    /// The first epoch, its shell histogram counted from `cores`.
+    fn first(frame: Arc<CsrGraph>, cores: &[u32]) -> EpochFrame {
+        let shells = CoreSpectrum::from_cores(cores).shells().to_vec();
+        EpochFrame { t: 1, frame, cores: cores.into(), shells }
+    }
+
+    /// The epoch after this one, reached by a batch that changed the core
+    /// numbers of `changes`' vertices to their values in `cores`. Its shell
+    /// histogram is this epoch's with each changed vertex moved from its
+    /// core here to its core in `cores`: O(changes), not a rescan. The
+    /// core array is still copied whole, because epochs share no array.
+    fn next(&self, frame: Arc<CsrGraph>, cores: &[u32], changes: &ChangeSet) -> EpochFrame {
+        let mut shells = self.shells.clone();
+        for v in changes.changed_vertices() {
+            let (old, new) = (self.cores[v as usize] as usize, cores[v as usize] as usize);
+            shells[old] -= 1;
+            if shells.len() <= new {
+                shells.resize(new + 1, 0);
+            }
+            shells[new] += 1;
+        }
+        // As `CoreSpectrum::from_cores`: the last shell is the top core's.
+        while shells.len() > 1 && shells.last() == Some(&0) {
+            shells.pop();
+        }
+        EpochFrame { t: self.t + 1, frame, cores: cores.into(), shells }
     }
 
     /// Core number of `v` at this epoch (0 for out-of-range ids).
@@ -83,7 +106,8 @@ pub struct EpochReport {
 struct Writer {
     maintained: MaintainedCore,
     history: EvolvingGraph,
-    frame: Arc<CsrGraph>,
+    /// The last published epoch, which the next batch starts from.
+    last: Arc<EpochFrame>,
 }
 
 /// A live evolving graph with epoch-published snapshots.
@@ -116,13 +140,10 @@ impl LiveTimeline {
     pub fn new(initial: Graph) -> Self {
         let frame = Arc::new(CsrGraph::from_graph(&initial));
         let maintained = MaintainedCore::new(initial.clone());
-        let epoch = Arc::new(EpochFrame::assemble(
-            1,
-            Arc::clone(&frame),
-            maintained.korder().core_slice().into(),
-        ));
+        let epoch = Arc::new(EpochFrame::first(frame, maintained.korder().core_slice()));
+        let history = EvolvingGraph::new(initial);
         LiveTimeline {
-            writer: Mutex::new(Writer { maintained, history: EvolvingGraph::new(initial), frame }),
+            writer: Mutex::new(Writer { maintained, history, last: Arc::clone(&epoch) }),
             published: RwLock::new(epoch),
             epochs: AtomicU64::new(1),
         }
@@ -145,18 +166,15 @@ impl LiveTimeline {
         let mut w = self.writer.lock().expect("writer lock poisoned");
         // Derive-and-validate first; only a clean batch reaches the
         // incremental maintenance below.
-        let next = Arc::new(w.frame.apply_batch(&batch)?);
+        let next = Arc::new(w.last.frame.apply_batch(&batch)?);
         let changes = w
             .maintained
             .apply_batch(&batch)
             .expect("batch already validated against the published frame");
         w.history.push_batch(batch);
-        w.frame = Arc::clone(&next);
-        let epoch = Arc::new(EpochFrame::assemble(
-            w.history.num_snapshots(),
-            next,
-            w.maintained.korder().core_slice().into(),
-        ));
+        let epoch = Arc::new(w.last.next(next, w.maintained.korder().core_slice(), &changes));
+        debug_assert_eq!(epoch.t, w.history.num_snapshots());
+        w.last = Arc::clone(&epoch);
         *self.published.write().expect("publish lock poisoned") = Arc::clone(&epoch);
         self.epochs.fetch_add(1, Ordering::Relaxed);
         Ok(EpochReport { epoch, changes })
@@ -319,6 +337,54 @@ mod tests {
         for history in &frozen {
             assert_eq!(history.batches(), &last.batches()[..history.num_snapshots() - 1]);
         }
+    }
+
+    #[test]
+    fn shell_histograms_follow_the_change_sets() {
+        // A random stream of light batches with two heavy ones, which
+        // `MaintainedCore` applies by decomposing (churn of 5 % of n + m or
+        // more), so both of its branches feed the histogram's updates.
+        let n = 60u32;
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % u64::from(bound)) as u32
+        };
+        let mut edges = Vec::new();
+        while edges.len() < 150 {
+            let (u, v) = (next(n), next(n));
+            if u != v && !edges.contains(&(u, v)) && !edges.contains(&(v, u)) {
+                edges.push((u, v));
+            }
+        }
+        let tl = LiveTimeline::new(Graph::from_edges(n as usize, edges).unwrap());
+        let mut heavy = 0;
+        for step in 0..120 {
+            let frame = Arc::clone(&tl.current().frame);
+            let churn = if step % 50 == 25 { 40 } else { 1 + next(3) as usize };
+            let (mut insert, mut delete) = (Vec::new(), Vec::new());
+            while insert.len() + delete.len() < churn {
+                let (u, v) = (next(n), next(n));
+                let pair = (u.min(v), u.max(v));
+                if u == v || insert.contains(&pair) || delete.contains(&pair) {
+                    continue;
+                }
+                if frame.has_edge(u, v) {
+                    delete.push(pair);
+                } else {
+                    insert.push(pair);
+                }
+            }
+            heavy += usize::from(20 * churn >= frame.num_vertices() + frame.num_edges());
+            let report = tl.apply_batch(EdgeBatch::from_pairs(insert, delete)).unwrap();
+            let epoch = tl.current();
+            assert!(Arc::ptr_eq(&report.epoch, &epoch));
+            let counted = avt_kcore::CoreSpectrum::from_cores(&epoch.cores);
+            assert_eq!(epoch.shells, counted.shells(), "epoch {}", epoch.t);
+        }
+        assert_eq!(heavy, 2, "the stream crosses the heavy-batch share twice");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the anchored-core engine: follower queries,
 //! Theorem-3 candidate completeness, and commit/uncommit consistency.
 
-use avt::algo::AnchoredCoreState;
+use avt::algo::{AnchoredCoreState, AvtParams, Greedy, Olak, SnapshotSolver};
 use avt::graph::{Graph, VertexId};
 use avt_core::oracle::{naive_anchored_core_size, naive_followers};
 use avt_kcore::{CoreDecomposition, ANCHOR_CORE};
@@ -165,6 +165,34 @@ fn check_against_fresh_build(
 /// The non-anchored vertices of `state` in class `class` (see [`class_of`]).
 fn of_class(state: &AnchoredCoreState<'_>, class: u8) -> Vec<VertexId> {
     state.graph().vertices().filter(|&v| class_of(state, v) == class).collect()
+}
+
+/// Up to `l` rounds of the greedy rule through the public API: each round
+/// counts the follower set of every candidate in full, commits the one
+/// with the most followers, ties going to the smaller id, and stops when
+/// no candidate has any. `ordered` takes Greedy's Theorem-3 candidates and
+/// forward-closure count; otherwise OLAK's candidates and unordered count.
+fn reference_rounds(g: &Graph, k: u32, l: usize, ordered: bool) -> Vec<VertexId> {
+    let mut state = AnchoredCoreState::new(g, k);
+    let mut anchors = Vec::new();
+    for _ in 0..l {
+        let candidates = if ordered { state.candidates() } else { state.candidates_unordered() };
+        let mut best: Option<(usize, VertexId)> = None;
+        for x in candidates {
+            let gain = if ordered {
+                state.followers_of(x).len()
+            } else {
+                state.followers_of_unordered(x).len()
+            };
+            if gain > 0 && best.is_none_or(|(bg, bv)| gain > bg || (gain == bg && x < bv)) {
+                best = Some((gain, x));
+            }
+        }
+        let Some((_, x)) = best else { break };
+        state.commit_anchor(x);
+        anchors.push(x);
+    }
+    anchors
 }
 
 proptest! {
@@ -360,6 +388,35 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every Greedy and OLAK round commits the candidate with the most
+    /// followers, ties going to the smaller id: the solvers pick the
+    /// anchors of rounds that count every candidate's follower set in full.
+    /// At k ≥ 3 the pendants lie below the shell with at most one shell
+    /// neighbour, so the solvers' rounds read memoized counts and bounds,
+    /// and skip the peels of candidates that cannot win.
+    #[test]
+    fn rounds_pick_the_best_candidate(
+        (n, mut pairs) in graph_strategy(30, 110),
+        pendants in proptest::collection::vec(0u32..30, 0..12),
+        k in 2u32..5,
+        l in 1usize..4,
+    ) {
+        let hosts = n as u32;
+        pairs.extend(pendants.iter().zip(hosts..).map(|(&p, v)| (v, p % hosts)));
+        let g = build(n + pendants.len(), &pairs);
+        let params = AvtParams::new(k, l);
+        prop_assert_eq!(
+            Greedy.solve_snapshot(1, &g, params).anchors,
+            reference_rounds(&g, k, l, true),
+            "Greedy at k = {}, l = {}", k, l
+        );
+        prop_assert_eq!(
+            Olak.solve_snapshot(1, &g, params).anchors,
+            reference_rounds(&g, k, l, false),
+            "OLAK at k = {}, l = {}", k, l
+        );
+    }
 
     /// The count memo never serves a stale count. After every commit or
     /// uncommit of a random sequence, every vertex's count is asked twice,
