@@ -135,15 +135,70 @@
 //! uncommits repair the state locally:
 //!
 //! * **commit `x`**: `x` and its followers join `C_k(S)`. If `x` lay below
-//!   the shell, `C_{k-1}(S)` gains the survivors of a threshold-(k−1) peel
-//!   over the below-shell vertices reachable from `x`. The shell is
-//!   re-peeled.
+//!   the shell, the vertices it *lifts* join `C_{k-1}(S)`: one pass over
+//!   the below-shell order finds them (below). The shell is re-peeled.
 //! * **uncommit `u`**: removal cascades from `u`, at threshold `k` and then
 //!   `k − 1`, drop what `u` alone held up. The shell is re-peeled.
 //!
 //! Both end in the same shell peel, so after any sequence of commits and
 //! uncommits the state equals the one [`AnchoredCoreState::with_anchors`]
 //! builds for the same anchors, shell order and index included.
+//!
+//! ## The below-shell order
+//!
+//! The construction's first cascade removes the vertices below the shell
+//! in a valid peel order of them. A vertex's support when it moved counts
+//! its neighbours not yet removed, and the cascade never decrements it
+//! again, so it is an upper bound, below `k − 1`, on the vertex's
+//! *remaining degree*: its neighbours in `C_{k-1}(S)` plus its later
+//! below-shell neighbours. The state keeps this order as a *rank* per
+//! below-shell vertex (in `pos`, beside the shell vertices' slots) and the
+//! support as the vertex's *bound* (in the cascades' `support` array).
+//! Ranks only grow; when the counter would pass `u32::MAX`, one pass
+//! renumbers the below-shell vertices in rank order.
+//!
+//! Committing a below-shell `x` lifts exactly the vertices of
+//! `C_{k-1}(S ∪ {x}) \ C_{k-1}(S)` other than `x`, and the order finds
+//! them locally, the way the shell order finds followers:
+//!
+//! 1. Anchoring one vertex raises every other vertex's anchored core
+//!    number by at most 1, so a lifted vertex comes from below the shell,
+//!    where core numbers are below `k − 1`, and lands in the shell, never
+//!    in `C_k`.
+//! 2. A lifted vertex `v` has at least `k − 1` neighbours in the new
+//!    `C_{k-1}`, but fewer than `k − 1` — its bound — in `C_{k-1}(S)` or
+//!    later in the order. So it needs `x` or an earlier lifted neighbour,
+//!    and by induction on rank every lifted vertex comes after `x` and is
+//!    reached from it through earlier lifted vertices.
+//! 3. The lift therefore makes one pass in rank order from `x`'s later
+//!    below-shell neighbours, popping the vertices it reaches from a heap
+//!    keyed on rank. It *keeps* a vertex when its count of earlier kept
+//!    neighbours (plus `x`) and its bound together reach `k − 1`, and it
+//!    reaches on only from kept vertices; a vertex of degree below `k − 1`
+//!    can never lift, and the pass skips it. By 2, every lifted vertex is
+//!    kept.
+//! 4. An exact threshold-(k − 1) peel of the kept set, counting
+//!    neighbours in `C_{k-1}(S) ∪ {x}` and kept peers, leaves exactly the
+//!    lifted vertices: an exact peel of any superset of the lifted
+//!    vertices is exact.
+//!
+//! The order stays valid through three append-only updates:
+//!
+//! * a vertex the pass reached but did not keep adds its count of earlier
+//!   kept neighbours (and `x`) to its bound, since each of those now lies
+//!   in `C_{k-1}` or at the end of the order;
+//! * a kept vertex the peel removes (an *eviction*) moves to the end of the
+//!   order, in peel order, with its final peel support as its bound;
+//! * a vertex an uncommit drops below the shell is appended, in drop order,
+//!   with the support its `demote` cascade counted as its bound.
+//!
+//! A restore needs none: the vertices it returns to the shell are the ones
+//! its uncommit appended, the end of the order. A vertex of degree below
+//! `k − 1` keeps its bound when a pass skips it; that bound may no longer
+//! cover its remaining degree, but no pass reads it.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use avt_graph::{Graph, GraphView, VertexId};
 use avt_kcore::ANCHOR_CORE;
@@ -212,8 +267,11 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     // Per vertex: BELOW, SHELL, CORE or ANCHOR.
     class: Vec<u32>,
     // Per vertex: the slot (position in the shell order) of a shell
-    // vertex, `u32::MAX` for all others.
+    // vertex, the rank (position in the below-shell order) of a vertex
+    // below the shell; unread for core members and anchors.
     pos: Vec<u32>,
+    // The rank the next vertex appended to the below-shell order gets.
+    next_rank: u32,
     core_size: usize,
     shell: ShellIndex,
     // Scratch for the shell peel: the shell indexed by rank in vertex-id
@@ -224,12 +282,15 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     // scans (no per-call allocation).
     epoch: u32,
     in_region: Vec<u32>,
-    removed: Vec<u32>,
     queued: Vec<u32>,
+    // Per vertex: the bound of a vertex below the shell (see the module
+    // docs); scratch for the cascades and the lift on all others.
     support: Vec<u32>,
     region: Vec<VertexId>,
     queue: Vec<VertexId>,
     targets: Vec<VertexId>,
+    // The lift's reached vertices, keyed on rank (rank << 32 | vertex).
+    heap: BinaryHeap<Reverse<u64>>,
     // Per-slot scratch for follower queries, stamped with `epoch` too.
     query: SlotScratch,
     memo: CountMemo,
@@ -255,7 +316,8 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             k,
             anchors: anchors.to_vec(),
             class,
-            pos: vec![u32::MAX; n],
+            pos: vec![0; n],
+            next_rank: 0,
             core_size: 0,
             shell: ShellIndex::default(),
             spare: ShellIndex::default(),
@@ -263,19 +325,21 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             metrics: Metrics { rebuilds: 1, vertices_visited: n as u64, ..Metrics::default() },
             epoch: 0,
             in_region: vec![0; n],
-            removed: vec![0; n],
             queued: vec![0; n],
             support: (0..n).map(|v| graph.degree(v as VertexId) as u32).collect(),
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
+            heap: BinaryHeap::new(),
             query: SlotScratch::default(),
             memo: CountMemo::new(),
         };
-        // The vertices peeled at k − 1 fall below the shell; those then
-        // peeled at k form it.
+        // The vertices peeled at k − 1 fall below the shell, ranked in the
+        // below-shell order, with their bounds left in `support`; those then
+        // peeled at k form the shell.
         let mut below = Vec::new();
         state.cascade(k - 1, BELOW, &mut below);
+        state.next_rank = below.len() as u32;
         let mut shell = Vec::new();
         state.cascade(k, SHELL, &mut shell);
         state.core_size = n - below.len() - shell.len();
@@ -288,12 +352,16 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// `support` below `t` moves to class `to`, and so, in turn, does every
     /// `CORE` vertex the moves leave below `t`. `support` must hold each
     /// `CORE` vertex's count of neighbours at `CORE` or above, and still
-    /// does for those that stay. Appends the moved vertices to `moved`.
+    /// does for those that stay. Appends the moved vertices to `moved`, in
+    /// a peel order of them, and sets each one's `pos` to its index there:
+    /// a moved vertex's `support` is never decremented again, so it stays
+    /// below `t` and counts every neighbour that stays or moves after it.
     fn cascade(&mut self, t: u32, to: u32, moved: &mut Vec<VertexId>) {
         let graph = self.graph;
         for v in 0..graph.num_vertices() {
             if self.class[v] == CORE && self.support[v] < t {
                 self.class[v] = to;
+                self.pos[v] = moved.len() as u32;
                 moved.push(v as VertexId);
             }
         }
@@ -307,6 +375,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
                     self.support[wi] -= 1;
                     if self.support[wi] < t {
                         self.class[wi] = to;
+                        self.pos[wi] = moved.len() as u32;
                         moved.push(w);
                     }
                 }
@@ -396,11 +465,6 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// `entered` now in it.
     fn reshell(&mut self, old: &[VertexId], entered: &[VertexId]) {
         let class = &self.class;
-        for &v in old {
-            if class[v as usize] != SHELL {
-                self.pos[v as usize] = u32::MAX;
-            }
-        }
         let mut ids: Vec<VertexId> =
             old.iter().chain(entered).copied().filter(|&v| class[v as usize] == SHELL).collect();
         ids.sort_unstable();
@@ -446,7 +510,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// class are unordered.
     pub fn precedes(&self, u: VertexId, v: VertexId) -> bool {
         let (u, v) = (u as usize, v as usize);
-        (self.class[u], self.pos[u]) < (self.class[v], self.pos[v])
+        let (cu, cv) = (self.class[u], self.class[v]);
+        // Below the shell `pos` holds ranks, which the K-order ignores.
+        cu < cv || (cu == SHELL && cv == SHELL && self.pos[u] < self.pos[v])
     }
 
     /// The anchored core numbers as far as this state knows them: `k` in
@@ -497,10 +563,11 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.shell.engaged[self.pos[v as usize] as usize]
     }
 
+    /// A fresh scratch epoch. The wrap clears the stamps only: `support`
+    /// holds the bounds of the below-shell order, which must survive it.
     fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
             self.in_region.fill(0);
-            self.removed.fill(0);
             self.queued.fill(0);
             self.query.stamp.fill(0);
             self.epoch = 0;
@@ -725,7 +792,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// Commit `x` as an anchor. `x` and its followers join `C_k(S)`; if
     /// `x` lay below the shell, the below-shell vertices it lifts join
     /// `C_{k-1}(S)`; then the shell is re-peeled. Local: the cost follows
-    /// the follower region, the lifted region and the shell.
+    /// the follower region, the vertices the lift reaches and the shell.
     pub fn commit_anchor(&mut self, x: VertexId) {
         let was = self.class[x as usize];
         assert!(was != ANCHOR, "vertex {x} is already anchored");
@@ -758,80 +825,117 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     }
 
     /// The growth of `C_{k-1}(S)` when the committed anchor `x` lay below
-    /// the shell. Every vertex `x` lifts has degree ≥ k − 1 and at least
-    /// k − 1 neighbours in the new `C_{k-1}`, and reaches `x` through other
-    /// lifted vertices (a part out of `x`'s reach would have been in
-    /// `C_{k-1}(S)` already). So a search from `x` scans each reached
-    /// below-shell vertex once, counting its possible supporters — those
-    /// at the shell or above, and those below it with degree ≥ k − 1 that
-    /// are not ruled out — and reaches on only through vertices with at
-    /// least k − 1 of them. A vertex short of k − 1 is ruled out, and so,
-    /// in cascade, is every scanned vertex left short by that. Lifted
-    /// vertices are never ruled out, so the scanned vertices that remain
-    /// are exactly the lifted. Appends them to `lifted`, now in the shell.
+    /// the shell, by one pass over the below-shell order (see the module
+    /// docs): in rank order from `x`'s later below-shell neighbours, it
+    /// keeps each reached vertex whose bound and count of earlier kept
+    /// neighbours (and `x`) reach k − 1, and reaches on from kept vertices
+    /// only; an exact threshold-(k − 1) peel of the kept set then leaves
+    /// exactly the lifted vertices. A passed-over vertex's bound absorbs its
+    /// count, and an evicted vertex moves to the end of the order. Charges
+    /// the vertices the pass reaches. Appends the lifted vertices to
+    /// `lifted`, now in the shell.
     fn lift(&mut self, x: VertexId, lifted: &mut Vec<VertexId>) {
-        let (graph, t) = (self.graph, self.k - 1);
-        // Stamps: `in_region` reached, `queued` scanned, `removed` ruled
-        // out; `support` counts a scanned vertex's possible supporters.
+        let t = self.k - 1;
+        // Stamps: `in_region` reached, `queued` kept. A reached vertex's
+        // `support` is its bound plus its count so far; a kept vertex's is
+        // its count of neighbours in `C_{k-1}(S)`, `x` or the kept set.
         let epoch = self.next_epoch();
+        self.heap.clear();
         self.region.clear();
-        self.region.push(x);
-        self.in_region[x as usize] = epoch;
+        self.lift_scan(x, epoch);
+        while let Some(Reverse(key)) = self.heap.pop() {
+            let v = key as VertexId;
+            if self.support[v as usize] < t {
+                continue; // passed over: its bound now holds its count
+            }
+            self.queued[v as usize] = epoch;
+            self.region.push(v);
+            self.support[v as usize] = self.lift_scan(v, epoch);
+        }
+        let graph = self.graph;
+        self.queue.clear();
+        self.queue.extend(self.region.iter().copied().filter(|&v| self.support[v as usize] < t));
         let mut head = 0;
-        while head < self.region.len() {
-            let v = self.region[head];
+        while head < self.queue.len() {
+            let v = self.queue[head];
             head += 1;
-            let reached = self.region.len();
-            let mut support = 0u32;
             for &w in graph.neighbors(v) {
                 let wi = w as usize;
-                if self.class[wi] >= SHELL {
-                    support += 1;
-                } else if self.removed[wi] != epoch && graph.degree(w) as u32 >= t {
-                    support += 1;
-                    if self.in_region[wi] != epoch {
-                        self.in_region[wi] = epoch;
-                        self.region.push(w);
-                    }
-                }
-            }
-            if v == x {
-                continue;
-            }
-            self.support[v as usize] = support;
-            self.queued[v as usize] = epoch;
-            if support >= t {
-                continue;
-            }
-            // v can never lift: take back what it reached, and rule it
-            // out, decrementing the scanned vertices that counted it.
-            for &w in &self.region[reached..] {
-                self.in_region[w as usize] = 0;
-            }
-            self.region.truncate(reached);
-            self.removed[v as usize] = epoch;
-            self.queue.clear();
-            self.queue.push(v);
-            while let Some(z) = self.queue.pop() {
-                for &w in graph.neighbors(z) {
-                    let wi = w as usize;
-                    if self.queued[wi] == epoch && self.removed[wi] != epoch {
-                        self.support[wi] -= 1;
-                        if self.support[wi] < t {
-                            self.removed[wi] = epoch;
-                            self.queue.push(w);
-                        }
+                if self.queued[wi] == epoch && self.support[wi] >= t {
+                    self.support[wi] -= 1;
+                    if self.support[wi] < t {
+                        self.queue.push(w);
                     }
                 }
             }
         }
-        self.metrics.vertices_visited += (self.region.len() - 1) as u64;
-        for &v in &self.region[1..] {
-            if self.removed[v as usize] != epoch {
+        // The evicted keep their final peel support as their bound.
+        for i in 0..self.queue.len() {
+            self.append_below(self.queue[i]);
+        }
+        for &v in &self.region {
+            if self.support[v as usize] >= t {
                 self.class[v as usize] = SHELL;
                 lifted.push(v);
             }
         }
+    }
+
+    /// The lift's scan of `x` or of a kept `v`: reach each later
+    /// below-shell neighbour of degree ≥ k − 1 (no other can lift) and
+    /// count `v` for it, and count `v` for each earlier kept neighbour.
+    /// Returns `v`'s count of neighbours in `C_{k-1}(S)`, `x` included, and
+    /// earlier kept ones.
+    fn lift_scan(&mut self, v: VertexId, epoch: u32) -> u32 {
+        let (graph, t) = (self.graph, self.k - 1);
+        let rank = self.pos[v as usize];
+        let mut support = 0;
+        for &w in graph.neighbors(v) {
+            let wi = w as usize;
+            if self.class[wi] >= SHELL {
+                support += 1;
+            } else if self.pos[wi] > rank {
+                if graph.degree(w) as u32 >= t {
+                    if self.in_region[wi] != epoch {
+                        self.in_region[wi] = epoch;
+                        self.heap.push(Reverse(u64::from(self.pos[wi]) << 32 | u64::from(w)));
+                        self.metrics.vertices_visited += 1;
+                    }
+                    self.support[wi] += 1;
+                }
+            } else if self.queued[wi] == epoch {
+                support += 1;
+                self.support[wi] += 1;
+            }
+        }
+        support
+    }
+
+    /// Move `v` below the shell, to the end of the below-shell order; its
+    /// bound is the caller's to set. When the rank counter would pass
+    /// `u32::MAX`, the vertices below the shell are first renumbered in
+    /// rank order.
+    fn append_below(&mut self, v: VertexId) {
+        if self.next_rank == u32::MAX {
+            self.renumber_below();
+        }
+        self.class[v as usize] = BELOW;
+        self.pos[v as usize] = self.next_rank;
+        self.next_rank += 1;
+    }
+
+    /// Renumber the ranks of the vertices below the shell `0, 1, …` in rank
+    /// order: one pass over every vertex.
+    fn renumber_below(&mut self) {
+        let (class, pos) = (&self.class, &mut self.pos);
+        let mut below: Vec<VertexId> =
+            (0..class.len() as VertexId).filter(|&v| class[v as usize] == BELOW).collect();
+        below.sort_unstable_by_key(|&v| pos[v as usize]);
+        for (r, &v) in below.iter().enumerate() {
+            pos[v as usize] = r as u32;
+        }
+        self.next_rank = below.len() as u32;
+        self.metrics.vertices_visited += class.len() as u64;
     }
 
     /// Remove a committed anchor. Removal cascades from `u`, at threshold
@@ -879,6 +983,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         assert!(self.class[u as usize] != ANCHOR, "vertex {u} is already anchored");
         self.memo.forget();
         let (to_core, to_shell) = kept.dropped.split_at(kept.split);
+        // `to_shell` is what the uncommit appended to the below-shell
+        // order, its end: what stays below is the order the uncommit found,
+        // bounds included.
         for &v in to_shell {
             self.class[v as usize] = SHELL;
         }
@@ -889,9 +996,6 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.anchors.push(u);
         self.core_size = kept.core_size;
         if let Some(shell) = kept.shell {
-            for &v in &self.shell.order {
-                self.pos[v as usize] = u32::MAX;
-            }
             for (p, &v) in shell.order.iter().enumerate() {
                 self.pos[v as usize] = p as u32;
             }
@@ -907,7 +1011,11 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// `class` or above, and so does every vertex of class `class` the
     /// drops leave short of `t`. A vertex's count is taken when the cascade
     /// first reaches it, so the cost follows the dropped vertices'
-    /// neighbourhoods. Appends the dropped vertices to `dropped`.
+    /// neighbourhoods. Appends the dropped vertices to `dropped`. A vertex
+    /// dropped below the shell is appended to the below-shell order, in
+    /// drop order, with the count it had when queued as its bound: that
+    /// count covers every neighbour that stays at `class` or drops after
+    /// it.
     fn demote(&mut self, start: VertexId, class: u32, t: u32, dropped: &mut Vec<VertexId>) {
         let graph = self.graph;
         let epoch = self.next_epoch();
@@ -915,7 +1023,8 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             graph.neighbors(v).iter().filter(|&&w| classes[w as usize] >= class).count() as u32
         };
         let mut scans = 1;
-        if count(&self.class, start) >= t {
+        self.support[start as usize] = count(&self.class, start);
+        if self.support[start as usize] >= t {
             self.metrics.vertices_visited += scans;
             return;
         }
@@ -928,7 +1037,11 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             head += 1;
             // Dropped when popped, so a count taken later leaves v out
             // exactly when v's own decrement has already been applied.
-            self.class[v as usize] = class - 1;
+            if class == SHELL {
+                self.append_below(v);
+            } else {
+                self.class[v as usize] = class - 1;
+            }
             dropped.push(v);
             for &w in graph.neighbors(v) {
                 let wi = w as usize;
@@ -978,8 +1091,8 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         let epoch = self.next_epoch();
         let mut out: Vec<Candidate> = Vec::new();
         let (class, pos, stamp) = (&self.class, &self.pos, &mut self.in_region);
-        // Per stamped below-shell candidate: its index in `out`.
-        let at = &mut self.support;
+        // Stamps a below-shell candidate that a second shell neighbour finds.
+        let twice = &mut self.queued;
         for &v in &self.shell.ids {
             // Keep x with `x ⪯ v`: below the shell, or in it and removed
             // earlier. Anchors and core members fail both arms (their class
@@ -990,10 +1103,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
                 if class[wi] == BELOW {
                     if stamp[wi] != epoch {
                         stamp[wi] = epoch;
-                        at[wi] = out.len() as u32;
                         out.push(Candidate { vertex: w, key: pos_v });
                     } else {
-                        out[at[wi] as usize].key = NO_KEY;
+                        twice[wi] = epoch;
                     }
                 } else if class[wi] == SHELL && pos[wi] < pos_v && stamp[wi] != epoch {
                     stamp[wi] = epoch;
@@ -1003,6 +1115,11 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             // A shell vertex can anchor itself if it precedes a fellow
             // shell neighbour — that case is covered by the scan above when
             // the roles are swapped, so nothing more to do here.
+        }
+        for c in &mut out {
+            if c.key != NO_KEY && twice[c.vertex as usize] == epoch {
+                c.key = NO_KEY;
+            }
         }
         self.metrics.vertices_visited += self.shell.ids.len() as u64;
         out
@@ -1172,9 +1289,10 @@ impl CountMemo {
 }
 
 impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
-    /// Cloning copies the classes, shell order and shell index (O(n));
-    /// scratch space, the count memo and metrics are reset, so a clone
-    /// answers follower queries independently of the original.
+    /// Cloning copies the classes, the shell order and index, and the
+    /// below-shell order with its bounds (O(n)); scratch space, the count
+    /// memo and metrics are reset, so a clone answers follower queries and
+    /// repairs independently of the original.
     fn clone(&self) -> Self {
         let n = self.graph.num_vertices();
         let mut query = SlotScratch::default();
@@ -1185,18 +1303,19 @@ impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
             anchors: self.anchors.clone(),
             class: self.class.clone(),
             pos: self.pos.clone(),
+            next_rank: self.next_rank,
             core_size: self.core_size,
             shell: self.shell.clone(),
             spare: ShellIndex::default(),
             metrics: Metrics::default(),
             epoch: 0,
             in_region: vec![0; n],
-            removed: vec![0; n],
             queued: vec![0; n],
-            support: vec![0; n],
+            support: self.support.clone(),
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
+            heap: BinaryHeap::new(),
             query,
             memo: CountMemo::new(),
         }
@@ -1234,6 +1353,225 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// The below-shell order's invariant: the ranks below the shell are
+    /// distinct and under the counter, and each below-shell vertex's bound
+    /// lies below k − 1 and, when its degree reaches k − 1, is at least its
+    /// remaining degree in rank order: its neighbours in `C_{k-1}(S)` plus
+    /// its later below-shell neighbours. (The lift never reaches a vertex
+    /// of lower degree, so it never reads such a bound.)
+    fn check_below_order(st: &AnchoredCoreState<'_>, context: &str) {
+        let (g, t) = (st.graph, st.k - 1);
+        let mut ranks = Vec::new();
+        for v in g.vertices().filter(|&v| st.class[v as usize] == BELOW) {
+            let (rank, bound) = (st.pos[v as usize], st.support[v as usize]);
+            ranks.push(rank);
+            assert!(rank < st.next_rank, "{context}: {v}'s rank {rank} is past the counter");
+            assert!(bound < t, "{context}: {v}'s bound {bound} reaches k − 1");
+            if g.degree(v) as u32 >= t {
+                let remaining = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&w| {
+                        let c = st.class[w as usize];
+                        c >= SHELL || (c == BELOW && st.pos[w as usize] > rank)
+                    })
+                    .count() as u32;
+                assert!(
+                    remaining <= bound,
+                    "{context}: {v} remains {remaining} over bound {bound}"
+                );
+            }
+        }
+        let below = ranks.len();
+        ranks.sort_unstable();
+        ranks.dedup();
+        assert_eq!(ranks.len(), below, "{context}: two vertices share a rank");
+    }
+
+    /// `st` has the classes, core size and K-order of a fresh build for
+    /// its anchors.
+    fn assert_matches_fresh_build(st: &AnchoredCoreState<'_>, context: &str) {
+        let fresh = AnchoredCoreState::with_anchors(st.graph, st.k, st.anchors());
+        assert_eq!(st.class, fresh.class, "{context}: classes");
+        assert_eq!(st.anchored_core_size(), fresh.anchored_core_size(), "{context}");
+        for u in st.graph.vertices() {
+            for v in st.graph.vertices() {
+                assert_eq!(st.precedes(u, v), fresh.precedes(u, v), "{context}: {u} ⪯ {v}");
+            }
+        }
+    }
+
+    /// K4 {0, 1, 2, 3} with the path 4 - 5 - 6 hanging off nothing, at
+    /// k = 3: the cascade at 2 removes 4 and 6 (degree 1), then 5, so 5
+    /// ranks last with a bound of 1 that counts 6. Anchoring 4 credits 5
+    /// with 4, so the lift keeps 5, but 5's later neighbour 6 stays below:
+    /// the peel evicts 5 to the end of the order.
+    fn eviction_graph() -> Graph {
+        Graph::from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6)])
+            .unwrap()
+    }
+
+    #[test]
+    fn below_shell_vertices_stay_unordered_while_their_ranks_move() {
+        let g = eviction_graph();
+        let mut st = AnchoredCoreState::new(&g, 3);
+        let unordered = |st: &AnchoredCoreState<'_>, below: &[VertexId]| {
+            for &u in below {
+                for &v in below {
+                    assert!(!st.precedes(u, v), "{u} ⪯ {v} below the shell");
+                }
+                assert!(st.precedes(u, 0) && !st.precedes(0, u));
+            }
+        };
+        assert!([4, 5, 6].iter().all(|&v| st.class[v as usize] == BELOW));
+        unordered(&st, &[4, 5, 6]);
+        check_below_order(&st, "built");
+        let (rank, appended) = (st.pos[5], st.next_rank);
+        assert!(rank > st.pos[6], "5 ranks after 6");
+        st.commit_anchor(4);
+        assert_eq!(st.pos[5], appended, "the peel evicted 5 to the end of the order");
+        assert_ne!(st.pos[5], rank);
+        unordered(&st, &[5, 6]);
+        assert!(st.precedes(0, 4) && !st.precedes(4, 0), "members precede anchors");
+        check_below_order(&st, "after the eviction");
+        assert_matches_fresh_build(&st, "after the eviction");
+    }
+
+    #[test]
+    fn lifts_keep_the_below_shell_order_through_every_repair() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(41);
+        let (mut multi_lifts, mut evictions) = (0, 0);
+        for trial in 0..120 {
+            // A random part, pendants, and chains hanging off it by one end
+            // (below the shell at k ≥ 3; anchoring a far end lifts the rest)
+            // or by both (below it at k ≥ 4).
+            let (n, pendants, chains) = (20usize, 6usize, 4usize);
+            let mut edges = Vec::new();
+            for _ in 0..55 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    edges.push((u, v));
+                }
+            }
+            let mut next = n;
+            for _ in 0..pendants {
+                edges.push((next, rng.gen_range(0..n)));
+                next += 1;
+            }
+            for _ in 0..chains {
+                let len = rng.gen_range(2usize..5);
+                edges.push((next, rng.gen_range(0..n)));
+                for i in 1..len {
+                    edges.push((next + i - 1, next + i));
+                }
+                if rng.gen_bool(0.5) {
+                    edges.push((next + len - 1, rng.gen_range(0..n)));
+                }
+                next += len;
+            }
+            let mut g = Graph::new(next);
+            for (u, v) in edges {
+                let (u, v) = (u as VertexId, v as VertexId);
+                if !g.has_edge(u, v) {
+                    g.insert_edge(u, v).unwrap();
+                }
+            }
+            let k = 2 + (trial % 4) as u32;
+            let mut st = AnchoredCoreState::new(&g, k);
+            check_below_order(&st, &format!("trial {trial}, built"));
+            for step in 0..14 {
+                let context = format!("trial {trial}, k = {k}, step {step}");
+                let pick = |st: &AnchoredCoreState<'_>, rng: &mut rand::rngs::SmallRng, c: u32| {
+                    let pool: Vec<VertexId> =
+                        g.vertices().filter(|&v| st.class[v as usize] == c).collect();
+                    (!pool.is_empty()).then(|| pool[rng.gen_range(0..pool.len())])
+                };
+                match rng.gen_range(0u32..6) {
+                    0..=2 => {
+                        // Commit below the shell, in it or in the core.
+                        let class = [BELOW, BELOW, SHELL, CORE][rng.gen_range(0usize..4)];
+                        let Some(x) = pick(&st, &mut rng, class) else { continue };
+                        let before: Vec<Option<u32>> = g
+                            .vertices()
+                            .map(|v| (st.class[v as usize] == BELOW).then(|| st.pos[v as usize]))
+                            .collect();
+                        st.commit_anchor(x);
+                        let lifted = g
+                            .vertices()
+                            .filter(|&v| v != x && before[v as usize].is_some())
+                            .filter(|&v| st.class[v as usize] != BELOW)
+                            .count();
+                        multi_lifts += usize::from(lifted >= 2);
+                        evictions += g
+                            .vertices()
+                            .filter(|&v| st.class[v as usize] == BELOW)
+                            .filter(|&v| {
+                                before[v as usize].is_some_and(|r| r != st.pos[v as usize])
+                            })
+                            .count();
+                    }
+                    3 => {
+                        let Some(u) = pick(&st, &mut rng, ANCHOR) else { continue };
+                        st.uncommit_anchor(u);
+                    }
+                    4 => {
+                        // A swap test: uncommit, count, restore.
+                        let Some(u) = pick(&st, &mut rng, ANCHOR) else { continue };
+                        let kept = st.uncommit_keeping(u);
+                        check_below_order(&st, &format!("{context}, kept"));
+                        for v in g.vertices() {
+                            st.follower_count_of(v);
+                        }
+                        st.restore_anchor(kept);
+                    }
+                    _ => {
+                        let Some(u) = pick(&st, &mut rng, ANCHOR) else { continue };
+                        st.uncommit_anchor(u);
+                        check_below_order(&st, &format!("{context}, uncommitted"));
+                        st.commit_anchor(u);
+                    }
+                }
+                check_below_order(&st, &context);
+                assert_matches_fresh_build(&st, &context);
+            }
+        }
+        assert!(multi_lifts > 0, "some commit lifts two or more vertices");
+        assert!(evictions > 0, "some lift evicts a kept vertex");
+    }
+
+    #[test]
+    fn the_rank_counter_renumbers_across_its_wrap() {
+        // k = 3: the chain 0 - 4 - 5 - 6 hangs off the K4 below the shell.
+        // Anchoring its end 6 lifts 5 and 4; uncommitting 6 appends 6, 5
+        // and 4 to the order again.
+        let g = Graph::from_edges(
+            7,
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 6)],
+        )
+        .unwrap();
+        let mut st = AnchoredCoreState::new(&g, 3);
+        st.commit_anchor(6);
+        assert!(st.in_shell(4) && st.in_shell(5));
+        st.next_rank = u32::MAX - 1; // as after 2³² − 2 appends
+        st.uncommit_anchor(6);
+        // 6 took the last rank; 5 found the counter at the top, so the
+        // order was renumbered (6 first) before 5 and 4 were appended.
+        assert_eq!((st.pos[6], st.pos[5], st.pos[4], st.next_rank), (0, 1, 2, 3));
+        check_below_order(&st, "uncommitted across the wrap");
+        assert_matches_fresh_build(&st, "uncommitted across the wrap");
+        st.commit_anchor(6);
+        check_below_order(&st, "recommitted");
+        assert_matches_fresh_build(&st, "recommitted");
+        st.next_rank = u32::MAX;
+        let kept = st.uncommit_keeping(6);
+        assert_eq!(st.next_rank, 3, "renumbered before the first append");
+        check_below_order(&st, "kept across the wrap");
+        st.restore_anchor(kept);
+        check_below_order(&st, "restored");
+        assert_matches_fresh_build(&st, "restored");
     }
 
     #[test]
