@@ -6,7 +6,8 @@
 //! * `kernels/peel` — full core decomposition (the bucket peel's
 //!   `deg > dv` scan + bucket moves).
 //! * `kernels/follower-scan` — candidate scan + 500 order-based follower
-//!   evaluations (region expansion, support counts, fixpoint peel).
+//!   evaluations (the pass in shell order, which keeps slots and builds
+//!   their supports, then the fixpoint peel of the kept set).
 //! * `kernels/evaluate` — one Greedy round on the `track` instance (the
 //!   email-Enron stand-in at scale 0.2, k = 10): the follower count of
 //!   every Theorem-3 candidate. The state and candidates are built outside
@@ -21,7 +22,7 @@
 //! * `kernels/followers-of` — one `followers_of` on a state built for the
 //!   same instance, the query a `FOLLOWERS` request pays after the
 //!   construction. The anchor is the one Greedy commits first there, so
-//!   the query builds and peels a real forward closure.
+//!   the query's pass keeps and peels a real region.
 //! * `kernels/state-commit` — on the same state, commit the 10 anchors
 //!   Greedy picks on the `track` instance, then uncommit them in order:
 //!   twenty local repairs, which leave the state as it was built.

@@ -14,30 +14,46 @@
 //!
 //! * **follower queries** `F_k(S ∪ {x}, G_t) \ F_k(S, G_t)` for a
 //!   hypothetical extra anchor `x`, via the order-based local computation of
-//!   §4.2 (forward closure + fixpoint — see below);
+//!   §4.2 (one pass in the shell order + fixpoint — see below);
 //! * the Theorem-3 **candidate set** — the only vertices whose anchoring
 //!   can produce any followers.
 //!
-//! # Follower computation (Algorithm 3, reformulated)
+//! # Follower computation (Algorithm 3)
 //!
 //! The paper computes followers by simulating OrderInsert with the anchor's
-//! core set to infinity. We implement the same locality with two facts that
-//! hold for any valid peel order (see `avt-kcore` crate docs):
+//! core set to infinity: it visits only vertices whose earlier kept
+//! neighbours and later degree can still reach `k`. We make the same pass
+//! over a valid peel order of the shell (see `avt-kcore` crate docs), from
+//! three facts:
 //!
 //! 1. Followers of a single extra anchor all lie in the (k-1)-shell of the
 //!    anchored decomposition (ref. \[37\], used in Theorem 3).
-//! 2. Support *gains* propagate only forward in the order: a shell vertex
-//!    `w` can gain support only from the anchor or from an order-earlier
-//!    shell vertex `v ⪯ w` that itself got promoted (if `w ⪯ v`, then `v`'s
-//!    survival was already counted in `w`'s remaining degree).
+//! 2. The peel removed each shell vertex `w` with fewer than `k`
+//!    supporters: its neighbours in `C_k(S)` (its *engaged count*) and its
+//!    shell neighbours later in the order (its *plus*).
+//! 3. So a follower `w` needs a supporter beyond those: the anchor, when
+//!    `x ⪯ w`, or an order-earlier follower. (If `w ⪯ x`, `x` already
+//!    counts in `w`'s plus.)
 //!
-//! So the candidate region is the *forward closure*: seeds are shell
-//! neighbours `v` of `x` with `x ⪯ v`, expanded along edges `v → w` with
-//! `w` in the shell and `v ⪯ w`. On that region we run the exact anchored
-//! peel (support = neighbours in `C_k(S)`, the anchor `x`, and unremoved
-//! region peers; remove while support < k). The fixpoint survivors are
-//! exactly the followers — the closure bounds *where* followers can be, the
-//! peel decides *which* of them make it.
+//! A query therefore makes one pass in the shell order from its *seeds*,
+//! the shell neighbours `v` of `x` with `x ⪯ v`, popping the vertices it
+//! reaches off a heap keyed on the order. It *keeps* a vertex when its
+//! engaged count, its plus and its count of earlier kept neighbours (plus
+//! one for a seed, from the anchor) reach `k`, and it reaches on only from
+//! kept vertices, to their later shell neighbours. By 3 and induction on
+//! the order, every follower is reached and kept. The pass also builds each
+//! kept vertex's support — its engaged count, the anchor for a seed, and
+//! its kept neighbours — and an exact anchored peel of the kept set
+//! (remove while support < k, decrementing kept peers) leaves exactly the
+//! followers: an exact peel of any superset of the followers is exact. The
+//! pass bounds *where* followers can be, the peel decides *which* of them
+//! make it.
+//!
+//! The unordered (OLAK) query is the unpruned reference. Its region is the
+//! undirected shell closure of every shell neighbour of `x`, with no
+//! K-order condition, so it is closed under shell adjacency: a region
+//! vertex's support is its engaged count plus its shell degree, plus one
+//! for a seed when `x` lies below the shell. The same peel decides it.
 //!
 //! ## The shell order
 //!
@@ -45,46 +61,45 @@
 //! at threshold `k` whose queue is seeded with the shell in vertex-id
 //! order. Members of `C_k(S)` never fall below `k`, so only shell vertices
 //! are removed, each with at most `k − 1` neighbours in `C_k(S)` or later
-//! in the order: it is a valid peel order of the shell, and both facts
+//! in the order: it is a valid peel order of the shell, and the facts
 //! above hold for it. It depends only on the graph, `k` and `S`.
 //! [`AnchoredCoreState::precedes`] is this order as a K-order, with the
 //! vertices below the shell first and `C_k(S)` after it.
 //!
 //! ## The shell index
 //!
-//! Every region vertex is a shell vertex, yet most of a shell vertex's
-//! neighbours lie outside the shell. The state therefore keeps an index of
-//! the shell laid out in the shell order: the shell vertex at position `s`
-//! of the order has *slot* `s`, and the index holds each slot's shell
-//! neighbours as slots, in the frame's neighbour order, and its *engaged
-//! count*, the number of its neighbours in `C_k(S)` (anchors included). A
-//! follower query reads `x`'s own neighbour list in full, turns its shell
-//! neighbours into slots, and from then on works on slots alone: its
-//! region, the region's stamps, the supports and the peel queue are arrays
-//! indexed by slot, so the closure, the support count and the peel read no
-//! per-vertex array.
+//! Every vertex a query visits is a shell vertex, yet most of a shell
+//! vertex's neighbours lie outside the shell. The state therefore keeps an
+//! index of the shell laid out in the shell order: the shell vertex at
+//! position `s` of the order has *slot* `s`, and the index holds each
+//! slot's shell neighbours as slots, in the frame's neighbour order, its
+//! engaged count (anchors included) and its plus. A follower query reads
+//! `x`'s own neighbour list in full, turns its shell neighbours into slots,
+//! and from then on works on slots alone: its stamps, the supports, the
+//! heap and the peel queue are keyed by slot, so the pass, the closure and
+//! the peel read no per-vertex array.
 //!
-//! * closure expansion and the fixpoint keep only shell vertices (region
-//!   membership), so a slot's slice holds the same vertices in the same
-//!   order as filtering its full list, and `v ⪯ w` between two shell
-//!   vertices is `slot(v) < slot(w)`;
-//! * support is `engaged(v)` plus the region peers and `x` counted over the
-//!   slot's slice, plus one for each seed when `x` lies below the shell
-//!   (then `x` is in no slice, and its shell neighbours are exactly the
-//!   seeds).
+//! * they keep only shell vertices, so a slot's slice holds the same
+//!   vertices in the same order as filtering its full list, and `v ⪯ w`
+//!   between two shell vertices is `slot(v) < slot(w)`;
+//! * the pass credits each seed one support from `x`, whatever `x`'s
+//!   class: a shell `x` precedes every vertex the pass reaches, so it is
+//!   never a kept neighbour. The closure counts a shell `x` through the
+//!   slices instead, as a region peer the peel never removes, and credits
+//!   the seeds only when `x` lies below the shell, in no slice.
 //!
-//! This is exact because the region holds only shell vertices, and a shell
+//! This is exact because the queries visit only shell vertices, and a shell
 //! vertex's support from outside the shell — the engaged count — cannot
 //! change until the next commit or uncommit, and each of those rebuilds the
 //! index. The shell peel that lays down the order builds the index in
 //! O(vol(shell)) and sizes the slot arrays with it, so a query allocates
-//! nothing.
+//! nothing once the heap has grown.
 //!
 //! ## The count memo
 //!
 //! A query on an `x` below the shell reads `x` only through its seeds:
 //! every shell neighbour of `x` is a seed, each seed gets one support from
-//! `x`, and `x` itself sits in no shell slice. The region, the supports and
+//! `x`, and `x` itself sits in no shell slice. The pass, the kept set and
 //! so the follower count are a function of the state and the seed set
 //! alone, and below-shell anchors with the same shell neighbours have the
 //! same count. A below-shell candidate commonly has exactly one shell
@@ -98,26 +113,28 @@
 //! between two bumps, and the epoch wraps the way the scratch stamps do.
 //! Only the ordered count path reads or writes the memo: follower sets,
 //! the unordered (OLAK) path, whose candidates carry no key, and a
-//! commit's own follower computation always evaluate. A count served from the memo is not an evaluation and
-//! visits nothing ([`Metrics::follower_evaluations`],
-//! [`Metrics::vertices_visited`]).
+//! commit's own follower computation always evaluate. A count served from
+//! the memo is not an evaluation and visits nothing
+//! ([`Metrics::follower_evaluations`], [`Metrics::vertices_visited`]).
 //!
 //! ## Bound-and-skip
 //!
 //! A solver ranking candidates needs the count of a candidate only if it
-//! can win. Every follower of `x` lies in `x`'s region, so the region's size
-//! bounds the count. A ranking loop therefore passes each count the gain
-//! the candidate needs to win, its *floor*, and a query whose region is
-//! smaller than the floor answers "cannot win" without the support count
-//! and the peel. The skip is exact: such a candidate has fewer followers
-//! than the floor. Ties stay with the caller: Greedy's selection passes the
-//! best gain so far, not one more, so a candidate that could tie the best
-//! is still counted and wins when its id is smaller. A floor of 0 skips
-//! nothing, and [`AnchoredCoreState::follower_count_of`] is the same count
-//! with that floor. A skipped query is still an evaluation, and it still
-//! visits its region.
+//! can win. Every follower of `x` is kept, so the kept count bounds the
+//! count, more tightly than the forward closure (every shell vertex
+//! reachable from `x` through steps forward in the order) would; the
+//! unordered region's size bounds it the same way. A ranking loop therefore
+//! passes each count the gain the candidate needs to win, its *floor*, and
+//! a query that keeps fewer slots than the floor answers "cannot win"
+//! without the peel. The skip is exact: such a candidate has fewer
+//! followers than the floor. Ties stay with the caller: Greedy's selection
+//! passes the best gain so far, not one more, so a candidate that could tie
+//! the best is still counted and wins when its id is smaller. A floor of 0
+//! skips nothing, and [`AnchoredCoreState::follower_count_of`] is the same
+//! count with that floor. A skipped query is still an evaluation, and it
+//! still visits what its pass pops.
 //!
-//! The memo keeps the region size of a skipped query on a key as a *bound*
+//! The memo keeps the kept count of a skipped query on a key as a *bound*
 //! until its next forget. A bound is never returned as a count: a later
 //! query on the key answers "cannot win" when the bound is below its floor,
 //! and evaluates otherwise. The skip rests on one invariant of the
@@ -249,10 +266,9 @@ impl Candidate {
 /// use avt_graph::Graph;
 /// use avt_core::AnchoredCoreState;
 ///
-/// // Square 0-1-2-3 with one diagonal missing: 2-core is the square.
-/// // Vertex 4 hangs off 0 and 1 with two edges: core 2? no — degree 2 but
-/// // its neighbours are in the 2-core, so 4 is in the 2-core too. Use a
-/// // pendant 5 instead (one edge): core 1.
+/// // The 4-cycle 0-1-2-3 and vertex 4, joined to 0 and 1, form the
+/// // 2-core. The pendant 5 (one edge, to 0) has core number 1: it is the
+/// // 1-shell.
 /// let g = Graph::from_edges(6, [(0,1),(1,2),(2,3),(3,0),(4,0),(4,1),(5,0)]).unwrap();
 /// let mut st = AnchoredCoreState::new(&g, 2);
 /// assert_eq!(st.anchored_core_size(), 5); // everyone but the pendant
@@ -289,7 +305,8 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     region: Vec<VertexId>,
     queue: Vec<VertexId>,
     targets: Vec<VertexId>,
-    // The lift's reached vertices, keyed on rank (rank << 32 | vertex).
+    // The vertices the lift reaches, keyed on rank (rank << 32 | vertex),
+    // and the slots a follower query's ordered pass reaches.
     heap: BinaryHeap<Reverse<u64>>,
     // Per-slot scratch for follower queries, stamped with `epoch` too.
     query: SlotScratch,
@@ -447,11 +464,25 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         ix.offsets.clear();
         ix.nbrs.clear();
         ix.engaged.clear();
+        ix.plus.clear();
         ix.order.clear();
+        // An uncommit hands the old index to its `KeptAnchor`, so this one
+        // may start empty: size each array once rather than grow it.
+        ix.offsets.reserve(ids.len() + 1);
+        ix.nbrs.reserve(spare.nbrs.len());
+        ix.engaged.reserve(ids.len());
+        ix.plus.reserve(ids.len());
+        ix.order.reserve(ids.len());
         ix.offsets.push(0);
         for (s, &r) in queue.iter().enumerate() {
             let r = r as usize;
-            ix.nbrs.extend(spare.slice(r).iter().map(|&w| degree[w as usize]));
+            let mut plus = 0;
+            ix.nbrs.extend(spare.slice(r).iter().map(|&w| {
+                let t = degree[w as usize];
+                plus += u32::from(t as usize > s);
+                t
+            }));
+            ix.plus.push(plus);
             ix.offsets.push(ix.nbrs.len());
             ix.engaged.push(spare.engaged[r]);
             ix.order.push(ids[r]);
@@ -570,6 +601,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             self.in_region.fill(0);
             self.queued.fill(0);
             self.query.stamp.fill(0);
+            self.query.reach.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -577,9 +609,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     }
 
     /// Exact followers of the hypothetical extra anchor `x`, on top of the
-    /// committed anchors. Local: cost proportional to the forward closure,
-    /// not the graph. Returns an empty set when `x` is already in the core
-    /// or already an anchor.
+    /// committed anchors. Local: the cost follows the shell vertices its
+    /// pass reaches, not the graph. Returns an empty set when `x` is
+    /// already in the core or already an anchor.
     pub fn followers_of(&mut self, x: VertexId) -> Vec<VertexId> {
         self.evaluate(Candidate::unkeyed(x), true, 0);
         self.followers().collect()
@@ -612,11 +644,12 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     }
 
     /// The follower count of `c` if it can reach `floor`: `None` ("cannot
-    /// win") when `c`'s region — the forward closure, or the undirected one
-    /// when not `ordered` — holds fewer than `floor` vertices, which bounds
-    /// its followers below `floor` (Bound-and-skip in the module docs). A
-    /// keyed `c` reads and writes the count memo; OLAK's candidates are
-    /// unkeyed, so the unordered count always evaluates.
+    /// win") when `c`'s region — the slots its ordered pass keeps, or its
+    /// undirected closure when not `ordered` — holds fewer than `floor`
+    /// vertices, which bounds its followers below `floor` (Bound-and-skip
+    /// in the module docs). A keyed `c` reads and writes the count memo;
+    /// OLAK's candidates are unkeyed, so the unordered count always
+    /// evaluates.
     pub(crate) fn count_followers(
         &mut self,
         c: Candidate,
@@ -650,9 +683,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// Followers of `x` computed the OLAK way: the candidate region is the
     /// *undirected* shell closure around `x` (no K-order condition). The
     /// answer is identical — the undirected closure is a superset of the
-    /// forward closure and the fixpoint is exact on any superset — but more
-    /// vertices are visited, which is precisely the inefficiency the
-    /// paper's Figures 4/6/8 attribute to OLAK.
+    /// ordered pass's kept set and the fixpoint is exact on any superset —
+    /// but more vertices are visited, which is precisely the inefficiency
+    /// the paper's Figures 4/6/8 attribute to OLAK.
     pub fn followers_of_unordered(&mut self, x: VertexId) -> Vec<VertexId> {
         self.evaluate(Candidate::unkeyed(x), false, 0);
         self.followers().collect()
@@ -670,15 +703,42 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         self.compute_followers(c, ordered, floor)
     }
 
-    /// Core of the follower machinery: builds the forward-closure region
-    /// for anchoring `c` (the undirected one when not `ordered`) and,
-    /// unless it holds fewer than `floor` slots, peels it; then the
-    /// survivors are the followers ([`Self::followers`]). Returns the
-    /// region's size.
+    /// Core of the follower machinery: builds the region for anchoring `c`
+    /// — the slots the ordered pass keeps, or the undirected closure when
+    /// not `ordered` — with each region slot's support, and, unless it
+    /// holds fewer than `floor` slots, peels it; then the survivors are the
+    /// followers ([`Self::followers`]). Returns the region's size.
     fn compute_followers(&mut self, c: Candidate, ordered: bool, floor: usize) -> usize {
-        let region = self.closure(c, ordered);
+        let x = c.vertex;
+        let epoch = self.next_epoch();
+        let q = &mut self.query;
+        q.region.clear();
+        let x_class = self.class[x as usize];
+        if x_class >= CORE {
+            return 0; // anchoring a core member or an anchor gains nothing
+        }
+        // Seeds, into `queue`: shell neighbours v of x with x ⪯ v, a slot
+        // comparison when x is in the shell and ordered, automatic
+        // otherwise. A keyed x has one, the key. Otherwise `x` may lie
+        // outside the shell, so this is the one full neighbour list a
+        // query reads.
+        let seed_floor = match x_class {
+            SHELL if ordered => self.pos[x as usize] + 1,
+            _ => 0,
+        };
+        q.queue.clear();
+        if c.key != NO_KEY {
+            q.queue.push(c.key);
+        } else {
+            for &w in self.graph.neighbors(x) {
+                if self.class[w as usize] == SHELL && self.pos[w as usize] >= seed_floor {
+                    q.queue.push(self.pos[w as usize]);
+                }
+            }
+        }
+        let region = if ordered { self.keep_in_order(epoch) } else { self.closure(x, epoch) };
         if region >= floor {
-            self.peel(c.vertex);
+            self.peel(epoch);
         }
         region
     }
@@ -693,84 +753,104 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             .map(move |&s| order[s as usize])
     }
 
-    /// Build the region of a follower query on `c` into the slot scratch
-    /// and return its size: the seeds, then their forward closure (the
-    /// undirected one when not `ordered`).
-    fn closure(&mut self, c: Candidate, ordered: bool) -> usize {
-        let x = c.vertex;
-        let epoch = self.next_epoch();
-        let (index, q) = (&self.shell, &mut self.query);
-        q.region.clear();
-        let x_class = self.class[x as usize];
-        if x_class >= CORE {
-            return 0; // anchoring a core member or an anchor gains nothing
+    /// The ordered region of a query whose seeds are in `queue`: one pass
+    /// in slot order from the seeds, popping the slots it reaches off a
+    /// heap keyed on slot. It *keeps* a slot when its engaged count, its
+    /// later shell neighbours and its count of earlier kept neighbours
+    /// (plus one for a seed, from the anchor) reach `k`, and reaches on
+    /// only from kept slots, to their later shell neighbours. A kept
+    /// slot's support, built as the pass goes, is its engaged count, the
+    /// anchor for a seed, and its kept neighbours. Charges the slots it
+    /// pops; returns the kept count.
+    fn keep_in_order(&mut self, epoch: u32) -> usize {
+        let (k, index, heap) = (self.k, &self.shell, &mut self.heap);
+        let SlotScratch { stamp, reach, support, region, queue } = &mut self.query;
+        // Stamps: `reach` reached, `stamp` kept. A reached slot's `support`
+        // is its count so far; a kept slot's is its support.
+        heap.clear();
+        for &s in queue.iter() {
+            reach[s as usize] = epoch;
+            support[s as usize] = 1;
+            heap.push(Reverse(u64::from(s)));
         }
-        // A shell `x` takes part as a stamped slot whose support stays
-        // below k: the supports count it as a region peer, the peel never
-        // decrements it, and no expansion adds it.
-        let mut seed_floor = 0;
-        if x_class == SHELL {
-            let s = self.pos[x as usize];
-            q.stamp[s as usize] = epoch;
-            q.support[s as usize] = 0;
-            if ordered {
-                seed_floor = s + 1;
+        let mut popped = 0;
+        while let Some(Reverse(s)) = heap.pop() {
+            popped += 1;
+            let s = s as usize;
+            let count = support[s];
+            if index.engaged[s] + index.plus[s] + count < k {
+                continue; // passed over
             }
-        }
-        // Seeds: shell neighbours v of x with x ⪯ v, a slot comparison when
-        // x is in the shell and automatic below it (`seed_floor` 0, also
-        // when unordered). A keyed x has one, the key. Otherwise `x` may lie
-        // outside the shell, so this is the one full neighbour list a query
-        // reads.
-        if c.key != NO_KEY {
-            q.stamp[c.key as usize] = epoch;
-            q.region.push(c.key);
-        } else {
-            for &w in self.graph.neighbors(x) {
-                if self.class[w as usize] == SHELL {
-                    let s = self.pos[w as usize];
-                    if s >= seed_floor {
-                        q.stamp[s as usize] = epoch;
-                        q.region.push(s);
+            stamp[s] = epoch;
+            region.push(s as u32);
+            for &t in index.slice(s) {
+                let t = t as usize;
+                if t > s {
+                    if reach[t] != epoch {
+                        reach[t] = epoch;
+                        support[t] = 0;
+                        heap.push(Reverse(t as u64));
                     }
+                    support[t] += 1;
+                } else if stamp[t] == epoch {
+                    support[t] += 1;
                 }
             }
+            support[s] = index.engaged[s] + count;
         }
-        q.seeds = q.region.len();
-        // Forward closure: slot s → t for every later slot t (every t when
-        // unordered) not yet in the region.
-        let mut head = 0;
-        while head < q.region.len() {
-            let s = q.region[head];
-            head += 1;
-            let from = if ordered { s + 1 } else { 0 };
-            for &t in index.slice(s as usize) {
-                if t >= from && q.stamp[t as usize] != epoch {
-                    q.stamp[t as usize] = epoch;
-                    q.region.push(t);
-                }
-            }
-        }
-        self.metrics.vertices_visited += q.region.len() as u64;
-        q.region.len()
+        self.metrics.vertices_visited += popped;
+        region.len()
     }
 
-    /// Exact anchored peel on the region [`Self::closure`] built for `x`:
-    /// support counts core members (the engaged count), the anchor `x`, and
-    /// unremoved region peers. A below-shell `x` is in no slice; its shell
-    /// neighbours are exactly the seeds. A slot is queued exactly when its
-    /// support falls below `k`, so the survivors are the slots whose support
-    /// ends at `k` or more.
-    fn peel(&mut self, x: VertexId) {
-        let (k, epoch, index) = (self.k, self.epoch, &self.shell);
-        let SlotScratch { stamp, support, region, queue, seeds } = &mut self.query;
-        let x_below_shell = self.class[x as usize] == BELOW;
-        for (i, &s) in region.iter().enumerate() {
-            let s = s as usize;
-            let peers =
-                index.slice(s).iter().filter(|&&t| stamp[t as usize] == epoch).count() as u32;
-            support[s] = index.engaged[s] + peers + u32::from(x_below_shell && i < *seeds);
+    /// The unordered region of a query on `x` whose seeds are in `queue`:
+    /// the seeds and every shell slot reachable from them through shell
+    /// edges. The region is closed under shell adjacency (a shell `x`
+    /// stays out of it as a stamped slot of support 0, which the peel never
+    /// decrements), so a slot's support is its engaged count plus its
+    /// shell degree, plus one for a seed when `x` lies below the shell and
+    /// so in no slice. Charges and returns the region's size.
+    fn closure(&mut self, x: VertexId, epoch: u32) -> usize {
+        let index = &self.shell;
+        let SlotScratch { stamp, support, region, queue, .. } = &mut self.query;
+        let degree = |s: usize| index.engaged[s] + index.slice(s).len() as u32;
+        let seed_bonus = match self.class[x as usize] {
+            BELOW => 1,
+            _ => {
+                let s = self.pos[x as usize] as usize;
+                stamp[s] = epoch;
+                support[s] = 0;
+                0
+            }
+        };
+        for &s in queue.iter() {
+            stamp[s as usize] = epoch;
+            support[s as usize] = degree(s as usize) + seed_bonus;
+            region.push(s);
         }
+        let mut head = 0;
+        while head < region.len() {
+            let s = region[head] as usize;
+            head += 1;
+            for &t in index.slice(s) {
+                let t = t as usize;
+                if stamp[t] != epoch {
+                    stamp[t] = epoch;
+                    support[t] = degree(t);
+                    region.push(t as u32);
+                }
+            }
+        }
+        self.metrics.vertices_visited += region.len() as u64;
+        region.len()
+    }
+
+    /// Exact anchored peel of the region the last query built, its
+    /// supports set: a slot is queued exactly when its support falls below
+    /// `k`, so the survivors are the slots whose support ends at `k` or
+    /// more.
+    fn peel(&mut self, epoch: u32) {
+        let (k, index) = (self.k, &self.shell);
+        let SlotScratch { stamp, support, region, queue, .. } = &mut self.query;
         queue.clear();
         queue.extend(region.iter().copied().filter(|&s| support[s as usize] < k));
         let mut head = 0;
@@ -792,7 +872,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     /// Commit `x` as an anchor. `x` and its followers join `C_k(S)`; if
     /// `x` lay below the shell, the below-shell vertices it lifts join
     /// `C_{k-1}(S)`; then the shell is re-peeled. Local: the cost follows
-    /// the follower region, the vertices the lift reaches and the shell.
+    /// the follower pass, the vertices the lift reaches and the shell.
     pub fn commit_anchor(&mut self, x: VertexId) {
         let was = self.class[x as usize];
         assert!(was != ANCHOR, "vertex {x} is already anchored");
@@ -1183,6 +1263,10 @@ struct ShellIndex {
     nbrs: Vec<u32>,
     /// Per slot: neighbours in `C_k(S)`, anchors included.
     engaged: Vec<u32>,
+    /// Per slot: shell neighbours at later slots. With the engaged count
+    /// it stays below `k`, since the shell peel removed the slot with its
+    /// engaged count and every later neighbour still in the peel.
+    plus: Vec<u32>,
 }
 
 impl ShellIndex {
@@ -1194,16 +1278,16 @@ impl ShellIndex {
 }
 
 /// Scratch of a follower query, indexed by shell slot: the region in
-/// discovery order, its first `seeds` entries the seeds; per slot, a
-/// region stamp and the support; and the peel queue. The shell peel uses
-/// `support` and `region` for its own peel too.
+/// discovery order; per slot, a region stamp, the ordered pass's reach
+/// stamp and the support; and the seeds, then the peel queue. The shell
+/// peel uses `support` and `region` for its own peel too.
 #[derive(Default)]
 struct SlotScratch {
     stamp: Vec<u32>,
+    reach: Vec<u32>,
     support: Vec<u32>,
     region: Vec<u32>,
     queue: Vec<u32>,
-    seeds: usize,
 }
 
 impl SlotScratch {
@@ -1212,6 +1296,7 @@ impl SlotScratch {
     fn fit(&mut self, len: usize) {
         if self.stamp.len() < len {
             self.stamp.resize(len, 0);
+            self.reach.resize(len, 0);
             self.support.resize(len, 0);
         }
     }
@@ -1812,8 +1897,9 @@ mod tests {
     fn bound_entries_are_never_counts_and_every_repair_forgets_them() {
         // k = 3 around the K4 {0, 1, 2, 3}: the shell chain 4 → 5 → 6 needs
         // 7, which comes earlier in the shell order, so no anchor on 4
-        // reaches it. Anchoring 8 or 9, which hang off 4 alone, has the
-        // region {4, 5, 6} and no followers.
+        // reaches it. Anchoring 8 or 9, which hang off 4 alone, reaches the
+        // forward closure {4, 5, 6} and keeps 4 and 5 (6 has one engaged
+        // neighbour, no later one and one kept one), and has no followers.
         let g = Graph::from_edges(
             10,
             [
@@ -1840,16 +1926,17 @@ mod tests {
         assert!(c8.key != NO_KEY && c8.key == c9.key, "both are keyed by 4's slot");
         let key = c8.key as usize;
         let evaluations = |st: &AnchoredCoreState<'_>| st.metrics().follower_evaluations;
-        // A floor above the region skips the peel and memoizes the bound.
+        // A floor above the kept count skips the peel and memoizes it as
+        // the bound.
         assert_eq!(st.count_followers(c8, true, 4), None);
-        assert_eq!((st.memo.bound(key), st.memo.get(key)), (Some(3), None));
+        assert_eq!((st.memo.bound(key), st.memo.get(key)), (Some(2), None));
         assert_eq!(evaluations(&st), 1);
         // The same key under a floor the bound stays below costs nothing.
         assert_eq!(st.count_followers(c9, true, 5), None);
         assert_eq!(evaluations(&st), 1);
         // Under a floor the bound reaches, the query evaluates: a bound is
         // never answered as a count.
-        assert_eq!(st.count_followers(c9, true, 3), Some(0));
+        assert_eq!(st.count_followers(c9, true, 2), Some(0));
         assert_eq!(st.follower_count_of(8), 0);
         assert_eq!(evaluations(&st), 2);
         assert_eq!(naive_followers(&g, 3, &[], 8), Vec::<VertexId>::new());
@@ -1860,7 +1947,7 @@ mod tests {
         let bound_after = |st: &mut AnchoredCoreState<'_>, repair: &str| {
             assert_eq!(st.memo.bound(key), None, "{repair} forgets the bound");
             assert_eq!(st.count_followers(c8, true, 4), None, "{repair}");
-            assert_eq!(st.memo.bound(key), Some(3), "{repair}");
+            assert_eq!(st.memo.bound(key), Some(2), "{repair}");
         };
         assert_eq!(st.count_followers(c8, true, 4), None);
         st.commit_anchor(0);
@@ -1874,27 +1961,11 @@ mod tests {
 
     #[test]
     fn the_candidate_scan_finds_the_keys_a_neighbour_scan_derives() {
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(37);
         let mut keyed = 0;
         for trial in 0..30 {
-            let (n, pendants) = (25usize, 10usize);
-            let mut g = Graph::new(n + pendants);
-            for _ in 0..80 {
-                let u = rng.gen_range(0..n) as VertexId;
-                let v = rng.gen_range(0..n) as VertexId;
-                if u != v && !g.has_edge(u, v) {
-                    g.insert_edge(u, v).unwrap();
-                }
-            }
-            for p in n..n + pendants {
-                for _ in 0..rng.gen_range(1usize..3) {
-                    let host = rng.gen_range(0..n) as VertexId;
-                    if !g.has_edge(p as VertexId, host) {
-                        g.insert_edge(p as VertexId, host).unwrap();
-                    }
-                }
-            }
+            let g = graph_with_pendants(&mut rng, 25, 80, 10);
             let k = 2 + (trial % 3) as u32;
             let mut st = AnchoredCoreState::new(&g, k);
             let scanned = st.keyed_candidates();
@@ -1906,6 +1977,148 @@ mod tests {
             }
         }
         assert!(keyed > 0, "some candidate hangs off one shell vertex");
+    }
+
+    /// The forward closure of anchoring `x`, over full adjacency: the
+    /// shell vertices reachable from `x` through steps forward in the
+    /// K-order.
+    fn forward_closure_size(st: &AnchoredCoreState<'_>, x: VertexId) -> usize {
+        let g = st.graph;
+        let mut seen = vec![false; g.num_vertices()];
+        let mut stack = vec![x];
+        let mut size = 0;
+        while let Some(v) = stack.pop() {
+            for &w in g.neighbors(v) {
+                if !seen[w as usize] && st.in_shell(w) && st.precedes(v, w) {
+                    seen[w as usize] = true;
+                    size += 1;
+                    stack.push(w);
+                }
+            }
+        }
+        size
+    }
+
+    /// A random graph on `n` vertices with `m` edge draws and `pendants`
+    /// more vertices hanging off it by one or two edges: at k ≥ 3 these
+    /// lie below the shell, many with one shell neighbour (keyed).
+    fn graph_with_pendants(
+        rng: &mut rand::rngs::SmallRng,
+        n: usize,
+        m: usize,
+        pendants: usize,
+    ) -> Graph {
+        use rand::Rng;
+        let mut g = Graph::new(n + pendants);
+        for _ in 0..m {
+            let (u, v) = (rng.gen_range(0..n) as VertexId, rng.gen_range(0..n) as VertexId);
+            if u != v && !g.has_edge(u, v) {
+                g.insert_edge(u, v).unwrap();
+            }
+        }
+        for p in n..n + pendants {
+            for _ in 0..rng.gen_range(1usize..3) {
+                let host = rng.gen_range(0..n) as VertexId;
+                if !g.has_edge(p as VertexId, host) {
+                    g.insert_edge(p as VertexId, host).unwrap();
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn the_kept_count_bounds_the_followers_and_skips_only_losers() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(43);
+        let (mut tighter, mut skipped) = (0, 0);
+        for trial in 0..60 {
+            let g = graph_with_pendants(&mut rng, 25, 85, 10);
+            let k = 2 + (trial % 4) as u32;
+            let mut st = AnchoredCoreState::new(&g, k);
+            for _ in 0..rng.gen_range(0usize..3) {
+                let x = rng.gen_range(0..g.num_vertices()) as VertexId;
+                if !st.in_core(x) {
+                    st.commit_anchor(x);
+                }
+            }
+            let anchors = st.anchors().to_vec();
+            for x in g.vertices() {
+                let context = format!("trial {trial}, k = {k}, anchor {x} on {anchors:?}");
+                let count = naive_followers(&g, k, &anchors, x).len();
+                let kept = st.compute_followers(Candidate::unkeyed(x), true, 0);
+                assert_eq!(st.followers().count(), count, "{context}");
+                let closure = if st.in_core(x) { 0 } else { forward_closure_size(&st, x) };
+                assert!(
+                    count <= kept && kept <= closure,
+                    "{context}: {count} ≤ {kept} ≤ {closure}"
+                );
+                tighter += usize::from(kept < closure);
+                // Rising floors, as the solvers pass them within one memo
+                // epoch: a keyed x reads and writes the memo.
+                st.memo.forget();
+                let c = st.candidate(x);
+                for floor in 0..=kept + 1 {
+                    match st.count_followers(c, true, floor) {
+                        Some(n) => assert_eq!(n, count, "{context}, floor {floor}"),
+                        None => {
+                            assert!(count < floor, "{context}: skipped at floor {floor}");
+                            skipped += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tighter > 0, "some pass keeps less than its closure");
+        assert!(skipped > 0, "some count is skipped");
+    }
+
+    #[test]
+    fn scratch_stamps_are_cleared_across_the_epoch_wrap() {
+        // The shell graph with 7 hanging off 4 beside 6 (both keyed by 4's
+        // slot) and the chain 0 - 8 - 9 below the shell: anchoring 6 saves
+        // 4 and then 5, which only 4 reaches; anchoring 9 lifts 8.
+        let mut edges: Vec<(VertexId, VertexId)> =
+            shell_graph().edges().map(|e| (e.u, e.v)).collect();
+        edges.extend([(7, 4), (8, 0), (8, 9)]);
+        let g = Graph::from_edges(10, edges).unwrap();
+        let check = |st: &mut AnchoredCoreState<'_>, context: &str| {
+            assert_matches_fresh_build(st, context);
+            let anchors = st.anchors().to_vec();
+            let mut fresh = AnchoredCoreState::with_anchors(&g, 3, &anchors);
+            assert_eq!(st.keyed_candidates(), fresh.keyed_candidates(), "{context}");
+            for x in g.vertices() {
+                let mut set = st.followers_of(x);
+                set.sort_unstable();
+                assert_eq!(set, naive_followers(&g, 3, &anchors, x), "{context}: anchor {x}");
+                assert_eq!(st.follower_count_of(x), set.len(), "{context}: count of {x}");
+            }
+        };
+        let mut st = AnchoredCoreState::new(&g, 3);
+        // The first query stamps epoch 1, and so does the first query after
+        // the wrap: a stamp the wrap left behind would mark 5 reached
+        // before 4 reaches it, and 5 would never be kept.
+        assert_eq!(st.followers_of(6), [4, 5]);
+        st.epoch = u32::MAX - 1;
+        let scanned = st.keyed_candidates(); // the last epoch before the wrap
+        assert_eq!(st.epoch, u32::MAX);
+        assert_eq!(st.followers_of(6), [4, 5], "the first query after the wrap");
+        assert_eq!(st.epoch, 1);
+        assert_eq!(scanned, AnchoredCoreState::new(&g, 3).keyed_candidates());
+        check(&mut st, "queried across the wrap");
+        st.epoch = u32::MAX - 1;
+        st.commit_anchor(9);
+        assert!(st.in_shell(8), "the commit lifted 8");
+        check(&mut st, "committed across the wrap");
+        st.epoch = u32::MAX - 1;
+        st.commit_anchor(6);
+        check(&mut st, "a commit with followers across the wrap");
+        st.epoch = u32::MAX - 1;
+        let kept = st.uncommit_keeping(6);
+        check(&mut st, "uncommitted across the wrap");
+        st.epoch = u32::MAX - 1;
+        st.restore_anchor(kept);
+        check(&mut st, "restored across the wrap");
     }
 
     #[test]

@@ -330,7 +330,7 @@ fn run_pipelined_into<S: SnapshotSolver, F: FrameSource, K: ReportSink>(
         // aborts on a death notice they must drop *before* the implicit
         // join at the end of the scope — that is what errors out a
         // producer parked on a full credit channel (and, transitively,
-        // unblocks workers waiting on the frame queue he feeds). Left in
+        // unblocks workers waiting on the frame queue it feeds). Left in
         // the enclosing function body they would outlive the join and the
         // abort path would deadlock instead of re-raising the panic.
         let report_rx = report_rx;

@@ -7,7 +7,8 @@
 //! * **candidate pruning** (§4.1, Theorem 3): only vertices preceding a
 //!   (k-1)-shell neighbour in the K-order are evaluated;
 //! * **order-based follower computation** (§4.2, Algorithm 3): follower
-//!   sets are computed on the forward closure instead of the whole shell.
+//!   sets come from one pass in the shell order that reaches on only from
+//!   the vertices it keeps, instead of from the whole shell.
 //!
 //! [`crate::Olak`] runs the same loop with both turned off, so it is the
 //! unoptimized reference, and [`crate::Rcm`] runs it on a score-ranked
@@ -29,11 +30,11 @@ pub struct Greedy;
 /// Count `candidates` on `state` and return the best `(vertex, gain)`
 /// with gain > 0, ties broken toward the smallest vertex id. Each count
 /// gets the best gain so far as its floor (1 before there is one): a
-/// candidate whose region is smaller cannot reach that gain, so its peel
-/// is skipped, while one that could tie is still counted, since it wins
-/// the tie when its id is smaller (Bound-and-skip in the
-/// `crate::anchored` docs). The floor never falls within a call, and the
-/// caller's commit after it forgets the memo.
+/// candidate whose region (what its pass keeps) is smaller cannot reach
+/// that gain, so its peel is skipped, while one that could tie is still
+/// counted, since it wins the tie when its id is smaller (Bound-and-skip
+/// in the `crate::anchored` docs). The floor never falls within a call,
+/// and the caller's commit after it forgets the memo.
 pub(crate) fn select_best<G: GraphView>(
     state: &mut AnchoredCoreState<'_, G>,
     candidates: &[Candidate],

@@ -22,9 +22,10 @@
 //!
 //! * [`AnchoredCoreState`] — the anchored k-core, the anchored (k-1)-core
 //!   and a canonical order of the shell between them, supporting exact
-//!   local follower queries (forward-closure + fixpoint — the order-based
-//!   acceleration of §4.2) and local anchor commits and uncommits. It is
-//!   generic over the snapshot's [`avt_graph::GraphView`] substrate.
+//!   local follower queries (one pass in the shell order + fixpoint — the
+//!   order-based acceleration of §4.2) and local anchor commits and
+//!   uncommits. It is generic over the snapshot's [`avt_graph::GraphView`]
+//!   substrate.
 //! * [`Engine`] — the temporal execution engine. Every per-snapshot solver
 //!   implements [`SnapshotSolver`] (solve one frozen frame, no state
 //!   across snapshots) and gets [`AvtAlgorithm`] through it: its `track`

@@ -18,8 +18,10 @@ pub struct Metrics {
     pub follower_evaluations: u64,
     /// Vertices touched by follower computations, maintenance peels and
     /// the local repairs of anchor commits — the paper's "visited
-    /// vertices" metric. A whole-graph peel counts every vertex; a count
-    /// read from the count memo touches none.
+    /// vertices" metric. An ordered follower query counts the shell
+    /// vertices its pass pops, an unordered one its whole region; a
+    /// whole-graph peel counts every vertex; a count read from the count
+    /// memo touches none.
     pub vertices_visited: u64,
     /// Whole-graph anchored peels (each O(n + m)): one per
     /// `AnchoredCoreState` construction. Commits and uncommits repair the

@@ -50,7 +50,7 @@
 //!
 //! Legal removal plus correct cores is exactly what makes "gains propagate
 //! only forward in the order" true, which in turn is what makes Theorem 3's
-//! candidate pruning and the forward-closure follower computation sound.
+//! candidate pruning and the ordered follower pass sound.
 
 #![warn(missing_docs)]
 
