@@ -90,9 +90,9 @@
 //!
 //! This is exact because the queries visit only shell vertices, and a shell
 //! vertex's support from outside the shell — the engaged count — cannot
-//! change until the next commit or uncommit, and each of those rebuilds the
-//! index. The shell peel that lays down the order builds the index in
-//! O(vol(shell)) and sizes the slot arrays with it, so a query allocates
+//! change until the next commit or uncommit, and each of those re-peels the
+//! shell and lays the index down again (see "The re-peel" below). The
+//! shell peel sizes the slot arrays with the index, so a query allocates
 //! nothing once the heap has grown.
 //!
 //! ## The count memo
@@ -105,8 +105,9 @@
 //! same count. A below-shell candidate commonly has exactly one shell
 //! neighbour, so the ordered count memoizes the count of each such anchor
 //! keyed by that one seed's shell slot, and stamped with a count epoch.
-//! The Theorem-3 candidate scan finds each candidate's key as it finds the
-//! candidate, since it walks every shell vertex's neighbours;
+//! The Theorem-3 candidate set hands out each candidate's key with the
+//! candidate, since it keeps each below-shell vertex's shell neighbours
+//! (see "The carried candidates" below);
 //! [`AnchoredCoreState::follower_count_of`] reads the key off `x`'s
 //! neighbour list. A commit, an uncommit and a restore each bump the
 //! epoch, which forgets every count at once; the shell slots stay put
@@ -160,6 +161,44 @@
 //! Both end in the same shell peel, so after any sequence of commits and
 //! uncommits the state equals the one [`AnchoredCoreState::with_anchors`]
 //! builds for the same anchors, shell order and index included.
+//!
+//! ## The re-peel
+//!
+//! The shell peel reads, per shell vertex in vertex-id order, its shell
+//! neighbours in the frame's neighbour order and its engaged count. A
+//! repair changes that input only around the vertices it moved, so the
+//! re-peel takes it from the index it replaces wherever it can:
+//!
+//! * a vertex is *dirty* when it entered the shell, or is a shell
+//!   neighbour of a vertex that entered the shell or left `C_k(S)`; a dirty
+//!   vertex reads its graph list;
+//! * every other shell vertex was in the old shell, and none of its
+//!   neighbours entered the shell or left `C_k(S)`. Its slice is its old
+//!   one without the slots that left, in the same order, and its engaged
+//!   count is its old one plus its neighbours that moved up into `C_k(S)`:
+//!   the slots that left upward, and a below-shell anchor.
+//!
+//! Construction is the case where every shell vertex is dirty. The peel
+//! reads the same input whichever way it came, so the order, the slots and
+//! the index are the ones a fresh build lays down. A commit's re-peel
+//! reads O(|shell|), the clean vertices' shell-to-shell entries and the
+//! dirty vertices' lists, instead of every shell vertex's list.
+//!
+//! ## The carried candidates
+//!
+//! A shell vertex is a Theorem-3 candidate exactly when its plus is at
+//! least 1, and a below-shell vertex exactly when it has a shell
+//! neighbour. So the state keeps, per below-shell vertex, its count of
+//! shell neighbours and the XOR of their ids, and a list of the
+//! below-shell vertices whose count is not 0; when the count is 1, the
+//! XOR is the one shell neighbour, whose slot is the memo key. The first
+//! request fills them in one scan of the shell's neighbour lists. A commit
+//! only notes the vertices that entered or left the shell, and the next
+//! request reads their lists to bring the counts up to date. A commit
+//! moves vertices only upward, so a vertex that leaves the level below the
+//! shell never returns to it before the next request, which drops it from
+//! the list. A solver's last commit therefore pays nothing. An uncommit,
+//! a restore and a clone drop the set, and the next request scans again.
 //!
 //! ## The below-shell order
 //!
@@ -234,6 +273,10 @@ const ANCHOR: u32 = 3;
 /// The memo key of a candidate that has none.
 const NO_KEY: u32 = u32::MAX;
 
+/// In the re-peel: the old slot of a vertex new to the shell, and the new
+/// rank of an old slot whose vertex left it.
+const NO_SLOT: u32 = u32::MAX;
+
 /// A candidate anchor with the count-memo key of its follower count: the
 /// shell slot of its one shell neighbour when it lies below the shell and
 /// has exactly one (see the module docs), and none otherwise.
@@ -290,9 +333,13 @@ pub struct AnchoredCoreState<'g, G: GraphView = Graph> {
     next_rank: u32,
     core_size: usize,
     shell: ShellIndex,
+    // The index the last re-peel replaced: the re-peel lays the next one
+    // down in its arrays.
+    previous: ShellIndex,
     // Scratch for the shell peel: the shell indexed by rank in vertex-id
     // order, its neighbours as ranks.
     spare: ShellIndex,
+    carried: CarriedCandidates,
     metrics: Metrics,
     // Epoch-stamped per-vertex scratch for the repairs and the candidate
     // scans (no per-call allocation).
@@ -337,7 +384,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             next_rank: 0,
             core_size: 0,
             shell: ShellIndex::default(),
+            previous: ShellIndex::default(),
             spare: ShellIndex::default(),
+            carried: CarriedCandidates::default(),
             // The cascades below are this state's one whole-graph pass.
             metrics: Metrics { rebuilds: 1, vertices_visited: n as u64, ..Metrics::default() },
             epoch: 0,
@@ -361,7 +410,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         state.cascade(k, SHELL, &mut shell);
         state.core_size = n - below.len() - shell.len();
         shell.sort_unstable();
-        state.peel_shell(shell);
+        state.peel_shell(&shell, &[], None);
         state
     }
 
@@ -400,45 +449,105 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         }
     }
 
-    /// Lay down the shell order of the shell `ids` (in vertex-id order) and
-    /// index the shell in it: the FIFO peel at threshold `k`, each shell
+    /// Lay down the shell order and index the shell in it: the FIFO peel
+    /// at threshold `k` over the shell in vertex-id order, each shell
     /// vertex supported by its engaged count and its shell neighbours
     /// still in the peel. Construction and every repair end here, which is
     /// what makes the order a function of the graph, `k` and the anchors
-    /// alone. The query scratch grows to the shell's size here too.
-    fn peel_shell(&mut self, ids: Vec<VertexId>) {
-        let (graph, k, class, pos) = (self.graph, self.k, &self.class, &mut self.pos);
+    /// alone. The peel's input comes from the index it replaces wherever it
+    /// can ("The re-peel" in the module docs): `entered` holds the vertices
+    /// new to the shell, in vertex-id order (the whole shell at
+    /// construction), `changed` the vertices that entered the shell or left
+    /// `C_k(S)`, and `raised` a vertex that entered `C_k(S)` from below the
+    /// shell. The replaced index moves to `previous`. The query scratch
+    /// grows to the shell's size here too.
+    fn peel_shell(&mut self, entered: &[VertexId], changed: &[VertexId], raised: Option<VertexId>) {
+        let (graph, k) = (self.graph, self.k);
+        let epoch = self.next_epoch();
+        let (class, pos) = (&self.class, &mut self.pos);
+        // Stamps: `in_region` dirty, `queued` a shell neighbour of `raised`.
+        let (dirty, raised_by) = (&mut self.in_region, &mut self.queued);
+        for &v in changed {
+            for &w in graph.neighbors(v) {
+                if class[w as usize] == SHELL {
+                    dirty[w as usize] = epoch;
+                }
+            }
+        }
+        if let Some(x) = raised {
+            for &w in graph.neighbors(x) {
+                if class[w as usize] == SHELL {
+                    raised_by[w as usize] = epoch;
+                }
+            }
+        }
+        let old = &self.shell;
+        let ShellIndex { ids, order, offsets, nbrs, engaged, plus } = &mut self.previous;
         let (spare, scratch) = (&mut self.spare, &mut self.query);
+        // The new shell in vertex-id order: the old shell's vertices still
+        // in it, merged with `entered`. `from` holds each rank's old slot.
+        ids.clear();
+        let from = &mut scratch.region;
+        from.clear();
+        let mut rest = entered;
+        for &v in old.ids.iter().filter(|&&v| class[v as usize] == SHELL) {
+            let before = rest.partition_point(|&e| e < v);
+            ids.extend_from_slice(&rest[..before]);
+            from.resize(ids.len(), NO_SLOT);
+            rest = &rest[before..];
+            ids.push(v);
+            from.push(pos[v as usize]);
+        }
+        ids.extend_from_slice(rest);
+        from.resize(ids.len(), NO_SLOT);
         scratch.fit(ids.len());
+        let SlotScratch { support: degree, region: from, queue: rank_of, .. } = scratch;
         // The peel runs on ranks in `ids`, which `pos` holds until the
-        // order replaces them; one scan of each shell vertex indexes its
-        // shell neighbours into `spare` as ranks.
-        for (r, &v) in ids.iter().enumerate() {
+        // order replaces them; `rank_of` maps each old slot to its rank.
+        rank_of.clear();
+        rank_of.resize(old.order.len(), NO_SLOT);
+        for (r, (&v, &s)) in ids.iter().zip(from.iter()).enumerate() {
+            if s != NO_SLOT {
+                rank_of[s as usize] = r as u32;
+            }
             pos[v as usize] = r as u32;
         }
+        // Index each shell vertex's shell neighbours into `spare` as ranks:
+        // a dirty vertex from its graph list, any other from its old slice.
         spare.offsets.clear();
         spare.nbrs.clear();
         spare.engaged.clear();
         spare.offsets.push(0);
-        let (degree, queue) = (&mut scratch.support, &mut scratch.region);
-        queue.clear();
-        for (r, &v) in ids.iter().enumerate() {
-            let mut engaged = 0u32;
-            for &w in graph.neighbors(v) {
-                let c = class[w as usize];
-                if c == SHELL {
-                    spare.nbrs.push(pos[w as usize]);
+        for (r, (&v, &s)) in ids.iter().zip(from.iter()).enumerate() {
+            let mut in_core = 0u32;
+            if s == NO_SLOT || dirty[v as usize] == epoch {
+                for &w in graph.neighbors(v) {
+                    let c = class[w as usize];
+                    if c == SHELL {
+                        spare.nbrs.push(pos[w as usize]);
+                    }
+                    in_core += u32::from(c >= CORE);
                 }
-                engaged += u32::from(c >= CORE);
+            } else {
+                let s = s as usize;
+                in_core = old.engaged[s] + u32::from(raised_by[v as usize] == epoch);
+                for &t in old.slice(s) {
+                    match rank_of[t as usize] {
+                        NO_SLOT => {
+                            in_core += u32::from(class[old.order[t as usize] as usize] >= CORE)
+                        }
+                        rank => spare.nbrs.push(rank),
+                    }
+                }
             }
-            degree[r] = engaged + (spare.nbrs.len() - spare.offsets[r]) as u32;
+            degree[r] = in_core + (spare.nbrs.len() - spare.offsets[r]) as u32;
             spare.offsets.push(spare.nbrs.len());
-            spare.engaged.push(engaged);
-            if degree[r] < k {
-                queue.push(r as u32);
-            }
+            spare.engaged.push(in_core);
         }
         // A rank is queued exactly when its degree has fallen below k.
+        let queue = from;
+        queue.clear();
+        queue.extend((0..ids.len() as u32).filter(|&r| degree[r as usize] < k));
         let mut head = 0;
         while head < queue.len() {
             let r = queue[head] as usize;
@@ -460,47 +569,34 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         for (s, &r) in queue.iter().enumerate() {
             degree[r as usize] = s as u32;
         }
-        let ix = &mut self.shell;
-        ix.offsets.clear();
-        ix.nbrs.clear();
-        ix.engaged.clear();
-        ix.plus.clear();
-        ix.order.clear();
-        // An uncommit hands the old index to its `KeptAnchor`, so this one
-        // may start empty: size each array once rather than grow it.
-        ix.offsets.reserve(ids.len() + 1);
-        ix.nbrs.reserve(spare.nbrs.len());
-        ix.engaged.reserve(ids.len());
-        ix.plus.reserve(ids.len());
-        ix.order.reserve(ids.len());
-        ix.offsets.push(0);
+        offsets.clear();
+        nbrs.clear();
+        engaged.clear();
+        plus.clear();
+        order.clear();
+        // An uncommit hands the index it replaced to its `KeptAnchor`, so
+        // these arrays may start empty: size each once rather than grow it.
+        offsets.reserve(ids.len() + 1);
+        nbrs.reserve(spare.nbrs.len());
+        engaged.reserve(ids.len());
+        plus.reserve(ids.len());
+        order.reserve(ids.len());
+        offsets.push(0);
         for (s, &r) in queue.iter().enumerate() {
             let r = r as usize;
-            let mut plus = 0;
-            ix.nbrs.extend(spare.slice(r).iter().map(|&w| {
+            let mut later = 0;
+            nbrs.extend(spare.slice(r).iter().map(|&w| {
                 let t = degree[w as usize];
-                plus += u32::from(t as usize > s);
+                later += u32::from(t as usize > s);
                 t
             }));
-            ix.plus.push(plus);
-            ix.offsets.push(ix.nbrs.len());
-            ix.engaged.push(spare.engaged[r]);
-            ix.order.push(ids[r]);
+            plus.push(later);
+            offsets.push(nbrs.len());
+            engaged.push(spare.engaged[r]);
+            order.push(ids[r]);
             pos[ids[r] as usize] = s as u32;
         }
-        ix.ids = ids;
-    }
-
-    /// Re-peel the shell after a repair moved vertices between classes:
-    /// the vertices of the old shell `old` still in it plus those of
-    /// `entered` now in it.
-    fn reshell(&mut self, old: &[VertexId], entered: &[VertexId]) {
-        let class = &self.class;
-        let mut ids: Vec<VertexId> =
-            old.iter().chain(entered).copied().filter(|&v| class[v as usize] == SHELL).collect();
-        ids.sort_unstable();
-        self.metrics.vertices_visited += ids.len() as u64;
-        self.peel_shell(ids);
+        std::mem::swap(&mut self.shell, &mut self.previous);
     }
 
     /// The snapshot this state views.
@@ -871,8 +967,9 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
 
     /// Commit `x` as an anchor. `x` and its followers join `C_k(S)`; if
     /// `x` lay below the shell, the below-shell vertices it lifts join
-    /// `C_{k-1}(S)`; then the shell is re-peeled. Local: the cost follows
-    /// the follower pass, the vertices the lift reaches and the shell.
+    /// `C_{k-1}(S)`; then the shell is re-peeled from its index. Local: the
+    /// cost follows the follower pass, the vertices the lift reaches, the
+    /// shell's size and its shell-to-shell entries.
     pub fn commit_anchor(&mut self, x: VertexId) {
         let was = self.class[x as usize];
         assert!(was != ANCHOR, "vertex {x} is already anchored");
@@ -884,13 +981,18 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             return;
         }
         self.compute_followers(Candidate::unkeyed(x), true, 0);
-        let (k, q, order) = (self.k, &self.query, &self.shell.order);
+        let (k, q, order, carried) = (self.k, &self.query, &self.shell.order, &mut self.carried);
         let mut joined = 1;
         for &s in &q.region {
             if q.support[s as usize] >= k {
-                self.class[order[s as usize] as usize] = CORE;
+                let v = order[s as usize];
+                self.class[v as usize] = CORE;
+                carried.note_left(v);
                 joined += 1;
             }
+        }
+        if was == SHELL {
+            carried.note_left(x);
         }
         self.class[x as usize] = ANCHOR;
         self.core_size += joined;
@@ -898,9 +1000,11 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         lifted.clear();
         if was == BELOW {
             self.lift(x, &mut lifted);
+            lifted.sort_unstable();
+            self.carried.note_entered(&lifted);
         }
-        let old = std::mem::take(&mut self.shell.ids);
-        self.reshell(&old, &lifted);
+        self.peel_shell(&lifted, &lifted, (was == BELOW).then_some(x));
+        self.metrics.vertices_visited += self.shell.ids.len() as u64;
         self.targets = lifted;
     }
 
@@ -1032,6 +1136,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
     pub(crate) fn uncommit_keeping(&mut self, u: VertexId) -> KeptAnchor {
         assert!(self.class[u as usize] == ANCHOR, "vertex {u} is not anchored");
         self.memo.forget();
+        self.carried.forget();
         self.anchors.retain(|&a| a != u);
         self.class[u as usize] = CORE;
         let mut kept = KeptAnchor {
@@ -1048,9 +1153,14 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             // u's followers all stay in C_{k-1} (they are the followers of
             // anchoring u back), so only u can start a cascade below it.
             self.demote(u, SHELL, self.k - 1, &mut kept.dropped);
-            let old = std::mem::take(&mut self.shell);
-            self.reshell(&old.ids, &kept.dropped);
-            kept.shell = Some(old);
+            // What left C_k and stayed in C_{k-1} entered the shell.
+            let left_core = &kept.dropped[..kept.split];
+            let mut entered: Vec<VertexId> =
+                left_core.iter().copied().filter(|&v| self.class[v as usize] == SHELL).collect();
+            entered.sort_unstable();
+            self.peel_shell(&entered, left_core, None);
+            self.metrics.vertices_visited += self.shell.ids.len() as u64;
+            kept.shell = Some(std::mem::take(&mut self.previous));
         }
         kept
     }
@@ -1062,6 +1172,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         let u = kept.anchor;
         assert!(self.class[u as usize] != ANCHOR, "vertex {u} is already anchored");
         self.memo.forget();
+        self.carried.forget();
         let (to_core, to_shell) = kept.dropped.split_at(kept.split);
         // `to_shell` is what the uncommit appended to the below-shell
         // order, its end: what stays below is the order the uncommit found,
@@ -1082,7 +1193,7 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             // The slot scratch never shrinks, so it covers every shell this
             // state has laid out.
             debug_assert!(self.query.stamp.len() >= shell.order.len());
-            self.shell = shell;
+            self.previous = std::mem::replace(&mut self.shell, shell);
         }
     }
 
@@ -1155,53 +1266,33 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             .collect()
     }
 
-    /// Theorem 3 candidate set: vertices `x` outside `C_k(S)`, not yet
-    /// anchored, with at least one neighbour `v` in the (k-1)-shell such
-    /// that `x ⪯ v`. Only these can have any followers. The scan walks the
-    /// shell's neighbourhoods (O(|shell| + vol(shell))).
+    /// Theorem 3 candidate set, in vertex-id order: vertices `x` outside
+    /// `C_k(S)`, not yet anchored, with at least one neighbour `v` in the
+    /// (k-1)-shell such that `x ⪯ v`. Only these can have any followers.
+    /// The first call scans the shell's neighbourhoods
+    /// (O(|shell| + vol(shell))); later calls cost O(|shell|) and the
+    /// candidates below the shell, plus the neighbour lists of the vertices
+    /// that entered or left the shell in the commits between them (see
+    /// "The carried candidates" in the module docs). An uncommit or a
+    /// restore makes the next call scan again.
     pub fn candidates(&mut self) -> Vec<VertexId> {
-        self.keyed_candidates().into_iter().map(|c| c.vertex).collect()
+        let mut out: Vec<VertexId> =
+            self.keyed_candidates().into_iter().map(|c| c.vertex).collect();
+        out.sort_unstable();
+        out
     }
 
-    /// [`Self::candidates`], each with its count-memo key. The scan reads
-    /// every edge between the shell and the vertices below it, so it sees
-    /// every shell neighbour of a below-shell candidate: the first gives
-    /// the key, a second takes it away.
+    /// [`Self::candidates`], each with its count-memo key, in no stated
+    /// order: the shell candidates (plus ≥ 1) in slot order, then the
+    /// carried below-shell ones. A below-shell candidate's count of shell
+    /// neighbours and the XOR of their ids give the key.
     pub(crate) fn keyed_candidates(&mut self) -> Vec<Candidate> {
-        let epoch = self.next_epoch();
-        let mut out: Vec<Candidate> = Vec::new();
-        let (class, pos, stamp) = (&self.class, &self.pos, &mut self.in_region);
-        // Stamps a below-shell candidate that a second shell neighbour finds.
-        let twice = &mut self.queued;
-        for &v in &self.shell.ids {
-            // Keep x with `x ⪯ v`: below the shell, or in it and removed
-            // earlier. Anchors and core members fail both arms (their class
-            // is above the shell), so no separate tests are needed.
-            let pos_v = pos[v as usize];
-            for &w in self.graph.neighbors(v) {
-                let wi = w as usize;
-                if class[wi] == BELOW {
-                    if stamp[wi] != epoch {
-                        stamp[wi] = epoch;
-                        out.push(Candidate { vertex: w, key: pos_v });
-                    } else {
-                        twice[wi] = epoch;
-                    }
-                } else if class[wi] == SHELL && pos[wi] < pos_v && stamp[wi] != epoch {
-                    stamp[wi] = epoch;
-                    out.push(Candidate::unkeyed(w));
-                }
-            }
-            // A shell vertex can anchor itself if it precedes a fellow
-            // shell neighbour — that case is covered by the scan above when
-            // the roles are swapped, so nothing more to do here.
-        }
-        for c in &mut out {
-            if c.key != NO_KEY && twice[c.vertex as usize] == epoch {
-                c.key = NO_KEY;
-            }
-        }
-        self.metrics.vertices_visited += self.shell.ids.len() as u64;
+        let ix = &self.shell;
+        let mut out = Vec::with_capacity(ix.order.len() + self.carried.below.len());
+        let shell = ix.order.iter().zip(&ix.plus).filter(|&(_, &later)| later > 0);
+        out.extend(shell.map(|(&v, _)| Candidate::unkeyed(v)));
+        self.carried.list(self.graph, &self.class, &self.pos, &ix.ids, &mut out);
+        self.metrics.vertices_visited += ix.ids.len() as u64;
         out
     }
 
@@ -1280,7 +1371,7 @@ impl ShellIndex {
 /// Scratch of a follower query, indexed by shell slot: the region in
 /// discovery order; per slot, a region stamp, the ordered pass's reach
 /// stamp and the support; and the seeds, then the peel queue. The shell
-/// peel uses `support` and `region` for its own peel too.
+/// peel uses `support`, `region` and `queue` for its own bookkeeping too.
 #[derive(Default)]
 struct SlotScratch {
     stamp: Vec<u32>,
@@ -1299,6 +1390,118 @@ impl SlotScratch {
             self.reach.resize(len, 0);
             self.support.resize(len, 0);
         }
+    }
+}
+
+/// The Theorem-3 candidates below the shell, carried across commits (see
+/// "The carried candidates" in the module docs).
+#[derive(Default)]
+struct CarriedCandidates {
+    /// Whether the list and the counts are the state's once the noted
+    /// moves are applied. A request sets it; an uncommit, a restore and a
+    /// clone clear it, and a commit notes its moves only while it is set.
+    current: bool,
+    /// Per listed vertex, its number of shell neighbours and the XOR of
+    /// their ids; 0 and 0 for every other vertex. Sized at the first
+    /// request, so states that never rank candidates pay nothing for them.
+    count: Vec<u32>,
+    xor: Vec<VertexId>,
+    /// The vertices below the shell with a shell neighbour, as of the last
+    /// request.
+    below: Vec<VertexId>,
+    /// The vertices that entered and that left the shell since then.
+    entered: Vec<VertexId>,
+    left: Vec<VertexId>,
+}
+
+impl CarriedCandidates {
+    /// Note that `v` left the shell.
+    fn note_left(&mut self, v: VertexId) {
+        if self.current {
+            self.left.push(v);
+        }
+    }
+
+    /// Note that `vs` entered the shell.
+    fn note_entered(&mut self, vs: &[VertexId]) {
+        if self.current {
+            self.entered.extend_from_slice(vs);
+        }
+    }
+
+    /// Drop the set: the next request scans again.
+    fn forget(&mut self) {
+        self.current = false;
+    }
+
+    /// Bring the list and the counts up to date for a state of classes
+    /// `class`, slots `pos` and shell `shell`, and append the listed
+    /// vertices to `out`, each keyed by the slot of its one shell neighbour
+    /// when it has one. Applies the noted moves or, when the set is not
+    /// current, clears it and counts the whole shell in. Either way a
+    /// vertex leaves the list once it is no longer below the shell or has
+    /// no shell neighbour left.
+    fn list<G: GraphView>(
+        &mut self,
+        graph: &G,
+        class: &[u32],
+        pos: &[u32],
+        shell: &[VertexId],
+        out: &mut Vec<Candidate>,
+    ) {
+        let CarriedCandidates { current, count, xor, below, entered, left } = self;
+        let rescan = !std::mem::replace(current, true);
+        if rescan {
+            if count.len() < class.len() {
+                *count = vec![0; class.len()];
+                *xor = vec![0; class.len()];
+            }
+            for &w in below.iter() {
+                count[w as usize] = 0;
+                xor[w as usize] = 0;
+            }
+            below.clear();
+            entered.clear();
+            left.clear();
+        }
+        // Arrivals first: a vertex off the list has a count of 0 until
+        // then, so one that reaches 1 here is listed once.
+        for &v in if rescan { shell } else { &entered[..] } {
+            for &w in graph.neighbors(v) {
+                let wi = w as usize;
+                if class[wi] == BELOW {
+                    if count[wi] == 0 {
+                        below.push(w);
+                    }
+                    count[wi] += 1;
+                    xor[wi] ^= v;
+                }
+            }
+        }
+        for &v in left.iter() {
+            for &w in graph.neighbors(v) {
+                let wi = w as usize;
+                if class[wi] == BELOW {
+                    count[wi] -= 1;
+                    xor[wi] ^= v;
+                }
+            }
+        }
+        entered.clear();
+        left.clear();
+        out.reserve(below.len());
+        below.retain(|&w| {
+            let wi = w as usize;
+            let listed = class[wi] == BELOW && count[wi] > 0;
+            if listed {
+                let key = if count[wi] == 1 { pos[xor[wi] as usize] } else { NO_KEY };
+                out.push(Candidate { vertex: w, key });
+            } else {
+                count[wi] = 0;
+                xor[wi] = 0;
+            }
+            listed
+        });
     }
 }
 
@@ -1376,7 +1579,7 @@ impl CountMemo {
 impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
     /// Cloning copies the classes, the shell order and index, and the
     /// below-shell order with its bounds (O(n)); scratch space, the count
-    /// memo and metrics are reset, so a clone answers follower queries and
+    /// memo, the carried candidates and metrics are reset, so a clone answers follower queries and
     /// repairs independently of the original.
     fn clone(&self) -> Self {
         let n = self.graph.num_vertices();
@@ -1391,7 +1594,9 @@ impl<'g, G: GraphView> Clone for AnchoredCoreState<'g, G> {
             next_rank: self.next_rank,
             core_size: self.core_size,
             shell: self.shell.clone(),
+            previous: ShellIndex::default(),
             spare: ShellIndex::default(),
+            carried: CarriedCandidates::default(),
             metrics: Metrics::default(),
             epoch: 0,
             in_region: vec![0; n],
@@ -1476,11 +1681,23 @@ mod tests {
     }
 
     /// `st` has the classes, core size and K-order of a fresh build for
-    /// its anchors.
+    /// its anchors, and its shell index bit for bit: one slice in the wrong
+    /// order changes the FIFO peel, so this is what catches a re-peel from
+    /// the index drifting from one from the graph.
     fn assert_matches_fresh_build(st: &AnchoredCoreState<'_>, context: &str) {
         let fresh = AnchoredCoreState::with_anchors(st.graph, st.k, st.anchors());
         assert_eq!(st.class, fresh.class, "{context}: classes");
         assert_eq!(st.anchored_core_size(), fresh.anchored_core_size(), "{context}");
+        let (ix, fx) = (&st.shell, &fresh.shell);
+        assert_eq!(ix.ids, fx.ids, "{context}: shell ids");
+        assert_eq!(ix.order, fx.order, "{context}: shell order");
+        assert_eq!(ix.offsets, fx.offsets, "{context}: slice offsets");
+        assert_eq!(ix.nbrs, fx.nbrs, "{context}: slices");
+        assert_eq!(ix.engaged, fx.engaged, "{context}: engaged counts");
+        assert_eq!(ix.plus, fx.plus, "{context}: plus");
+        for &v in &fx.ids {
+            assert_eq!(st.pos[v as usize], fresh.pos[v as usize], "{context}: slot of {v}");
+        }
         for u in st.graph.vertices() {
             for v in st.graph.vertices() {
                 assert_eq!(st.precedes(u, v), fresh.precedes(u, v), "{context}: {u} ⪯ {v}");
@@ -1530,40 +1747,7 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(41);
         let (mut multi_lifts, mut evictions) = (0, 0);
         for trial in 0..120 {
-            // A random part, pendants, and chains hanging off it by one end
-            // (below the shell at k ≥ 3; anchoring a far end lifts the rest)
-            // or by both (below it at k ≥ 4).
-            let (n, pendants, chains) = (20usize, 6usize, 4usize);
-            let mut edges = Vec::new();
-            for _ in 0..55 {
-                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if u != v {
-                    edges.push((u, v));
-                }
-            }
-            let mut next = n;
-            for _ in 0..pendants {
-                edges.push((next, rng.gen_range(0..n)));
-                next += 1;
-            }
-            for _ in 0..chains {
-                let len = rng.gen_range(2usize..5);
-                edges.push((next, rng.gen_range(0..n)));
-                for i in 1..len {
-                    edges.push((next + i - 1, next + i));
-                }
-                if rng.gen_bool(0.5) {
-                    edges.push((next + len - 1, rng.gen_range(0..n)));
-                }
-                next += len;
-            }
-            let mut g = Graph::new(next);
-            for (u, v) in edges {
-                let (u, v) = (u as VertexId, v as VertexId);
-                if !g.has_edge(u, v) {
-                    g.insert_edge(u, v).unwrap();
-                }
-            }
+            let g = graph_with_chains(&mut rng);
             let k = 2 + (trial % 4) as u32;
             let mut st = AnchoredCoreState::new(&g, k);
             check_below_order(&st, &format!("trial {trial}, built"));
@@ -1607,6 +1791,7 @@ mod tests {
                         let Some(u) = pick(&st, &mut rng, ANCHOR) else { continue };
                         let kept = st.uncommit_keeping(u);
                         check_below_order(&st, &format!("{context}, kept"));
+                        assert_matches_fresh_build(&st, &format!("{context}, kept"));
                         for v in g.vertices() {
                             st.follower_count_of(v);
                         }
@@ -1616,6 +1801,7 @@ mod tests {
                         let Some(u) = pick(&st, &mut rng, ANCHOR) else { continue };
                         st.uncommit_anchor(u);
                         check_below_order(&st, &format!("{context}, uncommitted"));
+                        assert_matches_fresh_build(&st, &format!("{context}, uncommitted"));
                         st.commit_anchor(u);
                     }
                 }
@@ -1809,6 +1995,7 @@ mod tests {
                 let x = rng.gen_range(0..n + pendants) as VertexId;
                 if !recommit.in_core(x) {
                     recommit.commit_anchor(x);
+                    assert_matches_fresh_build(&recommit, &format!("trial {trial}, committed {x}"));
                 }
             }
             if recommit.anchors().is_empty() {
@@ -1816,16 +2003,21 @@ mod tests {
             }
             let u = recommit.anchors()[rng.gen_range(0..recommit.anchors().len())];
             let mut restore = recommit.clone();
+            assert_matches_fresh_build(&restore, &format!("trial {trial}, cloned"));
 
             recommit.uncommit_anchor(u);
+            assert_matches_fresh_build(&recommit, &format!("trial {trial}, uncommitted {u}"));
             recommit.commit_anchor(u);
+            assert_matches_fresh_build(&recommit, &format!("trial {trial}, recommitted {u}"));
             let kept = restore.uncommit_keeping(u);
+            assert_matches_fresh_build(&restore, &format!("trial {trial}, kept {u}"));
             // Count on the state without u, as a swap test does: the
             // restore must forget these counts.
             for v in g.vertices() {
                 restore.follower_count_of(v);
             }
             restore.restore_anchor(kept);
+            assert_matches_fresh_build(&restore, &format!("trial {trial}, restored {u}"));
             restored_any = true;
 
             assert_eq!(restore.anchors(), recommit.anchors(), "trial {trial}");
@@ -1968,15 +2160,118 @@ mod tests {
             let g = graph_with_pendants(&mut rng, 25, 80, 10);
             let k = 2 + (trial % 3) as u32;
             let mut st = AnchoredCoreState::new(&g, k);
-            let scanned = st.keyed_candidates();
+            let mut scanned = st.keyed_candidates();
+            scanned.sort_unstable_by_key(|c| c.vertex);
+            assert_eq!(scanned, neighbour_scan(&st), "trial {trial} k = {k}");
             let plain = st.candidates();
             assert_eq!(scanned.iter().map(|c| c.vertex).collect::<Vec<_>>(), plain);
-            for &c in &scanned {
-                assert_eq!(c, st.candidate(c.vertex), "trial {trial} k = {k}");
-                keyed += usize::from(c.key != NO_KEY);
-            }
+            keyed += scanned.iter().filter(|c| c.key != NO_KEY).count();
         }
         assert!(keyed > 0, "some candidate hangs off one shell vertex");
+        // The carried set, through the random repairs that pin the index:
+        // some requests are skipped, so that one applies several commits.
+        let mut skip = rand::rngs::SmallRng::seed_from_u64(53);
+        let mut requests = 0;
+        random_repairs(47, |st, context| {
+            if rand::Rng::gen_bool(&mut skip, 0.3) {
+                return;
+            }
+            let fresh = AnchoredCoreState::with_anchors(st.graph, st.k, st.anchors());
+            let mut carried = st.keyed_candidates();
+            carried.sort_unstable_by_key(|c| c.vertex);
+            assert_eq!(carried, neighbour_scan(&fresh), "{context}");
+            requests += 1;
+        });
+        assert!(requests > 0);
+    }
+
+    /// The keyed Theorem-3 candidates of `st` by a scan of each vertex's
+    /// neighbour list, in vertex-id order: every `x` outside `C_k(S)` with
+    /// a shell neighbour `v` such that `x ⪯ v`, keyed as
+    /// [`AnchoredCoreState::candidate`] reads the key off `x`'s list.
+    fn neighbour_scan(st: &AnchoredCoreState<'_>) -> Vec<Candidate> {
+        let g = st.graph;
+        g.vertices()
+            .filter(|&x| !st.in_core(x))
+            .filter(|&x| g.neighbors(x).iter().any(|&v| st.in_shell(v) && st.precedes(x, v)))
+            .map(|x| st.candidate(x))
+            .collect()
+    }
+
+    /// Random repair sequences on 60 graphs from `graph_with_chains`, at k
+    /// from 2 to 5. Each of 16 steps commits a vertex below the shell, in
+    /// it or in the core, uncommits an anchor, makes a swap test (uncommit,
+    /// count every vertex, restore), or replaces the state with its clone;
+    /// `check` sees the state after every step and after a swap test's
+    /// uncommit. Returns how many of each step ran: below-shell commits
+    /// that lift and that do not, shell commits, member commits, uncommits,
+    /// restores and clones.
+    fn random_repairs(
+        seed: u64,
+        mut check: impl FnMut(&mut AnchoredCoreState<'_>, &str),
+    ) -> [usize; 7] {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut ran = [0; 7];
+        for trial in 0..60 {
+            let g = graph_with_chains(&mut rng);
+            let k = 2 + (trial % 4) as u32;
+            let of_class = |st: &AnchoredCoreState<'_>, c: u32| {
+                g.vertices().filter(|&v| st.class[v as usize] == c).collect::<Vec<_>>()
+            };
+            let mut st = AnchoredCoreState::new(&g, k);
+            for step in 0..16 {
+                let context = format!("trial {trial}, k = {k}, step {step}");
+                let kind = rng.gen_range(0usize..6);
+                let class = match kind {
+                    0 | 1 => BELOW,
+                    2 => SHELL,
+                    3 => CORE,
+                    _ => ANCHOR,
+                };
+                let pool = of_class(&st, class);
+                if kind < 5 && pool.is_empty() {
+                    continue;
+                }
+                let v = if pool.is_empty() { 0 } else { pool[rng.gen_range(0..pool.len())] };
+                match kind {
+                    0..=3 => {
+                        let below = of_class(&st, BELOW).len();
+                        st.commit_anchor(v);
+                        let lifted = class == BELOW && below - of_class(&st, BELOW).len() > 1;
+                        ran[if lifted { 0 } else { kind.max(1) }] += 1;
+                    }
+                    4 if rng.gen_bool(0.5) => {
+                        st.uncommit_anchor(v);
+                        ran[4] += 1;
+                    }
+                    4 => {
+                        let kept = st.uncommit_keeping(v);
+                        check(&mut st, &format!("{context}, kept {v}"));
+                        for x in g.vertices() {
+                            st.follower_count_of(x);
+                        }
+                        st.restore_anchor(kept);
+                        ran[5] += 1;
+                    }
+                    _ => {
+                        st = st.clone();
+                        ran[6] += 1;
+                    }
+                }
+                check(&mut st, &context);
+            }
+        }
+        ran
+    }
+
+    #[test]
+    fn every_repair_lays_down_the_index_a_fresh_build_does() {
+        let ran = random_repairs(47, |st, context| {
+            check_below_order(st, context);
+            assert_matches_fresh_build(st, context);
+        });
+        assert!(ran.iter().all(|&n| n > 0), "every kind of step ran: {ran:?}");
     }
 
     /// The forward closure of anchoring `x`, over full adjacency: the
@@ -1997,6 +2292,45 @@ mod tests {
             }
         }
         size
+    }
+
+    /// A random part of 20 vertices, 6 pendants, and 4 chains hanging off
+    /// it by one end (below the shell at k ≥ 3; anchoring a far end lifts
+    /// the rest) or by both (below it at k ≥ 4).
+    fn graph_with_chains(rng: &mut rand::rngs::SmallRng) -> Graph {
+        use rand::Rng;
+        let (n, pendants, chains) = (20usize, 6usize, 4usize);
+        let mut edges = Vec::new();
+        for _ in 0..55 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+        let mut next = n;
+        for _ in 0..pendants {
+            edges.push((next, rng.gen_range(0..n)));
+            next += 1;
+        }
+        for _ in 0..chains {
+            let len = rng.gen_range(2usize..5);
+            edges.push((next, rng.gen_range(0..n)));
+            for i in 1..len {
+                edges.push((next + i - 1, next + i));
+            }
+            if rng.gen_bool(0.5) {
+                edges.push((next + len - 1, rng.gen_range(0..n)));
+            }
+            next += len;
+        }
+        let mut g = Graph::new(next);
+        for (u, v) in edges {
+            let (u, v) = (u as VertexId, v as VertexId);
+            if !g.has_edge(u, v) {
+                g.insert_edge(u, v).unwrap();
+            }
+        }
+        g
     }
 
     /// A random graph on `n` vertices with `m` edge draws and `pendants`
@@ -2085,8 +2419,10 @@ mod tests {
         let check = |st: &mut AnchoredCoreState<'_>, context: &str| {
             assert_matches_fresh_build(st, context);
             let anchors = st.anchors().to_vec();
-            let mut fresh = AnchoredCoreState::with_anchors(&g, 3, &anchors);
-            assert_eq!(st.keyed_candidates(), fresh.keyed_candidates(), "{context}");
+            let fresh = AnchoredCoreState::with_anchors(&g, 3, &anchors);
+            let mut carried = st.keyed_candidates();
+            carried.sort_unstable_by_key(|c| c.vertex);
+            assert_eq!(carried, neighbour_scan(&fresh), "{context}");
             for x in g.vertices() {
                 let mut set = st.followers_of(x);
                 set.sort_unstable();
@@ -2098,13 +2434,14 @@ mod tests {
         // The first query stamps epoch 1, and so does the first query after
         // the wrap: a stamp the wrap left behind would mark 5 reached
         // before 4 reaches it, and 5 would never be kept.
+        st.epoch = 0;
         assert_eq!(st.followers_of(6), [4, 5]);
+        assert_eq!(st.epoch, 1);
         st.epoch = u32::MAX - 1;
-        let scanned = st.keyed_candidates(); // the last epoch before the wrap
+        assert_eq!(st.followers_of(7), [4, 5], "the last query before the wrap");
         assert_eq!(st.epoch, u32::MAX);
         assert_eq!(st.followers_of(6), [4, 5], "the first query after the wrap");
         assert_eq!(st.epoch, 1);
-        assert_eq!(scanned, AnchoredCoreState::new(&g, 3).keyed_candidates());
         check(&mut st, "queried across the wrap");
         st.epoch = u32::MAX - 1;
         st.commit_anchor(9);

@@ -60,8 +60,9 @@ pub(crate) fn select_best<G: GraphView>(
 /// committing the winner of [`select_best`]; stop early when no candidate
 /// has any followers. `order_based` picks the §4.2 follower count over the
 /// unordered whole-shell search. Greedy's candidates come keyed from the
-/// Theorem-3 scan, so its probes read the count memo without re-reading
-/// their neighbour lists.
+/// Theorem-3 set the state carries across rounds, so its probes read the
+/// count memo without re-reading their neighbour lists, and no round after
+/// the first rescans the shell.
 pub(crate) fn solve_rounds<G: GraphView>(
     t: usize,
     frame: &G,
