@@ -1,7 +1,7 @@
 //! Microbenchmarks of the hot scan loops — the bucket peel, the follower
-//! scans, the anchored-state repairs, one per-snapshot Greedy solve and
-//! k-core membership — on both CSR substrates (resident [`CsrGraph`] and
-//! page-cache [`MmapCsr`]):
+//! scans, the anchored-state repairs, one per-snapshot Greedy solve, one
+//! IncAVT pass and k-core membership — on both CSR substrates (resident
+//! [`CsrGraph`] and page-cache [`MmapCsr`]) where they run on frames:
 //!
 //! * `kernels/peel` — full core decomposition (the bucket peel's
 //!   `deg > dv` scan + bucket moves).
@@ -33,17 +33,23 @@
 //! * `kernels/greedy-solve` — one `Greedy::solve_snapshot` with l = 10 on
 //!   the `track` instance: the construction, ten rounds of counts and the
 //!   ten commits, the per-snapshot solver rung.
+//! * `kernels/incavt-track` — one `IncAvt::track` pass with l = 10 over the
+//!   30 snapshots of the `track` instance: the K-order build, the first
+//!   Greedy solve, and per later snapshot the K-order maintenance, a state
+//!   built from the K-order and the local search. The per-pass IncAVT rung
+//!   beside `kernels/greedy-solve`; IncAVT maintains the mutable graph, so
+//!   it has no CSR substrate split.
 //! * `kernels/members` — k-core membership filter over the core array.
 //!
 //! Labels are `kernels/<group>/{resident,mmap}`, and `kernels/members/k3`
-//! for the one substrate-free group; smoke runs fold the medians into
-//! `bench-medians.json` (see the criterion shim).
+//! and `kernels/incavt-track` for the substrate-free ones; smoke runs fold
+//! the medians into `bench-medians.json` (see the criterion shim).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use avt_core::{AnchoredCoreState, AvtParams, Greedy, SnapshotSolver};
+use avt_core::{AnchoredCoreState, AvtAlgorithm, AvtParams, Greedy, IncAvt, SnapshotSolver};
 use avt_datasets::chunglu::chung_lu;
 use avt_datasets::Dataset;
 use avt_graph::io::write_csrbin_file;
@@ -190,6 +196,14 @@ fn bench_greedy_solve(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_incavt_track(c: &mut Criterion) {
+    let evolving = Dataset::EmailEnron.generate(0.2, 30, 42);
+    let params = AvtParams::new(TRACK_K, 10);
+    c.bench_function("kernels/incavt-track", |b| {
+        b.iter(|| IncAvt.track(&evolving, params).expect("generated batches apply"))
+    });
+}
+
 fn bench_members(c: &mut Criterion) {
     let csr = bench_graph();
     let cores = CoreDecomposition::compute(&csr).cores().to_vec();
@@ -211,6 +225,7 @@ criterion_group!(
     bench_followers_of,
     bench_state_commit,
     bench_greedy_solve,
+    bench_incavt_track,
     bench_members
 );
 criterion_main!(benches);

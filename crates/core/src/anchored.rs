@@ -147,10 +147,13 @@
 //!
 //! # Construction, commits and uncommits
 //!
-//! Construction is two threshold cascades over the graph — at `k − 1`,
-//! then at `k` over `C_{k-1}(S)` — and the shell peel. It is the one
-//! whole-graph pass a state makes ([`Metrics::rebuilds`]). Commits and
-//! uncommits repair the state locally:
+//! [`AnchoredCoreState::with_anchors`] (and `new`) builds a state by two
+//! threshold cascades over the graph — at `k − 1`, then at `k` over
+//! `C_{k-1}(S)` — and the shell peel. That is the one whole-graph pass a
+//! state makes ([`Metrics::rebuilds`]). A caller that keeps a K-order of
+//! the graph, as IncAVT does, builds the same state from it instead (see
+//! "Construction from a K-order" below). Commits and uncommits repair the
+//! state locally:
 //!
 //! * **commit `x`**: `x` and its followers join `C_k(S)`. If `x` lay below
 //!   the shell, the vertices it *lifts* join `C_{k-1}(S)`: one pass over
@@ -211,7 +214,8 @@
 //! below-shell vertex (in `pos`, beside the shell vertices' slots) and the
 //! support as the vertex's *bound* (in the cascades' `support` array).
 //! Ranks only grow; when the counter would pass `u32::MAX`, one pass
-//! renumbers the below-shell vertices in rank order.
+//! renumbers the below-shell vertices in rank order. A state built from a
+//! K-order takes the K-order's instead (below).
 //!
 //! Committing a below-shell `x` lifts exactly the vertices of
 //! `C_{k-1}(S ∪ {x}) \ C_{k-1}(S)` other than `x`, and the order finds
@@ -252,12 +256,54 @@
 //! its uncommit appended, the end of the order. A vertex of degree below
 //! `k − 1` keeps its bound when a pass skips it; that bound may no longer
 //! cover its remaining degree, but no pass reads it.
+//!
+//! ## Construction from a K-order
+//!
+//! A K-order of the graph (the removal order of a core decomposition, kept
+//! by `avt_kcore::MaintainedCore` across snapshots) already holds every
+//! vertex's core number, and with it `C_{k-1}(∅)` and `C_k(∅)`. The
+//! constructor reads the rest off it in five steps:
+//!
+//! 1. **Classes.** Core ≥ k is in `C_k`, core `k − 1` is in the shell, and
+//!    anything lower is below it: one pass over the core array, with no
+//!    neighbour reads.
+//! 2. **The below-shell order.** The vertices below the shell are ranked
+//!    in K-order, level by level, each with its core number as its bound.
+//!    The bound holds: in any K-order a vertex has at most its core number
+//!    of later neighbours (deg⁺(v) ≤ core(v)), and every neighbour in
+//!    `C_{k-1}` comes later, so the remaining degree is at most the core
+//!    number, which is below `k − 1`.
+//! 3. **The anchors,** marked in turn. One that lies below the shell when
+//!    its turn comes runs its commit's `lift`, which reads only the classes
+//!    and the below-shell order, never the shell index, and is exact on any
+//!    valid order with valid bounds. Each lift keeps the order valid for
+//!    the next, so after the last one the classes at the shell or above are
+//!    exactly `C_{k-1}(S)`. Anchoring a vertex already in `C_{k-1}(S)`
+//!    leaves `C_{k-1}(S)` as it is, and an anchor an earlier lift pulled up
+//!    is such a vertex.
+//! 4. **`C_k(S)`** by one threshold-k cascade over the *shell candidates*:
+//!    the core-(k − 1) vertices and the lifted ones, minus the anchors, each
+//!    supported by its neighbours in `C_{k-1}(S)`. `C_k(∅) ∪ S` lies inside
+//!    `C_k(S)`, so the cascade holds it fixed (anchors by their class, the
+//!    rest parked at a support that never falls below k): an exact peel of
+//!    `C_{k-1}(S)` never removes them, and removes exactly the candidates
+//!    this one does.
+//! 5. **The shell peel,** the same `peel_shell` every construction and
+//!    repair ends in.
+//!
+//! Steps 4 and 5 are the tail [`AnchoredCoreState::with_anchors`] runs
+//! after its first cascade too, over every vertex of `C_{k-1}(S)`. Classes,
+//! core size, shell order and index are therefore the ones `with_anchors`
+//! builds; only the below-shell order and its bounds differ, and both are
+//! valid. The cost is the class pass and the below-shell ranking (O(n)),
+//! the lifts, and the shell candidates' neighbour lists; no threshold
+//! cascade crosses the graph, and the state adds no rebuild.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use avt_graph::{Graph, GraphView, VertexId};
-use avt_kcore::ANCHOR_CORE;
+use avt_kcore::{KOrder, ANCHOR_CORE};
 
 use crate::metrics::Metrics;
 
@@ -375,7 +421,99 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
         for &a in anchors {
             class[a as usize] = ANCHOR;
         }
-        let mut state = AnchoredCoreState {
+        let support = (0..n).map(|v| graph.degree(v as VertexId) as u32).collect();
+        // The cascades are this state's one whole-graph pass.
+        let metrics = Metrics { rebuilds: 1, vertices_visited: n as u64, ..Metrics::default() };
+        let mut state = Self::unbuilt(graph, k, anchors, class, support, metrics);
+        // The vertices peeled at k − 1 fall below the shell, ranked in the
+        // below-shell order, with their bounds left in `support`; every
+        // other non-anchor is left with its count of neighbours in
+        // `C_{k-1}(S)`.
+        let mut below = Vec::new();
+        state.cascade(k - 1, BELOW, 0..n as VertexId, &mut below);
+        state.next_rank = below.len() as u32;
+        state.settle(n - below.len(), 0..n as VertexId);
+        state
+    }
+
+    /// State with `anchors` committed, built from a K-order of `graph`
+    /// instead of by cascades over it ("Construction from a K-order" in the
+    /// module docs). Its classes, core size, shell order and index are the
+    /// ones [`Self::with_anchors`] builds; its below-shell order is the
+    /// K-order's, which is just as valid. Adds no rebuild.
+    pub(crate) fn from_korder(graph: &'g G, k: u32, korder: &KOrder, anchors: &[VertexId]) -> Self {
+        assert!(k >= 1, "k must be at least 1");
+        let n = graph.num_vertices();
+        let cores = korder.core_slice();
+        assert_eq!(cores.len(), n, "the K-order covers the graph");
+        // Classes off the core numbers. A vertex of the plain k-core is
+        // parked at a support no cascade brings below k, and one below the
+        // shell takes its core number as its bound; the shell's supports
+        // are counted once the anchors are in.
+        let (mut class, mut support) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut candidates, mut levels) = (Vec::new(), 0);
+        for (v, &c) in cores.iter().enumerate() {
+            let (to, bound) = match c {
+                c if c >= k => (CORE, u32::MAX),
+                c if c == k - 1 => {
+                    candidates.push(v as VertexId);
+                    (SHELL, 0)
+                }
+                c => {
+                    levels = levels.max(c + 1);
+                    (BELOW, c)
+                }
+            };
+            class.push(to);
+            support.push(bound);
+        }
+        // The class pass is the one pass over every vertex.
+        let metrics = Metrics { vertices_visited: n as u64, ..Metrics::default() };
+        let mut state = Self::unbuilt(graph, k, anchors, class, support, metrics);
+        let mut rank = 0;
+        for level in 0..levels {
+            for v in korder.iter_level(level) {
+                state.pos[v as usize] = rank;
+                rank += 1;
+            }
+        }
+        state.next_rank = rank;
+        let mut lower = n - rank as usize;
+        // Each below-shell anchor lifts what it holds up into the shell,
+        // exactly as its commit would.
+        for &a in anchors {
+            let was = std::mem::replace(&mut state.class[a as usize], ANCHOR);
+            if was == BELOW {
+                let before = candidates.len();
+                state.lift(a, &mut candidates);
+                lower += 1 + candidates.len() - before;
+            }
+        }
+        // The shell candidates: the core-(k − 1) vertices and the lifted
+        // ones, minus the anchors.
+        candidates.retain(|&v| state.class[v as usize] == SHELL);
+        for &v in &candidates {
+            let c = &state.class;
+            let inside = graph.neighbors(v).iter().filter(|&&w| c[w as usize] >= SHELL).count();
+            state.support[v as usize] = inside as u32;
+            state.class[v as usize] = CORE;
+        }
+        state.settle(lower, candidates);
+        state
+    }
+
+    /// A state of classes `class` and supports `support`, with `anchors`
+    /// listed and `metrics` charged, and nothing else built yet.
+    fn unbuilt(
+        graph: &'g G,
+        k: u32,
+        anchors: &[VertexId],
+        class: Vec<u32>,
+        support: Vec<u32>,
+        metrics: Metrics,
+    ) -> Self {
+        let n = graph.num_vertices();
+        AnchoredCoreState {
             graph,
             k,
             anchors: anchors.to_vec(),
@@ -387,48 +525,58 @@ impl<'g, G: GraphView> AnchoredCoreState<'g, G> {
             previous: ShellIndex::default(),
             spare: ShellIndex::default(),
             carried: CarriedCandidates::default(),
-            // The cascades below are this state's one whole-graph pass.
-            metrics: Metrics { rebuilds: 1, vertices_visited: n as u64, ..Metrics::default() },
+            metrics,
             epoch: 0,
             in_region: vec![0; n],
             queued: vec![0; n],
-            support: (0..n).map(|v| graph.degree(v as VertexId) as u32).collect(),
+            support,
             region: Vec::new(),
             queue: Vec::new(),
             targets: Vec::new(),
             heap: BinaryHeap::new(),
             query: SlotScratch::default(),
             memo: CountMemo::new(),
-        };
-        // The vertices peeled at k − 1 fall below the shell, ranked in the
-        // below-shell order, with their bounds left in `support`; those then
-        // peeled at k form the shell.
-        let mut below = Vec::new();
-        state.cascade(k - 1, BELOW, &mut below);
-        state.next_rank = below.len() as u32;
-        let mut shell = Vec::new();
-        state.cascade(k, SHELL, &mut shell);
-        state.core_size = n - below.len() - shell.len();
-        shell.sort_unstable();
-        state.peel_shell(&shell, &[], None);
-        state
+        }
     }
 
-    /// One threshold cascade of the construction. Every `CORE` vertex with
-    /// `support` below `t` moves to class `to`, and so, in turn, does every
-    /// `CORE` vertex the moves leave below `t`. `support` must hold each
-    /// `CORE` vertex's count of neighbours at `CORE` or above, and still
-    /// does for those that stay. Appends the moved vertices to `moved`, in
-    /// a peel order of them, and sets each one's `pos` to its index there:
-    /// a moved vertex's `support` is never decremented again, so it stays
+    /// The end of every construction, once the classes mark `C_{k-1}(S)`,
+    /// of `lower` vertices: `C_k(S)` by one threshold-k cascade, then the
+    /// shell peel. The cascade may move the `CORE` vertices among
+    /// `candidates`, each with `support` holding its count of neighbours in
+    /// `C_{k-1}(S)`; every other `CORE` vertex must hold a support the
+    /// cascade cannot bring below k, and anchors stay. What it moves is the
+    /// shell.
+    fn settle(&mut self, lower: usize, candidates: impl IntoIterator<Item = VertexId>) {
+        let mut shell = Vec::new();
+        self.cascade(self.k, SHELL, candidates, &mut shell);
+        self.core_size = lower - shell.len();
+        shell.sort_unstable();
+        self.peel_shell(&shell, &[], None);
+    }
+
+    /// One threshold cascade of the construction. Every `CORE` vertex of
+    /// `candidates` with `support` below `t` moves to class `to`, and so,
+    /// in turn, does every `CORE` vertex the moves leave below `t`.
+    /// `support` must hold each `CORE` vertex's count of neighbours at
+    /// `CORE` or above (or more, for one that must stay), and still does
+    /// for those that stay. Appends the moved vertices to `moved`, in a
+    /// peel order of them, and sets each one's `pos` to its index there: a
+    /// moved vertex's `support` is never decremented again, so it stays
     /// below `t` and counts every neighbour that stays or moves after it.
-    fn cascade(&mut self, t: u32, to: u32, moved: &mut Vec<VertexId>) {
+    fn cascade(
+        &mut self,
+        t: u32,
+        to: u32,
+        candidates: impl IntoIterator<Item = VertexId>,
+        moved: &mut Vec<VertexId>,
+    ) {
         let graph = self.graph;
-        for v in 0..graph.num_vertices() {
-            if self.class[v] == CORE && self.support[v] < t {
-                self.class[v] = to;
-                self.pos[v] = moved.len() as u32;
-                moved.push(v as VertexId);
+        for v in candidates {
+            let vi = v as usize;
+            if self.class[vi] == CORE && self.support[vi] < t {
+                self.class[vi] = to;
+                self.pos[vi] = moved.len() as u32;
+                moved.push(v);
             }
         }
         let mut head = 0;
@@ -2210,59 +2358,76 @@ mod tests {
         seed: u64,
         mut check: impl FnMut(&mut AnchoredCoreState<'_>, &str),
     ) -> [usize; 7] {
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let mut ran = [0; 7];
         for trial in 0..60 {
             let g = graph_with_chains(&mut rng);
             let k = 2 + (trial % 4) as u32;
-            let of_class = |st: &AnchoredCoreState<'_>, c: u32| {
-                g.vertices().filter(|&v| st.class[v as usize] == c).collect::<Vec<_>>()
-            };
             let mut st = AnchoredCoreState::new(&g, k);
-            for step in 0..16 {
-                let context = format!("trial {trial}, k = {k}, step {step}");
-                let kind = rng.gen_range(0usize..6);
-                let class = match kind {
-                    0 | 1 => BELOW,
-                    2 => SHELL,
-                    3 => CORE,
-                    _ => ANCHOR,
-                };
-                let pool = of_class(&st, class);
-                if kind < 5 && pool.is_empty() {
-                    continue;
-                }
-                let v = if pool.is_empty() { 0 } else { pool[rng.gen_range(0..pool.len())] };
-                match kind {
-                    0..=3 => {
-                        let below = of_class(&st, BELOW).len();
-                        st.commit_anchor(v);
-                        let lifted = class == BELOW && below - of_class(&st, BELOW).len() > 1;
-                        ran[if lifted { 0 } else { kind.max(1) }] += 1;
-                    }
-                    4 if rng.gen_bool(0.5) => {
-                        st.uncommit_anchor(v);
-                        ran[4] += 1;
-                    }
-                    4 => {
-                        let kept = st.uncommit_keeping(v);
-                        check(&mut st, &format!("{context}, kept {v}"));
-                        for x in g.vertices() {
-                            st.follower_count_of(x);
-                        }
-                        st.restore_anchor(kept);
-                        ran[5] += 1;
-                    }
-                    _ => {
-                        st = st.clone();
-                        ran[6] += 1;
-                    }
-                }
-                check(&mut st, &context);
-            }
+            let label = format!("trial {trial}, k = {k}");
+            repair_steps(&mut st, &mut rng, 16, &label, &mut ran, &mut check);
         }
         ran
+    }
+
+    /// `steps` random steps of [`random_repairs`] on `st`, counted into
+    /// `ran`; `check` sees the state after every step and after a swap
+    /// test's uncommit.
+    fn repair_steps(
+        st: &mut AnchoredCoreState<'_>,
+        rng: &mut rand::rngs::SmallRng,
+        steps: usize,
+        label: &str,
+        ran: &mut [usize; 7],
+        check: &mut impl FnMut(&mut AnchoredCoreState<'_>, &str),
+    ) {
+        use rand::Rng;
+        let g = st.graph;
+        let of_class = |st: &AnchoredCoreState<'_>, c: u32| {
+            g.vertices().filter(|&v| st.class[v as usize] == c).collect::<Vec<_>>()
+        };
+        for step in 0..steps {
+            let context = format!("{label}, step {step}");
+            let kind = rng.gen_range(0usize..6);
+            let class = match kind {
+                0 | 1 => BELOW,
+                2 => SHELL,
+                3 => CORE,
+                _ => ANCHOR,
+            };
+            let pool = of_class(st, class);
+            if kind < 5 && pool.is_empty() {
+                continue;
+            }
+            let v = if pool.is_empty() { 0 } else { pool[rng.gen_range(0..pool.len())] };
+            match kind {
+                0..=3 => {
+                    let below = of_class(st, BELOW).len();
+                    st.commit_anchor(v);
+                    let lifted = class == BELOW && below - of_class(st, BELOW).len() > 1;
+                    ran[if lifted { 0 } else { kind.max(1) }] += 1;
+                }
+                4 if rng.gen_bool(0.5) => {
+                    st.uncommit_anchor(v);
+                    ran[4] += 1;
+                }
+                4 => {
+                    let kept = st.uncommit_keeping(v);
+                    check(st, &format!("{context}, kept {v}"));
+                    for x in g.vertices() {
+                        st.follower_count_of(x);
+                    }
+                    st.restore_anchor(kept);
+                    ran[5] += 1;
+                }
+                _ => {
+                    *st = st.clone();
+                    ran[6] += 1;
+                }
+            }
+            check(st, &context);
+        }
     }
 
     #[test]
@@ -2272,6 +2437,178 @@ mod tests {
             assert_matches_fresh_build(st, context);
         });
         assert!(ran.iter().all(|&n| n > 0), "every kind of step ran: {ran:?}");
+    }
+
+    /// `st`, built from a K-order, is what [`AnchoredCoreState::with_anchors`]
+    /// builds for its anchors, its below-shell order is valid, and its
+    /// construction charged no rebuild.
+    fn assert_built_from_korder(st: &AnchoredCoreState<'_>, context: &str) {
+        assert_eq!(st.metrics().rebuilds, 0, "{context}: a K-order build is no rebuild");
+        assert!(st.metrics().vertices_visited >= st.graph.num_vertices() as u64, "{context}");
+        check_below_order(st, context);
+        assert_matches_fresh_build(st, context);
+    }
+
+    /// Anchors for `g` at `k` that mix the classes of an anchorless state:
+    /// up to two vertices each of `C_k`, the shell and below it. When some
+    /// below-shell `x` lifts another below-shell `y`, the pair joins them,
+    /// `x` first, so that `y` is still below the shell when the list was
+    /// drawn but an earlier lift has pulled it up by its turn. Returns the
+    /// anchors and whether such a pair is among them.
+    fn mixed_anchors(g: &Graph, k: u32, rng: &mut rand::rngs::SmallRng) -> (Vec<VertexId>, bool) {
+        use rand::Rng;
+        let plain = AnchoredCoreState::new(g, k);
+        let of_class =
+            |c: u32| g.vertices().filter(|&v| plain.class[v as usize] == c).collect::<Vec<_>>();
+        let mut anchors = Vec::new();
+        for class in [CORE, SHELL, BELOW] {
+            let pool = of_class(class);
+            for _ in 0..rng.gen_range(0usize..3) {
+                let v = pool.get(rng.gen_range(0..pool.len().max(1))).copied();
+                if let Some(v) = v.filter(|v| !anchors.contains(v)) {
+                    anchors.insert(rng.gen_range(0..=anchors.len()), v);
+                }
+            }
+        }
+        let below = of_class(BELOW);
+        let Some(&x) = below.get(rng.gen_range(0..below.len().max(1))) else {
+            return (anchors, false);
+        };
+        let mut lifting = plain.clone();
+        lifting.commit_anchor(x);
+        let lifted: Vec<VertexId> = below
+            .iter()
+            .copied()
+            .filter(|&v| lifting.in_shell(v) && !anchors.contains(&v))
+            .collect();
+        if lifted.is_empty() || anchors.contains(&x) {
+            return (anchors, false);
+        }
+        let y = lifted[rng.gen_range(0..lifted.len())];
+        let at = rng.gen_range(0..=anchors.len());
+        anchors.insert(at, x);
+        anchors.insert(rng.gen_range(at + 1..=anchors.len()), y);
+        (anchors, true)
+    }
+
+    #[test]
+    fn a_lifted_anchor_is_anchored_where_an_earlier_lift_put_it() {
+        // k = 3: the chain 0 - 4 - 5 - 6 hangs off the K4 below the shell,
+        // all three at core 1. Anchoring 6 lifts 5 and 4, so 5 is in the
+        // shell by its turn.
+        let g = Graph::from_edges(
+            7,
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 6)],
+        )
+        .unwrap();
+        let korder = KOrder::from_graph(&g);
+        let st = AnchoredCoreState::from_korder(&g, 3, &korder, &[]);
+        assert_built_from_korder(&st, "no anchors");
+        // The ranks are the K-order's, which peels the chain from its free
+        // end; each bound is the core number.
+        assert_eq!((st.pos[6], st.pos[5], st.pos[4], st.next_rank), (0, 1, 2, 3));
+        assert_eq!((st.support[6], st.support[5], st.support[4]), (1, 1, 1));
+        for anchors in [[6, 5], [5, 6], [6, 4]] {
+            let st = AnchoredCoreState::from_korder(&g, 3, &korder, &anchors);
+            let context = format!("anchors {anchors:?}");
+            assert_built_from_korder(&st, &context);
+            assert_eq!(st.anchors(), anchors, "{context}");
+            // The third chain vertex has two supporters in C_2, below k.
+            assert_eq!(st.anchored_core_size(), 6, "{context}");
+        }
+        let st = AnchoredCoreState::from_korder(&g, 3, &korder, &[6, 5]);
+        assert!(st.in_shell(4) && st.in_core(5) && st.in_core(6));
+    }
+
+    #[test]
+    fn a_state_built_from_a_korder_is_the_one_with_anchors_builds() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(59);
+        let (mut pairs, mut ran) = (0, [0; 7]);
+        let mut check = |st: &mut AnchoredCoreState<'_>, context: &str| {
+            check_below_order(st, context);
+            assert_matches_fresh_build(st, context);
+        };
+        for trial in 0..60 {
+            let g = graph_with_chains(&mut rng);
+            let k = 2 + (trial % 4) as u32;
+            let korder = KOrder::from_graph(&g);
+            let (anchors, pair) = mixed_anchors(&g, k, &mut rng);
+            pairs += usize::from(pair);
+            let mut st = AnchoredCoreState::from_korder(&g, k, &korder, &anchors);
+            let label = format!("trial {trial}, k = {k}, anchors {anchors:?}");
+            assert_built_from_korder(&st, &label);
+            repair_steps(&mut st, &mut rng, 8, &label, &mut ran, &mut check);
+        }
+        assert!(pairs > 0, "some anchor was lifted by an earlier one");
+        assert!(ran.iter().all(|&n| n > 0), "every kind of step ran: {ran:?}");
+    }
+
+    /// A batch of `size` random edits of `g`: half insertions of absent
+    /// edges, half deletions of present ones.
+    fn random_batch(
+        g: &Graph,
+        rng: &mut rand::rngs::SmallRng,
+        size: usize,
+    ) -> avt_graph::EdgeBatch {
+        use rand::Rng;
+        let n = g.num_vertices() as VertexId;
+        let mut inserted: Vec<(VertexId, VertexId)> = Vec::new();
+        while inserted.len() < size / 2 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && !g.has_edge(u, v) && !inserted.iter().any(|&e| e == (u, v) || e == (v, u))
+            {
+                inserted.push((u, v));
+            }
+        }
+        let mut present: Vec<(VertexId, VertexId)> = g.edges().map(|e| (e.u, e.v)).collect();
+        let mut deleted = Vec::new();
+        while deleted.len() < size - size / 2 && !present.is_empty() {
+            deleted.push(present.swap_remove(rng.gen_range(0..present.len())));
+        }
+        avt_graph::EdgeBatch::from_pairs(inserted, deleted)
+    }
+
+    #[test]
+    fn a_maintained_korder_builds_the_state_with_anchors_builds() {
+        use avt_kcore::MaintainedCore;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(61);
+        let (mut repaired, mut decomposed, mut pairs, mut ran) = (0, 0, 0, [0; 7]);
+        let mut check = |st: &mut AnchoredCoreState<'_>, context: &str| {
+            check_below_order(st, context);
+            assert_matches_fresh_build(st, context);
+        };
+        for trial in 0..12 {
+            let mut maintained = MaintainedCore::new(graph_with_chains(&mut rng));
+            for round in 0..5 {
+                // `apply_batch` repairs a batch that churns less than 5 % of
+                // n + m and decomposes a larger one; these graphs have
+                // n + m near 110.
+                let g = maintained.graph();
+                let size = if rng.gen_bool(0.5) { 2 } else { 14 };
+                let batch = random_batch(g, &mut rng, size);
+                if batch.len() * 20 >= g.num_vertices() + g.num_edges() {
+                    decomposed += 1;
+                } else {
+                    repaired += 1;
+                }
+                maintained.apply_batch(&batch).unwrap();
+                let g = maintained.graph();
+                for k in 2..=5 {
+                    let (anchors, pair) = mixed_anchors(g, k, &mut rng);
+                    pairs += usize::from(pair);
+                    let mut st =
+                        AnchoredCoreState::from_korder(g, k, maintained.korder(), &anchors);
+                    let label =
+                        format!("trial {trial}, round {round}, k = {k}, anchors {anchors:?}");
+                    assert_built_from_korder(&st, &label);
+                    repair_steps(&mut st, &mut rng, 3, &label, &mut ran, &mut check);
+                }
+            }
+        }
+        assert!(repaired > 0 && decomposed > 0, "{repaired} repaired, {decomposed} decomposed");
+        assert!(pairs > 0, "some anchor was lifted by an earlier one");
     }
 
     /// The forward closure of anchoring `x`, over full adjacency: the

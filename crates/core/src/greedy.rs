@@ -55,23 +55,23 @@ pub(crate) fn select_best<G: GraphView>(
     best
 }
 
-/// Solve snapshot `t` with the greedy rule: build the anchored state, then
-/// run up to `l` rounds, each probing what `candidates` returns and
-/// committing the winner of [`select_best`]; stop early when no candidate
-/// has any followers. `order_based` picks the §4.2 follower count over the
-/// unordered whole-shell search. Greedy's candidates come keyed from the
-/// Theorem-3 set the state carries across rounds, so its probes read the
-/// count memo without re-reading their neighbour lists, and no round after
-/// the first rescans the shell.
+/// Solve snapshot `t` with the greedy rule on `state`, built for the
+/// snapshot with no anchors by a clock started at `start`: run up to `l`
+/// rounds, each probing what `candidates` returns and committing the winner
+/// of [`select_best`]; stop early when no candidate has any followers.
+/// `order_based` picks the §4.2 follower count over the unordered
+/// whole-shell search. Greedy's candidates come keyed from the Theorem-3
+/// set the state carries across rounds, so its probes read the count memo
+/// without re-reading their neighbour lists, and no round after the first
+/// rescans the shell.
 pub(crate) fn solve_rounds<G: GraphView>(
     t: usize,
-    frame: &G,
+    start: Instant,
+    mut state: AnchoredCoreState<'_, G>,
     params: AvtParams,
     order_based: bool,
     mut candidates: impl FnMut(&mut AnchoredCoreState<'_, G>) -> Vec<Candidate>,
 ) -> SnapshotReport {
-    let start = Instant::now();
-    let mut state = AnchoredCoreState::new(frame, params.k);
     let base_cores = state.base_cores_snapshot();
     let base_core_size = state.anchored_core_size();
     let mut anchors = Vec::with_capacity(params.l);
@@ -96,6 +96,19 @@ pub(crate) fn solve_rounds<G: GraphView>(
     }
 }
 
+impl Greedy {
+    /// Greedy's solve of snapshot `t` on `state`, built for it with no
+    /// anchors by a clock started at `start`.
+    pub(crate) fn solve_state<G: GraphView>(
+        t: usize,
+        start: Instant,
+        state: AnchoredCoreState<'_, G>,
+        params: AvtParams,
+    ) -> SnapshotReport {
+        solve_rounds(t, start, state, params, true, |state| state.keyed_candidates())
+    }
+}
+
 impl SnapshotSolver for Greedy {
     const NAME: &'static str = "Greedy";
 
@@ -105,7 +118,8 @@ impl SnapshotSolver for Greedy {
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        solve_rounds(t, frame, params, true, |state| state.keyed_candidates())
+        let start = Instant::now();
+        Greedy::solve_state(t, start, AnchoredCoreState::new(frame, params.k), params)
     }
 }
 

@@ -1,7 +1,9 @@
 //! IncAVT: the incremental algorithm (Algorithm 6, §5).
 //!
 //! Snapshot 1 is one [`Greedy`] solve on the maintained graph
-//! (Algorithm 6, lines 1-2). From then on IncAVT exploits the
+//! (Algorithm 6, lines 1-2), on an anchored state built from the K-order
+//! that `avt_kcore::MaintainedCore::new` has just built; the snapshot's
+//! `elapsed` covers that build too. From then on IncAVT exploits the
 //! *smoothness* of network evolution twice:
 //!
 //! 1. **Bounded K-order maintenance** (§5.2): the K-order of `G_t` is
@@ -26,11 +28,17 @@
 //!   smaller id), so a `v` whose region is smaller skips its peel
 //!   (Bound-and-skip in the `crate::anchored` docs). A
 //!   snapshot costs one construction of the anchored state for the
-//!   inherited anchors (its one whole-graph pass) plus local repairs: an
-//!   uncommit per swap test, a commit per swap made, an uncommit per
-//!   anchor that drifted into the plain k-core, and a commit per growth
-//!   step below. A test that keeps `u` undoes its uncommit instead of
-//!   committing `u` again.
+//!   inherited anchors plus local repairs: an uncommit per swap test, a
+//!   commit per swap made, an uncommit per anchor that drifted into the
+//!   plain k-core, and a commit per growth step below. A test that keeps
+//!   `u` undoes its uncommit instead of committing `u` again. The
+//!   construction reads the maintained K-order ("Construction from a
+//!   K-order" in the `crate::anchored` docs): classes come off the core
+//!   numbers, an inherited anchor below the shell lifts what it holds up,
+//!   and one cascade over the shell finds the anchored k-core. No
+//!   threshold cascade crosses the graph, so IncAVT's reports count no
+//!   rebuild ([`Metrics::rebuilds`]); only a heavy batch's maintenance
+//!   decomposes the whole graph.
 //! * After the swap phase, if the anchor set is still below budget (e.g.
 //!   the initial snapshot had fewer than `l` productive anchors), a growth
 //!   phase adds the best impacted candidates, picked by Greedy's
@@ -43,7 +51,7 @@ use avt_graph::{EvolvingGraph, GraphError, VertexId};
 use avt_kcore::MaintainedCore;
 
 use crate::anchored::{AnchoredCoreState, Candidate};
-use crate::engine::{ReportSink, SnapshotSolver};
+use crate::engine::ReportSink;
 use crate::greedy::{select_best, Greedy};
 use crate::metrics::Metrics;
 use crate::params::{AvtAlgorithm, AvtParams, AvtResult, SnapshotReport};
@@ -66,10 +74,14 @@ impl IncAvt {
         params: AvtParams,
         sink: &mut K,
     ) -> Result<(), GraphError> {
-        // Snapshot 1: build the K-order and run one full Greedy pass
-        // (Algorithm 6, lines 1-2).
+        // Snapshot 1: build the K-order and run one full Greedy pass on a
+        // state built from it (Algorithm 6, lines 1-2). Its clock covers
+        // the K-order build.
+        let start = Instant::now();
         let mut maintained = MaintainedCore::new(evolving.initial().clone());
-        let first = Greedy.solve_snapshot(1, maintained.graph(), params);
+        let state =
+            AnchoredCoreState::from_korder(maintained.graph(), params.k, maintained.korder(), &[]);
+        let first = Greedy::solve_state(1, start, state, params);
         let mut anchors = first.anchors.clone();
         sink.push(first);
 
@@ -127,9 +139,9 @@ fn local_search_snapshot(
     let mut anchors: Vec<VertexId> = previous.to_vec();
     let mut extra_metrics = Metrics { vertices_visited: maintenance_visits, ..Default::default() };
 
-    // Current state with the inherited anchors committed (the snapshot's
-    // one whole-graph pass).
-    let mut state = AnchoredCoreState::with_anchors(graph, params.k, &anchors);
+    // Current state with the inherited anchors committed, built from the
+    // maintained K-order.
+    let mut state = AnchoredCoreState::from_korder(graph, params.k, maintained.korder(), &anchors);
 
     // Candidate pool: impacted vertices, their neighbours, and nothing
     // else (Algorithm 6, line 12), filtered by Theorem 3 on the current

@@ -24,8 +24,10 @@ pub struct Metrics {
     /// memo touches none.
     pub vertices_visited: u64,
     /// Whole-graph anchored peels (each O(n + m)): one per
-    /// `AnchoredCoreState` construction. Commits and uncommits repair the
-    /// state locally and add none.
+    /// `AnchoredCoreState` built by `new` or `with_anchors`. A state built
+    /// from a K-order (IncAVT's) adds none and is charged `n` visited
+    /// vertices for its pass over the core numbers, plus what its lifts
+    /// reach. Commits and uncommits repair the state locally and add none.
     pub rebuilds: u64,
 }
 

@@ -16,9 +16,11 @@
 //! Figures 4/6/8 measure. That also makes OLAK the unoptimized reference
 //! the tests hold Greedy's pruning against.
 
+use std::time::Instant;
+
 use avt_graph::GraphView;
 
-use crate::anchored::Candidate;
+use crate::anchored::{AnchoredCoreState, Candidate};
 use crate::engine::SnapshotSolver;
 use crate::greedy::solve_rounds;
 use crate::params::{AvtParams, SnapshotReport};
@@ -37,7 +39,9 @@ impl SnapshotSolver for Olak {
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        solve_rounds(t, frame, params, false, |state| {
+        let start = Instant::now();
+        let state = AnchoredCoreState::new(frame, params.k);
+        solve_rounds(t, start, state, params, false, |state| {
             state.candidates_unordered().into_iter().map(Candidate::unkeyed).collect()
         })
     }

@@ -23,6 +23,8 @@
 //! to Greedy at a fraction of OLAK's probe count, but no incremental reuse
 //! across snapshots.
 
+use std::time::Instant;
+
 use avt_graph::{GraphView, VertexId};
 
 use crate::anchored::AnchoredCoreState;
@@ -84,7 +86,9 @@ impl SnapshotSolver for Rcm {
         frame: &G,
         params: AvtParams,
     ) -> SnapshotReport {
-        solve_rounds(t, frame, params, true, |state| {
+        let start = Instant::now();
+        let state = AnchoredCoreState::new(frame, params.k);
+        solve_rounds(t, start, state, params, true, |state| {
             let budget = (EVAL_BUDGET_FACTOR * params.l).max(8);
             let shortlist = ranked_candidates(state, params.k).into_iter().take(budget);
             shortlist.map(|(v, _)| state.candidate(v)).collect()
